@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 from . import report as rep
 from . import series as ts
-from .coeffpoly import LaurentPoly, Variable, poly
+from .coeffpoly import Combination, LaurentPoly, Variable, poly
 from .poissonlie import PhiFunction, PoissonStructure
 
 
@@ -65,17 +65,10 @@ def cochain_from_wedge_terms(terms: Mapping, min_index: int, upper: int,
                              max_index: Optional[int] = None) -> WedgeCochain:
     """Build from printed wedge terms {n: [(a, b, c), ...]} meaning
     alpha(e_n) = sum c * e_a ^ e_b (each unordered pair listed once)."""
-    alpha: dict = {}
-    for n, items in terms.items():
-        table: dict = {}
-        for (a, b, c) in items:
-            c = poly(c)
-            if c.is_zero() or a == b:
-                continue
-            half = c / 2
-            table[(a, b)] = table.get((a, b), LaurentPoly.zero()) + half
-            table[(b, a)] = table.get((b, a), LaurentPoly.zero()) - half
-        alpha[n] = {k: v for k, v in table.items() if not v.is_zero()}
+    alpha = {
+        n: Combination.antisymmetric((((a, b), c) for a, b, c in items), Fraction(1, 2))
+        for n, items in terms.items()
+    }
     return WedgeCochain(min_index, alpha, upper, max_index)
 
 
@@ -94,14 +87,7 @@ class RMatrix:
 
 
 def rmatrix_from_entries(entries: Mapping, min_index: int) -> RMatrix:
-    table: dict = {}
-    for (i, j), c in entries.items():
-        c = poly(c)
-        if c.is_zero() or i == j:
-            continue
-        table[(i, j)] = table.get((i, j), LaurentPoly.zero()) + c
-        table[(j, i)] = table.get((j, i), LaurentPoly.zero()) - c
-    return RMatrix(min_index, {k: v for k, v in table.items() if not v.is_zero()})
+    return RMatrix(min_index, Combination.antisymmetric(entries.items()))
 
 
 def r_from_phi(phi: PhiFunction) -> RMatrix:
@@ -117,17 +103,11 @@ def coboundary(r: RMatrix, upper: int) -> WedgeCochain:
     """alpha^n_{ij} = (2n - i) r_{i-n, j} + (2n - j) r_{i, j-n} for n <= upper."""
     alpha: dict = {}
     for n in range(r.min_index, upper + 1):
-        table: dict = {}
+        table = Combination()
         for (a, b), c in r.r.items():
             for (i, j, coeff) in (((n + a), b, n - a), (a, (n + b), n - b)):
-                if coeff == 0 or i < r.min_index or j < r.min_index:
-                    continue
-                key = (i, j)
-                val = table.get(key, LaurentPoly.zero()) + c * coeff
-                if val.is_zero():
-                    table.pop(key, None)
-                else:
-                    table[key] = val
+                if coeff and i >= r.min_index and j >= r.min_index:
+                    table.add((i, j), c * coeff)
         alpha[n] = table
     return WedgeCochain(r.min_index, alpha, upper)
 
@@ -251,48 +231,30 @@ def verify_cybe(r: RMatrix, N: int) -> rep.VerificationReport:
     return rep.passed("cybe", **params)
 
 
-def rr_tensor(r: RMatrix) -> dict:
+def rr_tensor(r: RMatrix) -> Combination:
     """<r,r> as a tensor-cube coefficient table, by direct contraction of the
     three commutator terms with the structure constants."""
-    T: dict = {}
-
-    def bump(key, c):
-        if c.is_zero():
-            return
-        cur = T.get(key, LaurentPoly.zero()) + c
-        if cur.is_zero():
-            T.pop(key, None)
-        else:
-            T[key] = cur
-
+    T = Combination()
     lo = r.min_index
     for (i, a), ci in r.r.items():
         for (k, b), ck in r.r.items():
             prod = ci * ck
             if i + k >= lo:
-                bump((i + k, a, b), prod * (i - k))      # [r12, r13]
+                T.add((i + k, a, b), prod * (i - k))      # [r12, r13]
             if a + k >= lo:
-                bump((i, a + k, b), prod * (a - k))      # [r12, r23]
+                T.add((i, a + k, b), prod * (a - k))      # [r12, r23]
             if a + b >= lo:
-                bump((i, k, a + b), prod * (a - b))      # [r13, r23]
+                T.add((i, k, a + b), prod * (a - b))      # [r13, r23]
     return T
 
 
-def adjoint_action(T: dict, m: int, min_index: int) -> dict:
+def adjoint_action(T: Mapping, m: int, min_index: int) -> Combination:
     """e_m acting on a tensor-cube table through the adjoint representation."""
-    out: dict = {}
-    for (a, b, c), v in T.items():
-        for slot, idx in enumerate((a, b, c)):
-            coeff = m - idx
-            tgt = m + idx
-            if coeff == 0 or tgt < min_index:
-                continue
-            key = tuple(tgt if q == slot else (a, b, c)[q] for q in range(3))
-            cur = out.get(key, LaurentPoly.zero()) + v * coeff
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
+    out = Combination()
+    for key, v in T.items():
+        for slot, idx in enumerate(key):
+            if m != idx and m + idx >= min_index:
+                out.add(key[:slot] + (m + idx,) + key[slot + 1:], v * (m - idx))
     return out
 
 
@@ -316,16 +278,16 @@ def verify_rr_invariance(r: RMatrix, N: int, max_m: int = 2) -> rep.Verification
                 keys.add((n, j, l))
     for (n, j, l) in sorted(keys):
         expect = cybe_residual(r, n, j, l) * (-(n + j + l))
-        got = act0.get((n, j, l), LaurentPoly.zero())
+        got = act0[(n, j, l)]
         if got != expect:
             return rep.failed(
                 "rr-invariance", (0, n, j, l),
                 f"action {got.render()} vs -(n+j+l)*cybe {expect.render()}", **params)
     for m in range(0, max_m + 1):
         act = adjoint_action(T, m, r.min_index) if m else act0
-        for key in sorted(act):
-            if not act[key].is_zero():
-                return rep.failed("rr-invariance", (m,) + key, act[key].render(), **params)
+        if act:
+            key = min(act)
+            return rep.failed("rr-invariance", (m,) + key, act[key].render(), **params)
     return rep.passed("rr-invariance", **params)
 
 
@@ -350,29 +312,23 @@ def beta_correspondence(omega: PoissonStructure, phi: PhiFunction) -> rep.Verifi
     phi_t = ts.truncate(phi_series, bounds)
     for n in range(1, n_t + 1):
         # entrywise: d(omega_ij)/dx_n at the identity jet
-        beta = {}
-        for (i, j), w in omega.omega.items():
-            val = w.derivative(Variable(omega.coord_kind, n)).substitute(at_e)
-            if not val.is_zero():
-                beta[(i, j)] = val
+        xn = Variable(omega.coord_kind, n)
+        beta = Combination((ij, w.derivative(xn).substitute(at_e))
+                           for ij, w in omega.omega.items())
         for i in range(1, n_t + 1):
             for j in range(1, n_t + 1):
                 expect = (
                     phi.coeff(i - n + 1, j) * (2 * n - i - 1)
                     + phi.coeff(i, j - n + 1) * (2 * n - j - 1)
                 )
-                got = beta.get((i, j), LaurentPoly.zero())
-                if i > j:
-                    got = -beta.get((j, i), LaurentPoly.zero())
+                got = beta[(i, j)] if i <= j else -beta[(j, i)]
                 if got != expect:
                     return rep.failed(
                         "beta-correspondence", (n, i, j),
                         f"d(omega)/dx entry {got.render()} vs table {expect.render()}",
                         **params)
         # generating series: n phi (u^{n-1} + v^{n-1}) - [u^n d_u phi + v^n d_v phi]
-        series = ts.zero(space, bounds)
-        for (i, j), val in beta.items():
-            series = ts.add(series, ts.make(space, bounds, {(i, j): val, (j, i): -val}))
+        series = ts.make(space, bounds, Combination.antisymmetric(beta.items()))
         mono = lambda eu, ev: ts.make(space, bounds, {(eu, ev): LaurentPoly.one()})
         expect_series = ts.sub(
             ts.scale(ts.mul(phi_t, ts.add(mono(n - 1, 0), mono(0, n - 1))), n),
@@ -436,47 +392,36 @@ def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> LambdaT
     """
     if d < 1:
         raise ValueError("branch label must be >= 1")
-    lam1 = {d + 1: LaurentPoly.one()}
+    lam1 = Combination({d + 1: 1})
     for n, val in free.items():
         if not (d + 2 <= n <= 2 * d or 2 * d + 1 < n <= n_max):
             raise ValueError(f"lam_1{n} is not free on branch {d}")
-        lam1[n] = poly(val)
+        lam1.add(n, poly(val))
 
-    row = {1: -LaurentPoly.one()}  # lam_{d+1, 1} = -lam_{1, d+1}
-
-    def lam1_at(n: int) -> LaurentPoly:
-        return lam1.get(n, LaurentPoly.zero())
-
-    def row_at(n: int) -> LaurentPoly:
-        return row.get(n, LaurentPoly.zero())
+    row = Combination({1: -1})  # lam_{d+1, 1} = -lam_{1, d+1}
 
     def recurse(n: int) -> LaurentPoly:
         # lam_{d+1,n} = -[ d lam_{1,n+d} - sum_{s=1}^{n-1} (n+d-2s+1)
         #                  lam_{1,n+d-s+1} lam_{s,d+1} ] / (d-n+1)
-        acc = lam1_at(n + d) * d
+        acc = lam1[n + d] * d
         for s in range(1, n):
-            acc = acc - lam1_at(n + d - s + 1) * (-row_at(s)) * (n + d - 2 * s + 1)
+            acc = acc - lam1[n + d - s + 1] * (-row[s]) * (n + d - 2 * s + 1)
         return acc / Fraction(-(d - n + 1))
 
     for n in range(2, d + 1):
-        row[n] = recurse(n)
+        row.add(n, recurse(n))
     # the single forced parameter on the first row:
     forced = LaurentPoly.zero()
     for s in range(2, d + 1):
-        forced = forced - lam1_at(2 * d + 2 - s) * (-row_at(s)) * Fraction(2 * (d + 1 - s), d)
-    lam1[2 * d + 1] = forced
-    row[d + 1] = LaurentPoly.zero()
-    for n in range(d + 2, n_max - d + 1):
-        row[n] = recurse(n)
+        forced = forced - lam1[2 * d + 2 - s] * (-row[s]) * Fraction(2 * (d + 1 - s), d)
+    lam1.add(2 * d + 1, forced)
+    for n in range(d + 2, n_max - d + 1):  # lam_{d+1,d+1} = 0
+        row.add(n, recurse(n))
 
     box = n_max - d
-    entries = {}
-    for m in range(1, box + 1):
-        for n in range(m + 1, box + 1):
-            val = lam1_at(m) * row_at(n) - lam1_at(n) * row_at(m)
-            if not val.is_zero():
-                entries[(m, n)] = val
-    return LambdaTable(d, 1, _antisym(entries), box)
+    upper = (((m, n), lam1[m] * row[n] - lam1[n] * row[m])
+             for m in range(1, box + 1) for n in range(m + 1, box + 1))
+    return LambdaTable(d, 1, Combination.antisymmetric(upper), box)
 
 
 def classify_g0_branch(free: Mapping[int, object], n_max: int) -> LambdaTable:
@@ -486,45 +431,28 @@ def classify_g0_branch(free: Mapping[int, object], n_max: int) -> LambdaTable:
     determinant of the first two rows.  Supplying lam_{0,n} up to n_max + 1
     makes the output box n_max exact.
     """
-    lam0 = {1: LaurentPoly.one()}
+    lam0 = Combination({1: 1})
     for n, val in free.items():
         if n < 2:
             raise ValueError("free extended-row parameters start at lam_{0,2}")
-        lam0[n] = poly(val)
-    lam1 = {0: -LaurentPoly.one()}
-
-    def l0(n):
-        return lam0.get(n, LaurentPoly.zero())
-
-    def l1(n):
-        return lam1.get(n, LaurentPoly.zero())
+        lam0.add(n, poly(val))
+    lam1 = Combination({0: -1})
 
     for r in range(2, n_max + 1):
-        acc = l0(r) * l0(2) * 2
+        acc = lam0[r] * lam0[2] * 2
         for s in range(0, r):
-            acc = acc + l0(r - s + 1) * l1(s) * (r - 2 * s + 1)
-        lam1[r] = acc / r
+            acc = acc + lam0[r - s + 1] * lam1[s] * (r - 2 * s + 1)
+        lam1.add(r, acc / r)
 
-    entries = {}
-    for m in range(0, n_max + 1):
-        for n in range(m + 1, n_max + 1):
-            if m == 0:
-                val = l0(n)
-            elif m == 1:
-                val = l1(n)
-            else:
-                val = l0(m) * l1(n) - l1(m) * l0(n)
-            if not val.is_zero():
-                entries[(m, n)] = val
-    return LambdaTable(None, 0, _antisym(entries), n_max)
+    def entry(m: int, n: int) -> LaurentPoly:
+        if m == 0:
+            return lam0[n]
+        if m == 1:
+            return lam1[n]
+        return lam0[m] * lam1[n] - lam1[m] * lam0[n]
 
-
-def _antisym(entries: dict) -> dict:
-    table = {}
-    for (m, n), c in entries.items():
-        table[(m, n)] = c
-        table[(n, m)] = -c
-    return table
+    upper = (((m, n), entry(m, n)) for m in range(0, n_max + 1) for n in range(m + 1, n_max + 1))
+    return LambdaTable(None, 0, Combination.antisymmetric(upper), n_max)
 
 
 # ---------------------------------------------------------------------------

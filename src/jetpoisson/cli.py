@@ -4,8 +4,9 @@ Usage:
   jetpoisson verify <suite> [options]
 
 Suites: group, poisson, phi, bialgebra, cybe, classify, density, quantum, all.
-Reports are emitted as JSON (default) or text, one record per check, and the
-exit status is nonzero iff at least one record failed.
+Reports are emitted as JSON (default) or text, one record per check.  The
+exit status is 0 when every record passed, 1 when a record failed, and 2 on
+bad input, which prints one ``error:`` line instead of a report.
 """
 
 from __future__ import annotations
@@ -42,20 +43,33 @@ def _phi_from_args(args) -> pl.PhiFunction:
     if args.phi == "power":
         return pl.phi_power_family(args.d, degree or 0)
     if args.phi == "extended":
-        return pl.phi_extended_family(args.d, _value(args.lam, "lam"), degree or 13)
+        lam = _value(args.lam, "lam")
+        try:
+            return pl.phi_extended_family(args.d, lam, degree or 13)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if args.phi == "linear":
         return pl.phi_linear()
     if args.phi == "exp":
         return pl.phi_exponential(_value(args.lam, "lam"), degree or 10)
     if args.phi.startswith("table:"):
-        with open(args.phi[6:], "r", encoding="utf-8") as handle:
-            entries = {}
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+        try:
+            with open(args.phi[6:], "r", encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read phi table: {exc}") from exc
+        entries = {}
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
                 m, n, value = line.split()
                 entries[(int(m), int(n))] = Fraction(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad phi table row {line!r}") from exc
+        if not entries:
+            raise ConfigError("phi table has no rows")
         min_index = min(i for pair in entries for i in pair)
         deg = max(max(pair) for pair in entries)
         return pl.phi_from_table(entries, min_index, deg, exact=True, provenance="table")
@@ -218,7 +232,8 @@ def suite_quantum(args) -> list[rep.VerificationReport]:
     for name in ("C", "C1", "C2", "C3", "C4", "C5"):
         value = getattr(args, name, None)
         if value is not None:
-            params[name] = "symbolic" if value == "symbolic" else Fraction(value)
+            # "symbolic" stays a word: the catalog names the symbol (--C feeds C3 of R2_ansatz)
+            params[name] = value if value == "symbolic" else _value(value, name)
     which = args.set.replace("-", "_")
     R = qt.relation_set_catalog(which, params or None, args.h_order)
     records = [
@@ -227,9 +242,7 @@ def suite_quantum(args) -> list[rep.VerificationReport]:
         qt.verify_counit_coassoc(R),
         qt.verify_grading(R),
     ]
-    d_of = {"R1": 1, "R1_pbw": 1, "R2": 2, "R2_ansatz": 2, "R3": 3}[which]
-    n_of = {"R1": 4, "R1_pbw": 4, "R2": 5, "R2_ansatz": 5, "R3": 5}[which]
-    omega = pl.build_omega(pl.phi_power_family(d_of), n_of)
+    omega = pl.build_omega(pl.phi_power_family(R.d), R.n_gens)
     records.append(qt.verify_quasiclassical(R, omega))
     return records
 
@@ -283,9 +296,9 @@ def run_suite(args) -> tuple[int, list[rep.VerificationReport]]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.n < 1 or args.d < 1 or (args.h_order is not None and args.h_order < 1):
-        raise ConfigError("n, d and h-order must be positive")
     try:
+        if args.n < 1 or args.d < 1 or (args.h_order is not None and args.h_order < 1):
+            raise ConfigError("n, d and h-order must be positive")
         status, records = run_suite(args)
     except (ConfigError, pl.DegreeBoundTooSmall, qt.UnknownParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,6 +67,9 @@ class Variable:
     def __post_init__(self):
         if self.index < _MIN_INDEX:
             raise ValueError(f"variable index {self.index} below minimum {_MIN_INDEX}")
+        if self.index - _MIN_INDEX >= _STRIDE:
+            # the code would spill into the next kind (x_{2^20+5} read back as y5)
+            raise ValueError(f"variable index {self.index} above maximum {_STRIDE + _MIN_INDEX - 1}")
         inv = (
             self.kind in (VarKind.GROUP_X, VarKind.GROUP_Y, VarKind.GROUP_Z)
             and self.index == 1
@@ -383,6 +386,102 @@ def _coerce(value) -> LaurentPoly:
 
 def poly(value) -> LaurentPoly:
     return _coerce(value)
+
+
+class Combination(dict):
+    """A sparse linear combination: a map from keys to nonzero LaurentPoly
+    coefficients, in which a missing key reads as zero.
+
+    Series coefficients, free-algebra elements, tensor tables, cochain levels
+    and r-matrices are all combinations.  Write through ``add`` (or the
+    constructor, which adds item by item), so that no zero is ever stored.
+    The dict order is part of the contract, because verifiers that report
+    the first offending key iterate it: a key that survives an update keeps
+    its slot, a key that cancels is deleted, and a new key is appended.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, items=()):
+        super().__init__()
+        for key, c in items.items() if isinstance(items, Mapping) else items:
+            self.add(key, _coerce(c))
+
+    def __missing__(self, key) -> LaurentPoly:
+        return _ZERO
+
+    def add(self, key, c: LaurentPoly) -> None:
+        """self[key] += c, in place."""
+        cur = self.get(key)
+        if cur is None:
+            if c.terms:
+                self[key] = c
+            return
+        s = cur + c
+        if s.terms:
+            self[key] = s
+        else:
+            del self[key]
+
+    def add_all(self, other: Mapping, scale=None) -> "Combination":
+        """self += scale * other, key by key in the order of ``other``; returns self."""
+        for key, c in other.items():
+            self.add(key, c if scale is None else c * scale)
+        return self
+
+    def copy(self) -> "Combination":
+        out = Combination()
+        dict.update(out, self)
+        return out
+
+    def map(self, fn) -> "Combination":
+        """A new combination of the nonzero values fn(coefficient), same keys."""
+        out = Combination()
+        for key, c in self.items():
+            v = fn(c)
+            if v.terms:
+                out[key] = v
+        return out
+
+    @staticmethod
+    def product(a: Mapping, b: Mapping, join, fn=None) -> "Combination":
+        """The bilinear product: sum of fn(ca * cb) at join(ka, kb) over all
+        pairs, skipping pairs whose joined key is None."""
+        out = Combination()
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = join(ka, kb)
+                if key is None:
+                    continue
+                c = ca * cb
+                out.add(key, c if fn is None else fn(c))
+        return out
+
+    @staticmethod
+    def antisymmetric(pairs, scale=None) -> "Combination":
+        """The antisymmetric table with (i, j) += scale * c and (j, i) -= scale * c
+        for each ((i, j), c); repeated pairs are summed, the diagonal skipped."""
+        out = Combination()
+        for (i, j), c in pairs:
+            c = _coerce(c)
+            if i == j or not c.terms:
+                continue
+            if scale is not None:
+                c = c * scale
+            out.add((i, j), c)
+            out.add((j, i), -c)
+        return out
+
+
+def compositions(total: int, parts: int):
+    """Ordered tuples of ``parts`` positive integers with the given sum."""
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 # -- the grading used by the quantum layer ----------------------------------

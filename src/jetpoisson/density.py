@@ -19,8 +19,8 @@ from typing import Optional
 from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
-from .coeffpoly import LaurentPoly, Variable, VarKind, aux_t, param, poly
-from .poissonlie import PhiFunction, PoissonStructure
+from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, aux_t, param, poly
+from .poissonlie import PhiFunction, PoissonStructure, upper_triangle
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,7 @@ def build_omega_density(phi: PhiFunction, lam, n: int) -> PoissonStructure:
         ts.add(ts.scale(ts.product(dv, xpu, xv), lam),
                ts.scale(ts.product(duv, xu, xv), lam * lam)),
     )
-    omega = {}
-    for i in range(0, n + 1):
-        for j in range(i + 1, n + 1):
-            c = omega_series.coeff((i, j))
-            if not c.is_zero():
-                omega[(i, j)] = c
-    return PoissonStructure(n, 0, omega, VarKind.DENSITY_X,
+    return PoissonStructure(n, 0, upper_triangle(omega_series, 0, n), VarKind.DENSITY_X,
                             {"phi": phi, "lam": lam, "provenance": f"density({phi.provenance})"})
 
 
@@ -155,12 +149,8 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
     z_lam = density_act(y, x, t)  # coords through K+1
 
     dens_vars = {Variable(VarKind.DENSITY_X, i): z_lam.coord(i) for i in range(K + 2)}
-    lhs = ts.zero(space, bounds)
-    for (i, j), w in omega_dens.omega.items():
-        if j > K:
-            continue
-        val = w.substitute(dens_vars)
-        lhs = ts.add(lhs, ts.make(space, bounds, {(i, j): val, (j, i): -val}))
+    lhs = ts.make(space, bounds, Combination.antisymmetric(
+        (ij, w.substitute(dens_vars)) for ij, w in omega_dens.omega.items() if ij[1] <= K))
 
     # ingredients of the right-hand side
     y_u = ts.lift(y.to_series(bound=K), space, bounds)
@@ -177,7 +167,7 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
     Q_v = _swap_to_v(_jet_unit_series(y, lam, K, shift=-1), space, bounds)
 
     # term 1: density table at x, evaluated along the jet
-    t1 = ts.zero(space, bounds)
+    t1 = Combination()
     ypow_u = {0: ts.const(1, space, bounds)}
     ypow_v = {0: ts.const(1, space, bounds)}
 
@@ -193,17 +183,15 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
             ts.mul(ypw(ypow_u, y_u, k), ypw(ypow_v, y_v, l)),
             ts.mul(ypw(ypow_u, y_u, l), ypw(ypow_v, y_v, k)),
         )
-        t1 = ts.add(t1, ts.scale(term, w))
-    t1 = ts.product(t1, P_u, P_v)
+        t1.add_all(term.coeffs, w)
+    t1 = ts.product(ts.TruncSeries(space, bounds, t1), P_u, P_v)
     t1 = ts.scale(t1, t * t)
 
     # group-structure series on the acting jet, one index wider for derivatives
     from .poissonlie import build_omega  # local import to avoid a cycle at import time
 
     group = build_omega(phi, K + 1, 1, coord_letter="y")
-    wide = ts.zero(space, (K + 1, K + 1))
-    for (k, l), w in group.omega.items():
-        wide = ts.add(wide, ts.make(space, (K + 1, K + 1), {(k, l): w, (l, k): -w}))
+    wide = ts.make(space, (K + 1, K + 1), Combination.antisymmetric(group.omega.items()))
     bar = ts.truncate(wide, bounds)
     bar_u = ts.truncate(ts.derivative(wide, "u"), bounds)
     bar_v = ts.truncate(ts.derivative(wide, "v"), bounds)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import series as ts
-from .coeffpoly import LaurentPoly, Variable, VarKind, poly
+from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, poly
 
 _LETTER_KINDS = {"x": VarKind.GROUP_X, "y": VarKind.GROUP_Y, "z": VarKind.GROUP_Z}
 
@@ -114,7 +114,7 @@ def jet_compose(x: JetElement, y: JetElement) -> JetElement:
         ci = x.coord(i)
         if not ci.is_zero():
             acc = ts.add(acc, ts.const(ci, ("u",), (n,)))
-        acc = ts.make(("u",), (n,), {e: nilpotent_reduce(c, m) for e, c in acc.coeffs.items()})
+        acc = ts.TruncSeries(("u",), (n,), acc.coeffs.map(lambda c: nilpotent_reduce(c, m)))
     return make_jet([acc.coeff((j,)) for j in range(0, n + 1)], 0, m)
 
 
@@ -141,21 +141,21 @@ def jet_project(x: JetElement, m: int) -> JetElement:
 
 @dataclass(frozen=True)
 class VectorField:
-    components: dict  # coordinate index -> LaurentPoly
+    components: Combination  # coordinate index -> LaurentPoly
 
     def component(self, i: int) -> LaurentPoly:
-        return self.components.get(i, LaurentPoly.zero())
+        return self.components[i]
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components.values())
+        return not self.components
 
 
 def left_invariant_field(k: int, n: int) -> VectorField:
     """X_k = sum_{i=1}^{n-k+1} i * x_i * d/dx_{i+k-1} at truncation n."""
-    comps = {}
-    for i in range(1, n - k + 2):
-        comps[i + k - 1] = LaurentPoly.var(Variable(VarKind.GROUP_X, i)) * i
-    return VectorField(comps)
+    return VectorField(Combination(
+        (i + k - 1, LaurentPoly.var(Variable(VarKind.GROUP_X, i)) * i)
+        for i in range(1, n - k + 2)
+    ))
 
 
 def left_invariant_fields(n: int) -> list[VectorField]:
@@ -163,31 +163,21 @@ def left_invariant_fields(n: int) -> list[VectorField]:
 
 
 def vf_commutator(a: VectorField, b: VectorField) -> VectorField:
-    comps: dict = {}
-    for j in set(a.components) | set(b.components):
-        total = LaurentPoly.zero()
-        for i, ai in a.components.items():
-            bj = b.component(j)
-            if not bj.is_zero():
-                total = total + ai * bj.derivative(Variable(VarKind.GROUP_X, i))
-        for i, bi in b.components.items():
-            aj = a.component(j)
-            if not aj.is_zero():
-                total = total - bi * aj.derivative(Variable(VarKind.GROUP_X, i))
-        if not total.is_zero():
-            comps[j] = total
+    """[a, b]_j = sum_i a_i d(b_j)/dx_i - b_i d(a_j)/dx_i."""
+    comps = Combination()
+    for f, g, negate in ((a, b, False), (b, a, True)):
+        for i, fi in f.components.items():
+            xi = Variable(VarKind.GROUP_X, i)
+            for j, gj in g.components.items():
+                term = fi * gj.derivative(xi)
+                comps.add(j, -term if negate else term)
     return VectorField(comps)
 
 
 def vf_sub(a: VectorField, b: VectorField) -> VectorField:
-    comps = {}
-    for j in set(a.components) | set(b.components):
-        d = a.component(j) - b.component(j)
-        if not d.is_zero():
-            comps[j] = d
-    return VectorField(comps)
+    return VectorField(a.components.copy().add_all(b.components, -1))
 
 
 def vf_scale(a: VectorField, c) -> VectorField:
     c = poly(c)
-    return VectorField({j: p * c for j, p in a.components.items() if not (p * c).is_zero()})
+    return VectorField(a.components.map(lambda p: p * c))

@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
-from .coeffpoly import LaurentPoly, Variable, VarKind, param, poly
+from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, compositions, param, poly
 
 
 class DivisibilityViolation(ValueError):
@@ -70,29 +70,19 @@ class PhiFunction:
     def as_series(self, var_a: str, var_b: str, space, bounds) -> ts.TruncSeries:
         """The series sum lam_{mn} a^m b^n inside the given variable space."""
         pa, pb = space.index(var_a), space.index(var_b)
-        coeffs: dict = {}
+        coeffs = Combination()
         for (m, n), c in self.table.items():
             exps = [0] * len(space)
             exps[pa] += m
             exps[pb] += n
-            coeffs[tuple(exps)] = coeffs.get(tuple(exps), LaurentPoly.zero()) + c
+            coeffs.add(tuple(exps), c)
         return ts.make(tuple(space), tuple(bounds), coeffs)
-
-
-def _symmetrize(entries: Mapping) -> dict:
-    table: dict = {}
-    for (m, n), c in entries.items():
-        c = poly(c)
-        if c.is_zero() or m == n:
-            continue
-        table[(m, n)] = table.get((m, n), LaurentPoly.zero()) + c
-        table[(n, m)] = table.get((n, m), LaurentPoly.zero()) - c
-    return {k: v for k, v in table.items() if not v.is_zero()}
 
 
 def phi_from_table(entries: Mapping, min_index: int, degree: int, exact: bool = False,
                    provenance: str = "custom") -> PhiFunction:
-    return PhiFunction(min_index, _symmetrize(entries), degree, exact, provenance)
+    return PhiFunction(min_index, Combination.antisymmetric(entries.items()), degree, exact,
+                       provenance)
 
 
 def phi_power_family(d: int, degree: int = 0) -> PhiFunction:
@@ -128,20 +118,11 @@ def phi_extended_family(d: int, lam, degree: int) -> PhiFunction:
             coeffs[tuple(exps)] = lam ** k
         return ts.make(space, bounds, coeffs)
 
-    numerator: dict = {}
-
-    def addmono(eu, ev, c):
-        key = (eu, ev)
-        numerator[key] = numerator.get(key, LaurentPoly.zero()) + poly(c)
-
-    addmono(1, d + 1, d - 1)
-    addmono(d + 1, 1, -(d - 1))
-    addmono(d + 1, 2, lam * d)
-    addmono(2, d + 1, -(lam * d))
+    numerator = Combination.antisymmetric([((1, d + 1), d - 1), ((d + 1, 2), lam * d)])
     series = ts.product(ts.make(space, bounds, numerator), geom("u"), geom("v"))
     series = ts.scale(series, Fraction(1, d - 1))
-    entries = {(m, n): c for (m, n), c in series.coeffs.items() if m < n}
-    return PhiFunction(1, _symmetrize(entries), B, False, f"extended d={d}")
+    upper = ((mn, c) for mn, c in series.coeffs.items() if mn[0] < mn[1])
+    return PhiFunction(1, Combination.antisymmetric(upper), B, False, f"extended d={d}")
 
 
 def phi_linear() -> PhiFunction:
@@ -201,8 +182,8 @@ class PoissonStructure:
 
     def perturbed(self, i: int, j: int, delta: LaurentPoly) -> "PoissonStructure":
         """Deliberately corrupted copy; used by the negative-control tests."""
-        omega = dict(self.omega)
-        omega[(i, j)] = omega.get((i, j), LaurentPoly.zero()) + delta
+        omega = Combination(self.omega)
+        omega.add((i, j), delta)
         return PoissonStructure(self.n, self.start_index, omega, self.coord_kind,
                                 dict(self.meta) | {"perturbed": f"({i},{j})"})
 
@@ -244,17 +225,16 @@ def build_omega(phi: PhiFunction, n: int, start_index: int = 1,
         {"u": ts.lift(ts.truncate(x_u, (n,)), space, bounds),
          "v": ts.lift(ts.truncate(x_v, (n,)), space, bounds)},
     )
-    omega_series = ts.sub(first, second)
-    omega = {}
-    for i in range(start_index, n + 1):
-        for j in range(i + 1, n + 1):
-            c = omega_series.coeff((i, j))
-            if not c.is_zero():
-                omega[(i, j)] = c
     return PoissonStructure(
-        n, start_index, omega, kind,
+        n, start_index, upper_triangle(ts.sub(first, second), start_index, n), kind,
         {"phi": phi, "provenance": phi.provenance},
     )
+
+
+def upper_triangle(omega_series: ts.TruncSeries, lo: int, n: int) -> Combination:
+    """The bracket table {(i, j): [u^i v^j] Omega} for lo <= i < j <= n."""
+    return Combination(((i, j), omega_series.coeff((i, j)))
+                       for i in range(lo, n + 1) for j in range(i + 1, n + 1))
 
 
 def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonStructure:
@@ -275,7 +255,7 @@ def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonS
 
     def comp_sum(m: int, parts: int) -> LaurentPoly:
         total = LaurentPoly.zero()
-        for comp in _compositions(m, parts):
+        for comp in compositions(m, parts):
             term = LaurentPoly.one()
             for s in comp:
                 term = term * xv(s)
@@ -294,16 +274,6 @@ def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonS
             if not val.is_zero():
                 omega[(i, j)] = val
     return PoissonStructure(n, 1, omega, kind, {"provenance": f"power-closed-form d={d}"})
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +345,10 @@ def _verify_mult_origin_fixing(omega, check_max):
     to_y = {Variable(omega.coord_kind, i): y.coord(i) for i in range(1, n + 1)}
     to_z = {Variable(omega.coord_kind, i): z.coord(i) for i in range(1, n + 1)}
     omega_y = {pair: p.substitute(to_y) for pair, p in omega.omega.items()}
-    dzx = {(i, k): z.coord(i).derivative(Variable(VarKind.GROUP_X, k))
-           for i in range(1, n + 1) for k in range(1, i + 1)}
-    dzy = {(i, k): z.coord(i).derivative(Variable(VarKind.GROUP_Y, k))
-           for i in range(1, n + 1) for k in range(1, i + 1)}
+    dzx = Combination(((i, k), z.coord(i).derivative(Variable(VarKind.GROUP_X, k)))
+                      for i in range(1, n + 1) for k in range(1, i + 1))
+    dzy = Combination(((i, k), z.coord(i).derivative(Variable(VarKind.GROUP_Y, k)))
+                      for i in range(1, n + 1) for k in range(1, i + 1))
     params = {"n": n, "start": 1}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -388,14 +358,8 @@ def _verify_mult_origin_fixing(omega, check_max):
                 if l > n:
                     continue
                 wy = omega_y[(k, l)]
-                rhs = rhs + w * (
-                    dzx.get((i, k), LaurentPoly.zero()) * dzx.get((j, l), LaurentPoly.zero())
-                    - dzx.get((i, l), LaurentPoly.zero()) * dzx.get((j, k), LaurentPoly.zero())
-                )
-                rhs = rhs + wy * (
-                    dzy.get((i, k), LaurentPoly.zero()) * dzy.get((j, l), LaurentPoly.zero())
-                    - dzy.get((i, l), LaurentPoly.zero()) * dzy.get((j, k), LaurentPoly.zero())
-                )
+                rhs = rhs + w * (dzx[(i, k)] * dzx[(j, l)] - dzx[(i, l)] * dzx[(j, k)])
+                rhs = rhs + wy * (dzy[(i, k)] * dzy[(j, l)] - dzy[(i, l)] * dzy[(j, k)])
             residual = lhs - rhs
             if not residual.is_zero():
                 return rep.failed("multiplicativity", (i, j), residual.render(), **params)

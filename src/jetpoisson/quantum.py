@@ -19,6 +19,7 @@ nonzero residual pins the constraint.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass, replace
@@ -27,9 +28,11 @@ from typing import Mapping, Optional
 
 from . import report as rep
 from .coeffpoly import (
+    Combination,
     LaurentPoly,
     Variable,
     VarKind,
+    compositions,
     homogeneous_graded_degree,
     param,
     poly,
@@ -71,13 +74,13 @@ def ascent_count(word: tuple) -> int:
 class NCElement:
     n_gens: int
     h_order: int
-    terms: dict  # word tuple -> LaurentPoly in h and parameters
+    terms: Combination  # word tuple -> LaurentPoly in h and parameters
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, word: tuple) -> LaurentPoly:
-        return self.terms.get(tuple(word), LaurentPoly.zero())
+        return self.terms[tuple(word)]
 
     def render(self) -> str:
         if not self.terms:
@@ -102,19 +105,17 @@ def _word_factors(word: tuple) -> list[str]:
 
 
 def nc_make(n_gens: int, h_order: int, terms: Mapping) -> NCElement:
-    clean = {}
+    clean = Combination()
     for word, c in terms.items():
         word = tuple(word)
         if any(not 1 <= g <= n_gens for g in word):
             raise ShapeMismatch(f"generator out of range in {word}")
-        c = h_truncate_poly(poly(c), h_order)
-        if not c.is_zero():
-            clean[word] = c
+        clean.add(word, h_truncate_poly(poly(c), h_order))
     return NCElement(n_gens, h_order, clean)
 
 
 def nc_zero(n_gens: int, h_order: int) -> NCElement:
-    return NCElement(n_gens, h_order, {})
+    return NCElement(n_gens, h_order, Combination())
 
 
 def nc_word(n_gens: int, h_order: int, word, coeff=1) -> NCElement:
@@ -122,52 +123,29 @@ def nc_word(n_gens: int, h_order: int, word, coeff=1) -> NCElement:
 
 
 def nc_add(a: NCElement, b: NCElement) -> NCElement:
-    _check_shape(a, b)
-    terms = dict(a.terms)
-    for w, c in b.terms.items():
-        s = terms.get(w, LaurentPoly.zero()) + c
-        if s.is_zero():
-            terms.pop(w, None)
-        else:
-            terms[w] = s
-    return NCElement(a.n_gens, a.h_order, terms)
+    return _like(a, b, a.terms.copy().add_all(b.terms))
 
 
 def nc_sub(a: NCElement, b: NCElement) -> NCElement:
-    return nc_add(a, nc_scale(b, -1))
+    return _like(a, b, a.terms.copy().add_all(b.terms, -1))
 
 
 def nc_scale(a: NCElement, c) -> NCElement:
     c = h_truncate_poly(poly(c), a.h_order)
-    terms = {}
-    for w, v in a.terms.items():
-        s = h_truncate_poly(v * c, a.h_order)
-        if not s.is_zero():
-            terms[w] = s
-    return NCElement(a.n_gens, a.h_order, terms)
+    return NCElement(a.n_gens, a.h_order, a.terms.map(lambda v: h_truncate_poly(v * c, a.h_order)))
 
 
 def nc_multiply(a: NCElement, b: NCElement) -> NCElement:
     """Concatenation product, h-truncated, NOT reduced."""
-    _check_shape(a, b)
-    terms: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            c = h_truncate_poly(ca * cb, a.h_order)
-            if c.is_zero():
-                continue
-            w = wa + wb
-            s = terms.get(w, LaurentPoly.zero()) + c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-    return NCElement(a.n_gens, a.h_order, terms)
+    return _like(a, b, Combination.product(
+        a.terms, b.terms, operator.add, lambda c: h_truncate_poly(c, a.h_order)))
 
 
-def _check_shape(a: NCElement, b: NCElement):
+def _like(a: NCElement, b: NCElement, terms: Combination) -> NCElement:
+    """An element of the common shape of a and b."""
     if a.n_gens != b.n_gens or a.h_order != b.h_order:
         raise ShapeMismatch("mismatched generator count or h order")
+    return NCElement(a.n_gens, a.h_order, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +194,10 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     give the same answer either way."""
     if a.h_order != R.h_order or a.n_gens != R.n_gens:
         raise ShapeMismatch("element and relation set disagree on shape")
-    done: dict = {}
-    pending: dict = {}
-
-    def push(store, word, c):
-        s = store.get(word, LaurentPoly.zero()) + c
-        if s.is_zero():
-            store.pop(word, None)
-        else:
-            store[word] = s
-
+    done = Combination()
+    pending = Combination()
     for word, c in a.terms.items():
-        push(done if word_is_canonical(word) else pending, word, c)
+        (done if word_is_canonical(word) else pending).add(word, c)
     while pending:
         word = min(pending, key=lambda w: (len(w), w))
         coeff = pending.pop(word)
@@ -235,13 +205,11 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
         p = sites[0] if rng is None else rng.choice(sites)
         i, j = word[p], word[p + 1]
         swapped = word[:p] + (j, i) + word[p + 2:]
-        push(done if word_is_canonical(swapped) else pending, swapped, coeff)
+        (done if word_is_canonical(swapped) else pending).add(swapped, coeff)
         for w2, c2 in R.tail(i, j).terms.items():
-            c = h_truncate_poly(coeff * c2, a.h_order)
-            if c.is_zero():
-                continue
             grown = word[:p] + w2 + word[p + 2:]
-            push(done if word_is_canonical(grown) else pending, grown, c)
+            c = h_truncate_poly(coeff * c2, a.h_order)
+            (done if word_is_canonical(grown) else pending).add(grown, c)
     return NCElement(a.n_gens, a.h_order, done)
 
 
@@ -273,10 +241,9 @@ def pbw_overlap_check(R: RelationSet, triples=None) -> rep.VerificationReport:
 def _one_step(R: RelationSet, word: tuple, p: int) -> NCElement:
     i, j = word[p], word[p + 1]
     swapped = word[:p] + (j, i) + word[p + 2:]
-    out = {swapped: LaurentPoly.one()}
+    out = Combination({swapped: 1})
     for w2, c2 in R.tail(i, j).terms.items():
-        grown = word[:p] + w2 + word[p + 2:]
-        out[grown] = out.get(grown, LaurentPoly.zero()) + c2
+        out.add(word[:p] + w2 + word[p + 2:], c2)
     return nc_make(R.n_gens, R.h_order, out)
 
 
@@ -284,91 +251,41 @@ def _one_step(R: RelationSet, word: tuple, p: int) -> NCElement:
 # Comultiplication, counit, gradings, quasiclassical limit
 
 
-def compositions(total: int, parts: int):
-    """Ordered tuples of positive integers with the given sum."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def delta_generator(i: int, R: RelationSet) -> dict:
+def delta_generator(i: int, R: RelationSet) -> Combination:
     """Delta(x_i) = sum_k x_k (x) sum over compositions of i into k parts,
     as a tensor table {(left word, right word): coefficient}."""
-    out = {}
-    for k in range(1, i + 1):
-        for comp in compositions(i, k):
-            out[((k,), comp)] = LaurentPoly.one()
-    return out
+    return Combination(
+        (((k,), comp), 1) for k in range(1, i + 1) for comp in compositions(i, k)
+    )
 
 
-def tensor_multiply(a: dict, b: dict, R: RelationSet) -> dict:
-    out: dict = {}
-    for (la, ra), ca in a.items():
-        for (lb, rb), cb in b.items():
-            c = h_truncate_poly(ca * cb, R.h_order)
-            if c.is_zero():
-                continue
-            key = (la + lb, ra + rb)
-            s = out.get(key, LaurentPoly.zero()) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
+def _tensor_join(a: tuple, b: tuple) -> tuple:
+    return (a[0] + b[0], a[1] + b[1])
 
 
-def tensor_scale(a: dict, c) -> dict:
-    c = poly(c)
-    out = {}
-    for key, v in a.items():
-        s = v * c
-        if not s.is_zero():
-            out[key] = s
-    return out
+def tensor_multiply(a: Combination, b: Combination, R: RelationSet) -> Combination:
+    return Combination.product(a, b, _tensor_join, lambda c: h_truncate_poly(c, R.h_order))
 
 
-def tensor_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        s = out.get(key, LaurentPoly.zero()) + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
-def tensor_reduce(a: dict, R: RelationSet) -> dict:
+def tensor_reduce(a: Combination, R: RelationSet) -> Combination:
     """Componentwise normal form in both tensor slots."""
-    out: dict = {}
+    out = Combination()
     for (lw, rw), c in a.items():
         left = nc_reduce(nc_word(R.n_gens, R.h_order, lw), R)
         right = nc_reduce(nc_word(R.n_gens, R.h_order, rw), R)
-        for wl, cl in left.terms.items():
-            for wr, cr in right.terms.items():
-                v = h_truncate_poly(c * cl * cr, R.h_order)
-                if v.is_zero():
-                    continue
-                key = (wl, wr)
-                s = out.get(key, LaurentPoly.zero()) + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        out.add_all(Combination.product(left.terms, right.terms, lambda wl, wr: (wl, wr),
+                                        lambda v: h_truncate_poly(c * v, R.h_order)))
     return out
 
 
-def delta_of_element(a: NCElement, R: RelationSet) -> dict:
+def delta_of_element(a: NCElement, R: RelationSet) -> Combination:
     """Apply the comultiplication to every word (h and parameters are scalars)."""
-    total: dict = {}
+    total = Combination()
     for word, c in a.terms.items():
-        cur = {((), ()): LaurentPoly.one()}
+        cur = Combination({((), ()): 1})
         for g in word:
             cur = tensor_multiply(cur, delta_generator(g, R), R)
-        total = tensor_add(total, tensor_scale(cur, c))
+        total.add_all(cur, c)
     return total
 
 
@@ -378,10 +295,8 @@ def verify_delta_homomorphism(R: RelationSet) -> rep.VerificationReport:
     params = {"set": R.label, "h_order": R.h_order}
     for (i, j) in sorted(R.tails):
         di, dj = delta_generator(i, R), delta_generator(j, R)
-        lhs = tensor_add(
-            tensor_multiply(di, dj, R), tensor_scale(tensor_multiply(dj, di, R), -1)
-        )
-        diff = tensor_add(lhs, tensor_scale(delta_of_element(R.tail(i, j), R), -1))
+        diff = tensor_multiply(di, dj, R).add_all(tensor_multiply(dj, di, R), -1)
+        diff.add_all(delta_of_element(R.tail(i, j), R), -1)
         residual = tensor_reduce(diff, R)
         if residual:
             (lw, rw) = min(residual, key=lambda k: (len(k[0]) + len(k[1]), k))
@@ -409,34 +324,30 @@ def verify_counit_coassoc(R: RelationSet) -> rep.VerificationReport:
             return rep.failed("counit-coassoc", (i, j), residual.render(), **params)
     for i in range(1, R.n_gens + 1):
         di = delta_generator(i, R)
-        left = {}
-        right = {}
+        left = Combination()
+        right = Combination()
         for (lw, rw), c in di.items():
             if all(g == 1 for g in lw):
-                left[rw] = left.get(rw, LaurentPoly.zero()) + c
+                left.add(rw, c)
             if all(g == 1 for g in rw):
-                right[lw] = right.get(lw, LaurentPoly.zero()) + c
+                right.add(lw, c)
         gen = {(i,): LaurentPoly.one()}
-        if {w: c for w, c in left.items() if not c.is_zero()} != gen:
+        if left != gen:
             return rep.failed("counit-coassoc", (i,), "(c (x) id) Delta != id", **params)
-        if {w: c for w, c in right.items() if not c.is_zero()} != gen:
+        if right != gen:
             return rep.failed("counit-coassoc", (i,), "(id (x) c) Delta != id", **params)
         # coassociativity on the generator
-        lhs: dict = {}
-        rhs: dict = {}
+        lhs = Combination()
+        rhs = Combination()
         for (lw, rw), c in di.items():
             for (a2, b2), c2 in delta_of_element(
                 nc_word(R.n_gens, R.h_order, lw), R
             ).items():
-                key = (a2, b2, rw)
-                lhs[key] = lhs.get(key, LaurentPoly.zero()) + c * c2
+                lhs.add((a2, b2, rw), c * c2)
             for (a2, b2), c2 in delta_of_element(
                 nc_word(R.n_gens, R.h_order, rw), R
             ).items():
-                key = (lw, a2, b2)
-                rhs[key] = rhs.get(key, LaurentPoly.zero()) + c * c2
-        lhs = {k: v for k, v in lhs.items() if not v.is_zero()}
-        rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
+                rhs.add((lw, a2, b2), c * c2)
         if lhs != rhs:
             keys = sorted(set(lhs) | set(rhs))
             bad = next(k for k in keys if lhs.get(k) != rhs.get(k))
@@ -501,11 +412,10 @@ def _sym(value, name: str):
 
 def _tail(n_gens: int, h_order: int, terms) -> NCElement:
     """terms: list of (h exponent, coefficient, word as ((gen, power), ...))."""
-    table: dict = {}
+    table = Combination()
     for hexp, c, factors in terms:
         word = tuple(g for g, k in factors for _ in range(k))
-        val = poly(c) * LaurentPoly.var(H, hexp) if hexp else poly(c)
-        table[word] = table.get(word, LaurentPoly.zero()) + val
+        table.add(word, poly(c) * LaurentPoly.var(H, hexp) if hexp else poly(c))
     return nc_make(n_gens, h_order, table)
 
 
@@ -754,7 +664,7 @@ def parse_relation_set(text: str) -> RelationSet:
     for ln in lines[1:]:
         lhs, rhs = ln.split("->")
         gi, gj = (int(m.group(1)) for m in _FACTOR_RE.finditer(lhs))
-        terms: dict = {}
+        terms = Combination()
         for m in _TERM_RE.finditer(rhs):
             coeff = _parse_coeff(m.group(1))
             word = tuple(
@@ -762,6 +672,6 @@ def parse_relation_set(text: str) -> RelationSet:
                 for f in _FACTOR_RE.finditer(m.group(2))
                 for _ in range(int(f.group(2) or 1))
             )
-            terms[word] = terms.get(word, LaurentPoly.zero()) + coeff
+            terms.add(word, coeff)
         tails[(gi, gj)] = nc_make(n_gens, h_order, terms)
     return make_relation_set(label, d, n_gens, h_order, tails)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .coeffpoly import LaurentPoly, Variable, VarKind, poly
+from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, poly
 
 FORMAL_VARS = ("u", "v", "w")
 
@@ -40,12 +40,12 @@ class NonNilpotentConstantTerm(ValueError):
 class TruncSeries:
     vars: tuple[str, ...]
     bounds: tuple[int, ...]
-    coeffs: dict
+    coeffs: Combination  # exponent tuple -> coefficient
 
     def coeff(self, exps) -> LaurentPoly:
         if isinstance(exps, int):
             exps = (exps,)
-        return self.coeffs.get(tuple(exps), LaurentPoly.zero())
+        return self.coeffs[tuple(exps)]
 
     def constant_coeff(self) -> LaurentPoly:
         return self.coeff((0,) * len(self.vars))
@@ -75,7 +75,7 @@ def make(vars: tuple[str, ...], bounds: tuple[int, ...], coeffs: Mapping) -> Tru
     vars = tuple(vars)
     if tuple(sorted(vars, key=FORMAL_VARS.index)) != vars:
         raise VarMismatch(f"formal variables out of canonical order: {vars}")
-    clean = {}
+    clean = Combination()
     for exps, c in coeffs.items():
         exps = tuple(exps)
         c = poly(c)
@@ -89,7 +89,7 @@ def make(vars: tuple[str, ...], bounds: tuple[int, ...], coeffs: Mapping) -> Tru
 
 
 def zero(vars, bounds) -> TruncSeries:
-    return TruncSeries(tuple(vars), tuple(bounds), {})
+    return TruncSeries(tuple(vars), tuple(bounds), Combination())
 
 
 def const(value, vars, bounds) -> TruncSeries:
@@ -123,37 +123,26 @@ def _common(a: TruncSeries, b: TruncSeries):
 
 
 def add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    bounds = _common(a, b)
-    coeffs = dict(a.coeffs)
-    for exps, c in b.coeffs.items():
-        s = coeffs.get(exps, LaurentPoly.zero()) + c
-        if s.is_zero():
-            coeffs.pop(exps, None)
-        else:
-            coeffs[exps] = s
-    return make(a.vars, bounds, coeffs)
+    return make(a.vars, _common(a, b), a.coeffs.copy().add_all(b.coeffs))
 
 
 def sub(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return add(a, scale(b, -1))
+    return make(a.vars, _common(a, b), a.coeffs.copy().add_all(b.coeffs, -1))
 
 
 def scale(a: TruncSeries, c) -> TruncSeries:
     c = poly(c)
-    return make(a.vars, a.bounds, {e: p * c for e, p in a.coeffs.items()})
+    return TruncSeries(a.vars, a.bounds, a.coeffs.map(lambda p: p * c))
 
 
 def mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     bounds = _common(a, b)
-    acc: dict = {}
-    for ea, ca in a.coeffs.items():
-        for eb, cb in b.coeffs.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            if any(e > bd for e, bd in zip(exps, bounds)):
-                continue
-            cur = acc.get(exps)
-            acc[exps] = ca * cb if cur is None else cur + ca * cb
-    return make(a.vars, bounds, acc)
+
+    def join(ea, eb):
+        exps = tuple(x + y for x, y in zip(ea, eb))
+        return None if any(e > bd for e, bd in zip(exps, bounds)) else exps
+
+    return TruncSeries(a.vars, bounds, Combination.product(a.coeffs, b.coeffs, join))
 
 
 def product(*factors: TruncSeries) -> TruncSeries:
@@ -178,10 +167,8 @@ def derivative(a: TruncSeries, var: str) -> TruncSeries:
     coeffs = {}
     for exps, c in a.coeffs.items():
         e = exps[pos]
-        if e == 0:
-            continue
-        new = exps[:pos] + (e - 1,) + exps[pos + 1:]
-        coeffs[new] = coeffs.get(new, LaurentPoly.zero()) + c * e
+        if e:
+            coeffs[exps[:pos] + (e - 1,) + exps[pos + 1:]] = c * e
     return make(a.vars, bounds, coeffs)
 
 
@@ -318,11 +305,11 @@ def subst(s: TruncSeries, replacements: Mapping[str, TruncSeries]) -> TruncSerie
             cache[e] = mul(power(i, e - 1), cache[1])
         return cache[e]
 
-    out = zero(space.vars, bounds)
+    total = Combination()
     for exps, c in s.coeffs.items():
         term = const(c, space.vars, bounds)
         for i, e in enumerate(exps):
             if e:
                 term = mul(term, power(i, e))
-        out = add(out, term)
-    return out
+        total.add_all(term.coeffs)
+    return TruncSeries(space.vars, bounds, total)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jetpoisson.coeffpoly import (
+    Combination,
     ExactScalar,
     LaurentPoly,
     SubstituteSingular,
@@ -126,6 +127,45 @@ def test_variable_identity_and_invertibility():
     assert Variable(VarKind.AUX_T, 0).invertible
     assert Variable(VarKind.GROUP_X, 1) == Variable(VarKind.GROUP_X, 1)
     assert Variable(VarKind.GROUP_X, 1) != Variable(VarKind.GROUP_Y, 1)
+
+
+def test_variable_index_beyond_its_kind_rejected():
+    top = 2**20 - 2  # the largest index whose code stays inside its kind
+    assert LaurentPoly.var(x_var(top)).render() == f"1*x{top}"
+    for index in (top + 1, 2**20 + 5):
+        with pytest.raises(ValueError):
+            x_var(index)
+
+
+def test_combination_accumulates_in_place():
+    c = Combination()
+    assert c[(9,)] == LaurentPoly.zero() and (9,) not in c
+    for key, value in (("a", x(1)), ("b", x(2)), ("z", LaurentPoly.zero()), ("d", x(3))):
+        c.add(key, value)
+    assert list(c) == ["a", "b", "d"]
+    c.add("a", x(2))
+    assert list(c) == ["a", "b", "d"] and c["a"] == x(1) + x(2)
+    c.add("b", -x(2))
+    assert list(c) == ["a", "d"]
+    c.add("b", x(4))
+    assert list(c) == ["a", "d", "b"]
+    assert Combination({"p": 0, "q": x(1) - x(1), "r": 2}) == {"r": 2}
+    assert isinstance(c.copy(), Combination) and c.copy().add_all(c, -1) == {}
+    assert c.map(lambda v: v - x(3)) == {"a": x(1) + x(2) - x(3), "b": x(4) - x(3)}
+
+    # antisymmetric sums repeated pairs and skips the diagonal
+    t = Combination.antisymmetric([((1, 2), 1), ((2, 2), 5), ((1, 2), x(1)), ((3, 0), 0)])
+    assert t == {(1, 2): x(1) + 1, (2, 1): -x(1) - 1}
+    half = Combination.antisymmetric([((0, 1), 3)], Fraction(1, 2))
+    assert half == {(0, 1): Fraction(3, 2), (1, 0): Fraction(-3, 2)}
+
+    # product joins keys, skips pairs joined to None, and maps each product
+    a = Combination({(1,): x(1), (2,): 1})
+    b = Combination({(3,): x(2), (): 1})
+    assert Combination.product(a, b, lambda ka, kb: ka + kb) == {
+        (1, 3): x(1) * x(2), (1,): x(1), (2, 3): x(2), (2,): 1}
+    odd = Combination.product(a, b, lambda ka, kb: None if kb else ka, lambda v: v * 2)
+    assert odd == {(1,): 2 * x(1), (2,): 2}
 
 
 def test_power_and_division():

@@ -74,12 +74,30 @@ def test_cli_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_config_errors():
-    with pytest.raises(Exception):
-        main(["verify", "poisson", "--n", "0"])
+def test_cli_config_errors(capsys):
+    assert main(["verify", "poisson", "--n", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["verify", "nosuch"])
+
+
+@pytest.mark.parametrize("argv", [
+    "verify poisson --n 0",
+    "verify quantum --C foo",
+    "verify poisson --phi table:{missing}",
+    "verify poisson --phi table:{empty}",
+    "verify poisson --phi extended --d 1",
+], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1"])
+def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no rows\n", encoding="utf-8")
+    code = main(argv.format(missing=tmp_path / "missing.txt", empty=empty).split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_phi_table_file(tmp_path):
