@@ -3,12 +3,10 @@ their Lie-bialgebra / r-matrix counterparts, the induced brackets on
 weight-lambda densities, and the quantum semigroups deforming them.
 
 Everything is checked as an exact identity of rational Laurent polynomials;
-no floating point anywhere.  The polynomial kernel is compiled when the
-extension built from ``_kernel.pyx`` is available and falls back to the pure
-Python twin otherwise; ``jetpoisson.backend.BACKEND`` names the one in use.
+no floating point anywhere.  The one arithmetic kernel is pure Python and
+lives in ``jetpoisson.coeffpoly``; ``BACKEND`` names it.
 """
 
-from .backend import BACKEND
 from .coeffpoly import ExactScalar, LaurentPoly, Variable, VarKind, graded_degree, param
 
 __all__ = [
@@ -20,3 +18,5 @@ __all__ = [
     "graded_degree",
     "param",
 ]
+
+BACKEND = "python"

@@ -297,8 +297,9 @@ def run_suite(args) -> tuple[int, list[rep.VerificationReport]]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.n < 1 or args.d < 1 or (args.h_order is not None and args.h_order < 1):
-            raise ConfigError("n, d and h-order must be positive")
+        if args.n < 1 or args.d < 1 or any(
+                value is not None and value < 1 for value in (args.h_order, args.degree)):
+            raise ConfigError("n, d, h-order and degree must be positive")
         status, records = run_suite(args)
     except (ConfigError, pl.DegreeBoundTooSmall, qt.UnknownParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)

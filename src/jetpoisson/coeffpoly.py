@@ -2,7 +2,8 @@
 
 Every identity in this package is checked over the rationals, so coefficients
 are `fractions.Fraction` values (exposed here as ``ExactScalar``) and
-polynomials are sparse term maps handled by the selected kernel backend.
+polynomials are sparse term maps.  This module holds the one arithmetic
+kernel; the layers above it never unpack a term map.
 
 A variable is a (kind, index) pair.  Group coordinates come in three kinds
 (x, y, z) so that identities mixing several group elements stay unambiguous;
@@ -12,8 +13,16 @@ coefficient) are further kinds.  Negative exponents are allowed only on
 invertible variables: the leading coordinate of an invertible jet and the
 opaque units.
 
-Term order is graded-lexicographic on the (kind, index) codes and is the
-one used by `LaurentPoly.render`, so rendered polynomials are byte-stable.
+Term maps, the raw layout behind `LaurentPoly.terms`:
+
+  rational  = (num: int, den: int)        den > 0, gcd(num, den) == 1
+  monomial  = ((varcode, exp), ...)       sorted by varcode, exp != 0
+  poly      = {monomial: rational}        no zero coefficients stored
+
+Term order is graded-lexicographic on the (kind, index) codes, except that
+parameters past the fixed names are ranked by name; it is the order used by
+`LaurentPoly.render`, so rendered polynomials are byte-stable whatever order
+the parameters were created in.
 """
 
 from __future__ import annotations
@@ -21,11 +30,135 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
-from . import backend as _k
-
 ExactScalar = Fraction
+
+
+# -- the kernel: arithmetic on raw term maps ---------------------------------
+
+
+def _rat_norm(num, den):
+    if num == 0:
+        return (0, 1)
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return (num, den)
+
+
+def _rat_add(a, b):
+    return _rat_norm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _key_mul(ka, kb):
+    """Merge two sorted exponent keys, adding exponents of shared variables."""
+    if not ka:
+        return kb
+    if not kb:
+        return ka
+    out = []
+    i = j = 0
+    na, nb = len(ka), len(kb)
+    while i < na and j < nb:
+        ca, ea = ka[i]
+        cb, eb = kb[j]
+        if ca < cb:
+            out.append(ka[i])
+            i += 1
+        elif cb < ca:
+            out.append(kb[j])
+            j += 1
+        else:
+            e = ea + eb
+            if e:
+                out.append((ca, e))
+            i += 1
+            j += 1
+    out.extend(ka[i:])
+    out.extend(kb[j:])
+    return tuple(out)
+
+
+def _poly_add(p, q):
+    out = dict(p)
+    for k, c in q.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = c
+        else:
+            s = _rat_add(cur, c)
+            if s[0]:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _poly_sub(p, q):
+    out = dict(p)
+    for k, c in q.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = (-c[0], c[1])
+        else:
+            s = _rat_add(cur, (-c[0], c[1]))
+            if s[0]:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _poly_scale(p, num, den):
+    if num == 0:
+        return {}
+    return {k: _rat_norm(cn * num, cd * den) for k, (cn, cd) in p.items()}
+
+
+def _poly_mul(p, q):
+    if not p or not q:
+        return {}
+    if len(p) > len(q):
+        p, q = q, p
+    acc = {}
+    for ka, (na, da) in p.items():
+        for kb, (nb, db) in q.items():
+            k = _key_mul(ka, kb)
+            cur = acc.get(k)
+            if cur is None:
+                acc[k] = (na * nb, da * db)
+            else:
+                acc[k] = (cur[0] * da * db + na * nb * cur[1], cur[1] * da * db)
+    out = {}
+    for k, (n, d) in acc.items():
+        c = _rat_norm(n, d)
+        if c[0]:
+            out[k] = c
+    return out
+
+
+def _poly_iadd_mul(acc, p, q):
+    """acc += p*q, mutating and returning acc (coefficients kept normalized)."""
+    for ka, (na, da) in p.items():
+        for kb, (nb, db) in q.items():
+            k = _key_mul(ka, kb)
+            cur = acc.get(k)
+            if cur is None:
+                c = _rat_norm(na * nb, da * db)
+                if c[0]:
+                    acc[k] = c
+            else:
+                c = _rat_norm(cur[0] * da * db + na * nb * cur[1], cur[1] * da * db)
+                if c[0]:
+                    acc[k] = c
+                else:
+                    del acc[k]
+    return acc
 
 
 class VarKind(IntEnum):
@@ -52,6 +185,10 @@ _KIND_LETTERS = {
 # all rendered output) does not depend on call order.
 _PARAM_NAMES = ["lam", "C", "C1", "C2", "C3", "C4", "C5", "h", "mu", "nu"]
 _PARAM_INDEX = {name: i for i, name in enumerate(_PARAM_NAMES)}
+_FIXED_PARAMS = len(_PARAM_NAMES)
+# Render rank of each parameter created past the fixed names: the codes they
+# occupy, handed out again in name order (see `param`).
+_RENDER_RANK: dict[int, int] = {}
 
 
 class SubstituteSingular(ValueError):
@@ -103,7 +240,14 @@ def param(name: str) -> Variable:
     if name not in _PARAM_INDEX:
         _PARAM_INDEX[name] = len(_PARAM_NAMES)
         _PARAM_NAMES.append(name)
+        first = Variable(VarKind.PARAM, _FIXED_PARAMS).code
+        for rank, other in enumerate(sorted(_PARAM_NAMES[_FIXED_PARAMS:])):
+            _RENDER_RANK[Variable(VarKind.PARAM, _PARAM_INDEX[other]).code] = first + rank
     return Variable(VarKind.PARAM, _PARAM_INDEX[name])
+
+
+def _render_rank(code: int) -> int:
+    return _RENDER_RANK.get(code, code)
 
 
 def aux_t(index: int = 0) -> Variable:
@@ -145,7 +289,7 @@ class LaurentPoly:
         num, den = _as_pair(Fraction(value) if isinstance(value, int) else value)
         if num == 0:
             return _ZERO
-        return LaurentPoly({(): _k.rat_norm(num, den)})
+        return LaurentPoly({(): _rat_norm(num, den)})
 
     @staticmethod
     def var(v: Variable, exp: int = 1) -> "LaurentPoly":
@@ -166,25 +310,25 @@ class LaurentPoly:
 
     def __add__(self, other) -> "LaurentPoly":
         other = _coerce(other)
-        return LaurentPoly(_k.poly_add(self.terms, other.terms))
+        return LaurentPoly(_poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
         other = _coerce(other)
-        return LaurentPoly(_k.poly_sub(self.terms, other.terms))
+        return LaurentPoly(_poly_sub(self.terms, other.terms))
 
     def __rsub__(self, other) -> "LaurentPoly":
         return _coerce(other) - self
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(_k.poly_neg(self.terms))
+        return LaurentPoly({k: (-n, d) for k, (n, d) in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             num, den = _as_pair(other)
-            return LaurentPoly(_k.poly_scale(self.terms, num, den))
-        return LaurentPoly(_k.poly_mul(self.terms, other.terms))
+            return LaurentPoly(_poly_scale(self.terms, num, den))
+        return LaurentPoly(_poly_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -192,7 +336,7 @@ class LaurentPoly:
         num, den = _as_pair(other if isinstance(other, (Fraction, tuple)) else Fraction(other))
         if num == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return LaurentPoly(_k.poly_scale(self.terms, den, num))
+        return LaurentPoly(_poly_scale(self.terms, den, num))
 
     def __pow__(self, exp: int) -> "LaurentPoly":
         if exp < 0:
@@ -237,7 +381,7 @@ class LaurentPoly:
         if not all(_code_invertible(code) for code, _ in key):
             raise SubstituteSingular(f"not an invertible monomial: {self.render()}")
         inv_key = tuple((code, -e) for code, e in key)
-        return LaurentPoly({inv_key: _k.rat_norm(den, num)})
+        return LaurentPoly({inv_key: _rat_norm(den, num)})
 
     def variables(self) -> set[Variable]:
         return {decode(code) for key in self.terms for code, _ in key}
@@ -291,12 +435,12 @@ class LaurentPoly:
                     nk = key[:pos] + key[pos + 1:]
                 else:
                     nk = key[:pos] + ((vc, ve - 1),) + key[pos + 1:]
-                c = _k.rat_norm(num * ve, den)
+                c = _rat_norm(num * ve, den)
                 cur = out.get(nk)
                 if cur is None:
                     out[nk] = c
                 else:
-                    s = _k.rat_add(cur, c)
+                    s = _rat_add(cur, c)
                     if s[0]:
                         out[nk] = s
                     else:
@@ -330,7 +474,7 @@ class LaurentPoly:
                         powed = repl ** ve
                     pow_cache[ck] = powed
                 factor = factor * powed
-            _k.poly_iadd_mul(acc, {tuple(leftover): (1, 1)}, factor.terms)
+            _poly_iadd_mul(acc, {tuple(leftover): (1, 1)}, factor.terms)
         return LaurentPoly(acc)
 
     def drop_high_degree(self, codes, max_degree: int) -> "LaurentPoly":
@@ -342,17 +486,18 @@ class LaurentPoly:
         }
         return LaurentPoly(out) if len(out) != len(self.terms) else self
 
-    def filter_terms(self, pred) -> "LaurentPoly":
-        return LaurentPoly({k: c for k, c in self.terms.items() if pred(k)})
-
     # -- rendering ----------------------------------------------------------
 
     def sorted_terms(self):
+        """The terms in render order: graded-lexicographic on the variable
+        codes, with parameters past the fixed names ranked by name, and the
+        factors of each monomial in the same order."""
         def order(item):
             key, _ = item
-            return (sum(e for _, e in key), key)
+            return (sum(e for _, e in key), tuple((_render_rank(code), e) for code, e in key))
 
-        return sorted(self.terms.items(), key=order)
+        return sorted(((tuple(sorted(key, key=lambda f: _render_rank(f[0]))), c)
+                       for key, c in self.terms.items()), key=order)
 
     def render(self) -> str:
         """Canonical textual form, e.g. ``-1*x1^2 + 1*x1^4`` (used in reports)."""

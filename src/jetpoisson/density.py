@@ -108,19 +108,19 @@ def build_omega_density(phi: PhiFunction, lam, n: int) -> PoissonStructure:
     phi.ensure_degree(n + 2, "build_omega_density")
     lam = weight(lam)
     space, bounds = ("u", "v"), (n, n)
-    coords = {i: LaurentPoly.var(Variable(VarKind.DENSITY_X, i)) for i in range(n + 2)}
-    x_u = ts.make(("u",), (n + 1,), {(i,): c for i, c in coords.items()})
-    x_v = ts.make(("v",), (n + 1,), {(i,): c for i, c in coords.items()})
-    xu = ts.lift(ts.truncate(x_u, (n,)), space, bounds)
-    xv = ts.lift(ts.truncate(x_v, (n,)), space, bounds)
-    xpu = ts.lift(ts.derivative(x_u, "u"), space, bounds)
-    xpv = ts.lift(ts.derivative(x_v, "v"), space, bounds)
+    x = symbolic_density(n + 1, 0).to_series()
+    x_low = ts.truncate(x, (n,))
+    xp = ts.derivative(x, "u")
+    xu = ts.lift(x_low, space, bounds)
+    xv = ts.lift(x_low, space, bounds, names=("v",))
+    xpu = ts.lift(xp, space, bounds)
+    xpv = ts.lift(xp, space, bounds, names=("v",))
     phi_series = phi.as_series("u", "v", space, (n + 1, n + 1))
     phi_t = ts.truncate(phi_series, bounds)
-    du = ts.truncate(ts.derivative(phi_series, "u"), bounds)
+    phi_u = ts.derivative(phi_series, "u")
+    du = ts.truncate(phi_u, bounds)
     dv = ts.truncate(ts.derivative(phi_series, "v"), bounds)
-    duv = ts.truncate(ts.derivative(ts.derivative(
-        phi.as_series("u", "v", space, (n + 1, n + 1)), "u"), "v"), bounds)
+    duv = ts.truncate(ts.derivative(phi_u, "v"), bounds)
     omega_series = ts.add(
         ts.add(ts.product(phi_t, xpu, xpv), ts.scale(ts.product(du, xu, xpv), lam)),
         ts.add(ts.scale(ts.product(dv, xpu, xv), lam),
@@ -153,18 +153,16 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
         (ij, w.substitute(dens_vars)) for ij, w in omega_dens.omega.items() if ij[1] <= K))
 
     # ingredients of the right-hand side
-    y_u = ts.lift(y.to_series(bound=K), space, bounds)
-    y_v = _swap_to_v(y.to_series(bound=K), space, bounds)
+    def both(s):
+        """A u-series lifted into the u slot and into the v slot."""
+        return ts.lift(s, space, bounds), ts.lift(s, space, bounds, names=("v",))
+
+    y_u, y_v = both(y.to_series(bound=K))
     z = ts.compose(x.to_series(bound=K + 1), y.to_series(bound=K + 1))
-    z_u = ts.lift(ts.truncate(z, (K,)), space, bounds)
-    z_v = _swap_to_v(ts.truncate(z, (K,)), space, bounds)
-    zp = ts.derivative(z, "u")
-    zp_u = ts.lift(zp, space, bounds)
-    zp_v = _swap_to_v(zp, space, bounds)
-    P_u = ts.lift(_jet_unit_series(y, lam, K), space, bounds)          # (1+w)^lam
-    P_v = _swap_to_v(_jet_unit_series(y, lam, K), space, bounds)
-    Q_u = ts.lift(_jet_unit_series(y, lam, K, shift=-1), space, bounds)  # y1^-1 (1+w)^(lam-1)
-    Q_v = _swap_to_v(_jet_unit_series(y, lam, K, shift=-1), space, bounds)
+    z_u, z_v = both(ts.truncate(z, (K,)))
+    zp_u, zp_v = both(ts.derivative(z, "u"))
+    P_u, P_v = both(_jet_unit_series(y, lam, K))             # (1+w)^lam
+    Q_u, Q_v = both(_jet_unit_series(y, lam, K, shift=-1))   # y1^-1 (1+w)^(lam-1)
 
     # term 1: density table at x, evaluated along the jet
     t1 = Combination()
@@ -209,12 +207,6 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
         return rep.passed("density-action", **params)
     exps = min(residual.coeffs, key=lambda e: (sum(e), e))
     return rep.failed("density-action", exps, residual.coeffs[exps].render(), **params)
-
-
-def _swap_to_v(s: ts.TruncSeries, space, bounds) -> ts.TruncSeries:
-    """Reinterpret a univariate u-series as the same series in v, lifted."""
-    renamed = ts.make(("v",), s.bounds, dict(s.coeffs))
-    return ts.lift(renamed, space, bounds)
 
 
 def verify_density_jacobi(phi: PhiFunction, lam, n: int,

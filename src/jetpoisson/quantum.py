@@ -40,7 +40,7 @@ from .coeffpoly import (
 from .poissonlie import PoissonStructure
 
 H = param("h")
-_H_CODE = H.code
+_H_CODES = frozenset({H.code})
 
 
 class ShapeMismatch(ValueError):
@@ -51,15 +51,8 @@ class UnknownParameters(ValueError):
     pass
 
 
-def h_exponent(key) -> int:
-    for code, e in key:
-        if code == _H_CODE:
-            return e
-    return 0
-
-
 def h_truncate_poly(p: LaurentPoly, order: int) -> LaurentPoly:
-    return p.filter_terms(lambda key: h_exponent(key) <= order)
+    return p.drop_high_degree(_H_CODES, order)
 
 
 def word_is_canonical(word: tuple) -> bool:
@@ -181,7 +174,7 @@ def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
             for word, c in t.terms.items():
                 if not word_is_canonical(word):
                     raise ValueError(f"tail of ({i},{j}) has non-canonical word {word}")
-                if any(h_exponent(key) < 1 for key in c.terms):
+                if c.coefficient(H, 0):
                     raise ValueError(f"tail of ({i},{j}) has an h-free term")
             full[(i, j)] = t
     return RelationSet(label, d, n_gens, h_order, full, tuple(params))

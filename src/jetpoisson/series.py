@@ -100,10 +100,13 @@ def formal_var(name: str, bound: int) -> TruncSeries:
     return make((name,), (bound,), {(1,): LaurentPoly.one()})
 
 
-def lift(s: TruncSeries, vars: tuple[str, ...], bounds: tuple[int, ...]) -> TruncSeries:
-    """Embed a series into a larger formal-variable space."""
+def lift(s: TruncSeries, vars: tuple[str, ...], bounds: tuple[int, ...],
+         names: tuple[str, ...] | None = None) -> TruncSeries:
+    """Embed a series into a larger formal-variable space; ``names``, when
+    given, are the target variables of the series' own (a u-series lifted
+    into the v slot)."""
     positions = []
-    for v in s.vars:
+    for v in s.vars if names is None else names:
         if v not in vars:
             raise VarMismatch(f"cannot lift: {v} not in {vars}")
         positions.append(vars.index(v))

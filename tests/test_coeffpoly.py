@@ -1,7 +1,11 @@
 """Exact-arithmetic layer: ring axioms, substitution, grading, rendering."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,78 @@ def test_ring_axioms_on_random_polys():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+
+
+ORACLE_VARS = (x_var(1), x_var(2), x_var(3))
+
+
+def random_ref(rng):
+    """A naive Laurent polynomial in x1^{+-1}, x2, x3: exponent tuple -> Fraction."""
+    ref = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = (rng.randint(-2, 2), rng.randint(0, 2), rng.randint(0, 2))
+        ref[exps] = ref.get(exps, 0) + Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return {e: c for e, c in ref.items() if c}
+
+
+def from_ref(ref):
+    total = LaurentPoly.zero()
+    for exps, c in ref.items():
+        total = total + LaurentPoly.monomial(c, zip(ORACLE_VARS, exps))
+    return total
+
+
+def as_ref(p):
+    codes = [v.code for v in ORACLE_VARS]
+    out = {}
+    for key, (num, den) in p.terms.items():
+        exps = dict(key)
+        assert set(exps) <= set(codes) and 0 not in exps.values()
+        out[tuple(exps.get(code, 0) for code in codes)] = Fraction(num, den)
+    return out
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_derivative(a, pos):
+    out = {}
+    for e, c in a.items():
+        if e[pos]:
+            d = e[:pos] + (e[pos] - 1,) + e[pos + 1:]
+            out[d] = out.get(d, 0) + c * e[pos]
+    return {e: c for e, c in out.items() if c}
+
+
+def test_kernel_matches_naive_reference():
+    rng = random.Random(13)
+    for _ in range(60):
+        ra, rb = random_ref(rng), random_ref(rng)
+        a, b = from_ref(ra), from_ref(rb)
+        assert as_ref(a) == ra and as_ref(b) == rb
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        assert as_ref(a + b) == ref_add(ra, rb)
+        assert as_ref(a - b) == ref_add(ra, rb, -1)
+        assert as_ref(-a) == ref_add({}, ra, -1)
+        assert as_ref(a * b) == ref_mul(ra, rb)
+        assert as_ref(a * s) == ref_mul(ra, {(0, 0, 0): s} if s else {})
+        if s:
+            assert as_ref(a / s) == ref_mul(ra, {(0, 0, 0): 1 / s})
+        for pos, v in enumerate(ORACLE_VARS):
+            assert as_ref(a.derivative(v)) == ref_derivative(ra, pos)
 
 
 def test_substitute_is_ring_homomorphism():
@@ -119,6 +195,27 @@ def test_render_canonical_order():
     q = LaurentPoly.const(Fraction(3, 2)) * x(2) - x(1)
     assert q.render() == "-1*x1 + 3/2*x2"
     assert LaurentPoly.zero().render() == "0"
+
+
+def test_render_orders_parameters_by_name_whatever_their_creation_order():
+    script = (
+        "import sys\n"
+        "from jetpoisson.coeffpoly import LaurentPoly, param\n"
+        "for name in sys.argv[1:]:\n"
+        "    param(name)\n"
+        "z, a = (LaurentPoly.var(param(name)) for name in ('zeta', 'alpha'))\n"
+        "print((z + a).render())\n"
+        "print((z * a * LaurentPoly.var(param('h'))).render())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = [
+        subprocess.run([sys.executable, "-c", script, *order], capture_output=True,
+                       env=env, check=True, timeout=120).stdout
+        for order in (("zeta", "alpha"), ("alpha", "zeta"))
+    ]
+    assert outputs[0] == outputs[1] == b"1*alpha + 1*zeta\n1*h*alpha*zeta\n"
 
 
 def test_variable_identity_and_invertibility():

@@ -88,7 +88,10 @@ def test_cli_config_errors(capsys):
     "verify poisson --phi table:{missing}",
     "verify poisson --phi table:{empty}",
     "verify poisson --phi extended --d 1",
-], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1"])
+    "verify phi --degree -2",
+    "verify poisson --phi extended --degree 0",
+], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1",
+        "degree-negative", "degree-zero"])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no rows\n", encoding="utf-8")
