@@ -436,6 +436,15 @@ def phi_equation_series(phi: PhiFunction, bound: int) -> ts.TruncSeries:
 
 
 def verify_phi_equation(phi: PhiFunction, dcheck: int) -> rep.VerificationReport:
+    """The phi equation up to degree dcheck in each variable.
+
+    Every coefficient of the equation sits at three distinct exponents, each
+    at least the table's min_index, so a dcheck below min_index + 2 would
+    compare nothing and pass vacuously; it raises DegreeBoundTooSmall."""
+    if dcheck < phi.min_index + 2:
+        raise DegreeBoundTooSmall(
+            f"verify_phi_equation compares no coefficient below degree {phi.min_index + 2}, "
+            f"got {dcheck}")
     phi.ensure_degree(dcheck + 1, "verify_phi_equation")
     residual = phi_equation_series(phi, dcheck)
     params = {"dcheck": dcheck, "provenance": phi.provenance}

@@ -18,6 +18,7 @@ nonzero residual pins the constraint.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 import random
@@ -55,6 +56,11 @@ def h_truncate_poly(p: LaurentPoly, order: int) -> LaurentPoly:
     return p.drop_high_degree(_H_CODES, order)
 
 
+def _word_order(word: tuple) -> tuple:
+    """The order in which words are rewritten and reported: shortest first."""
+    return (len(word), word)
+
+
 def word_is_canonical(word: tuple) -> bool:
     return all(word[p] >= word[p + 1] for p in range(len(word) - 1))
 
@@ -79,7 +85,7 @@ class NCElement:
         if not self.terms:
             return "0"
         parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
+        for word in sorted(self.terms, key=_word_order):
             c = self.terms[word]
             mono = " ".join(_word_factors(word)) or "1"
             parts.append(f"({c.render()}) {mono}")
@@ -182,27 +188,44 @@ def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
 
 def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None) -> NCElement:
     """Normal form: rewrite ascending adjacent pairs until every word is
-    canonical.  Deterministic (leftmost site, smallest word first) unless an
-    rng is supplied, in which case sites are chosen at random; confluent sets
-    give the same answer either way."""
+    canonical.
+
+    Each step rewrites the smallest pending word in (length, word) order,
+    taken from a heap with lazy deletion: a word is pushed when it enters
+    the pending table, and an entry whose word has since cancelled or been
+    rewritten is skipped.  A tail can be shorter than the pair it replaces,
+    so a new word may come before the current one; the heap still yields
+    the exact minimum.  The site is the leftmost ascent unless an rng is
+    supplied, in which case ``rng.choice`` picks one of the ascents, once
+    per step; confluent sets give the same answer either way."""
     if a.h_order != R.h_order or a.n_gens != R.n_gens:
         raise ShapeMismatch("element and relation set disagree on shape")
     done = Combination()
     pending = Combination()
     for word, c in a.terms.items():
         (done if word_is_canonical(word) else pending).add(word, c)
-    while pending:
-        word = min(pending, key=lambda w: (len(w), w))
-        coeff = pending.pop(word)
+    heap = [_word_order(word) for word in pending]
+    heapq.heapify(heap)
+    while heap:
+        word = heapq.heappop(heap)[1]
+        coeff = pending.pop(word, None)
+        if coeff is None:
+            continue
         sites = [p for p in range(len(word) - 1) if word[p] < word[p + 1]]
         p = sites[0] if rng is None else rng.choice(sites)
         i, j = word[p], word[p + 1]
-        swapped = word[:p] + (j, i) + word[p + 2:]
-        (done if word_is_canonical(swapped) else pending).add(swapped, coeff)
+        head, rest = word[:p], word[p + 2:]
+        spawned = [(head + (j, i) + rest, coeff)]
         for w2, c2 in R.tail(i, j).terms.items():
-            grown = word[:p] + w2 + word[p + 2:]
-            c = h_truncate_poly(coeff * c2, a.h_order)
-            (done if word_is_canonical(grown) else pending).add(grown, c)
+            spawned.append((head + w2 + rest, h_truncate_poly(coeff * c2, a.h_order)))
+        for new, c in spawned:
+            if word_is_canonical(new):
+                done.add(new, c)
+            elif new in pending:
+                pending.add(new, c)
+            elif c:
+                pending[new] = c
+                heapq.heappush(heap, _word_order(new))
     return NCElement(a.n_gens, a.h_order, done)
 
 
@@ -223,7 +246,7 @@ def pbw_overlap_check(R: RelationSet, triples=None) -> rep.VerificationReport:
         right = _one_step(R, (i, j, k), 1)
         diff = nc_sub(nc_reduce(left, R), nc_reduce(right, R))
         if not diff.is_zero():
-            word = min(diff.terms, key=lambda w: (len(w), w))
+            word = min(diff.terms, key=_word_order)
             return rep.failed(
                 "pbw-overlap", (i, j, k),
                 f"normal forms differ; e.g. ({diff.terms[word].render()}) {' '.join(_word_factors(word))}",
@@ -261,12 +284,21 @@ def tensor_multiply(a: Combination, b: Combination, R: RelationSet) -> Combinati
 
 
 def tensor_reduce(a: Combination, R: RelationSet) -> Combination:
-    """Componentwise normal form in both tensor slots."""
+    """Componentwise normal form in both tensor slots.
+
+    Each word is reduced once per call: the normal forms are kept in a
+    table local to the call, so no result depends on an earlier call."""
+    normal_forms: dict = {}
+
+    def normal_form(word: tuple) -> Combination:
+        nf = normal_forms.get(word)
+        if nf is None:
+            nf = normal_forms[word] = nc_reduce(nc_word(R.n_gens, R.h_order, word), R).terms
+        return nf
+
     out = Combination()
     for (lw, rw), c in a.items():
-        left = nc_reduce(nc_word(R.n_gens, R.h_order, lw), R)
-        right = nc_reduce(nc_word(R.n_gens, R.h_order, rw), R)
-        out.add_all(Combination.product(left.terms, right.terms, lambda wl, wr: (wl, wr),
+        out.add_all(Combination.product(normal_form(lw), normal_form(rw), lambda wl, wr: (wl, wr),
                                         lambda v: h_truncate_poly(c * v, R.h_order)))
     return out
 

@@ -243,6 +243,21 @@ def test_phi_equation_negative_control_hits_first_quadric():
     assert report.witness["residual"] == "-1"  # -lam12*lam13 at the witness
 
 
+def test_phi_equation_rejects_bounds_that_compare_nothing():
+    # coefficients sit at three distinct exponents >= min_index, so this
+    # invalid table, which fails from degree 3 on, passed vacuously below it
+    bad = pl.phi_from_table({(1, 2): 1, (1, 3): 1}, 1, 4, exact=True)
+    for dcheck in (1, 2):
+        with pytest.raises(pl.DegreeBoundTooSmall):
+            pl.verify_phi_equation(bad, dcheck)
+    assert pl.verify_phi_equation(bad, 3).witness["indices"] == [1, 2, 3]
+    # a table from index 0 has its first coefficient at degree 2
+    bad0 = pl.phi_from_table({(0, 1): 1, (0, 2): 1}, 0, 4, exact=True)
+    with pytest.raises(pl.DegreeBoundTooSmall):
+        pl.verify_phi_equation(bad0, 1)
+    assert pl.verify_phi_equation(bad0, 2).witness["indices"] == [0, 1, 2]
+
+
 def test_phi_equation_series_matches_quadric_evaluation():
     rng = random.Random(3)
     entries = {(m, n): Fraction(rng.randint(-2, 2)) for m in range(1, 5)

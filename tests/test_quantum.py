@@ -10,6 +10,7 @@ overlap check discovers that confluence holds only on a section of the
 printed three-parameter family, and that record is asserted here.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import pytest
 
 from jetpoisson import poissonlie as pl
 from jetpoisson import quantum as qt
-from jetpoisson.coeffpoly import LaurentPoly, param
+from jetpoisson.coeffpoly import Combination, LaurentPoly, param
 
 
 def test_multiply_is_concatenation():
@@ -67,6 +68,56 @@ def test_reduce_random_site_order_agrees_with_leftmost():
         det = qt.nc_reduce(qt.nc_word(5, 8, word), R2)
         rnd = qt.nc_reduce(qt.nc_word(5, 8, word), R2, rng=rng)
         assert det.terms == rnd.terms, word
+
+
+def _min_scan_reduce(a, R, rng=None):
+    """Reference scheduler for nc_reduce: each step rewrites the smallest
+    pending word in (length, word) order, found by a min() scan over all."""
+    done = Combination()
+    pending = Combination()
+    for word, c in a.terms.items():
+        (done if qt.word_is_canonical(word) else pending).add(word, c)
+    while pending:
+        word = min(pending, key=lambda w: (len(w), w))
+        coeff = pending.pop(word)
+        sites = [p for p in range(len(word) - 1) if word[p] < word[p + 1]]
+        p = sites[0] if rng is None else rng.choice(sites)
+        i, j = word[p], word[p + 1]
+        swapped = word[:p] + (j, i) + word[p + 2:]
+        (done if qt.word_is_canonical(swapped) else pending).add(swapped, coeff)
+        for w2, c2 in R.tail(i, j).terms.items():
+            grown = word[:p] + w2 + word[p + 2:]
+            c = qt.h_truncate_poly(coeff * c2, a.h_order)
+            (done if qt.word_is_canonical(grown) else pending).add(grown, c)
+    return done
+
+
+@pytest.mark.parametrize("which, params", [
+    ("R2", {"C": Fraction(2, 3)}), ("R3", None), ("R1", None)], ids=["R2", "R3", "R1"])
+def test_heap_scheduler_matches_min_scan(which, params):
+    R = qt.relation_set_catalog(which, params)
+    # the overlap words, then seeded non-canonical words of weight <= 6
+    words = list(itertools.combinations(range(1, R.n_gens + 1), 3))
+    draw = random.Random(31)
+    while len(words) < 14:
+        word = tuple(draw.randint(1, R.n_gens) for _ in range(4))
+        if not qt.word_is_canonical(word) and sum(word) <= 10 and word not in words:
+            words.append(word)
+    order_dependent = 0
+    for word in words:
+        element = qt.nc_word(R.n_gens, R.h_order, word)
+        leftmost = qt.nc_reduce(element, R)
+        assert list(leftmost.terms.items()) == list(_min_scan_reduce(element, R).items()), word
+        for seed in range(3):
+            heap_rng, scan_rng = random.Random(seed), random.Random(seed)
+            shuffled = qt.nc_reduce(element, R, rng=heap_rng)
+            assert list(shuffled.terms.items()) == \
+                list(_min_scan_reduce(element, R, scan_rng).items()), (word, seed)
+            assert heap_rng.getstate() == scan_rng.getstate(), (word, seed)
+            order_dependent += shuffled.terms != leftmost.terms
+    # R1 is not confluent, so some of its normal forms depend on the order in
+    # which words are rewritten, and there this pins the order itself
+    assert bool(order_dependent) == (which == "R1")
 
 
 def test_reduce_preserves_graded_degree():

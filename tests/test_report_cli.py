@@ -1,6 +1,11 @@
 """Report schema, golden negative controls, and the command-line surface."""
 
+import contextlib
+import functools
+import io
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +14,7 @@ import pytest
 
 import golden_cases
 from jetpoisson import report as rep
-from jetpoisson.cli import build_parser, main, run_suite
+from jetpoisson.cli import SUITES, build_parser, main, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,6 +79,43 @@ def test_cli_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# every suite at n=3, plus the quantum suite on two more relation sets so that
+# state carried over from one set to another would show
+SUITE_COMMANDS = [f"verify {name} --n 3" for name in sorted(SUITES)] + [
+    "verify quantum --set R3", "verify quantum --set R1_pbw"]
+
+
+@functools.cache
+def _outputs_in_fresh_interpreters():
+    """Exit status and stdout of each command, each in its own interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = {}
+    for command in SUITE_COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "jetpoisson.cli", *command.split()],
+                              capture_output=True, text=True, env=env, timeout=600)
+        outputs[command] = (proc.returncode, proc.stdout)
+    return outputs
+
+
+def _output_in_process(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(command.split())
+    return status, out.getvalue()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_report_does_not_depend_on_what_ran_before(seed):
+    # each command runs twice in one process, in a seeded order, and must
+    # print what it prints in a fresh interpreter
+    fresh = _outputs_in_fresh_interpreters()
+    runs = SUITE_COMMANDS * 2
+    for command in random.Random(seed).sample(runs, len(runs)):
+        assert _output_in_process(command) == fresh[command], command
+
+
 def test_cli_config_errors(capsys):
     assert main(["verify", "poisson", "--n", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -90,8 +132,11 @@ def test_cli_config_errors(capsys):
     "verify poisson --phi extended --d 1",
     "verify phi --degree -2",
     "verify poisson --phi extended --degree 0",
+    "verify phi --degree 1",
+    "verify phi --degree 2",
+    "verify all --degree 2",
 ], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1",
-        "degree-negative", "degree-zero"])
+        "degree-negative", "degree-zero", "phi-degree-1", "phi-degree-2", "all-degree-2"])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no rows\n", encoding="utf-8")
