@@ -16,13 +16,26 @@ opaque units.
 Term maps, the raw layout behind `LaurentPoly.terms`:
 
   rational  = (num: int, den: int)        den > 0, gcd(num, den) == 1
-  monomial  = ((varcode, exp), ...)       sorted by varcode, exp != 0
+  monomial  = sum(exp << (32 * slot))     one int; the constant monomial is 0
   poly      = {monomial: rational}        no zero coefficients stored
+
+A monomial key packs its exponent vector into one Python int (Monagan and
+Pearce's packed exponent vectors), one signed 32-bit field per variable slot,
+so that multiplying two monomials is adding two ints.  A variable gets its
+slot, in order of first use, when a monomial in it is first built (`var`);
+reading a variable that has no slot sees exponent 0.  Every stored exponent
+lies in [-2^30, 2^30), so the sum of two fields never carries into the next
+one; each key an operation produces is checked against that range once, and
+one outside it raises `ExponentOverflow` rather than alias another monomial.
+Single-variable reads (`coefficient`, `derivative`, `drop_high_degree`) are
+a shift and a mask.  Keys are decoded into ((varcode, exp), ...) only where
+names or order are needed: rendering, `variables`, invertibility,
+`substitute` and the grading.  Slot numbers never reach any output.
 
 Term order is graded-lexicographic on the (kind, index) codes, except that
 parameters past the fixed names are ranked by name; it is the order used by
 `LaurentPoly.render`, so rendered polynomials are byte-stable whatever order
-the parameters were created in.
+the variables and parameters were created in.
 """
 
 from __future__ import annotations
@@ -55,32 +68,68 @@ def _rat_add(a, b):
     return _rat_norm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
 
 
-def _key_mul(ka, kb):
-    """Merge two sorted exponent keys, adding exponents of shared variables."""
-    if not ka:
-        return kb
-    if not kb:
-        return ka
+class ExponentOverflow(OverflowError):
+    """An exponent left [-2^30, 2^30), the range a monomial key field holds."""
+
+
+_FIELD = 32
+_MASK = (1 << _FIELD) - 1
+_HALF = 1 << (_FIELD - 2)      # exponents lie in [-_HALF, _HALF)
+_SLOT: dict[int, int] = {}     # variable code -> slot
+_SLOT_CODE: list[int] = []     # slot -> variable code
+_BIAS = 0                      # _HALF in every slot's field
+_TOP = 0                       # the top bit of every slot's field
+
+
+def _slot(code: int) -> int:
+    """The slot of a variable code, assigned on first use."""
+    global _BIAS, _TOP
+    s = _SLOT.get(code)
+    if s is None:
+        s = _SLOT[code] = len(_SLOT_CODE)
+        _SLOT_CODE.append(code)
+        _BIAS |= _HALF << (_FIELD * s)
+        _TOP |= 1 << (_FIELD * s + _FIELD - 1)
+    return s
+
+
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(f"exponent outside [-2^{_FIELD - 2}, 2^{_FIELD - 2})")
+
+
+def _checked(key: int) -> int:
+    """The key, once every field is known to lie in range.  Exact for any
+    sum of two in-range keys: adding the bias lifts in-range fields to
+    [0, 2^31), and any other field sets its top bit or makes the sum negative."""
+    b = key + _BIAS
+    if b < 0 or b & _TOP:
+        raise _overflow()
+    return key
+
+
+def _pack(factors) -> int:
+    """The key of a product of (varcode, exp) factors."""
+    key = 0
+    for code, e in factors:
+        if not -_HALF <= e < _HALF:
+            raise _overflow()
+        key += e << (_FIELD * _slot(code))
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """The ((varcode, exp), ...) factors of a key, sorted by varcode."""
     out = []
-    i = j = 0
-    na, nb = len(ka), len(kb)
-    while i < na and j < nb:
-        ca, ea = ka[i]
-        cb, eb = kb[j]
-        if ca < cb:
-            out.append(ka[i])
-            i += 1
-        elif cb < ca:
-            out.append(kb[j])
-            j += 1
-        else:
-            e = ea + eb
-            if e:
-                out.append((ca, e))
-            i += 1
-            j += 1
-    out.extend(ka[i:])
-    out.extend(kb[j:])
+    s = 0
+    while key:
+        e = key & _MASK
+        if e > _MASK >> 1:
+            e -= 1 << _FIELD
+        if e:
+            out.append((_SLOT_CODE[s], e))
+        key = (key - e) >> _FIELD
+        s += 1
+    out.sort()
     return tuple(out)
 
 
@@ -128,15 +177,21 @@ def _poly_mul(p, q):
     acc = {}
     for ka, (na, da) in p.items():
         for kb, (nb, db) in q.items():
-            k = _key_mul(ka, kb)
+            k = ka + kb
             cur = acc.get(k)
             if cur is None:
                 acc[k] = (na * nb, da * db)
             else:
                 acc[k] = (cur[0] * da * db + na * nb * cur[1], cur[1] * da * db)
+    bias, top = _BIAS, _TOP
     out = {}
-    for k, (n, d) in acc.items():
-        c = _rat_norm(n, d)
+    for k, c in acc.items():
+        b = k + bias
+        if b < 0 or b & top:
+            raise _overflow()
+        n, d = c
+        if d != 1:
+            c = _rat_norm(n, d)
         if c[0]:
             out[k] = c
     return out
@@ -144,11 +199,15 @@ def _poly_mul(p, q):
 
 def _poly_iadd_mul(acc, p, q):
     """acc += p*q, mutating and returning acc (coefficients kept normalized)."""
+    bias, top = _BIAS, _TOP
     for ka, (na, da) in p.items():
         for kb, (nb, db) in q.items():
-            k = _key_mul(ka, kb)
+            k = ka + kb
             cur = acc.get(k)
             if cur is None:
+                b = k + bias
+                if b < 0 or b & top:
+                    raise _overflow()
                 c = _rat_norm(na * nb, da * db)
                 if c[0]:
                     acc[k] = c
@@ -260,6 +319,10 @@ def _as_pair(value) -> tuple[int, int]:
     if isinstance(value, Fraction):
         return (value.numerator, value.denominator)
     if isinstance(value, tuple):
+        if len(value) != 2 or not all(isinstance(part, int) for part in value):
+            raise TypeError(f"not an exact scalar: {value!r}")
+        if value[1] == 0:
+            raise ZeroDivisionError(f"zero denominator in {value!r}")
         return value
     raise TypeError(f"not an exact scalar: {value!r}")
 
@@ -289,7 +352,7 @@ class LaurentPoly:
         num, den = _as_pair(Fraction(value) if isinstance(value, int) else value)
         if num == 0:
             return _ZERO
-        return LaurentPoly({(): _rat_norm(num, den)})
+        return LaurentPoly({0: _rat_norm(num, den)})
 
     @staticmethod
     def var(v: Variable, exp: int = 1) -> "LaurentPoly":
@@ -297,7 +360,7 @@ class LaurentPoly:
             return _ONE
         if exp < 0 and not v.invertible:
             raise ValueError(f"negative exponent on non-invertible variable {v.name}")
-        return LaurentPoly({((v.code, exp),): (1, 1)})
+        return LaurentPoly({_pack(((v.code, exp),)): (1, 1)})
 
     @staticmethod
     def monomial(coeff, vars_exps: Iterable[tuple[Variable, int]]) -> "LaurentPoly":
@@ -357,6 +420,9 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:
+            # a constant hashes as the scalar it equals
+            return hash(self.constant_term())
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
@@ -372,80 +438,49 @@ class LaurentPoly:
         if len(self.terms) != 1:
             return False
         key = next(iter(self.terms))
-        return all(_code_invertible(code) for code, _ in key)
+        return all(_code_invertible(code) for code, _ in _unpack(key))
 
     def monomial_inverse(self) -> "LaurentPoly":
         if len(self.terms) != 1:
             raise SubstituteSingular(f"not an invertible monomial: {self.render()}")
         key, (num, den) = next(iter(self.terms.items()))
-        if not all(_code_invertible(code) for code, _ in key):
+        if not all(_code_invertible(code) for code, _ in _unpack(key)):
             raise SubstituteSingular(f"not an invertible monomial: {self.render()}")
-        inv_key = tuple((code, -e) for code, e in key)
-        return LaurentPoly({inv_key: _rat_norm(den, num)})
+        return LaurentPoly({_checked(-key): _rat_norm(den, num)})
 
     def variables(self) -> set[Variable]:
-        return {decode(code) for key in self.terms for code, _ in key}
-
-    def degree_in(self, codes) -> int:
-        """Max total degree over the given variable codes (0 for the zero poly)."""
-        best = 0
-        for key in self.terms:
-            d = sum(e for code, e in key if code in codes)
-            if d > best:
-                best = d
-        return best
+        return {decode(code) for key in self.terms for code, _ in _unpack(key)}
 
     def coefficient(self, v: Variable, exp: int) -> "LaurentPoly":
         """Collect the coefficient of v**exp (the rest of each matching term)."""
-        code = v.code
-        out = {}
-        for key, c in self.terms.items():
-            e = 0
-            rest = []
-            for vc, ve in key:
-                if vc == code:
-                    e = ve
-                else:
-                    rest.append((vc, ve))
-            if e == exp:
-                out[tuple(rest)] = c
-        return LaurentPoly(out)
+        slot = _SLOT.get(v.code)
+        if slot is None:
+            return self if exp == 0 else _ZERO
+        shift = _FIELD * slot
+        bias, want, part = _BIAS, exp + _HALF, exp << shift
+        return LaurentPoly({key - part: c for key, c in self.terms.items()
+                            if (key + bias) >> shift & _MASK == want})
 
     def constant_term(self) -> Fraction:
-        c = self.terms.get((), (0, 1))
+        c = self.terms.get(0, (0, 1))
         return Fraction(c[0], c[1])
-
-    def as_scalar(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.constant_term()
-        raise ValueError(f"not a scalar: {self.render()}")
 
     # -- calculus / substitution -------------------------------------------
 
     def derivative(self, v: Variable) -> "LaurentPoly":
-        code = v.code
+        slot = _SLOT.get(v.code)
+        if slot is None:
+            return _ZERO
+        shift = _FIELD * slot
+        bias, unit = _BIAS, 1 << shift
         out = {}
+        # key -> key - unit is one-to-one, so no two terms meet
         for key, (num, den) in self.terms.items():
-            for pos, (vc, ve) in enumerate(key):
-                if vc != code:
-                    continue
-                if ve == 1:
-                    nk = key[:pos] + key[pos + 1:]
-                else:
-                    nk = key[:pos] + ((vc, ve - 1),) + key[pos + 1:]
-                c = _rat_norm(num * ve, den)
-                cur = out.get(nk)
-                if cur is None:
-                    out[nk] = c
-                else:
-                    s = _rat_add(cur, c)
-                    if s[0]:
-                        out[nk] = s
-                    else:
-                        del out[nk]
-                break
+            e = ((key + bias) >> shift & _MASK) - _HALF
+            if e:
+                if e == -_HALF:
+                    raise _overflow()
+                out[key - unit] = _rat_norm(num * e, den)
         return LaurentPoly(out)
 
     def substitute(self, bindings: Mapping[Variable, "LaurentPoly"]) -> "LaurentPoly":
@@ -458,13 +493,13 @@ class LaurentPoly:
         acc: dict = {}
         pow_cache: dict[tuple[int, int], LaurentPoly] = {}
         for key, (num, den) in self.terms.items():
-            factor = LaurentPoly({(): (num, den)})
-            leftover = []
-            for vc, ve in key:
+            factor = LaurentPoly({0: (num, den)})
+            leftover = key
+            for vc, ve in _unpack(key):
                 repl = by_code.get(vc)
                 if repl is None:
-                    leftover.append((vc, ve))
                     continue
+                leftover -= ve << (_FIELD * _SLOT[vc])
                 ck = (vc, ve)
                 powed = pow_cache.get(ck)
                 if powed is None:
@@ -474,16 +509,22 @@ class LaurentPoly:
                         powed = repl ** ve
                     pow_cache[ck] = powed
                 factor = factor * powed
-            _poly_iadd_mul(acc, {tuple(leftover): (1, 1)}, factor.terms)
+            _poly_iadd_mul(acc, {leftover: (1, 1)}, factor.terms)
         return LaurentPoly(acc)
 
     def drop_high_degree(self, codes, max_degree: int) -> "LaurentPoly":
         """Drop terms whose total degree in the given variable codes exceeds the bound."""
-        out = {
-            key: c
-            for key, c in self.terms.items()
-            if sum(e for code, e in key if code in codes) <= max_degree
-        }
+        shifts = [_FIELD * _SLOT[code] for code in codes if code in _SLOT]
+        if not shifts:
+            return self if max_degree >= 0 else _ZERO
+        bias, limit = _BIAS, max_degree + _HALF * len(shifts)
+        if len(shifts) == 1:
+            shift = shifts[0]
+            out = {key: c for key, c in self.terms.items()
+                   if (key + bias) >> shift & _MASK <= limit}
+        else:
+            out = {key: c for key, c in self.terms.items()
+                   if sum((key + bias) >> shift & _MASK for shift in shifts) <= limit}
         return LaurentPoly(out) if len(out) != len(self.terms) else self
 
     # -- rendering ----------------------------------------------------------
@@ -496,7 +537,7 @@ class LaurentPoly:
             key, _ = item
             return (sum(e for _, e in key), tuple((_render_rank(code), e) for code, e in key))
 
-        return sorted(((tuple(sorted(key, key=lambda f: _render_rank(f[0]))), c)
+        return sorted(((tuple(sorted(_unpack(key), key=lambda f: _render_rank(f[0]))), c)
                        for key, c in self.terms.items()), key=order)
 
     def render(self) -> str:
@@ -518,7 +559,7 @@ class LaurentPoly:
 
 
 _ZERO = LaurentPoly({})
-_ONE = LaurentPoly({(): (1, 1)})
+_ONE = LaurentPoly({0: (1, 1)})
 
 
 def _coerce(value) -> LaurentPoly:
@@ -640,7 +681,7 @@ def graded_degree_of_key(key, d: int, word_weight: int = 0):
     appears.  ``word_weight`` is added for callers that combine a coefficient
     monomial with a noncommutative word."""
     total = word_weight
-    for code, e in key:
+    for code, e in _unpack(key):
         kind = code // _STRIDE
         index = code % _STRIDE + _MIN_INDEX
         if code == _H_CODE:

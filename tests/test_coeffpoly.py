@@ -12,6 +12,7 @@ import pytest
 from jetpoisson.coeffpoly import (
     Combination,
     ExactScalar,
+    ExponentOverflow,
     LaurentPoly,
     SubstituteSingular,
     Variable,
@@ -21,6 +22,7 @@ from jetpoisson.coeffpoly import (
     param,
     x_var,
     y_var,
+    z_var,
 )
 
 
@@ -86,10 +88,12 @@ def from_ref(ref):
 def as_ref(p):
     codes = [v.code for v in ORACLE_VARS]
     out = {}
-    for key, (num, den) in p.terms.items():
-        exps = dict(key)
-        assert set(exps) <= set(codes) and 0 not in exps.values()
-        out[tuple(exps.get(code, 0) for code in codes)] = Fraction(num, den)
+    for factors, (num, den) in p.sorted_terms():
+        exps = dict(factors)
+        assert len(exps) == len(factors) and set(exps) <= set(codes) and 0 not in exps.values()
+        exps = tuple(exps.get(code, 0) for code in codes)
+        assert exps not in out
+        out[exps] = Fraction(num, den)
     return out
 
 
@@ -118,6 +122,37 @@ def ref_derivative(a, pos):
     return {e: c for e, c in out.items() if c}
 
 
+def ref_coefficient(a, pos, exp):
+    return {e[:pos] + (0,) + e[pos + 1:]: c for e, c in a.items() if e[pos] == exp}
+
+
+def ref_drop(a, positions, max_degree):
+    return {e: c for e, c in a.items() if sum(e[p] for p in positions) <= max_degree}
+
+
+def ref_pow(a, n):
+    """a**n; for n < 0, a must be one term in x1 alone."""
+    if n < 0:
+        [(e, c)] = a.items()
+        assert e[1:] == (0, 0)
+        a, n = {(-e[0], 0, 0): 1 / c}, -n
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, bindings):
+    """Replace the variables at the bound positions by reference polys."""
+    out = {}
+    for e, c in a.items():
+        term = {tuple(0 if p in bindings else x for p, x in enumerate(e)): c}
+        for pos, repl in bindings.items():
+            term = ref_mul(term, ref_pow(repl, e[pos]))
+        out = ref_add(out, term)
+    return out
+
+
 def test_kernel_matches_naive_reference():
     rng = random.Random(13)
     for _ in range(60):
@@ -134,6 +169,114 @@ def test_kernel_matches_naive_reference():
             assert as_ref(a / s) == ref_mul(ra, {(0, 0, 0): 1 / s})
         for pos, v in enumerate(ORACLE_VARS):
             assert as_ref(a.derivative(v)) == ref_derivative(ra, pos)
+            for exp in range(-2, 3):
+                assert as_ref(a.coefficient(v, exp)) == ref_coefficient(ra, pos, exp)
+        for positions in ((0,), (1,), (2,), (1, 2), (0, 1, 2)):
+            codes = {ORACLE_VARS[p].code for p in positions}
+            for max_degree in range(-2, 4):
+                assert as_ref(a.drop_high_degree(codes, max_degree)) == \
+                    ref_drop(ra, positions, max_degree)
+        for e, c in ra.items():
+            term = from_ref({e: c})
+            if e[1:] == (0, 0):
+                assert as_ref(term.monomial_inverse()) == ref_pow({e: c}, -1)
+            else:
+                with pytest.raises(SubstituteSingular):
+                    term.monomial_inverse()
+        unit = {(rng.choice((-2, -1, 1, 2)), 0, 0): Fraction(rng.randint(1, 5), rng.randint(1, 5))}
+        bindings = {0: unit, 1: rb}
+        got = a.substitute({ORACLE_VARS[p]: from_ref(r) for p, r in bindings.items()})
+        assert as_ref(got) == ref_substitute(ra, bindings)
+
+
+def test_exponents_outside_the_key_range_raise():
+    top = 2**30
+    square = x(1)
+    for _ in range(29):
+        square = square * square
+    assert square == x(1, 2**29)
+    overflowing = [
+        lambda: x(1, top),
+        lambda: x(1) ** top,
+        lambda: square * square,
+        lambda: x(1, -top).monomial_inverse(),
+        lambda: x(1, -top).derivative(x_var(1)),
+        lambda: x(2, top // 2) * x(3) * x(2, top // 2),
+    ]
+    for make in overflowing:
+        with pytest.raises(ExponentOverflow):
+            make()
+    assert issubclass(ExponentOverflow, OverflowError)
+    # the ends of the range stay exact
+    assert x(1, top - 1) * x(1, -(top - 1)) == 1
+    assert x(1, -top).render() == f"1*x1^{-top}"
+    assert x(1) ** -top == x(1, -top)
+    assert x(1, top - 1).derivative(x_var(1)) == (top - 1) * x(1, top - 2)
+
+
+def test_reads_of_an_unused_variable_see_exponent_zero():
+    from jetpoisson import coeffpoly
+
+    unused = z_var(77)
+    p = x(1, -1) * x(2) + 3
+    assert p.coefficient(unused, 0) == p and p.coefficient(unused, 1) == 0
+    assert p.derivative(unused) == 0
+    assert p.drop_high_degree({unused.code}, 0) == p
+    assert p.drop_high_degree({unused.code}, -1) == 0
+    assert p.drop_high_degree({unused.code, x_var(2).code}, 0) == 3
+    assert p.substitute({unused: x(3)}) == p
+    assert unused.code not in coeffpoly._SLOT  # a read assigns no slot
+
+
+def test_scalar_parts_are_checked():
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.const((4, 0))
+    with pytest.raises(ZeroDivisionError):
+        x(2) / (1, 0)
+    for bad in ((1, 2.0), ("1", 2), (1, 2, 3)):
+        with pytest.raises(TypeError):
+            LaurentPoly.const(bad)
+    assert LaurentPoly.const((6, -4)) == Fraction(-3, 2)
+    assert x(2) / (3, 2) == Fraction(2, 3) * x(2)
+
+
+def test_hash_agrees_with_equality():
+    for value in (0, 3, Fraction(-5, 7)):
+        p = LaurentPoly.const(value)
+        assert p == value and hash(p) == hash(value)
+        assert {p: 1}.get(value) == 1 and {value: 1}.get(p) == 1
+    assert {x(1) - x(1): "zero"}.get(0) == "zero"
+    assert hash(x(1) + 1) == hash(1 + x(1))
+
+
+def test_slot_order_never_reaches_output():
+    # two interpreters give the variables their key slots in opposite orders
+    script = (
+        "import sys\n"
+        "from jetpoisson.coeffpoly import LaurentPoly, aux_t, density_var, param, x_var, z_var\n"
+        "made = {'z9': lambda: z_var(9), 't': aux_t, 'x4': lambda: density_var(4),\n"
+        "        'zeta': lambda: param('zeta'), 'x1': lambda: x_var(1)}\n"
+        "v = {name: LaurentPoly.var(made[name]()) for name in sys.argv[1:]}\n"
+        "p = (v['z9'] + 2 * v['x1']) * (v['t'] - v['zeta']) * v['x4']\n"
+        "print(p.render())\n"
+        "print((p * p).render())\n"
+        "print((v['x1'] ** -2 * v['t'] ** 3 + v['zeta'] * v['z9']).render())\n"
+        "print(sorted(str(u) for u in p.variables()))\n"
+        "from jetpoisson.cli import main\n"
+        "sys.exit(main(['verify', 'all', '--n', '3']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    names = ["z9", "t", "x4", "zeta", "x1"]
+    runs = [
+        subprocess.run([sys.executable, "-c", script, *order], capture_output=True,
+                       env=env, timeout=600)
+        for order in (names, names[::-1])
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"-2*x1*x4*zeta + 2*x1*x4*t + -1*z9*x4*zeta + 1*z9*x4*t\n")
 
 
 def test_substitute_is_ring_homomorphism():
