@@ -160,38 +160,43 @@ def verify_cojacobi(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
     """sum_j [a^n_{ij} a^j_{sp} + a^n_{pj} a^j_{is} + a^n_{sj} a^j_{pi}] = 0.
 
     The inner sum couples the lower index of one table to the level of the
-    next, so levels up to the stored bound are needed; quadruples that would
-    reach beyond it are skipped and counted.
+    next.  Each level n is indexed once.  ``reach`` holds every ``first``
+    with a stored entry a^n_{first,j} at some j > upper (in range or not,
+    zero or not): a quadruple (n, i, s, p) with i, s or p in ``reach`` needs
+    a level that is not stored, so it is skipped and counted.  The partners
+    are the stored a^n_{first,j} with j in range and j <= upper.  A term
+    a^n_{first,j} a^j_{xy} is zero unless both factors are stored, so
+    ``rows`` maps each quadruple to the factor pairs of its stored terms, in
+    the order of the three blocks and, within a block, of the level-n table.
+    A quadruple without a row has residual zero.  No product with an
+    unstored factor is formed.
     """
     lo = alpha.min_index
     top = min(N, alpha.upper)
     support = [i for i in alpha.lower_support() if alpha._in_range(i)]
     params = {"N": N, "min_index": lo, "levels": top}
     checked = skipped = 0
-
-    def paired(n, first):
-        # lower partners j such that alpha^n_{first, j} != 0
-        return [j for (a, j) in alpha.alpha.get(n, {}) if a == first]
-
     for n in range(lo, top + 1):
-        for (i, s, p) in itertools.product(support, repeat=3):
-            residual = LaurentPoly.zero()
-            ok = True
-            for first, pair in ((i, (s, p)), (p, (i, s)), (s, (p, i))):
-                for j in paired(n, first):
-                    if j > alpha.upper:
-                        ok = False
-                        break
-                    residual = residual + alpha.entry(n, first, j) * alpha.entry(j, *pair)
-                if not ok:
-                    break
-            if not ok:
+        table = alpha.alpha.get(n, {})
+        reach = {first for (first, j) in table if j > alpha.upper}
+        partners = [(first, c, alpha.alpha.get(j, {})) for (first, j), c in table.items()
+                    if j <= alpha.upper and alpha._in_range(j)]
+        rows: dict = {}  # (i, s, p) -> [(a^n_{first,j}, a^j_{xy}), ...]
+        for block in range(3):
+            for first, c, level in partners:
+                for (x, y), second in level.items():
+                    key = ((first, x, y), (x, y, first), (y, first, x))[block]
+                    rows.setdefault(key, []).append((c, second))
+        for key in itertools.product(support, repeat=3):
+            if key[0] in reach or key[1] in reach or key[2] in reach:
                 skipped += 1
                 continue
             checked += 1
-            if not residual.is_zero():
-                params.update(checked=checked, skipped=skipped)
-                return rep.failed("cojacobi", (n, i, s, p), residual.render(), **params)
+            if key in rows:
+                residual = sum((c * second for c, second in rows[key]), LaurentPoly.zero())
+                if not residual.is_zero():
+                    params.update(checked=checked, skipped=skipped)
+                    return rep.failed("cojacobi", (n,) + key, residual.render(), **params)
     params.update(checked=checked, skipped=skipped)
     return rep.passed("cojacobi", **params)
 

@@ -99,15 +99,16 @@ def suite_group(args) -> list[rep.VerificationReport]:
                    else rep.failed("group-inverse", (0,), "inverse law broken", n=n))
     # left-invariant fields and their bracket
     top = min(n, 6)
-    ok_pair = None
-    for a in range(1, top + 1):
-        for b in range(1, top + 1):
-            got = jg.vf_commutator(jg.left_invariant_field(a, n), jg.left_invariant_field(b, n))
-            expect = jg.vf_scale(jg.left_invariant_field(a + b - 1, n), a - b)
-            if not jg.vf_sub(got, expect).is_zero():
-                ok_pair = (a, b)
-    records.append(rep.passed("field-bracket", n=n) if ok_pair is None
-                   else rep.failed("field-bracket", ok_pair, "bracket table broken", n=n))
+
+    def bracket_ok(a, b):
+        got = jg.vf_commutator(jg.left_invariant_field(a, n), jg.left_invariant_field(b, n))
+        expect = jg.vf_scale(jg.left_invariant_field(a + b - 1, n), a - b)
+        return jg.vf_sub(got, expect).is_zero()
+
+    pairs = ((a, b) for a in range(1, top + 1) for b in range(1, top + 1))
+    bad_pair = next((pair for pair in pairs if not bracket_ok(*pair)), None)
+    records.append(rep.passed("field-bracket", n=n) if bad_pair is None
+                   else rep.failed("field-bracket", bad_pair, "bracket table broken", n=n))
     m = max(1, n - 2)
     proj_ok = all(
         jg.jet_project(jg.jet_compose(x, y), m).coord(i)

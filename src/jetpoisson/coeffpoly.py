@@ -65,6 +65,8 @@ def _rat_norm(num, den):
 
 
 def _rat_add(a, b):
+    if a[1] == 1 and b[1] == 1:
+        return (a[0] + b[0], 1)
     return _rat_norm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
 
 

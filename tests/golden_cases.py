@@ -5,9 +5,16 @@ the JSON report; the committed files under tests/golden/ pin the witness
 indices and rendered residuals byte for byte.  Regenerate with
 
     python3 tests/golden_cases.py
+
+or compare every case with its file, writing nothing, with
+
+    python3 tests/golden_cases.py --check
+
+which exits 1 and names each file that differs (or is missing).
 """
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,5 +177,23 @@ def write_all():
         print("wrote", path)
 
 
+def check_all() -> list[Path]:
+    """The golden files whose committed text differs from a fresh render."""
+    stale = []
+    for name in sorted(CASES):
+        path = GOLDEN_DIR / f"{name}.json"
+        if not path.is_file() or path.read_text(encoding="utf-8") != render(name):
+            stale.append(path)
+    return stale
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        stale = check_all()
+        for path in stale:
+            print("differs:", path)
+        sys.exit(1 if stale else 0)
+    if sys.argv[1:]:
+        print("usage: golden_cases.py [--check]", file=sys.stderr)
+        sys.exit(2)
     write_all()

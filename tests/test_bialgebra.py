@@ -10,6 +10,7 @@ import pytest
 
 from jetpoisson import bialgebra as ba
 from jetpoisson import poissonlie as pl
+from jetpoisson import report as rep
 from jetpoisson.coeffpoly import LaurentPoly, param
 
 
@@ -108,6 +109,135 @@ def test_cojacobi_negative_control():
     bad = ba.WedgeCochain(0, alpha, 2)
     report = ba.verify_cojacobi(bad, 2)
     assert not report.passed
+
+
+def _antisymmetric(entries):
+    table = {}
+    for (i, j), c in entries.items():
+        table[(i, j)] = c
+        table[(j, i)] = -c
+    return table
+
+
+def _control_alpha():
+    """The golden co-Jacobi negative control (tests/golden/cojacobi.json)."""
+    one = LaurentPoly.one()
+    return {0: _antisymmetric({(1, 2): one}), 1: _antisymmetric({(0, 1): one}),
+            2: _antisymmetric({(0, 2): one})}
+
+
+def _reference_cojacobi(alpha, N):
+    """The co-Jacobi scan before the per-level index: a ``paired`` list per
+    term position and two ``entry`` reads per term."""
+    lo = alpha.min_index
+    top = min(N, alpha.upper)
+    support = [i for i in alpha.lower_support() if alpha._in_range(i)]
+    params = {"N": N, "min_index": lo, "levels": top}
+    checked = skipped = 0
+
+    def paired(n, first):
+        return [j for (a, j) in alpha.alpha.get(n, {}) if a == first]
+
+    for n in range(lo, top + 1):
+        for (i, s, p) in itertools.product(support, repeat=3):
+            residual = LaurentPoly.zero()
+            ok = True
+            for first, pair in ((i, (s, p)), (p, (i, s)), (s, (p, i))):
+                for j in paired(n, first):
+                    if j > alpha.upper:
+                        ok = False
+                        break
+                    residual = residual + alpha.entry(n, first, j) * alpha.entry(j, *pair)
+                if not ok:
+                    break
+            if not ok:
+                skipped += 1
+                continue
+            checked += 1
+            if not residual.is_zero():
+                params.update(checked=checked, skipped=skipped)
+                return rep.failed("cojacobi", (n, i, s, p), residual.render(), **params)
+    params.update(checked=checked, skipped=skipped)
+    return rep.passed("cojacobi", **params)
+
+
+def _random_cochain(rng):
+    """A plain-dict cochain with levels and partners past ``upper`` and below
+    ``min_index``, stored zeros, unstored levels, and sometimes a
+    ``max_index``; returned with a level bound N that may exceed ``upper``."""
+    lo = rng.randint(-1, 1)
+    upper = lo + rng.randint(1, 3)
+    max_index = rng.choice((None, None, upper - 1, upper, upper + 1))
+    C = LaurentPoly.var(param("C"))
+    values = (LaurentPoly.zero(), LaurentPoly.one(), -LaurentPoly.one(),
+              LaurentPoly.const(2), C, C - 1)
+    alpha = {}
+    for n in range(lo - 1, upper + 3):
+        if rng.random() < 0.25:
+            continue
+        entries = {}
+        for _ in range(rng.randint(0, 5)):
+            i, j = (rng.randint(lo - 1, upper + 2) if rng.random() < 0.2
+                    else rng.randint(lo, upper) for _ in range(2))
+            if i != j:
+                entries[(i, j)] = rng.choice(values)
+        alpha[n] = _antisymmetric(entries)
+    return ba.WedgeCochain(lo, alpha, upper, max_index), rng.randint(lo, upper + 1)
+
+
+def test_cojacobi_scan_matches_reference():
+    cases = [(ba.coboundary(ba.r_from_phi(pl.phi_power_family(d)), 12), 7)
+             for d in range(1, 6)]
+    cases += [(cochain, 1) for cochain in ba.sl2_pair()]
+    cases.append((ba.WedgeCochain(0, _control_alpha(), 2), 2))
+    rng = random.Random(2024)
+    cases += [_random_cochain(rng) for _ in range(200)]
+    seen = {"fail": 0, "skip": 0, "skip-and-fail": 0, "max_index": 0}
+    for cochain, N in cases:
+        want = _reference_cojacobi(cochain, N).to_dict()
+        assert ba.verify_cojacobi(cochain, N).to_dict() == want, (cochain, N)
+        failed, skipped = want["status"] == "fail", want["params"]["skipped"] > 0
+        seen["fail"] += failed
+        seen["skip"] += skipped
+        seen["skip-and-fail"] += failed and skipped
+        seen["max_index"] += cochain.max_index is not None
+    # the sample keeps reaching every branch of the scan
+    assert seen["fail"] >= 40 and seen["skip"] >= 40
+    assert seen["skip-and-fail"] >= 5 and seen["max_index"] >= 60
+
+
+def test_cojacobi_skips_tuples_past_upper_and_still_reports_failure():
+    one = LaurentPoly.one()
+    # a^0_{35} needs level 5 > upper: every quadruple at level 0 with 3 or 5
+    # in it is skipped; the control still fails at (0, 0, 1, 2), after the
+    # skipped (0, 0, 0, 3) and (0, 0, 0, 5)
+    alpha = _control_alpha()
+    alpha[0].update(_antisymmetric({(3, 5): one}))
+    report = ba.verify_cojacobi(ba.WedgeCochain(0, alpha, 2), 2)
+    assert not report.passed
+    assert report.witness == {"indices": [0, 0, 1, 2], "residual": "-2"}
+    assert (report.params["checked"], report.params["skipped"]) == (6, 2)
+    # alone, the reaching entry skips all 8 quadruples at level 0 and leaves
+    # the 8 at each unstored level 1 and 2 checked
+    report = ba.verify_cojacobi(ba.WedgeCochain(0, {0: _antisymmetric({(3, 5): one})}, 2), 2)
+    assert report.passed
+    assert (report.params["checked"], report.params["skipped"]) == (16, 8)
+
+
+def test_cojacobi_work_counts_of_the_cli_scans():
+    # the seven scans of `verify all --n 7`: five coboundaries, 8 levels of
+    # support^3 each, then the sl2 pair, 3 levels of 3^3 each
+    cochains = [(ba.coboundary(ba.r_from_phi(pl.phi_power_family(d)), 17), 7)
+                for d in range(1, 6)]
+    cochains += [(cochain, 1) for cochain in ba.sl2_pair()]
+    counts = []
+    for cochain, N in cochains:
+        report = ba.verify_cojacobi(cochain, N)
+        assert report.passed
+        counts.append((report.params["checked"], report.params["skipped"]))
+    assert counts == [(54872, 0), (64000, 0), (74088, 0), (85184, 0), (97336, 0),
+                      (81, 0), (81, 0)]
+    assert sum(c for c, _ in counts) == 375642
 
 
 def test_cybe_families_and_negative_control():

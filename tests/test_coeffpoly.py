@@ -69,12 +69,14 @@ def test_ring_axioms_on_random_polys():
 ORACLE_VARS = (x_var(1), x_var(2), x_var(3))
 
 
-def random_ref(rng):
-    """A naive Laurent polynomial in x1^{+-1}, x2, x3: exponent tuple -> Fraction."""
+def random_ref(rng, integer=False):
+    """A naive Laurent polynomial in x1^{+-1}, x2, x3: exponent tuple -> Fraction,
+    with integer coefficients only when ``integer`` is set."""
     ref = {}
     for _ in range(rng.randint(0, 6)):
         exps = (rng.randint(-2, 2), rng.randint(0, 2), rng.randint(0, 2))
-        ref[exps] = ref.get(exps, 0) + Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        den = 1 if integer else rng.randint(1, 4)
+        ref[exps] = ref.get(exps, 0) + Fraction(rng.randint(-6, 6), den)
     return {e: c for e, c in ref.items() if c}
 
 
@@ -155,8 +157,10 @@ def ref_substitute(a, bindings):
 
 def test_kernel_matches_naive_reference():
     rng = random.Random(13)
-    for _ in range(60):
-        ra, rb = random_ref(rng), random_ref(rng)
+    # 60 pairs with rational coefficients, then 30 integer-only pairs, whose
+    # sums and differences take the kernel's integer add path
+    for integer in (False,) * 60 + (True,) * 30:
+        ra, rb = random_ref(rng, integer), random_ref(rng, integer)
         a, b = from_ref(ra), from_ref(rb)
         assert as_ref(a) == ra and as_ref(b) == rb
         s = Fraction(rng.randint(-5, 5), rng.randint(1, 5))

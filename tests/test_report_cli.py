@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import golden_cases
+from jetpoisson import jetgroup as jg
 from jetpoisson import report as rep
-from jetpoisson.cli import SUITES, build_parser, main, run_suite
+from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_group
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,6 +49,35 @@ def test_golden_negative_controls(name):
     record = json.loads(expected)[0]
     assert record["status"] == "fail"
     assert record["witness"]["indices"]
+
+
+def test_golden_check_names_each_differing_file(tmp_path, monkeypatch):
+    for path in GOLDEN.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "cybe.json").write_text("[]\n", encoding="utf-8")
+    (tmp_path / "counit.json").unlink()
+    monkeypatch.setattr(golden_cases, "GOLDEN_DIR", tmp_path)
+    assert golden_cases.check_all() == [tmp_path / "counit.json", tmp_path / "cybe.json"]
+
+
+def test_field_bracket_reports_the_first_broken_pair(monkeypatch):
+    scale = jg.vf_scale
+    seen = []
+
+    def broken_scale(field, c):
+        # called with (X_{a+b-1}, a-b); X_k's lowest component is at index k
+        if not field.components:
+            return scale(field, c)
+        k = min(field.components)
+        pair = ((k + 1 + c) // 2, (k + 1 - c) // 2)
+        seen.append(pair)
+        return scale(field, c + 1 if pair in ((2, 3), (3, 1)) else c)
+
+    monkeypatch.setattr(jg, "vf_scale", broken_scale)
+    records = suite_group(build_parser().parse_args(["verify", "group", "--n", "4"]))
+    [record] = [r for r in records if r.check == "field-bracket"]
+    assert record.witness["indices"] == [2, 3]
+    assert seen[-1] == (2, 3)  # no bracket is computed after the first failure
 
 
 def test_cli_pass_and_exit_status(tmp_path):
