@@ -179,10 +179,11 @@ def suite_bialgebra(args) -> list[rep.VerificationReport]:
     fam = ba.family_witt_linear(args.n)
     records.append(ba.verify_cocycle(fam, args.n))
     for tag, cochain in zip(("sl2-first", "sl2-second"), ba.sl2_pair()):
-        r1 = ba.verify_cocycle(cochain, 1)
-        r2 = ba.verify_cojacobi(cochain, 1)
-        status = "pass" if r1.passed and r2.passed else "fail"
-        records.append(rep.VerificationReport(tag, {}, status, None))
+        # one record per cochain, carrying the witness of its first failing part
+        parts = (ba.verify_cocycle(cochain, 1), ba.verify_cojacobi(cochain, 1))
+        bad = next((r for r in parts if not r.passed), None)
+        records.append(rep.passed(tag) if bad is None else rep.failed(
+            tag, bad.witness["indices"], bad.witness["residual"], part=bad.check))
     for d in (1, 2, 3):
         omega = pl.build_omega(pl.phi_power_family(d), min(args.n, 6))
         records.append(ba.beta_correspondence(omega, pl.phi_power_family(d)))

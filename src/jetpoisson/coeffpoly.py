@@ -27,10 +27,11 @@ reading a variable that has no slot sees exponent 0.  Every stored exponent
 lies in [-2^30, 2^30), so the sum of two fields never carries into the next
 one; each key an operation produces is checked against that range once, and
 one outside it raises `ExponentOverflow` rather than alias another monomial.
-Single-variable reads (`coefficient`, `derivative`, `drop_high_degree`) are
-a shift and a mask.  Keys are decoded into ((varcode, exp), ...) only where
-names or order are needed: rendering, `variables`, invertibility,
-`substitute` and the grading.  Slot numbers never reach any output.
+Single-variable reads (`coefficient`, `derivative`, `degree`,
+`drop_high_degree`) are a shift and a mask.  Keys are decoded into
+((varcode, exp), ...) only where names or order are needed: rendering,
+`variables`, invertibility, `substitute` and the grading.  Slot numbers
+never reach any output.
 
 Term order is graded-lexicographic on the (kind, index) codes, except that
 parameters past the fixed names are ranked by name; it is the order used by
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Mapping
 
 ExactScalar = Fraction
@@ -514,11 +515,25 @@ class LaurentPoly:
             _poly_iadd_mul(acc, {leftover: (1, 1)}, factor.terms)
         return LaurentPoly(acc)
 
+    def degree(self, v: Variable) -> float:
+        """The highest exponent of v in any term: 0 for a nonzero polynomial
+        free of v, and -inf for the zero polynomial.  So
+        ``p.drop_high_degree({v.code}, k) is p`` exactly when
+        ``p.degree(v) <= k``."""
+        if not self.terms:
+            return -inf
+        slot = _SLOT.get(v.code)
+        if slot is None:
+            return 0
+        shift, bias = _FIELD * slot, _BIAS
+        return max((key + bias) >> shift & _MASK for key in self.terms) - _HALF
+
     def drop_high_degree(self, codes, max_degree: int) -> "LaurentPoly":
-        """Drop terms whose total degree in the given variable codes exceeds the bound."""
+        """Drop terms whose total degree in the given variable codes exceeds
+        the bound; self itself when no term is dropped."""
         shifts = [_FIELD * _SLOT[code] for code in codes if code in _SLOT]
         if not shifts:
-            return self if max_degree >= 0 else _ZERO
+            return self if max_degree >= 0 or not self.terms else _ZERO
         bias, limit = _BIAS, max_degree + _HALF * len(shifts)
         if len(shifts) == 1:
             shift = shifts[0]

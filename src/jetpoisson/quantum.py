@@ -65,10 +65,6 @@ def word_is_canonical(word: tuple) -> bool:
     return all(word[p] >= word[p + 1] for p in range(len(word) - 1))
 
 
-def ascent_count(word: tuple) -> int:
-    return sum(1 for p, q in itertools.combinations(range(len(word)), 2) if word[p] < word[q])
-
-
 @dataclass(frozen=True)
 class NCElement:
     n_gens: int
@@ -197,13 +193,31 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     so a new word may come before the current one; the heap still yields
     the exact minimum.  The site is the leftmost ascent unless an rng is
     supplied, in which case ``rng.choice`` picks one of the ascents, once
-    per step; confluent sets give the same answer either way."""
+    per step; confluent sets give the same answer either way.
+
+    A step replaces the pair at site p by a middle part, the swapped pair
+    or a tail word, both canonical.  The spawned word is canonical iff the
+    popped word has no ascent outside p-1..p+1, which its ascent sites tell,
+    and both junctions of the middle part with its neighbours descend; no
+    spawned word is scanned.  Each pending coefficient carries an upper
+    bound on its h degree (exact for an input term, kept by a swap, raised
+    by the tail coefficient's degree, the larger of two on a merge), and a
+    tail product is h-truncated only when that bound passes the order;
+    below it the product is exact as it stands."""
     if a.h_order != R.h_order or a.n_gens != R.n_gens:
         raise ShapeMismatch("element and relation set disagree on shape")
+    order = a.h_order
     done = Combination()
     pending = Combination()
+    bounds = {}  # pending word -> upper bound on its coefficient's h degree
     for word, c in a.terms.items():
-        (done if word_is_canonical(word) else pending).add(word, c)
+        if word_is_canonical(word):
+            done.add(word, c)
+        else:
+            pending.add(word, c)
+            bounds[word] = c.degree(H)
+    rules = {}  # (i, j) -> [(tail word, coefficient, its h degree)]
+    top = R.n_gens + 1  # above every generator: the left edge of a word
     heap = [_word_order(word) for word in pending]
     heapq.heapify(heap)
     while heap:
@@ -211,20 +225,38 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
         coeff = pending.pop(word, None)
         if coeff is None:
             continue
+        bound = bounds.pop(word)
         sites = [p for p in range(len(word) - 1) if word[p] < word[p + 1]]
         p = sites[0] if rng is None else rng.choice(sites)
         i, j = word[p], word[p + 1]
         head, rest = word[:p], word[p + 2:]
-        spawned = [(head + (j, i) + rest, coeff)]
-        for w2, c2 in R.tail(i, j).terms.items():
-            spawned.append((head + w2 + rest, h_truncate_poly(coeff * c2, a.h_order)))
-        for new, c in spawned:
-            if word_is_canonical(new):
+        tail = R.tail(i, j)
+        rule = rules.get((i, j))
+        if rule is None:
+            # the swap first, with no coefficient, then the tail terms
+            rule = rules[(i, j)] = [((j, i), None, 0)] + [
+                (w2, c2, c2.degree(H)) for w2, c2 in tail.terms.items()]
+        clean = sites[0] >= p - 1 and sites[-1] <= p + 1
+        left = word[p - 1] if p else top
+        right = rest[0] if rest else 0
+        for mid, c2, d2 in rule:
+            b = bound + d2
+            if c2 is None:
+                c = coeff
+            elif b > order:
+                c = h_truncate_poly(coeff * c2, order)
+            else:
+                c = coeff * c2
+            new = head + mid + rest
+            if clean and (left >= mid[0] and mid[-1] >= right if mid else left >= right):
                 done.add(new, c)
             elif new in pending:
                 pending.add(new, c)
+                if b > bounds[new]:
+                    bounds[new] = b
             elif c:
                 pending[new] = c
+                bounds[new] = b
                 heapq.heappush(heap, _word_order(new))
     return NCElement(a.n_gens, a.h_order, done)
 

@@ -79,8 +79,13 @@ def test_coboundary_of_random_r_is_a_cocycle():
                for i in range(0, 4) for j in range(i + 1, 5)}
     r = ba.rmatrix_from_entries(entries, 0)
     cochain = ba.coboundary(r, 16)
-    assert ba.verify_cocycle(cochain, 8).passed
-    assert ba.verify_cocycle(ba.coboundary(r, 16), 8).checked if False else True
+    cocycle = ba.verify_cocycle(cochain, 8)
+    assert cocycle.passed and cocycle.params["checked"] == 3760
+    # negative control: a random r does not satisfy the CYBE, so its
+    # coboundary is a cocycle that breaks co-Jacobi
+    cojacobi = ba.verify_cojacobi(cochain, 8)
+    assert not cojacobi.passed
+    assert cojacobi.witness["indices"] == [0, 0, 1, 5]
 
 
 def test_zero_cochain_passes_everything():

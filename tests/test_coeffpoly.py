@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: ring axioms, substitution, grading, rendering."""
 
+import math
 import os
 import random
 import subprocess
@@ -191,6 +192,32 @@ def test_kernel_matches_naive_reference():
         bindings = {0: unit, 1: rb}
         got = a.substitute({ORACLE_VARS[p]: from_ref(r) for p, r in bindings.items()})
         assert as_ref(got) == ref_substitute(ra, bindings)
+
+
+def test_degree_is_the_bound_drop_high_degree_keeps():
+    from jetpoisson import coeffpoly
+
+    h = param("h")
+    unused = z_var(78)
+    # h is not invertible, so its negative exponents come from a raw key
+    h_negative = LaurentPoly({coeffpoly._pack(((h.code, -2), (x_var(1).code, 1))): (1, 1),
+                              coeffpoly._pack(((h.code, -1),)): (3, 1)})
+    rng = random.Random(29)
+    refs = [{}, {(-2, 0, 0): Fraction(1), (-1, 1, 0): Fraction(3)}]
+    refs += [random_ref(rng) for _ in range(40)]
+    polys = [(from_ref(ra), ra) for ra in refs]
+    polys += [(LaurentPoly({}), {}), (h_negative, None), (LaurentPoly.var(h, 3) - 2, None)]
+    assert sum(not ra for _, ra in polys if ra is not None) >= 3  # zero polynomials
+    for p, ra in polys:
+        if ra is not None:
+            for pos, v in enumerate(ORACLE_VARS):
+                assert p.degree(v) == max((e[pos] for e in ra), default=-math.inf)
+        for v in ORACLE_VARS + (h, unused):
+            for k in range(-4, 5):
+                assert (p.drop_high_degree({v.code}, k) is p) == (p.degree(v) <= k), (p, v, k)
+    assert h_negative.degree(h) == -1 and h_negative.degree(unused) == 0
+    assert LaurentPoly.var(h, 3).degree(h) == 3 and LaurentPoly.zero().degree(unused) == -math.inf
+    assert unused.code not in coeffpoly._SLOT
 
 
 def test_exponents_outside_the_key_range_raise():

@@ -72,9 +72,12 @@ def test_reduce_random_site_order_agrees_with_leftmost():
 
 def _min_scan_reduce(a, R, rng=None):
     """Reference scheduler for nc_reduce: each step rewrites the smallest
-    pending word in (length, word) order, found by a min() scan over all."""
+    pending word in (length, word) order, found by a min() scan over all,
+    scans every spawned word for canonicality and h-truncates every tail
+    product.  Returns the normal form and the number of terms truncated."""
     done = Combination()
     pending = Combination()
+    dropped = 0
     for word, c in a.terms.items():
         (done if qt.word_is_canonical(word) else pending).add(word, c)
     while pending:
@@ -87,37 +90,79 @@ def _min_scan_reduce(a, R, rng=None):
         (done if qt.word_is_canonical(swapped) else pending).add(swapped, coeff)
         for w2, c2 in R.tail(i, j).terms.items():
             grown = word[:p] + w2 + word[p + 2:]
-            c = qt.h_truncate_poly(coeff * c2, a.h_order)
+            full = coeff * c2
+            c = qt.h_truncate_poly(full, a.h_order)
+            dropped += len(full.terms) - len(c.terms)
             (done if qt.word_is_canonical(grown) else pending).add(grown, c)
-    return done
+    return done, dropped
 
 
-@pytest.mark.parametrize("which, params", [
-    ("R2", {"C": Fraction(2, 3)}), ("R3", None), ("R1", None)], ids=["R2", "R3", "R1"])
-def test_heap_scheduler_matches_min_scan(which, params):
-    R = qt.relation_set_catalog(which, params)
-    # the overlap words, then seeded non-canonical words of weight <= 6
-    words = list(itertools.combinations(range(1, R.n_gens + 1), 3))
+def _custom_set(h_order):
+    """Three generators, with an empty-word tail on (1, 2) and an h^2 term."""
+    h = LaurentPoly.var(qt.H)
+    tails = {(1, 2): {(): h},
+             (1, 3): {(2,): h, (1, 1): -h * h},
+             (2, 3): {(3, 1, 1): 2 * h, (): h * h, (2, 2): 3 * h}}
+    return qt.make_relation_set(
+        "custom", 1, 3, h_order,
+        {pair: qt.nc_make(3, h_order, t) for pair, t in tails.items()})
+
+
+# relation set, whether it is confluent, and a floor on the number of terms
+# the reference truncation drops
+_SCHEDULER_CASES = {
+    "R2": lambda: (qt.relation_set_catalog("R2", {"C": Fraction(2, 3)}), True, 200),
+    "R3": lambda: (qt.relation_set_catalog("R3"), True, 90),
+    "R1": lambda: (qt.relation_set_catalog("R1"), False, 800),
+    "R2-h2": lambda: (qt.relation_set_catalog("R2", {"C": Fraction(2, 3)}).with_h_order(2), True, 3000),
+    # the x2 x3 x4 overlap residual of R1 starts at h^5
+    "R1-h3": lambda: (qt.relation_set_catalog("R1").with_h_order(3), True, 31000),
+    # the x1 x2 x3 overlap leaves 2 h^3 x1
+    "custom": lambda: (_custom_set(3), False, 900),
+}
+
+
+def _scheduler_inputs(R):
+    """The overlap words, seeded non-canonical words of weight <= 10, words
+    whose only ascent is at the left end, the right end or both, and then
+    multi-term elements whose coefficients carry powers of h up to the order."""
+    n = R.n_gens
+    words = list(itertools.combinations(range(1, n + 1), 3))
     draw = random.Random(31)
     while len(words) < 14:
-        word = tuple(draw.randint(1, R.n_gens) for _ in range(4))
+        word = tuple(draw.randint(1, n) for _ in range(4))
         if not qt.word_is_canonical(word) and sum(word) <= 10 and word not in words:
             words.append(word)
-    order_dependent = 0
-    for word in words:
-        element = qt.nc_word(R.n_gens, R.h_order, word)
+    words += [(1, n), (1, n, n - 1), (n, n - 1, 1, n), (n, 2, 1, 2)]
+    inputs = [qt.nc_word(n, R.h_order, word) for word in words]
+    h = LaurentPoly.var(qt.H)
+    coeffs = (1 + h, h * h * 3 - h, h ** R.h_order, Fraction(-1, 2))
+    for start in range(0, len(words) - 3, 3):
+        inputs.append(qt.nc_make(n, R.h_order, dict(zip(words[start:start + 4], coeffs))))
+    return inputs
+
+
+@pytest.mark.parametrize("case", list(_SCHEDULER_CASES))
+def test_heap_scheduler_matches_min_scan(case):
+    R, confluent, floor = _SCHEDULER_CASES[case]()
+    order_dependent = dropped = 0
+    for element in _scheduler_inputs(R):
         leftmost = qt.nc_reduce(element, R)
-        assert list(leftmost.terms.items()) == list(_min_scan_reduce(element, R).items()), word
+        reference, lost = _min_scan_reduce(element, R)
+        assert list(leftmost.terms.items()) == list(reference.items()), element
+        dropped += lost
         for seed in range(3):
             heap_rng, scan_rng = random.Random(seed), random.Random(seed)
             shuffled = qt.nc_reduce(element, R, rng=heap_rng)
-            assert list(shuffled.terms.items()) == \
-                list(_min_scan_reduce(element, R, scan_rng).items()), (word, seed)
-            assert heap_rng.getstate() == scan_rng.getstate(), (word, seed)
+            reference, lost = _min_scan_reduce(element, R, scan_rng)
+            assert list(shuffled.terms.items()) == list(reference.items()), (element, seed)
+            assert heap_rng.getstate() == scan_rng.getstate(), (element, seed)
+            dropped += lost
             order_dependent += shuffled.terms != leftmost.terms
-    # R1 is not confluent, so some of its normal forms depend on the order in
-    # which words are rewritten, and there this pins the order itself
-    assert bool(order_dependent) == (which == "R1")
+    assert dropped >= floor
+    # a set that is not confluent has normal forms that depend on the order
+    # in which words are rewritten, and there this pins the order itself
+    assert bool(order_dependent) != confluent
 
 
 def test_reduce_preserves_graded_degree():

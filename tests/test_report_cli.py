@@ -15,7 +15,7 @@ import pytest
 import golden_cases
 from jetpoisson import jetgroup as jg
 from jetpoisson import report as rep
-from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_group
+from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_bialgebra, suite_group
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,6 +78,29 @@ def test_field_bracket_reports_the_first_broken_pair(monkeypatch):
     [record] = [r for r in records if r.check == "field-bracket"]
     assert record.witness["indices"] == [2, 3]
     assert seen[-1] == (2, 3)  # no bracket is computed after the first failure
+
+
+def test_failing_sl2_record_carries_the_witness(monkeypatch):
+    from jetpoisson import bialgebra as ba
+
+    args = build_parser().parse_args(["verify", "bialgebra", "--n", "3"])
+    records = suite_bialgebra(args)
+    for tag in ("sl2-first", "sl2-second"):
+        [record] = [r for r in records if r.check == tag]
+        assert record.to_dict() == {"check": tag, "params": {}, "status": "pass", "witness": None}
+    cojacobi = ba.verify_cojacobi
+
+    def failing_at_1(alpha, N):
+        report = cojacobi(alpha, N)
+        return rep.failed("cojacobi", (1, -1, 0, 1), "7", **report.params) if N == 1 else report
+
+    monkeypatch.setattr(ba, "verify_cojacobi", failing_at_1)
+    records = suite_bialgebra(args)
+    for tag in ("sl2-first", "sl2-second"):
+        [record] = [r for r in records if r.check == tag]
+        assert record.to_dict() == {"check": tag, "params": {"part": "cojacobi"}, "status": "fail",
+                                    "witness": {"indices": [1, -1, 0, 1], "residual": "7"}}
+    assert all(r.passed for r in records if not r.check.startswith("sl2"))
 
 
 def test_cli_pass_and_exit_status(tmp_path):
