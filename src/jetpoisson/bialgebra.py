@@ -193,7 +193,7 @@ def verify_cojacobi(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
                 continue
             checked += 1
             if key in rows:
-                residual = sum((c * second for c, second in rows[key]), LaurentPoly.zero())
+                residual = LaurentPoly.sum_of_products(rows[key])
                 if not residual.is_zero():
                     params.update(checked=checked, skipped=skipped)
                     return rep.failed("cojacobi", (n,) + key, residual.render(), **params)
@@ -212,17 +212,11 @@ def cybe_residual(r: RMatrix, n: int, j: int, l: int) -> LaurentPoly:
               + (r_{j,n-k} + r_{j-k,n}) r_{kl}
               + (r_{l,j-k} + r_{l-k,j}) r_{kn} ]
     """
-    total = LaurentPoly.zero()
-    for k in r.support_indices():
-        if k == 0:
-            continue
-        term = (
-            (r.entry(n - k, l) + r.entry(n, l - k)) * r.entry(k, j)
-            + (r.entry(j, n - k) + r.entry(j - k, n)) * r.entry(k, l)
-            + (r.entry(l, j - k) + r.entry(l - k, j)) * r.entry(k, n)
-        )
-        total = total + term * k
-    return total
+    return LaurentPoly.sum_of_products(
+        pair for k in r.support_indices() if k
+        for pair in (((r.entry(n - k, l) + r.entry(n, l - k)) * k, r.entry(k, j)),
+                     ((r.entry(j, n - k) + r.entry(j - k, n)) * k, r.entry(k, l)),
+                     ((r.entry(l, j - k) + r.entry(l - k, j)) * k, r.entry(k, n))))
 
 
 def verify_cybe(r: RMatrix, N: int) -> rep.VerificationReport:

@@ -19,6 +19,13 @@ Term maps, the raw layout behind `LaurentPoly.terms`:
   monomial  = sum(exp << (32 * slot))     one int; the constant monomial is 0
   poly      = {monomial: rational}        no zero coefficients stored
 
+Every sum of products (a product itself, `LaurentPoly.sum_of_products`,
+`Combination.product`, `substitute`) runs through one multiply-accumulate
+loop, `_poly_mac`, into a raw accumulator of the same shape whose rationals
+are not reduced: den > 0 and no zero numerator is stored, so it is empty
+exactly when the sum is zero.  `_poly_finish` normalises each surviving term
+once, when the sum is complete.
+
 A monomial key packs its exponent vector into one Python int (Monagan and
 Pearce's packed exponent vectors), one signed 32-bit field per variable slot,
 so that multiplying two monomials is adding two ints.  A variable gets its
@@ -172,54 +179,47 @@ def _poly_scale(p, num, den):
     return {k: _rat_norm(cn * num, cd * den) for k, (cn, cd) in p.items()}
 
 
-def _poly_mul(p, q):
-    if not p or not q:
-        return {}
+def _poly_mac(acc, p, q, cap=None):
+    """acc += p*q on raw (num, den) pairs, mutating and returning acc.
+
+    A term is deleted as soon as its numerator cancels, and a key is
+    range-checked as it enters acc, so a pair outside the range raises even
+    if a later pair cancels it.  ``cap``, a (shift, limit) pair, keeps out
+    every key whose biased field at that shift exceeds limit."""
     if len(p) > len(q):
         p, q = q, p
-    acc = {}
-    for ka, (na, da) in p.items():
-        for kb, (nb, db) in q.items():
-            k = ka + kb
-            cur = acc.get(k)
-            if cur is None:
-                acc[k] = (na * nb, da * db)
-            else:
-                acc[k] = (cur[0] * da * db + na * nb * cur[1], cur[1] * da * db)
-    bias, top = _BIAS, _TOP
-    out = {}
-    for k, c in acc.items():
-        b = k + bias
-        if b < 0 or b & top:
-            raise _overflow()
-        n, d = c
-        if d != 1:
-            c = _rat_norm(n, d)
-        if c[0]:
-            out[k] = c
-    return out
-
-
-def _poly_iadd_mul(acc, p, q):
-    """acc += p*q, mutating and returning acc (coefficients kept normalized)."""
     bias, top = _BIAS, _TOP
     for ka, (na, da) in p.items():
         for kb, (nb, db) in q.items():
             k = ka + kb
+            n, d = na * nb, da * db
             cur = acc.get(k)
             if cur is None:
                 b = k + bias
                 if b < 0 or b & top:
                     raise _overflow()
-                c = _rat_norm(na * nb, da * db)
-                if c[0]:
-                    acc[k] = c
+                if cap is None or b >> cap[0] & _MASK <= cap[1]:
+                    acc[k] = (n, d)
+                continue
+            cn, cd = cur
+            if d == cd:  # the integer path, when all three are 1
+                n += cn
+            elif cd % d == 0:
+                n, d = cn + n * (cd // d), cd
             else:
-                c = _rat_norm(cur[0] * da * db + na * nb * cur[1], cur[1] * da * db)
-                if c[0]:
-                    acc[k] = c
-                else:
-                    del acc[k]
+                n, d = cn * d + n * cd, cd * d
+            if n:
+                acc[k] = (n, d)
+            else:
+                del acc[k]
+    return acc
+
+
+def _poly_finish(acc):
+    """A raw accumulator made a term map, in place: each rational normalised once."""
+    for k, (n, d) in acc.items():
+        if d != 1:
+            acc[k] = _rat_norm(n, d)
     return acc
 
 
@@ -372,16 +372,26 @@ class LaurentPoly:
             p = p * LaurentPoly.var(v, e)
         return p
 
+    @staticmethod
+    def sum_of_products(pairs) -> "LaurentPoly":
+        """sum(a * b for a, b in pairs), accumulated raw and normalised once."""
+        acc: dict = {}
+        for a, b in pairs:
+            _poly_mac(acc, _coerce(a).terms, _coerce(b).terms)
+        return LaurentPoly(_poly_finish(acc))
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
+        if other.__class__ is not LaurentPoly:
+            other = _coerce(other)
         return LaurentPoly(_poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
+        if other.__class__ is not LaurentPoly:
+            other = _coerce(other)
         return LaurentPoly(_poly_sub(self.terms, other.terms))
 
     def __rsub__(self, other) -> "LaurentPoly":
@@ -391,10 +401,10 @@ class LaurentPoly:
         return LaurentPoly({k: (-n, d) for k, (n, d) in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not LaurentPoly and isinstance(other, (int, Fraction)):
             num, den = _as_pair(other)
             return LaurentPoly(_poly_scale(self.terms, num, den))
-        return LaurentPoly(_poly_mul(self.terms, other.terms))
+        return LaurentPoly(_poly_finish(_poly_mac({}, self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -512,8 +522,8 @@ class LaurentPoly:
                         powed = repl ** ve
                     pow_cache[ck] = powed
                 factor = factor * powed
-            _poly_iadd_mul(acc, {leftover: (1, 1)}, factor.terms)
-        return LaurentPoly(acc)
+            _poly_mac(acc, {leftover: (1, 1)}, factor.terms)
+        return LaurentPoly(_poly_finish(acc))
 
     def degree(self, v: Variable) -> float:
         """The highest exponent of v in any term: 0 for a nonzero polynomial
@@ -647,17 +657,30 @@ class Combination(dict):
         return out
 
     @staticmethod
-    def product(a: Mapping, b: Mapping, join, fn=None) -> "Combination":
-        """The bilinear product: sum of fn(ca * cb) at join(ka, kb) over all
-        pairs, skipping pairs whose joined key is None."""
-        out = Combination()
+    def product(a: Mapping, b: Mapping, join, h_order=None) -> "Combination":
+        """The bilinear product: sum of ca * cb at join(ka, kb) over all pairs,
+        skipping pairs whose joined key is None, with every term of degree in
+        h above ``h_order`` dropped when one is given.  Each key's sum is
+        accumulated raw and normalised once; a key whose sum cancels is
+        deleted at once, so slots follow the rule of ``add``."""
+        cap = None if h_order is None else (_FIELD * _slot(_H_CODE), h_order + _HALF)
+        raw: dict = {}
         for ka, ca in a.items():
+            pa = ca.terms
             for kb, cb in b.items():
                 key = join(ka, kb)
                 if key is None:
                     continue
-                c = ca * cb
-                out.add(key, c if fn is None else fn(c))
+                acc = raw.get(key)
+                if acc is None:
+                    acc = _poly_mac({}, pa, cb.terms, cap)
+                    if acc:
+                        raw[key] = acc
+                elif not _poly_mac(acc, pa, cb.terms, cap):
+                    del raw[key]
+        out = Combination()
+        for key, acc in raw.items():
+            out[key] = LaurentPoly(_poly_finish(acc))
         return out
 
     @staticmethod

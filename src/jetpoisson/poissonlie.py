@@ -293,7 +293,7 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
     params = {"n": omega.n, "start": omega.start_index, "check_max": top}
     for (j, k, l) in itertools.combinations(indices, 3):
         ok = True
-        residual = LaurentPoly.zero()
+        pairs = []
         for a, bc in ((j, (k, l)), (k, (l, j)), (l, (j, k))):
             b, c = bc
             target = omega.bracket(b, c)
@@ -307,13 +307,14 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
                 if max(i, a) > omega.n:
                     ok = False
                     break
-                residual = residual + omega.bracket(i, a) * dv
+                pairs.append((omega.bracket(i, a), dv))
             if not ok:
                 break
         if not ok:
             skipped += 1
             continue
         checked += 1
+        residual = LaurentPoly.sum_of_products(pairs)
         if not residual.is_zero():
             params.update(checked=checked, skipped=skipped)
             return rep.failed("jacobi", (j, k, l), residual.render(), **params)
@@ -353,13 +354,11 @@ def _verify_mult_origin_fixing(omega, check_max):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             lhs = omega.bracket(i, j).substitute(to_z)
-            rhs = LaurentPoly.zero()
-            for (k, l), w in omega.omega.items():
-                if l > n:
-                    continue
-                wy = omega_y[(k, l)]
-                rhs = rhs + w * (dzx[(i, k)] * dzx[(j, l)] - dzx[(i, l)] * dzx[(j, k)])
-                rhs = rhs + wy * (dzy[(i, k)] * dzy[(j, l)] - dzy[(i, l)] * dzy[(j, k)])
+            rhs = LaurentPoly.sum_of_products(
+                pair for (k, l), w in omega.omega.items() if l <= n
+                for pair in ((w, dzx[(i, k)] * dzx[(j, l)] - dzx[(i, l)] * dzx[(j, k)]),
+                             (omega_y[(k, l)],
+                              dzy[(i, k)] * dzy[(j, l)] - dzy[(i, l)] * dzy[(j, k)])))
             residual = lhs - rhs
             if not residual.is_zero():
                 return rep.failed("multiplicativity", (i, j), residual.render(), **params)
@@ -385,25 +384,29 @@ def _verify_mult_extended(omega, m, check_max):
     to_y = {Variable(wide.coord_kind, i): y.coord(i) for i in range(0, K + 2)}
     to_z = {Variable(wide.coord_kind, i): z.coord(i) for i in range(0, K + 2)}
     params = {"n": K, "start": 0, "nilpotency": m}
+
+    def translated(i, j):
+        """The (bracket, Jacobian minor) pairs of both translated sums."""
+        for (k, l), w in wide.omega.items():
+            dik = z.coord(i).derivative(Variable(VarKind.GROUP_X, k))
+            dil = z.coord(i).derivative(Variable(VarKind.GROUP_X, l))
+            djk = z.coord(j).derivative(Variable(VarKind.GROUP_X, k))
+            djl = z.coord(j).derivative(Variable(VarKind.GROUP_X, l))
+            if not (dik.is_zero() and dil.is_zero() and djk.is_zero() and djl.is_zero()):
+                yield w, dik * djl - dil * djk
+            if k > i and k > j:
+                continue  # the factor-two derivatives below vanish
+            dik = z.coord(i).derivative(Variable(VarKind.GROUP_Y, k))
+            dil = z.coord(i).derivative(Variable(VarKind.GROUP_Y, l))
+            djk = z.coord(j).derivative(Variable(VarKind.GROUP_Y, k))
+            djl = z.coord(j).derivative(Variable(VarKind.GROUP_Y, l))
+            if not (dik.is_zero() and dil.is_zero() and djk.is_zero() and djl.is_zero()):
+                yield w.substitute(to_y), dik * djl - dil * djk
+
     for i in range(0, K + 1):
         for j in range(i + 1, K + 1):
             lhs = wide.bracket(i, j).substitute(to_z)
-            rhs = LaurentPoly.zero()
-            for (k, l), w in wide.omega.items():
-                dik = z.coord(i).derivative(Variable(VarKind.GROUP_X, k))
-                dil = z.coord(i).derivative(Variable(VarKind.GROUP_X, l))
-                djk = z.coord(j).derivative(Variable(VarKind.GROUP_X, k))
-                djl = z.coord(j).derivative(Variable(VarKind.GROUP_X, l))
-                if not (dik.is_zero() and dil.is_zero() and djk.is_zero() and djl.is_zero()):
-                    rhs = rhs + w * (dik * djl - dil * djk)
-                if k > i and k > j:
-                    continue  # the factor-two derivatives below vanish
-                dik = z.coord(i).derivative(Variable(VarKind.GROUP_Y, k))
-                dil = z.coord(i).derivative(Variable(VarKind.GROUP_Y, l))
-                djk = z.coord(j).derivative(Variable(VarKind.GROUP_Y, k))
-                djl = z.coord(j).derivative(Variable(VarKind.GROUP_Y, l))
-                if not (dik.is_zero() and dil.is_zero() and djk.is_zero() and djl.is_zero()):
-                    rhs = rhs + w.substitute(to_y) * (dik * djl - dil * djk)
+            rhs = LaurentPoly.sum_of_products(translated(i, j))
             residual = jg.nilpotent_reduce(lhs - rhs, m)
             if not residual.is_zero():
                 return rep.failed("multiplicativity", (i, j), residual.render(), **params)
@@ -484,9 +487,9 @@ def verify_inversion_antipoisson(omega: PoissonStructure) -> rep.VerificationRep
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             lhs = omega.bracket(a, b).substitute(to_inv)
-            rhs = LaurentPoly.zero()
-            for (k, l), w in omega.omega.items():
-                rhs = rhs + w * (dinv[(a, k)] * dinv[(b, l)] - dinv[(a, l)] * dinv[(b, k)])
+            rhs = LaurentPoly.sum_of_products(
+                (w, dinv[(a, k)] * dinv[(b, l)] - dinv[(a, l)] * dinv[(b, k)])
+                for (k, l), w in omega.omega.items())
             residual = lhs + rhs
             if not residual.is_zero():
                 return rep.failed("inversion-anti-poisson", (a, b), residual.render(), **params)

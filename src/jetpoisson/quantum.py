@@ -132,8 +132,7 @@ def nc_scale(a: NCElement, c) -> NCElement:
 
 def nc_multiply(a: NCElement, b: NCElement) -> NCElement:
     """Concatenation product, h-truncated, NOT reduced."""
-    return _like(a, b, Combination.product(
-        a.terms, b.terms, operator.add, lambda c: h_truncate_poly(c, a.h_order)))
+    return _like(a, b, Combination.product(a.terms, b.terms, operator.add, a.h_order))
 
 
 def _like(a: NCElement, b: NCElement, terms: Combination) -> NCElement:
@@ -312,7 +311,7 @@ def _tensor_join(a: tuple, b: tuple) -> tuple:
 
 
 def tensor_multiply(a: Combination, b: Combination, R: RelationSet) -> Combination:
-    return Combination.product(a, b, _tensor_join, lambda c: h_truncate_poly(c, R.h_order))
+    return Combination.product(a, b, _tensor_join, R.h_order)
 
 
 def tensor_reduce(a: Combination, R: RelationSet) -> Combination:
@@ -330,8 +329,8 @@ def tensor_reduce(a: Combination, R: RelationSet) -> Combination:
 
     out = Combination()
     for (lw, rw), c in a.items():
-        out.add_all(Combination.product(normal_form(lw), normal_form(rw), lambda wl, wr: (wl, wr),
-                                        lambda v: h_truncate_poly(c * v, R.h_order)))
+        left = {wl: c * v for wl, v in normal_form(lw).items()}
+        out.add_all(Combination.product(left, normal_form(rw), lambda wl, wr: (wl, wr), R.h_order))
     return out
 
 
@@ -442,12 +441,9 @@ def verify_quasiclassical(R: RelationSet, omega: PoissonStructure) -> rep.Verifi
     params = {"set": R.label, "n": omega.n}
     for (i, j) in sorted(R.tails):
         tail = commutator_normal_form(R, i, j)
-        order0 = LaurentPoly.zero()
-        order1 = LaurentPoly.zero()
-        for word, c in tail.terms.items():
-            cm = word_to_commutative(word)
-            order0 = order0 + c.coefficient(H, 0) * cm
-            order1 = order1 + c.coefficient(H, 1) * cm
+        cms = [(c, word_to_commutative(word)) for word, c in tail.terms.items()]
+        order0 = LaurentPoly.sum_of_products((c.coefficient(H, 0), cm) for c, cm in cms)
+        order1 = LaurentPoly.sum_of_products((c.coefficient(H, 1), cm) for c, cm in cms)
         if not order0.is_zero():
             return rep.failed("quasiclassical", (i, j),
                               f"h-free part {order0.render()}", **params)

@@ -230,15 +230,15 @@ def comp_inverse(x: TruncSeries, bound: int) -> TruncSeries:
     for j in range(2, bound + 1):
         partial = make((var,), (j,), inv_coeffs)
         # [u^j] of sum_{i>=2} c_i * partial^i depends only on lower inverse coeffs.
-        acc = LaurentPoly.zero()
+        pairs = []
         power = mul(partial, partial)
         for i in range(2, j + 1):
             ci = x.coeff((i,))
             if not ci.is_zero():
-                acc = acc + ci * power.coeff((j,))
+                pairs.append((ci, power.coeff((j,))))
             if i < j:
                 power = mul(power, partial)
-        bj = -(acc * c1_inv)
+        bj = -(LaurentPoly.sum_of_products(pairs) * c1_inv)
         if not bj.is_zero():
             inv_coeffs[(j,)] = bj
     return make((var,), (bound,), inv_coeffs)

@@ -18,6 +18,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from jetpoisson import bialgebra as ba
 from jetpoisson import density as dn
 from jetpoisson import poissonlie as pl

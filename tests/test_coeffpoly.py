@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,11 +161,17 @@ def test_kernel_matches_naive_reference():
     rng = random.Random(13)
     # 60 pairs with rational coefficients, then 30 integer-only pairs, whose
     # sums and differences take the kernel's integer add path
+    pairs = {False: [], True: []}
     for integer in (False,) * 60 + (True,) * 30:
         ra, rb = random_ref(rng, integer), random_ref(rng, integer)
         a, b = from_ref(ra), from_ref(rb)
         assert as_ref(a) == ra and as_ref(b) == rb
+        pairs[integer].append(((a, b), (ra, rb)))
         s = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        scaled = ref_mul(rb, {(0, 0, 0): s} if s else {})
+        assert as_ref(LaurentPoly.sum_of_products([(a, b), (b, s), (a, a)])) == \
+            ref_add(ref_add(ref_mul(ra, rb), scaled), ref_mul(ra, ra))
+        assert LaurentPoly.sum_of_products([(a, b), (-a, b)]).terms == {}
         assert as_ref(a + b) == ref_add(ra, rb)
         assert as_ref(a - b) == ref_add(ra, rb, -1)
         assert as_ref(-a) == ref_add({}, ra, -1)
@@ -192,6 +199,14 @@ def test_kernel_matches_naive_reference():
         bindings = {0: unit, 1: rb}
         got = a.substitute({ORACLE_VARS[p]: from_ref(r) for p, r in bindings.items()})
         assert as_ref(got) == ref_substitute(ra, bindings)
+    # the sum of the products of all pairs, against the naive sum(a * b)
+    for group in pairs.values():
+        want = {}
+        for _, (ra, rb) in group:
+            want = ref_add(want, ref_mul(ra, rb))
+        assert as_ref(LaurentPoly.sum_of_products(polys for polys, _ in group)) == want
+        assert LaurentPoly.sum_of_products(polys for polys, _ in group) == sum(
+            (a * b for (a, b), _ in group), LaurentPoly.zero())
 
 
 def test_degree_is_the_bound_drop_high_degree_keeps():
@@ -233,6 +248,12 @@ def test_exponents_outside_the_key_range_raise():
         lambda: x(1, -top).monomial_inverse(),
         lambda: x(1, -top).derivative(x_var(1)),
         lambda: x(2, top // 2) * x(3) * x(2, top // 2),
+        # a term pair out of range raises even when a later pair cancels it
+        lambda: LaurentPoly.sum_of_products([(x(1, top // 2), x(1, top // 2)),
+                                             (x(1, top // 2), -x(1, top // 2))]),
+        # and even when the h cap would drop it
+        lambda: Combination.product({0: x(1, top // 2) * LaurentPoly.var(param("h"))},
+                                    {0: x(1, top // 2)}, lambda ka, kb: 0, -1),
     ]
     for make in overflowing:
         with pytest.raises(ExponentOverflow):
@@ -430,13 +451,74 @@ def test_combination_accumulates_in_place():
     half = Combination.antisymmetric([((0, 1), 3)], Fraction(1, 2))
     assert half == {(0, 1): Fraction(3, 2), (1, 0): Fraction(-3, 2)}
 
-    # product joins keys, skips pairs joined to None, and maps each product
+    # product joins keys and skips pairs joined to None; a scale is folded
+    # into a factor first
     a = Combination({(1,): x(1), (2,): 1})
     b = Combination({(3,): x(2), (): 1})
     assert Combination.product(a, b, lambda ka, kb: ka + kb) == {
         (1, 3): x(1) * x(2), (1,): x(1), (2, 3): x(2), (2,): 1}
-    odd = Combination.product(a, b, lambda ka, kb: None if kb else ka, lambda v: v * 2)
+    odd = Combination.product(a.map(lambda v: v * 2), b, lambda ka, kb: None if kb else ka)
     assert odd == {(1,): 2 * x(1), (2,): 2}
+
+
+def _per_pair_product(a, b, join, h_order, seen, scale=None):
+    """The bilinear product as a loop over pairs: each product (times scale)
+    is h-truncated and added into the table at once.  Counts into ``seen``
+    the keys that cancel, the cancelled keys that come back and the terms
+    the truncation drops."""
+    from jetpoisson.quantum import h_truncate_poly
+
+    out, gone = Combination(), set()
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = join(ka, kb)
+            if key is None:
+                continue
+            c = ca * cb if scale is None else scale * (ca * cb)
+            if h_order is not None:
+                kept = h_truncate_poly(c, h_order)
+                seen["capped"] += len(c.terms) - len(kept.terms)
+                c = kept
+            had = key in out
+            out.add(key, c)
+            if had and key not in out:
+                seen["cancelled"] += 1
+                gone.add(key)
+            elif not had and key in out and key in gone:
+                seen["reappeared"] += 1
+    return out
+
+
+def test_product_matches_the_per_pair_loop():
+    h = LaurentPoly.var(param("h"))
+    rational = [1, -1, x(1), -x(1), h, -h, x(1) - h, Fraction(1, 2) * h * h,
+                Fraction(-1, 3) * x(2), h ** 3, x(1) * h - Fraction(2, 5)]
+    integer = [1, -1, 2, x(1), -x(1), h, -h, x(1) - h, h * h, -(h ** 3), x(2) + 3 * h]
+
+    def join(ka, kb):
+        # few output keys, so joins collide; some pairs join to None
+        return None if (ka * kb) % 7 == 6 else (ka + kb) % 4
+
+    rng = random.Random(41)
+    seen = Counter()
+    cases = 0
+    for pool in (rational, integer):
+        pool = [LaurentPoly.const(c) if isinstance(c, int) else c for c in pool]
+        for _ in range(150):
+            a, b = (Combination((rng.randrange(6), rng.choice(pool))
+                                for _ in range(rng.randint(2, 9))) for _ in range(2))
+            for h_order in (None, 0, 2, 4):
+                want = _per_pair_product(a, b, join, h_order, seen)
+                assert list(Combination.product(a, b, join, h_order).items()) == list(want.items())
+                cases += 1
+            # a scalar folded into the left factor first, as tensor_reduce does
+            c = rng.choice(pool) * rng.choice(pool)
+            left = {k: c * v for k, v in a.items()}
+            want = _per_pair_product(a, b, join, 2, seen, scale=c)
+            assert list(Combination.product(left, b, join, 2).items()) == list(want.items())
+    assert cases == 1200
+    # observed 121 / 62 / 12,778; the floors keep the sample from thinning out
+    assert seen["cancelled"] >= 110 and seen["reappeared"] >= 55 and seen["capped"] >= 12000, seen
 
 
 def test_power_and_division():

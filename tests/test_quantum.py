@@ -18,7 +18,7 @@ import pytest
 
 from jetpoisson import poissonlie as pl
 from jetpoisson import quantum as qt
-from jetpoisson.coeffpoly import Combination, LaurentPoly, param
+from jetpoisson.coeffpoly import Combination, LaurentPoly, param, poly
 
 
 def test_multiply_is_concatenation():
@@ -259,6 +259,36 @@ def test_delta_generator_printed_rows():
     assert d5[((5,), (1, 1, 1, 1, 1))] == one
     assert d5[((2,), (4, 1))] == one
     assert d5[((3,), (1, 3, 1))] == one
+
+
+def test_tensor_reduce_matches_the_per_pair_loop():
+    """tensor_reduce folds each table coefficient c into the left normal form
+    and lets the product cap h; the reference truncates every scaled pair
+    product, h_truncate_poly(c * v, order), and adds it in at once."""
+    R = qt.relation_set_catalog("R2", {"C": Fraction(2, 3)}).with_h_order(2)
+    h = LaurentPoly.var(qt.H)
+    coeffs = (1 + h, h * h * 3 - h, h * h, Fraction(-1, 2), 2 * h - 1)
+    draw = random.Random(53)
+    table = Combination()
+    for _ in range(12):
+        lw, rw = (tuple(draw.randint(1, 5) for _ in range(draw.randint(1, 3))) for _ in range(2))
+        table.add((lw, rw), poly(draw.choice(coeffs)))
+
+    def normal_form(word):
+        return qt.nc_reduce(qt.nc_word(R.n_gens, R.h_order, word), R).terms
+
+    want, dropped = Combination(), 0
+    for (lw, rw), c in table.items():
+        part = Combination()
+        for wl, cl in normal_form(lw).items():
+            for wr, cr in normal_form(rw).items():
+                full = c * (cl * cr)
+                kept = qt.h_truncate_poly(full, R.h_order)
+                dropped += len(full.terms) - len(kept.terms)
+                part.add((wl, wr), kept)
+        want.add_all(part)
+    assert list(qt.tensor_reduce(table, R).items()) == list(want.items())
+    assert dropped >= 150, dropped  # observed 158
 
 
 def test_delta_homomorphism_for_shipped_sets():
