@@ -20,11 +20,11 @@ Term maps, the raw layout behind `LaurentPoly.terms`:
   poly      = {monomial: rational}        no zero coefficients stored
 
 Every sum of products (a product itself, `LaurentPoly.sum_of_products`,
-`Combination.product`, `substitute`) runs through one multiply-accumulate
-loop, `_poly_mac`, into a raw accumulator of the same shape whose rationals
-are not reduced: den > 0 and no zero numerator is stored, so it is empty
-exactly when the sum is zero.  `_poly_finish` normalises each surviving term
-once, when the sum is complete.
+`Combination.product` and `masked_product`, `substitute`) runs through one
+multiply-accumulate loop, `_poly_mac`, into a raw accumulator of the same
+shape whose rationals are not reduced: den > 0 and no zero numerator is
+stored, so it is empty exactly when the sum is zero.  `_poly_finish`
+normalises each surviving term once, when the sum is complete.
 
 A monomial key packs its exponent vector into one Python int (Monagan and
 Pearce's packed exponent vectors), one signed 32-bit field per variable slot,
@@ -678,10 +678,31 @@ class Combination(dict):
                         raw[key] = acc
                 elif not _poly_mac(acc, pa, cb.terms, cap):
                     del raw[key]
-        out = Combination()
-        for key, acc in raw.items():
-            out[key] = LaurentPoly(_poly_finish(acc))
-        return out
+        return _finish_all(raw)
+
+    @staticmethod
+    def masked_product(a: Mapping, b: Mapping, top: int) -> "Combination":
+        """The bilinear product of two combinations keyed by ints: the sum of
+        ca * cb at ka + kb over the pairs whose key sum has no bit of ``top``
+        set.  The caller packs its keys so that a set bit marks a pair to
+        drop (`series.mul`), so a pair costs one addition and one mask.  Sums
+        accumulate, cancel and keep their slots as in ``product``."""
+        bs = [(kb, cb.terms) for kb, cb in b.items()]
+        raw: dict = {}
+        for ka, ca in a.items():
+            pa = ca.terms
+            for kb, pb in bs:
+                key = ka + kb
+                if key & top:
+                    continue
+                acc = raw.get(key)
+                if acc is None:
+                    acc = _poly_mac({}, pa, pb)
+                    if acc:
+                        raw[key] = acc
+                elif not _poly_mac(acc, pa, pb):
+                    del raw[key]
+        return _finish_all(raw)
 
     @staticmethod
     def antisymmetric(pairs, scale=None) -> "Combination":
@@ -697,6 +718,14 @@ class Combination(dict):
             out.add((i, j), c)
             out.add((j, i), -c)
         return out
+
+
+def _finish_all(raw: dict) -> Combination:
+    """The combination of raw accumulators that are all nonzero, in their order."""
+    out = Combination()
+    for key, acc in raw.items():
+        out[key] = LaurentPoly(_poly_finish(acc))
+    return out
 
 
 def compositions(total: int, parts: int):

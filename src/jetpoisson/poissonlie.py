@@ -291,23 +291,34 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
     checked = skipped = 0
     indices = range(lo, top + 1)
     params = {"n": omega.n, "start": omega.start_index, "check_max": top}
+    gradients: dict = {}
+
+    def gradient(b, c):
+        """The (i, d{b, c}/dx_i) whose derivative is nonzero, for b < c, once
+        per bracket."""
+        grad = gradients.get((b, c))
+        if grad is None:
+            target = omega.bracket(b, c)
+            grad = gradients[(b, c)] = []
+            for v in target.variables():
+                if v.kind == omega.coord_kind:
+                    dv = target.derivative(v)
+                    if not dv.is_zero():
+                        grad.append((v.index, dv))
+        return grad
+
     for (j, k, l) in itertools.combinations(indices, 3):
         ok = True
         pairs = []
-        for a, bc in ((j, (k, l)), (k, (l, j)), (l, (j, k))):
-            b, c = bc
-            target = omega.bracket(b, c)
-            for v in target.variables():
-                if v.kind != omega.coord_kind:
-                    continue
-                i = v.index
-                dv = target.derivative(v)
-                if dv.is_zero() or i == a:
+        # {l, j} = -{j, l}, so its term {i, k} d{l, j}/dx_i is {k, i} d{j, l}/dx_i
+        for a, (b, c), flip in ((j, (k, l), False), (k, (j, l), True), (l, (j, k), False)):
+            for i, dv in gradient(b, c):
+                if i == a:
                     continue
                 if max(i, a) > omega.n:
                     ok = False
                     break
-                pairs.append((omega.bracket(i, a), dv))
+                pairs.append((omega.bracket(a, i) if flip else omega.bracket(i, a), dv))
             if not ok:
                 break
         if not ok:

@@ -3,6 +3,11 @@
 A series carries its own per-variable truncation bounds; mixed-bound
 arithmetic truncates to the minimum, so precision loss is always explicit.
 All operations are exact on the retained coefficients.
+
+A product packs each exponent tuple into one int, a small field per formal
+variable, so that testing a pair of terms against the bounds is one
+addition and one mask (`mul`).  Every bound and exponent therefore lies
+below ``2**(_FIELD - 2)``; `make` rejects any other with `SeriesOverflow`.
 """
 
 from __future__ import annotations
@@ -36,6 +41,16 @@ class NonNilpotentConstantTerm(ValueError):
     pass
 
 
+class SeriesOverflow(OverflowError):
+    """A bound or exponent past what a packed exponent field holds."""
+
+
+_FIELD = 16                     # bits per formal variable in a packed exponent
+_MASK = (1 << _FIELD) - 1
+_TOP = 1 << (_FIELD - 1)        # the bit a field sets when a pair passes its bound
+_LIMIT = 1 << (_FIELD - 2)      # bounds and exponents lie below this
+
+
 @dataclass(frozen=True)
 class TruncSeries:
     vars: tuple[str, ...]
@@ -43,9 +58,10 @@ class TruncSeries:
     coeffs: Combination  # exponent tuple -> coefficient
 
     def coeff(self, exps) -> LaurentPoly:
-        if isinstance(exps, int):
-            exps = (exps,)
-        return self.coeffs[tuple(exps)]
+        exps = (exps,) if isinstance(exps, int) else tuple(exps)
+        if len(exps) != len(self.vars):
+            raise VarMismatch(f"exponents {exps} for variables {self.vars}")
+        return self.coeffs[exps]
 
     def constant_coeff(self) -> LaurentPoly:
         return self.coeff((0,) * len(self.vars))
@@ -72,24 +88,32 @@ class TruncSeries:
 
 
 def make(vars: tuple[str, ...], bounds: tuple[int, ...], coeffs: Mapping) -> TruncSeries:
-    vars = tuple(vars)
+    vars, bounds = tuple(vars), tuple(bounds)
     if tuple(sorted(vars, key=FORMAL_VARS.index)) != vars:
         raise VarMismatch(f"formal variables out of canonical order: {vars}")
+    if len(bounds) != len(vars):
+        raise VarMismatch(f"bounds {bounds} for variables {vars}")
+    if any(b >= _LIMIT for b in bounds):
+        raise SeriesOverflow(f"bound in {bounds} not below {_LIMIT}")
     clean = Combination()
     for exps, c in coeffs.items():
         exps = tuple(exps)
+        if len(exps) != len(vars):
+            raise VarMismatch(f"exponents {exps} for variables {vars}")
         c = poly(c)
         if c.is_zero():
             continue
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent in series")
-        if all(e <= b for e, b in zip(exps, bounds)):
+        if all(0 <= e <= b for e, b in zip(exps, bounds)):
             clean[exps] = c
-    return TruncSeries(vars, tuple(bounds), clean)
+        elif min(exps) < 0:
+            raise ValueError("negative exponent in series")
+        elif max(exps) >= _LIMIT:
+            raise SeriesOverflow(f"exponent in {exps} not below {_LIMIT}")
+    return TruncSeries(vars, bounds, clean)
 
 
 def zero(vars, bounds) -> TruncSeries:
-    return TruncSeries(tuple(vars), tuple(bounds), Combination())
+    return make(vars, bounds, {})
 
 
 def const(value, vars, bounds) -> TruncSeries:
@@ -138,14 +162,31 @@ def scale(a: TruncSeries, c) -> TruncSeries:
     return TruncSeries(a.vars, a.bounds, a.coeffs.map(lambda p: p * c))
 
 
+def _pack(exps) -> int:
+    key = 0
+    for e in reversed(exps):
+        key = key << _FIELD | e
+    return key
+
+
 def mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """The truncated product.  Each exponent tuple is packed once, a's with a
+    slack of _TOP - 1 - bound in each field, so that a field of the sum of two
+    packed keys sets its _TOP bit exactly when the exponents pass the bound.
+    Exponents and bounds below _LIMIT never carry into the next field, and a
+    negative bound leaves one factor empty, so its slack meets no pair."""
     bounds = _common(a, b)
-
-    def join(ea, eb):
-        exps = tuple(x + y for x, y in zip(ea, eb))
-        return None if any(e > bd for e, bd in zip(exps, bounds)) else exps
-
-    return TruncSeries(a.vars, bounds, Combination.product(a.coeffs, b.coeffs, join))
+    slack = top = 0
+    for i, bd in enumerate(bounds):
+        slack |= (_TOP - 1 - bd) << (_FIELD * i)
+        top |= _TOP << (_FIELD * i)
+    pa = {_pack(e) + slack: c for e, c in a.coeffs.items()}
+    pb = {_pack(e): c for e, c in b.coeffs.items()}
+    out = Combination()
+    for key, c in Combination.masked_product(pa, pb, top).items():
+        key -= slack
+        out[tuple(key >> (_FIELD * i) & _MASK for i in range(len(bounds)))] = c
+    return TruncSeries(a.vars, bounds, out)
 
 
 def product(*factors: TruncSeries) -> TruncSeries:

@@ -1,9 +1,13 @@
 """Truncated series: product, composition, reversion, exp, binomial powers."""
 
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from jetpoisson import series as ts
-from jetpoisson.coeffpoly import LaurentPoly, param, x_var, y_var
+from jetpoisson.coeffpoly import Combination, LaurentPoly, param, x_var, y_var
 
 
 def xs(n, letter_var=x_var):
@@ -141,3 +145,101 @@ def test_mixed_bounds_take_minimum():
     assert ts.mul(a, b).bounds == (2,)
     with pytest.raises(ts.VarMismatch):
         ts.mul(a, ts.make(("v",), (2,), {}))
+
+
+def test_mismatched_lengths_are_rejected():
+    # (1,) and (1, 0) would both render as u^1
+    with pytest.raises(ts.VarMismatch):
+        ts.make(("u", "v"), (3, 3), {(1,): 1, (1, 0): 2})
+    with pytest.raises(ts.VarMismatch):
+        ts.make(("u",), (3, 4), {(1,): 1})
+    with pytest.raises(ts.VarMismatch):
+        ts.zero(("u", "v"), (3,))
+    s = ts.make(("u", "v"), (3, 3), {(1, 0): 2})
+    assert s.coeff((1, 0)) == LaurentPoly.const(2)
+    for exps in ((1,), 1, (1, 0, 0)):
+        with pytest.raises(ts.VarMismatch):
+            s.coeff(exps)
+    assert ts.formal_var("u", 3).coeff(1) == LaurentPoly.one()
+
+
+def test_bounds_and_exponents_past_the_packed_field_are_rejected():
+    limit = ts._LIMIT
+    assert ts.make(("u",), (limit - 1,), {(limit - 1,): 1}).coeff(limit - 1) == LaurentPoly.one()
+    with pytest.raises(ts.SeriesOverflow):
+        ts.make(("u",), (limit,), {})
+    with pytest.raises(ts.SeriesOverflow):
+        ts.zero(("u", "v"), (2, limit))
+    # an exponent that would pass the field is an error, not a truncation
+    with pytest.raises(ts.SeriesOverflow):
+        ts.make(("u", "v"), (2, 2), {(0, limit): 1})
+    with pytest.raises(ValueError):
+        ts.make(("u",), (2,), {(-1,): 1})
+    # below the field an exponent past the bound is truncated, as before
+    assert ts.make(("u",), (2,), {(3,): 1, (1,): 1}).coeffs == {(1,): LaurentPoly.one()}
+    # negative bounds keep nothing and need no field
+    assert ts.make(("u",), (-2,), {(0,): 1}).is_zero()
+
+
+def _all_pairs_product(a, b, seen):
+    """The product as a loop over all pairs of terms: exponents joined into
+    a tuple, the pair dropped when a sum passes the common bound, the
+    product added into the table at once.  Counts into ``seen`` the pairs
+    dropped, the keys that cancel and the cancelled keys that come back."""
+    bounds = tuple(min(x, y) for x, y in zip(a.bounds, b.bounds))
+    out, gone = Combination(), set()
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if any(e > bd for e, bd in zip(exps, bounds)):
+                seen["pruned"] += 1
+                continue
+            had = exps in out
+            out.add(exps, ca * cb)
+            if had and exps not in out:
+                seen["cancelled"] += 1
+                gone.add(exps)
+            elif not had and exps in gone:
+                seen["reappeared"] += 1
+    return bounds, out
+
+
+def test_mul_matches_the_all_pairs_product():
+    x1, x2 = LaurentPoly.var(x_var(1)), LaurentPoly.var(x_var(2))
+    rational = [1, -1, Fraction(1, 2), Fraction(-2, 3), x1 - Fraction(1, 3),
+                Fraction(-2, 3) * x2, x1 * x2]
+    integer = [1, -1, 2, x1 + 1, x2 - x1, -x2, x1 * x2]
+    units = [1, -1]  # equal products, so that a cancelled key comes back
+    rng = random.Random(29)
+    seen = Counter()
+    cases = 0
+
+    def series(space, pool):
+        bounds = tuple(rng.choice((0, 1, 2, 3, 4)) for _ in space)
+        terms = {tuple(rng.randint(0, bd) for bd in bounds): rng.choice(pool)
+                 for _ in range(rng.randint(2, 10))}
+        s = ts.make(space, bounds, terms)
+        if rng.random() < 0.1:
+            # d/du of a bound-0 variable leaves bound -1
+            s = ts.derivative(ts.make(space, (0,) + bounds[1:], terms), space[0])
+        return s
+
+    for pool in (rational, integer, units):
+        for nvars in (1, 2, 3):
+            space = ts.FORMAL_VARS[:nvars]
+            for _ in range(50):
+                a, b = series(space, pool), series(space, pool)
+                if rng.random() < 0.5:
+                    # a(u) * a(-u): its odd coefficients cancel pair by pair
+                    b = ts.make(space, b.bounds, {e: c * (-1) ** sum(e)
+                                                  for e, c in a.coeffs.items()})
+                bounds, want = _all_pairs_product(a, b, seen)
+                got = ts.mul(a, b)
+                assert got.bounds == bounds
+                assert list(got.coeffs.items()) == list(want.items()), (a, b)
+                seen["negative"] += min(bounds) < 0
+                cases += 1
+    assert cases == 450
+    # observed 3,080 / 159 / 24 / 93; the floors keep the sample from thinning out
+    assert (seen["pruned"] >= 2800 and seen["cancelled"] >= 140 and seen["reappeared"] >= 20
+            and seen["negative"] >= 80), seen
