@@ -509,15 +509,3 @@ def sl2_pair() -> tuple[WedgeCochain, WedgeCochain]:
         {-1: [(1, -1, 2)], 0: [(0, 1, -2)], 1: []}, -1, 1, max_index=1
     )
     return first, second
-
-
-def explicit_families(kind: str, N: int, d: int = 1, lam=None):
-    if kind == "G_inf_539":
-        return family_jet_monomial(d, N)
-    if kind == "G_inf_540":
-        return family_jet_extended(d, lam, N)
-    if kind == "Witt_610":
-        return family_witt_linear(N)
-    if kind == "sl2_pair":
-        return sl2_pair()
-    raise ValueError(f"unknown family {kind}")

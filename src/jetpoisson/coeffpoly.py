@@ -501,13 +501,16 @@ class LaurentPoly:
 
         Raises SubstituteSingular when a variable occurring with a negative
         exponent is bound to anything but an invertible monomial.
+
+        A term's bound powers are multiplied raw; the last factor (the leftover
+        monomial of unbound variables, if any) goes straight into the sum.  Each
+        key is range-checked where a product of normalised polynomials checks it.
         """
         by_code = {v.code: _coerce(p) for v, p in bindings.items()}
         acc: dict = {}
-        pow_cache: dict[tuple[int, int], LaurentPoly] = {}
+        pow_cache: dict[tuple[int, int], dict] = {}
         for key, (num, den) in self.terms.items():
-            factor = LaurentPoly({0: (num, den)})
-            leftover = key
+            powers, leftover = [], key
             for vc, ve in _unpack(key):
                 repl = by_code.get(vc)
                 if repl is None:
@@ -520,9 +523,14 @@ class LaurentPoly:
                         powed = repl.monomial_inverse() ** (-ve)
                     else:
                         powed = repl ** ve
-                    pow_cache[ck] = powed
-                factor = factor * powed
-            _poly_mac(acc, {leftover: (1, 1)}, factor.terms)
+                    powed = pow_cache[ck] = powed.terms
+                powers.append(powed)
+            if leftover or not powers:
+                powers.append({leftover: (1, 1)})
+            factor = {0: (num, den)}
+            for powed in powers[:-1]:
+                factor = _poly_mac({}, factor, powed)
+            _poly_mac(acc, factor, powers[-1])
         return LaurentPoly(_poly_finish(acc))
 
     def degree(self, v: Variable) -> float:

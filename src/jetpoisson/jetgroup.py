@@ -158,10 +158,6 @@ def left_invariant_field(k: int, n: int) -> VectorField:
     ))
 
 
-def left_invariant_fields(n: int) -> list[VectorField]:
-    return [left_invariant_field(k, n) for k in range(1, n + 1)]
-
-
 def vf_commutator(a: VectorField, b: VectorField) -> VectorField:
     """[a, b]_j = sum_i a_i d(b_j)/dx_i - b_i d(a_j)/dx_i."""
     comps = Combination()

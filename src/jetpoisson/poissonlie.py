@@ -181,9 +181,13 @@ class PoissonStructure:
         )
 
     def perturbed(self, i: int, j: int, delta: LaurentPoly) -> "PoissonStructure":
-        """Deliberately corrupted copy; used by the negative-control tests."""
+        """Deliberately corrupted copy with {x_i, x_j} += delta; used by the
+        negative-control tests.  The table stores i < j, so i > j adds -delta
+        at (j, i); the diagonal bracket is zero and cannot be corrupted."""
+        if i == j:
+            raise ValueError(f"cannot perturb the diagonal bracket ({i},{j})")
         omega = Combination(self.omega)
-        omega.add((i, j), delta)
+        omega.add((min(i, j), max(i, j)), delta if i < j else -delta)
         return PoissonStructure(self.n, self.start_index, omega, self.coord_kind,
                                 dict(self.meta) | {"perturbed": f"({i},{j})"})
 
@@ -351,29 +355,17 @@ def verify_multiplicativity(omega: PoissonStructure,
 
 def _verify_mult_origin_fixing(omega, check_max):
     n = omega.n if check_max is None else min(check_max, omega.n)
-    x = jg.symbolic_jet(n, "x")
     y = jg.symbolic_jet(n, "y")
-    z = jg.jet_compose(x, y)
+    z = jg.jet_compose(jg.symbolic_jet(n, "x"), y)
     to_y = {Variable(omega.coord_kind, i): y.coord(i) for i in range(1, n + 1)}
     to_z = {Variable(omega.coord_kind, i): z.coord(i) for i in range(1, n + 1)}
-    omega_y = {pair: p.substitute(to_y) for pair, p in omega.omega.items()}
-    dzx = Combination(((i, k), z.coord(i).derivative(Variable(VarKind.GROUP_X, k)))
-                      for i in range(1, n + 1) for k in range(1, i + 1))
-    dzy = Combination(((i, k), z.coord(i).derivative(Variable(VarKind.GROUP_Y, k)))
-                      for i in range(1, n + 1) for k in range(1, i + 1))
-    params = {"n": n, "start": 1}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = omega.bracket(i, j).substitute(to_z)
-            rhs = LaurentPoly.sum_of_products(
-                pair for (k, l), w in omega.omega.items() if l <= n
-                for pair in ((w, dzx[(i, k)] * dzx[(j, l)] - dzx[(i, l)] * dzx[(j, k)]),
-                             (omega_y[(k, l)],
-                              dzy[(i, k)] * dzy[(j, l)] - dzy[(i, l)] * dzy[(j, k)])))
-            residual = lhs - rhs
-            if not residual.is_zero():
-                return rep.failed("multiplicativity", (i, j), residual.render(), **params)
-    return rep.passed("multiplicativity", **params)
+    table = {kl: w for kl, w in omega.omega.items() if max(kl) <= n}
+    return _congruence_check(
+        "multiplicativity", {"n": n, "start": 1}, 1, n,
+        lambda i, j: omega.bracket(i, j).substitute(to_z),
+        [(_jacobian(z, VarKind.GROUP_X, range(1, n + 1)), table),
+         (_jacobian(z, VarKind.GROUP_Y, range(1, n + 1)),
+          {kl: w.substitute(to_y) for kl, w in table.items()})])
 
 
 def _verify_mult_extended(omega, m, check_max):
@@ -386,42 +378,63 @@ def _verify_mult_extended(omega, m, check_max):
         raise ValueError("extended-model multiplicativity needs the generating function")
     M = m + 1
     # The translated sums reach coordinate pairs up to K + M (the composition
-    # depends on x_k for k <= i + M), so the table is built that wide.
+    # depends on x_k for k <= i + M), so the table is built that wide; z is
+    # exact through K + 1.
     wide = build_omega(phi, K + M, 0)
-    nx = K + M + 1
-    x = jg.symbolic_jet(nx, "x", 0, nilpotency=M)
     y = jg.symbolic_jet(K + 1, "y", 0, nilpotency=M)
-    z = jg.jet_compose(x, y)  # exact coords through nx - M = K + 1
+    z = jg.jet_compose(jg.symbolic_jet(K + M + 1, "x", 0, nilpotency=M), y)
     to_y = {Variable(wide.coord_kind, i): y.coord(i) for i in range(0, K + 2)}
     to_z = {Variable(wide.coord_kind, i): z.coord(i) for i in range(0, K + 2)}
-    params = {"n": K, "start": 0, "nilpotency": m}
+    # z_i depends on y_k only for k <= i, so the y part needs no wider table
+    return _congruence_check(
+        "multiplicativity", {"n": K, "start": 0, "nilpotency": m}, 0, K,
+        lambda i, j: wide.bracket(i, j).substitute(to_z),
+        [(_jacobian(z, VarKind.GROUP_X, range(0, K + M + 1)), wide.omega),
+         (_jacobian(z, VarKind.GROUP_Y, range(0, K + 1)),
+          {kl: w.substitute(to_y) for kl, w in wide.omega.items() if max(kl) <= K})],
+        reduce=lambda p: jg.nilpotent_reduce(p, m))
 
-    def translated(i, j):
-        """The (bracket, Jacobian minor) pairs of both translated sums."""
-        for (k, l), w in wide.omega.items():
-            dik = z.coord(i).derivative(Variable(VarKind.GROUP_X, k))
-            dil = z.coord(i).derivative(Variable(VarKind.GROUP_X, l))
-            djk = z.coord(j).derivative(Variable(VarKind.GROUP_X, k))
-            djl = z.coord(j).derivative(Variable(VarKind.GROUP_X, l))
-            if not (dik.is_zero() and dil.is_zero() and djk.is_zero() and djl.is_zero()):
-                yield w, dik * djl - dil * djk
-            if k > i and k > j:
-                continue  # the factor-two derivatives below vanish
-            dik = z.coord(i).derivative(Variable(VarKind.GROUP_Y, k))
-            dil = z.coord(i).derivative(Variable(VarKind.GROUP_Y, l))
-            djk = z.coord(j).derivative(Variable(VarKind.GROUP_Y, k))
-            djl = z.coord(j).derivative(Variable(VarKind.GROUP_Y, l))
-            if not (dik.is_zero() and dil.is_zero() and djk.is_zero() and djl.is_zero()):
-                yield w.substitute(to_y), dik * djl - dil * djk
 
-    for i in range(0, K + 1):
-        for j in range(i + 1, K + 1):
-            lhs = wide.bracket(i, j).substitute(to_z)
-            rhs = LaurentPoly.sum_of_products(translated(i, j))
-            residual = jg.nilpotent_reduce(lhs - rhs, m)
+def _jacobian(jet, kind, columns) -> dict:
+    """Rows {i: {k: d z_i / d v_k}} of the nonzero partial derivatives of a
+    jet's coordinates z_i by the variables v_k of one kind."""
+    return {i: {k: d for k in columns if (d := jet.coord(i).derivative(Variable(kind, k)))}
+            for i in jet.indices()}
+
+
+def _congruence_check(name, params, lo, hi, lhs, parts, sign=-1, reduce=None):
+    """lhs(i, j) + sign * sum over the parts of (J W J^T)_ij = 0 for each pair
+    lo <= i < j <= hi in order; the first pair whose residual (after
+    ``reduce``) is not zero fails.  A part is a Jacobian J from `_jacobian`
+    and a table {(k, l): w_kl} with antisymmetric completion W, read in place,
+    so (J W J^T)_ij = sum of w_kl (J_ik J_jl - J_il J_jk).  The row J_i W is
+    formed once per i and held alone; a residual is one sum of products."""
+    columns = []
+    for J, table in parts:
+        W: dict = {}  # column l of W: the (k, w_kl) and the (k, w_lk) in the table
+        for (k, l), w in table.items():
+            W.setdefault(l, ([], []))[0].append((k, w))
+            W.setdefault(k, ([], []))[1].append((l, w))
+        columns.append((J, W))
+    for i in range(lo, hi):  # the last i pairs with no j
+        rows = []
+        for J, W in columns:
+            Ji, U = J[i], {}
+            for l, sides in W.items():
+                plus, minus = (LaurentPoly.sum_of_products((Ji[k], w) for k, w in side if k in Ji)
+                               for side in sides)
+                if plus != minus:
+                    U[l] = plus - minus if sign > 0 else minus - plus
+            rows.append((J, U))
+        for j in range(i + 1, hi + 1):
+            residual = LaurentPoly.sum_of_products(
+                [(lhs(i, j), LaurentPoly.one())]
+                + [(U[l], d) for J, U in rows for l, d in J[j].items() if l in U])
+            if reduce is not None:
+                residual = reduce(residual)
             if not residual.is_zero():
-                return rep.failed("multiplicativity", (i, j), residual.render(), **params)
-    return rep.passed("multiplicativity", **params)
+                return rep.failed(name, (i, j), residual.render(), **params)
+    return rep.passed(name, **params)
 
 
 def phi_equation_series(phi: PhiFunction, bound: int) -> ts.TruncSeries:
@@ -489,19 +502,9 @@ def verify_inversion_antipoisson(omega: PoissonStructure) -> rep.VerificationRep
     if omega.start_index != 1:
         raise jg.NotInvertible("inversion check needs the origin-fixing model")
     n = omega.n
-    x = jg.symbolic_jet(n, "x")
-    xbar = jg.jet_inverse(x)
+    xbar = jg.jet_inverse(jg.symbolic_jet(n, "x"))
     to_inv = {Variable(omega.coord_kind, i): xbar.coord(i) for i in range(1, n + 1)}
-    dinv = {(a, k): xbar.coord(a).derivative(Variable(VarKind.GROUP_X, k))
-            for a in range(1, n + 1) for k in range(1, n + 1)}
-    params = {"n": n, "start": 1}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            lhs = omega.bracket(a, b).substitute(to_inv)
-            rhs = LaurentPoly.sum_of_products(
-                (w, dinv[(a, k)] * dinv[(b, l)] - dinv[(a, l)] * dinv[(b, k)])
-                for (k, l), w in omega.omega.items())
-            residual = lhs + rhs
-            if not residual.is_zero():
-                return rep.failed("inversion-anti-poisson", (a, b), residual.render(), **params)
-    return rep.passed("inversion-anti-poisson", **params)
+    return _congruence_check(
+        "inversion-anti-poisson", {"n": n, "start": 1}, 1, n,
+        lambda a, b: omega.bracket(a, b).substitute(to_inv),
+        [(_jacobian(xbar, VarKind.GROUP_X, range(1, n + 1)), omega.omega)], sign=1)

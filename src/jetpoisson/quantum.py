@@ -117,17 +117,8 @@ def nc_word(n_gens: int, h_order: int, word, coeff=1) -> NCElement:
     return nc_make(n_gens, h_order, {tuple(word): coeff})
 
 
-def nc_add(a: NCElement, b: NCElement) -> NCElement:
-    return _like(a, b, a.terms.copy().add_all(b.terms))
-
-
 def nc_sub(a: NCElement, b: NCElement) -> NCElement:
     return _like(a, b, a.terms.copy().add_all(b.terms, -1))
-
-
-def nc_scale(a: NCElement, c) -> NCElement:
-    c = h_truncate_poly(poly(c), a.h_order)
-    return NCElement(a.n_gens, a.h_order, a.terms.map(lambda v: h_truncate_poly(v * c, a.h_order)))
 
 
 def nc_multiply(a: NCElement, b: NCElement) -> NCElement:

@@ -88,13 +88,10 @@ class TruncSeries:
 
 
 def make(vars: tuple[str, ...], bounds: tuple[int, ...], coeffs: Mapping) -> TruncSeries:
-    vars, bounds = tuple(vars), tuple(bounds)
+    vars = tuple(vars)
     if tuple(sorted(vars, key=FORMAL_VARS.index)) != vars:
         raise VarMismatch(f"formal variables out of canonical order: {vars}")
-    if len(bounds) != len(vars):
-        raise VarMismatch(f"bounds {bounds} for variables {vars}")
-    if any(b >= _LIMIT for b in bounds):
-        raise SeriesOverflow(f"bound in {bounds} not below {_LIMIT}")
+    bounds = _checked_bounds(vars, bounds)
     clean = Combination()
     for exps, c in coeffs.items():
         exps = tuple(exps)
@@ -110,6 +107,27 @@ def make(vars: tuple[str, ...], bounds: tuple[int, ...], coeffs: Mapping) -> Tru
         elif max(exps) >= _LIMIT:
             raise SeriesOverflow(f"exponent in {exps} not below {_LIMIT}")
     return TruncSeries(vars, bounds, clean)
+
+
+def _checked_bounds(vars, bounds) -> tuple:
+    bounds = tuple(bounds)
+    if len(bounds) != len(vars):
+        raise VarMismatch(f"bounds {bounds} for variables {vars}")
+    if any(b >= _LIMIT for b in bounds):
+        raise SeriesOverflow(f"bound in {bounds} not below {_LIMIT}")
+    return bounds
+
+
+def _within(vars, bounds, coeffs: Combination, *olds) -> TruncSeries:
+    """A series of coefficients whose keys `make` checked, each within one of
+    the bounds ``olds``; only when a bound shrank are keys past it dropped."""
+    if any(b < o for old in olds for b, o in zip(bounds, old)):
+        kept = Combination()
+        for exps, c in coeffs.items():
+            if all(e <= b for e, b in zip(exps, bounds)):
+                kept[exps] = c
+        coeffs = kept
+    return TruncSeries(vars, bounds, coeffs)
 
 
 def zero(vars, bounds) -> TruncSeries:
@@ -150,11 +168,13 @@ def _common(a: TruncSeries, b: TruncSeries):
 
 
 def add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return make(a.vars, _common(a, b), a.coeffs.copy().add_all(b.coeffs))
+    return _within(a.vars, _common(a, b), a.coeffs.copy().add_all(b.coeffs),
+                   a.bounds, b.bounds)
 
 
 def sub(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return make(a.vars, _common(a, b), a.coeffs.copy().add_all(b.coeffs, -1))
+    return _within(a.vars, _common(a, b), a.coeffs.copy().add_all(b.coeffs, -1),
+                   a.bounds, b.bounds)
 
 
 def scale(a: TruncSeries, c) -> TruncSeries:
@@ -196,24 +216,18 @@ def product(*factors: TruncSeries) -> TruncSeries:
     return out
 
 
-def series_power(a: TruncSeries, n: int) -> TruncSeries:
-    out = const(1, a.vars, a.bounds)
-    for _ in range(n):
-        out = mul(out, a)
-    return out
-
-
 def derivative(a: TruncSeries, var: str) -> TruncSeries:
     if var not in a.vars:
         raise VarMismatch(f"{var} not a variable of the series")
     pos = a.vars.index(var)
     bounds = tuple(b - 1 if i == pos else b for i, b in enumerate(a.bounds))
-    coeffs = {}
+    # e <= bound gives e - 1 <= bound - 1, and lowering one exponent is one-to-one
+    coeffs = Combination()
     for exps, c in a.coeffs.items():
         e = exps[pos]
         if e:
             coeffs[exps[:pos] + (e - 1,) + exps[pos + 1:]] = c * e
-    return make(a.vars, bounds, coeffs)
+    return TruncSeries(a.vars, bounds, coeffs)
 
 
 _NILPOTENT_KINDS = (VarKind.GROUP_X, VarKind.GROUP_Y, VarKind.GROUP_Z)
@@ -327,7 +341,7 @@ def binomial_power(base: TruncSeries, exponent, bound: int | None = None) -> Tru
 
 
 def truncate(a: TruncSeries, bounds: tuple[int, ...]) -> TruncSeries:
-    return make(a.vars, bounds, a.coeffs)
+    return _within(a.vars, _checked_bounds(a.vars, bounds), a.coeffs, a.bounds)
 
 
 def subst(s: TruncSeries, replacements: Mapping[str, TruncSeries]) -> TruncSeries:

@@ -162,6 +162,7 @@ def test_kernel_matches_naive_reference():
     # 60 pairs with rational coefficients, then 30 integer-only pairs, whose
     # sums and differences take the kernel's integer add path
     pairs = {False: [], True: []}
+    substituted = Counter()  # by whether every variable is bound
     for integer in (False,) * 60 + (True,) * 30:
         ra, rb = random_ref(rng, integer), random_ref(rng, integer)
         a, b = from_ref(ra), from_ref(rb)
@@ -196,9 +197,13 @@ def test_kernel_matches_naive_reference():
                 with pytest.raises(SubstituteSingular):
                     term.monomial_inverse()
         unit = {(rng.choice((-2, -1, 1, 2)), 0, 0): Fraction(rng.randint(1, 5), rng.randint(1, 5))}
-        bindings = {0: unit, 1: rb}
-        got = a.substitute({ORACLE_VARS[p]: from_ref(r) for p, r in bindings.items()})
-        assert as_ref(got) == ref_substitute(ra, bindings)
+        # several variables at once, into polynomials in the same variables;
+        # x1 only to a unit, since it occurs with negative exponents
+        third = random_ref(rng, integer)
+        for bindings in ({0: unit, 1: rb}, {0: unit, 1: rb, 2: third}, {2: third}, {1: ra, 2: rb}):
+            got = a.substitute({ORACLE_VARS[p]: from_ref(r) for p, r in bindings.items()})
+            assert as_ref(got) == ref_substitute(ra, bindings)
+            substituted[len(bindings) == 3] += 1
     # the sum of the products of all pairs, against the naive sum(a * b)
     for group in pairs.values():
         want = {}
@@ -207,6 +212,24 @@ def test_kernel_matches_naive_reference():
         assert as_ref(LaurentPoly.sum_of_products(polys for polys, _ in group)) == want
         assert LaurentPoly.sum_of_products(polys for polys, _ in group) == sum(
             (a * b for (a, b), _ in group), LaurentPoly.zero())
+    assert substituted == {False: 270, True: 90}
+    # exponents past 2, with unbound variables left over in some terms
+    ra = {(1, 3, 4): Fraction(2, 3), (-2, 0, 3): Fraction(5), (0, 4, 0): Fraction(-1, 2)}
+    for bindings in ({1: {(1, 1, 0): Fraction(3, 4), (0, 0, 2): Fraction(1)}},
+                     {1: {(0, 0, 1): Fraction(-2)}, 2: {(-1, 2, 0): Fraction(1, 3)}}):
+        got = from_ref(ra).substitute({ORACLE_VARS[p]: from_ref(r) for p, r in bindings.items()})
+        assert as_ref(got) == ref_substitute(ra, bindings)
+    # every key of the product of the bound powers is range-checked, also one
+    # that a later factor or the leftover would bring back into range
+    half = 2**29
+    x1_to = {e: LaurentPoly.var(x_var(1), e) for e in (half, -5)}
+    term = LaurentPoly.var(x_var(2)) * LaurentPoly.var(x_var(3)) * LaurentPoly.var(y_var(2))
+    assert term.substitute({x_var(2): x1_to[half], x_var(3): x1_to[-5],
+                            y_var(2): x1_to[half]}) == LaurentPoly.var(x_var(1), 2 * half - 5)
+    with pytest.raises(ExponentOverflow):
+        term.substitute({x_var(2): x1_to[half], x_var(3): x1_to[half], y_var(2): x1_to[-5]})
+    with pytest.raises(ExponentOverflow):
+        (term * x(1, -5)).substitute({x_var(2): x1_to[half], x_var(3): x1_to[half]})
 
 
 def test_degree_is_the_bound_drop_high_degree_keeps():

@@ -243,3 +243,54 @@ def test_mul_matches_the_all_pairs_product():
     # observed 3,080 / 159 / 24 / 93; the floors keep the sample from thinning out
     assert (seen["pruned"] >= 2800 and seen["cancelled"] >= 140 and seen["reappeared"] >= 20
             and seen["negative"] >= 80), seen
+
+
+def test_sums_truncations_and_derivatives_match_make():
+    # add, sub, truncate and derivative build on keys `make` already checked;
+    # they must equal `make` run again on the same coefficients, key order too
+    x1 = LaurentPoly.var(x_var(1))
+    pool = [1, -1, Fraction(1, 2), x1 - Fraction(1, 3), Fraction(-2, 3) * x1]
+    rng = random.Random(31)
+    seen = Counter()
+
+    def series(space):
+        bounds = tuple(rng.choice((-1, 0, 1, 2, 3, 4)) for _ in space)
+        terms = {tuple(rng.randint(0, 4) for _ in space): rng.choice(pool)
+                 for _ in range(rng.randint(0, 8))}
+        return ts.make(space, bounds, terms)
+
+    def same(got, want):
+        assert got.bounds == want.bounds and got.vars == want.vars
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+    for nvars in (1, 2, 3):
+        space = ts.FORMAL_VARS[:nvars]
+        for _ in range(60):
+            a, b = series(space), series(space)
+            if rng.random() < 0.3:
+                b = ts.scale(a, rng.choice((-1, 2)))  # a - b or a + b cancels keys
+            bounds = tuple(min(p, q) for p, q in zip(a.bounds, b.bounds))
+            inside = {e for e in set(a.coeffs) | set(b.coeffs)
+                      if all(p <= bd for p, bd in zip(e, bounds))}
+            seen["pruned"] += len(inside) < len(set(a.coeffs) | set(b.coeffs))
+            for op, scale in ((ts.add, None), (ts.sub, -1)):
+                got = op(a, b)
+                same(got, ts.make(space, bounds, a.coeffs.copy().add_all(b.coeffs, scale)))
+                seen["cancelled"] += len(got.coeffs) < len(inside)
+            cut = tuple(bd + rng.randint(-2, 1) for bd in a.bounds)
+            same(ts.truncate(a, cut), ts.make(space, cut, a.coeffs))
+            seen["truncated"] += len(ts.truncate(a, cut).coeffs) < len(a.coeffs)
+            for var in space:
+                pos = space.index(var)
+                lowered = {e[:pos] + (e[pos] - 1,) + e[pos + 1:]: c * e[pos]
+                           for e, c in a.coeffs.items() if e[pos]}
+                same(ts.derivative(a, var), ts.make(
+                    space, tuple(bd - (i == pos) for i, bd in enumerate(a.bounds)), lowered))
+    # observed 65 / 21 / 45
+    assert seen["pruned"] >= 58 and seen["cancelled"] >= 18 and seen["truncated"] >= 40, seen
+    # the bounds handed to truncate are still checked
+    s = ts.make(("u", "v"), (3, 3), {(1, 2): 1})
+    with pytest.raises(ts.VarMismatch):
+        ts.truncate(s, (2,))
+    with pytest.raises(ts.SeriesOverflow):
+        ts.truncate(s, (2, ts._LIMIT))
