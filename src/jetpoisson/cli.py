@@ -34,7 +34,7 @@ def _value(text: str, name: str):
         return LaurentPoly.var(param(name))
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad value for {name}: {text!r}") from exc
 
 
@@ -66,7 +66,7 @@ def _phi_from_args(args) -> pl.PhiFunction:
             try:
                 m, n, value = line.split()
                 entries[(int(m), int(n))] = Fraction(value)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad phi table row {line!r}") from exc
         if not entries:
             raise ConfigError("phi table has no rows")
@@ -308,8 +308,12 @@ def main(argv=None) -> int:
         return 2
     payload = rep.emit_report(records, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return status

@@ -20,7 +20,8 @@ from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
 from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, aux_t, param, poly
-from .poissonlie import PhiFunction, PoissonStructure, upper_triangle
+from .poissonlie import (PhiFunction, PoissonStructure, build_omega, upper_triangle,
+                         verify_jacobi)
 
 
 @dataclass(frozen=True)
@@ -165,29 +166,12 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
     Q_u, Q_v = both(_jet_unit_series(y, lam, K, shift=-1))   # y1^-1 (1+w)^(lam-1)
 
     # term 1: density table at x, evaluated along the jet
-    t1 = Combination()
-    ypow_u = {0: ts.const(1, space, bounds)}
-    ypow_v = {0: ts.const(1, space, bounds)}
-
-    def ypw(cache, base, k):
-        if k not in cache:
-            cache[k] = ts.mul(ypw(cache, base, k - 1), base)
-        return cache[k]
-
-    for (k, l), w in omega_dens.omega.items():
-        if k > K or l > K:
-            continue
-        term = ts.sub(
-            ts.mul(ypw(ypow_u, y_u, k), ypw(ypow_v, y_v, l)),
-            ts.mul(ypw(ypow_u, y_u, l), ypw(ypow_v, y_v, k)),
-        )
-        t1.add_all(term.coeffs, w)
-    t1 = ts.product(ts.TruncSeries(space, bounds, t1), P_u, P_v)
+    t1 = ts.subst(ts.make(space, bounds, Combination.antisymmetric(omega_dens.omega.items())),
+                  {"u": y_u, "v": y_v})
+    t1 = ts.product(t1, P_u, P_v)
     t1 = ts.scale(t1, t * t)
 
     # group-structure series on the acting jet, one index wider for derivatives
-    from .poissonlie import build_omega  # local import to avoid a cycle at import time
-
     group = build_omega(phi, K + 1, 1, coord_letter="y")
     wide = ts.make(space, (K + 1, K + 1), Combination.antisymmetric(group.omega.items()))
     bar = ts.truncate(wide, bounds)
@@ -212,8 +196,6 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
 def verify_density_jacobi(phi: PhiFunction, lam, n: int,
                           omega_dens: Optional[PoissonStructure] = None) -> rep.VerificationReport:
     """Jacobi identity of the density bracket on all triples within 0..n."""
-    from .poissonlie import verify_jacobi
-
     if omega_dens is None:
         omega_dens = build_omega_density(phi, lam, n + 1)
     out = verify_jacobi(omega_dens, check_max=n)

@@ -171,15 +171,6 @@ class PoissonStructure:
     def coord(self, i: int) -> Variable:
         return Variable(self.coord_kind, i)
 
-    def substituted(self, bindings) -> "PoissonStructure":
-        return PoissonStructure(
-            self.n,
-            self.start_index,
-            {k: p.substitute(bindings) for k, p in self.omega.items()},
-            self.coord_kind,
-            dict(self.meta),
-        )
-
     def perturbed(self, i: int, j: int, delta: LaurentPoly) -> "PoissonStructure":
         """Deliberately corrupted copy with {x_i, x_j} += delta; used by the
         negative-control tests.  The table stores i < j, so i > j adds -delta
@@ -378,20 +369,22 @@ def _verify_mult_extended(omega, m, check_max):
         raise ValueError("extended-model multiplicativity needs the generating function")
     M = m + 1
     # The translated sums reach coordinate pairs up to K + M (the composition
-    # depends on x_k for k <= i + M), so the table is built that wide; z is
-    # exact through K + 1.
-    wide = build_omega(phi, K + M, 0)
+    # depends on x_k for k <= i + M), so entries past the given table come
+    # from phi at that width; z is exact through K + 1.
+    table = dict(omega.omega)
+    table.update((kl, w) for kl, w in build_omega(phi, K + M, 0).omega.items()
+                 if max(kl) > omega.n)
     y = jg.symbolic_jet(K + 1, "y", 0, nilpotency=M)
     z = jg.jet_compose(jg.symbolic_jet(K + M + 1, "x", 0, nilpotency=M), y)
-    to_y = {Variable(wide.coord_kind, i): y.coord(i) for i in range(0, K + 2)}
-    to_z = {Variable(wide.coord_kind, i): z.coord(i) for i in range(0, K + 2)}
+    to_y = {Variable(omega.coord_kind, i): y.coord(i) for i in range(0, K + 2)}
+    to_z = {Variable(omega.coord_kind, i): z.coord(i) for i in range(0, K + 2)}
     # z_i depends on y_k only for k <= i, so the y part needs no wider table
     return _congruence_check(
         "multiplicativity", {"n": K, "start": 0, "nilpotency": m}, 0, K,
-        lambda i, j: wide.bracket(i, j).substitute(to_z),
-        [(_jacobian(z, VarKind.GROUP_X, range(0, K + M + 1)), wide.omega),
+        lambda i, j: omega.bracket(i, j).substitute(to_z),
+        [(_jacobian(z, VarKind.GROUP_X, range(0, K + M + 1)), table),
          (_jacobian(z, VarKind.GROUP_Y, range(0, K + 1)),
-          {kl: w.substitute(to_y) for kl, w in wide.omega.items() if max(kl) <= K})],
+          {kl: w.substitute(to_y) for kl, w in table.items() if max(kl) <= K})],
         reduce=lambda p: jg.nilpotent_reduce(p, m))
 
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 import random
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -118,19 +116,9 @@ def nc_word(n_gens: int, h_order: int, word, coeff=1) -> NCElement:
 
 
 def nc_sub(a: NCElement, b: NCElement) -> NCElement:
-    return _like(a, b, a.terms.copy().add_all(b.terms, -1))
-
-
-def nc_multiply(a: NCElement, b: NCElement) -> NCElement:
-    """Concatenation product, h-truncated, NOT reduced."""
-    return _like(a, b, Combination.product(a.terms, b.terms, operator.add, a.h_order))
-
-
-def _like(a: NCElement, b: NCElement, terms: Combination) -> NCElement:
-    """An element of the common shape of a and b."""
     if a.n_gens != b.n_gens or a.h_order != b.h_order:
         raise ShapeMismatch("mismatched generator count or h order")
-    return NCElement(a.n_gens, a.h_order, terms)
+    return NCElement(a.n_gens, a.h_order, a.terms.copy().add_all(b.terms, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +136,6 @@ class RelationSet:
 
     def tail(self, i: int, j: int) -> NCElement:
         return self.tails[(i, j)]
-
-    def with_h_order(self, h_order: int) -> "RelationSet":
-        tails = {
-            pair: nc_make(self.n_gens, h_order, t.terms) for pair, t in self.tails.items()
-        }
-        return replace(self, h_order=h_order, tails=tails)
 
 
 def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
@@ -655,67 +637,3 @@ def relation_set_catalog(which: str, params: Optional[Mapping] = None,
         return make_relation_set("R3", 3, 5, K, built)
 
     raise ValueError(f"unknown relation set {which}")
-
-
-# ---------------------------------------------------------------------------
-# Textual DSL for relation sets
-
-
-def render_relation_set(R: RelationSet) -> str:
-    lines = [f"# set {R.label} d={R.d} gens={R.n_gens} h_order={R.h_order}"]
-    for (i, j) in sorted(R.tails):
-        tail = R.tail(i, j)
-        rhs = f"x{j} x{i}"
-        if not tail.is_zero():
-            rhs += " + " + tail.render()
-        lines.append(f"x{i} x{j} -> {rhs}")
-    return "\n".join(lines) + "\n"
-
-
-_TERM_RE = re.compile(r"\(([^)]*)\)\s*((?:x\d+(?:\^\d+)?\s*)*)")
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
-
-
-def _parse_coeff(text: str) -> LaurentPoly:
-    total = LaurentPoly.zero()
-    for piece in text.split(" + "):
-        piece = piece.strip()
-        if not piece:
-            continue
-        value = LaurentPoly.one()
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            if re.fullmatch(r"-?\d+(/\d+)?", factor):
-                value = value * Fraction(factor)
-            else:
-                m = re.fullmatch(r"([A-Za-z]\w*)(?:\^(\d+))?", factor)
-                if not m:
-                    raise ValueError(f"cannot parse coefficient factor {factor!r}")
-                value = value * LaurentPoly.var(param(m.group(1)), int(m.group(2) or 1))
-        total = total + value
-    return total
-
-
-def parse_relation_set(text: str) -> RelationSet:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    header = re.fullmatch(
-        r"# set (\S+) d=(\d+) gens=(\d+) h_order=(\d+)", lines[0]
-    )
-    if not header:
-        raise ValueError("missing relation-set header")
-    label, d, n_gens, h_order = header.group(1), *map(int, header.groups()[1:])
-    tails = {}
-    for ln in lines[1:]:
-        lhs, rhs = ln.split("->")
-        gi, gj = (int(m.group(1)) for m in _FACTOR_RE.finditer(lhs))
-        terms = Combination()
-        for m in _TERM_RE.finditer(rhs):
-            coeff = _parse_coeff(m.group(1))
-            word = tuple(
-                int(f.group(1))
-                for f in _FACTOR_RE.finditer(m.group(2))
-                for _ in range(int(f.group(2) or 1))
-            )
-            terms.add(word, coeff)
-        tails[(gi, gj)] = nc_make(n_gens, h_order, terms)
-    return make_relation_set(label, d, n_gens, h_order, tails)

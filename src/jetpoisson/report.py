@@ -63,11 +63,3 @@ def emit_report(records: list[VerificationReport], fmt: str = "json") -> str:
         return "".join(r.to_text() + "\n" for r in records)
     raise ValueError(f"unknown report format: {fmt}")
 
-
-def parse_report(data: str) -> list[VerificationReport]:
-    records = []
-    for item in json.loads(data):
-        records.append(
-            VerificationReport(item["check"], item["params"], item["status"], item["witness"])
-        )
-    return records

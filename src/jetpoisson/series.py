@@ -13,7 +13,6 @@ below ``2**(_FIELD - 2)``; `make` rejects any other with `SeriesOverflow`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, poly
@@ -26,10 +25,6 @@ class VarMismatch(ValueError):
 
 
 class NotInvertible(ValueError):
-    pass
-
-
-class NonzeroConstantTerm(ValueError):
     pass
 
 
@@ -253,14 +248,7 @@ def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise NonNilpotentConstantTerm(
             f"inner constant term {c0.render()} is neither zero nor nilpotent-modeled"
         )
-    degree = max((e[0] for e in outer.coeffs), default=0)
-    out = zero(inner.vars, inner.bounds)
-    for i in range(degree, -1, -1):
-        out = mul(out, inner)
-        ci = outer.coeff((i,))
-        if not ci.is_zero():
-            out = add(out, const(ci, inner.vars, inner.bounds))
-    return out
+    return subst(outer, {outer.vars[0]: inner})
 
 
 def comp_inverse(x: TruncSeries, bound: int) -> TruncSeries:
@@ -299,24 +287,6 @@ def comp_inverse(x: TruncSeries, bound: int) -> TruncSeries:
     return make((var,), (bound,), inv_coeffs)
 
 
-def exp(a: TruncSeries, bound: int | None = None) -> TruncSeries:
-    if not a.constant_coeff().is_zero():
-        raise NonzeroConstantTerm("exp needs a zero constant term")
-    if bound is not None and len(a.vars) == 1:
-        a = truncate(a, (bound,))
-    out = const(1, a.vars, a.bounds)
-    term = const(1, a.vars, a.bounds)
-    k = 0
-    limit = sum(a.bounds)
-    while k < limit:
-        k += 1
-        term = scale(mul(term, a), Fraction(1, k))
-        if term.is_zero():
-            break
-        out = add(out, term)
-    return out
-
-
 def binomial_power(base: TruncSeries, exponent, bound: int | None = None) -> TruncSeries:
     """(1 + w)**lam as sum of generalized binomial coefficients times w**k.
 
@@ -346,16 +316,17 @@ def truncate(a: TruncSeries, bounds: tuple[int, ...]) -> TruncSeries:
 
 def subst(s: TruncSeries, replacements: Mapping[str, TruncSeries]) -> TruncSeries:
     """Replace every formal variable of ``s`` by a series; all replacement
-    series must live in one common variable space."""
+    series must live in one common variable space.  Each term multiplies
+    cached powers of the replacements first and its coefficient last, so
+    the products run on the replacements' coefficients alone."""
     repls = [replacements[v] for v in s.vars]
     space = repls[0]
     for r in repls[1:]:
         if r.vars != space.vars:
             raise VarMismatch("replacement series live in different spaces")
     bounds = tuple(min(r.bounds[i] for r in repls) for i in range(len(space.vars)))
-    caches: list[dict[int, TruncSeries]] = [
-        {0: const(1, space.vars, bounds), 1: truncate(r, bounds)} for r in repls
-    ]
+    one = const(1, space.vars, bounds)
+    caches: list[dict[int, TruncSeries]] = [{1: truncate(r, bounds)} for r in repls]
 
     def power(i: int, e: int) -> TruncSeries:
         cache = caches[i]
@@ -365,9 +336,6 @@ def subst(s: TruncSeries, replacements: Mapping[str, TruncSeries]) -> TruncSerie
 
     total = Combination()
     for exps, c in s.coeffs.items():
-        term = const(c, space.vars, bounds)
-        for i, e in enumerate(exps):
-            if e:
-                term = mul(term, power(i, e))
-        total.add_all(term.coeffs)
+        powers = [power(i, e) for i, e in enumerate(exps) if e]
+        total.add_all((product(*powers) if powers else one).coeffs, c)
     return TruncSeries(space.vars, bounds, total)

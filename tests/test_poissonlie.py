@@ -405,9 +405,8 @@ def test_jacobian_checks_match_the_minor_loops():
     for phi in (pl.phi_linear(), quadratic):
         for n in (3, 4, 5):
             extended += [(pl.build_omega(phi, n, 0), 2, None), (pl.build_omega(phi, n, 0), 1, 2)]
-    # the extended check rebuilds its table from the generating function, and
-    # every antisymmetric one passes; a table with one entry whose mirror image
-    # is missing does not
+    # every antisymmetric generating function passes the extended check; a
+    # table with one entry whose mirror image is missing does not
     for _ in range(6):
         table = Combination.antisymmetric([((rng.randint(1, 3), 0), rng.choice((1, -2)))])
         table.add((rng.randint(0, 2), rng.randint(0, 2)), LaurentPoly.const(Fraction(1, 3)))
@@ -434,6 +433,28 @@ def test_jacobian_checks_match_the_minor_loops():
               ("extended", "fail"): 5, ("inversion", "pass"): 8, ("inversion", "fail"): 8}
     assert all(outcomes[key] >= floor for key, floor in floors.items()), outcomes
 
+
+
+def test_extended_multiplicativity_reads_the_given_table():
+    # a corrupted entry inside the block fails multiplicativity, as it fails Jacobi
+    bad = pl.build_omega(pl.phi_linear(), 4, 0).perturbed(1, 3, X(2))
+    assert not pl.verify_jacobi(bad, check_max=3).passed
+    assert pl.verify_multiplicativity(bad).to_dict() == {
+        "check": "multiplicativity", "params": {"n": 4, "nilpotency": 2, "start": 0},
+        "status": "fail", "witness": {"indices": [0, 2], "residual": "-3*x2*y0^2*y1^2"}}
+    # an extended-model entry inside the block is exact at its truncation, so on
+    # the catalog tables the reports are those of the loops that read phi alone
+    lam = LaurentPoly.var(param("lam"))
+    cases = [(pl.build_omega(pl.phi_linear(), n + 1, 0), n, _minor_loop_extended)
+             for n in (2, 3, 4)]
+    for d in (2, 3):
+        for value in (Fraction(1, 2), lam):
+            omega = pl.build_omega(pl.phi_extended_family(d, value, 13), 4)
+            cases.append((omega, None, _minor_loop_origin_fixing))
+    for omega, check_max, loop in cases:
+        want = loop(omega, check_max=check_max).to_dict()
+        assert want["status"] == "pass"
+        assert pl.verify_multiplicativity(omega, check_max=check_max).to_dict() == want
 
 # -- the functional equation on generating functions -------------------------
 

@@ -29,8 +29,7 @@ def test_json_round_trip():
         rep.passed("demo", n=3),
         rep.failed("demo2", (1, 2), "1*x1", n=4, d=2),
     ]
-    back = rep.parse_report(rep.emit_report(records, "json"))
-    assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+    assert json.loads(rep.emit_report(records, "json")) == [r.to_dict() for r in records]
 
 
 def test_text_format_one_line_per_record():
@@ -188,12 +187,21 @@ def test_cli_config_errors(capsys):
     "verify phi --degree 1",
     "verify phi --degree 2",
     "verify all --degree 2",
+    "verify poisson --phi extended --lambda 1/0",
+    "verify quantum --C 1/0",
+    "verify poisson --phi table:{zero_row}",
+    "verify group --out {missing}/x.json",
 ], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1",
-        "degree-negative", "degree-zero", "phi-degree-1", "phi-degree-2", "all-degree-2"])
+        "degree-negative", "degree-zero", "phi-degree-1", "phi-degree-2", "all-degree-2",
+        "lambda-zero-denominator", "C-zero-denominator", "table-zero-denominator",
+        "out-missing-directory"])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no rows\n", encoding="utf-8")
-    code = main(argv.format(missing=tmp_path / "missing.txt", empty=empty).split())
+    zero_row = tmp_path / "zero_row.txt"
+    zero_row.write_text("2 1 1\n1 2 1/0\n", encoding="utf-8")
+    code = main(argv.format(missing=tmp_path / "missing.txt", empty=empty,
+                            zero_row=zero_row).split())
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
