@@ -6,12 +6,16 @@ Usage:
 Suites: group, poisson, phi, bialgebra, cybe, classify, density, quantum, all.
 Reports are emitted as JSON (default) or text, one record per check.  The
 exit status is 0 when every record passed, 1 when a record failed, and 2 on
-bad input, which prints one ``error:`` line instead of a report.
+bad input, which prints one ``error:`` line instead of a report: a malformed
+or out-of-range value, an option the suite never reads, an --out path that
+cannot be written (checked before any suite runs), or an input whose
+exponents overflow a series or monomial field.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -21,7 +25,8 @@ from . import jetgroup as jg
 from . import poissonlie as pl
 from . import quantum as qt
 from . import report as rep
-from .coeffpoly import LaurentPoly, param
+from . import series as ts
+from .coeffpoly import ExponentOverflow, LaurentPoly, param
 
 
 class ConfigError(ValueError):
@@ -39,19 +44,18 @@ def _value(text: str, name: str):
 
 
 def _phi_from_args(args) -> pl.PhiFunction:
-    degree = args.degree
     if args.phi == "power":
-        return pl.phi_power_family(args.d, degree or 0)
+        return pl.phi_power_family(args.d, args.degree or 0)
     if args.phi == "extended":
         lam = _value(args.lam, "lam")
         try:
-            return pl.phi_extended_family(args.d, lam, degree or 13)
+            return pl.phi_extended_family(args.d, lam, args.degree or 13)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if args.phi == "linear":
         return pl.phi_linear()
     if args.phi == "exp":
-        return pl.phi_exponential(_value(args.lam, "lam"), degree or 10)
+        return pl.phi_exponential(_value(args.lam, "lam"), args.degree or 10)
     if args.phi.startswith("table:"):
         try:
             with open(args.phi[6:], "r", encoding="utf-8") as handle:
@@ -65,14 +69,20 @@ def _phi_from_args(args) -> pl.PhiFunction:
                 continue
             try:
                 m, n, value = line.split()
-                entries[(int(m), int(n))] = Fraction(value)
+                m, n = int(m), int(n)
+                entries[(m, n)] = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad phi table row {line!r}") from exc
+            if m == n:
+                raise ConfigError(f"phi table row {line!r} is on the diagonal")
         if not entries:
             raise ConfigError("phi table has no rows")
         min_index = min(i for pair in entries for i in pair)
         deg = max(max(pair) for pair in entries)
-        return pl.phi_from_table(entries, min_index, deg, exact=True, provenance="table")
+        phi = pl.phi_from_table(entries, min_index, deg, exact=True, provenance="table")
+        if not phi.table:
+            raise ConfigError("phi table antisymmetrises to zero")
+        return phi
     raise ConfigError(f"unknown phi family {args.phi!r}")
 
 
@@ -261,27 +271,89 @@ SUITES = {
 }
 
 
+# The options each suite reads besides --format and --out; poisson also reads
+# those of its --phi family, and all reads every one of them.
+_READS = {
+    "group": {"n"},
+    "poisson": {"n", "phi"},
+    "phi": {"degree"},
+    "bialgebra": {"n"},
+    "cybe": {"n"},
+    "classify": set(),
+    "density": {"n"},
+    "quantum": {"set", "h_order", "C", "C1", "C2", "C3", "C4", "C5"},
+}
+_PHI_READS = {"power": {"d", "degree"}, "extended": {"d", "lam", "degree"},
+              "exp": {"lam", "degree"}}
+
+
+def reads(args) -> set:
+    """The options the suite of args reads."""
+    if args.suite == "all":
+        return set().union(*_READS.values(), *_PHI_READS.values())
+    if args.suite == "poisson":
+        return _READS["poisson"] | _PHI_READS.get(args.phi, set())
+    return _READS[args.suite]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+class _Given(argparse.Action):
+    """Store the value and note the option in ``given``, dest -> flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {**namespace.given, self.dest: option_string}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="jetpoisson")
+    parser = _Parser(prog="jetpoisson")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a verification suite")
+    verify.set_defaults(given={})
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    verify.add_argument("--n", type=int, default=5)
-    verify.add_argument("--d", type=int, default=2)
-    verify.add_argument("--lambda", dest="lam", default="symbolic",
+    verify.add_argument("--n", type=int, default=5, action=_Given)
+    verify.add_argument("--d", type=int, default=2, action=_Given)
+    verify.add_argument("--lambda", dest="lam", default="symbolic", action=_Given,
                         help='rational value or "symbolic"')
-    verify.add_argument("--h-order", type=int, default=None)
-    verify.add_argument("--set", default="R2",
+    verify.add_argument("--h-order", type=int, default=None, action=_Given)
+    verify.add_argument("--set", default="R2", action=_Given,
                         choices=["R1", "R2", "R3", "R2-ansatz", "R2_ansatz", "R1_pbw", "R1-pbw"])
     for name in ("C", "C1", "C2", "C3", "C4", "C5"):
-        verify.add_argument(f"--{name}", default=None,
+        verify.add_argument(f"--{name}", default=None, action=_Given,
                             help='rational value or "symbolic"')
-    verify.add_argument("--phi", default="power",
+    verify.add_argument("--phi", default="power", action=_Given,
                         help="power | extended | linear | exp | table:<file>")
-    verify.add_argument("--degree", type=int, default=None)
+    verify.add_argument("--degree", type=int, default=None, action=_Given)
     verify.add_argument("--format", choices=["json", "text"], default="json")
     verify.add_argument("--out", default=None)
     return parser
+
+
+def check_args(args) -> None:
+    """Reject, before any suite runs, an option the suite never reads, an
+    integer option outside [1, 2^14), the limit of a series bound, a
+    parameter that is not a rational or "symbolic", and an --out path the
+    report could not be written to; creates no file."""
+    unused = sorted(flag for dest, flag in args.given.items() if dest not in reads(args))
+    if unused:
+        raise ConfigError(f"unused options for {args.suite}: {' '.join(unused)}")
+    for flag, value in (("n", args.n), ("d", args.d), ("h-order", args.h_order),
+                        ("degree", args.degree)):
+        if value is not None and not 1 <= value < ts._LIMIT:
+            raise ConfigError(f"--{flag} must lie in [1, {ts._LIMIT})")
+    for name in ("lam", "C", "C1", "C2", "C3", "C4", "C5"):
+        if getattr(args, name) is not None:
+            _value(getattr(args, name), name)
+    if args.out:
+        parent = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out) or not (
+                os.access(args.out, os.W_OK) if os.path.exists(args.out)
+                else os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write report: {args.out}")
 
 
 def run_suite(args) -> tuple[int, list[rep.VerificationReport]]:
@@ -299,11 +371,10 @@ def run_suite(args) -> tuple[int, list[rep.VerificationReport]]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.n < 1 or args.d < 1 or any(
-                value is not None and value < 1 for value in (args.h_order, args.degree)):
-            raise ConfigError("n, d, h-order and degree must be positive")
+        check_args(args)
         status, records = run_suite(args)
-    except (ConfigError, pl.DegreeBoundTooSmall, qt.UnknownParameters) as exc:
+    except (ConfigError, pl.DegreeBoundTooSmall, pl.DivisibilityViolation,
+            qt.UnknownParameters, ts.SeriesOverflow, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = rep.emit_report(records, args.format)

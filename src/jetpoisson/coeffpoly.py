@@ -3,7 +3,8 @@
 Every identity in this package is checked over the rationals, so coefficients
 are `fractions.Fraction` values (exposed here as ``ExactScalar``) and
 polynomials are sparse term maps.  This module holds the one arithmetic
-kernel; the layers above it never unpack a term map.
+kernel; of the layers above it only `quantum.nc_reduce` holds term maps,
+as raw accumulators of `_poly_mac`, and none unpacks a monomial key.
 
 A variable is a (kind, index) pair.  Group coordinates come in three kinds
 (x, y, z) so that identities mixing several group elements stay unambiguous;
@@ -671,7 +672,7 @@ class Combination(dict):
         h above ``h_order`` dropped when one is given.  Each key's sum is
         accumulated raw and normalised once; a key whose sum cancels is
         deleted at once, so slots follow the rule of ``add``."""
-        cap = None if h_order is None else (_FIELD * _slot(_H_CODE), h_order + _HALF)
+        cap = None if h_order is None else _h_cap(h_order)
         raw: dict = {}
         for ka, ca in a.items():
             pa = ca.terms
@@ -726,6 +727,11 @@ class Combination(dict):
             out.add((i, j), c)
             out.add((j, i), -c)
         return out
+
+
+def _h_cap(order: int) -> tuple:
+    """The ``cap`` of `_poly_mac` that keeps out every term of degree in h above order."""
+    return (_FIELD * _slot(_H_CODE), order + _HALF)
 
 
 def _finish_all(raw: dict) -> Combination:

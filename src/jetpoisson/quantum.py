@@ -9,6 +9,14 @@ x_j x_i plus a tail whose every term carries at least one power of h.  With
 the h truncation this makes reduction terminate: a swap lowers the ascent
 count at fixed h degree and every spawned term climbs the finite h ladder.
 
+`nc_reduce` rewrites packed words.  A word is one int: the edge marker
+n + 1, then one fixed-width field per letter, leftmost highest, each field
+one guard bit wider than the marker needs.  So int order is (length, word)
+order, a splice is shifts and masks, and one guarded subtract-and-mask,
+``(w + low - (w >> width)) & guards``, keeps the guard bit of exactly the
+fields whose letter exceeds its left neighbour's: the ascents.  No field
+borrows from the next, and the marker, above every letter, starts no ascent.
+
 Confluence is certified the Diamond-Lemma way: for each overlap word
 x_i x_j x_k (i < j < k) the two one-step reductions must meet at the same
 normal form.  With symbolic parameters in the coefficients, a vanishing
@@ -23,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import report as rep
@@ -31,6 +40,7 @@ from .coeffpoly import (
     LaurentPoly,
     Variable,
     VarKind,
+    _h_cap, _poly_finish, _poly_mac,
     compositions,
     homogeneous_graded_degree,
     param,
@@ -137,6 +147,39 @@ class RelationSet:
     def tail(self, i: int, j: int) -> NCElement:
         return self.tails[(i, j)]
 
+    @cached_property
+    def packing(self) -> tuple:
+        """nc_reduce's field width, guard masks and rule table, filled as it
+        runs and shared by every reduction in this set."""
+        guards = _GuardMasks()
+        guards.width = (self.n_gens + 1).bit_length() + 1
+        return guards.width, guards, {}
+
+
+class _GuardMasks(dict):
+    """Bit length of a packed word -> (low, guards) of its letter fields."""
+
+    def __missing__(self, nbits: int) -> tuple:
+        width = self.width
+        ones = ((1 << nbits + 1 - width) - 1) // ((1 << width) - 1)
+        masks = self[nbits] = (ones * ((1 << width - 1) - 1), ones << width - 1)
+        return masks
+
+
+def _packed(word: tuple, width: int, lead: int = 0) -> int:
+    for g in word:
+        lead = lead << width | g
+    return lead
+
+
+def _unpacked(packed: int, width: int) -> tuple:
+    letter = (1 << width - 1) - 1
+    word = []
+    while packed > letter:  # down to the edge marker
+        word.append(packed & letter)
+        packed >>= width
+    return tuple(reversed(word))
+
 
 def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
                       tails: Mapping, params=()) -> RelationSet:
@@ -159,78 +202,93 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     canonical.
 
     Each step rewrites the smallest pending word in (length, word) order,
-    taken from a heap with lazy deletion: a word is pushed when it enters
-    the pending table, and an entry whose word has since cancelled or been
-    rewritten is skipped.  A tail can be shorter than the pair it replaces,
-    so a new word may come before the current one; the heap still yields
-    the exact minimum.  The site is the leftmost ascent unless an rng is
-    supplied, in which case ``rng.choice`` picks one of the ascents, once
-    per step; confluent sets give the same answer either way.
+    which for packed words (see the module docstring) is int order, taken
+    from a heap with lazy deletion: an entry whose word has since cancelled
+    or been rewritten is skipped.  A tail can be shorter than the pair it
+    replaces, so a new word may come before the current one; the heap still
+    yields the exact minimum.  The site is the leftmost ascent unless an rng
+    is supplied, in which case ``rng.choice`` picks one of the ascents, once
+    per step; confluent sets give the same answer either way.  A spawned
+    word is canonical when it has no ascent.
 
-    A step replaces the pair at site p by a middle part, the swapped pair
-    or a tail word, both canonical.  The spawned word is canonical iff the
-    popped word has no ascent outside p-1..p+1, which its ascent sites tell,
-    and both junctions of the middle part with its neighbours descend; no
-    spawned word is scanned.  Each pending coefficient carries an upper
-    bound on its h degree (exact for an input term, kept by a swap, raised
-    by the tail coefficient's degree, the larger of two on a merge), and a
-    tail product is h-truncated only when that bound passes the order;
-    below it the product is exact as it stands."""
+    Coefficients stay raw `_poly_mac` accumulators until the end, each
+    pending one with an upper bound on its h degree (exact for an input
+    term, kept by a swap, raised by the tail coefficient's degree, the
+    larger of two on a merge).  A tail product is h-truncated, by the cap of
+    `Combination.product`, only when that bound passes the order."""
     if a.h_order != R.h_order or a.n_gens != R.n_gens:
         raise ShapeMismatch("element and relation set disagree on shape")
     order = a.h_order
-    done = Combination()
-    pending = Combination()
-    bounds = {}  # pending word -> upper bound on its coefficient's h degree
+    width, guards, rules = R.packing
+    top = R.n_gens + 1  # the edge marker, above every letter
+    letter, pair_mask = (1 << width - 1) - 1, (1 << 2 * width) - 1
+    cap, one = _h_cap(order), {0: (1, 1)}
+    done: dict = {}  # canonical word -> raw coefficient
+    pending: dict = {}  # word -> [raw coefficient, bound on its h degree]
     for word, c in a.terms.items():
-        if word_is_canonical(word):
-            done.add(word, c)
+        w = _packed(word, width, top)
+        low, g = guards[w.bit_length()]
+        if (w + low - (w >> width)) & g:
+            pending[w] = [dict(c.terms), c.degree(H)]
         else:
-            pending.add(word, c)
-            bounds[word] = c.degree(H)
-    rules = {}  # (i, j) -> [(tail word, coefficient, its h degree)]
-    top = R.n_gens + 1  # above every generator: the left edge of a word
-    heap = [_word_order(word) for word in pending]
+            done[w] = dict(c.terms)
+    heap = list(pending)
     heapq.heapify(heap)
     while heap:
-        word = heapq.heappop(heap)[1]
-        coeff = pending.pop(word, None)
-        if coeff is None:
+        word = heapq.heappop(heap)
+        entry = pending.pop(word, None)
+        if entry is None or not entry[0]:
             continue
-        bound = bounds.pop(word)
-        sites = [p for p in range(len(word) - 1) if word[p] < word[p + 1]]
-        p = sites[0] if rng is None else rng.choice(sites)
-        i, j = word[p], word[p + 1]
-        head, rest = word[:p], word[p + 2:]
+        coeff, bound = entry
+        low, g = guards[word.bit_length()]
+        ascents = (word + low - (word >> width)) & g
+        sites = []  # the shift of each ascent's right letter, leftmost first
+        while ascents:
+            shift = ascents.bit_length() - width
+            sites.append(shift)
+            ascents &= (1 << shift) - 1
+        shift = sites[0] if rng is None else rng.choice(sites)
+        pair = word >> shift & pair_mask
+        i, j = pair >> width, pair & letter
         tail = R.tail(i, j)
-        rule = rules.get((i, j))
+        rule = rules.get(pair)
         if rule is None:
-            # the swap first, with no coefficient, then the tail terms
-            rule = rules[(i, j)] = [((j, i), None, 0)] + [
-                (w2, c2, c2.degree(H)) for w2, c2 in tail.terms.items()]
-        clean = sites[0] >= p - 1 and sites[-1] <= p + 1
-        left = word[p - 1] if p else top
-        right = rest[0] if rest else 0
-        for mid, c2, d2 in rule:
+            # (middle word, its bits, raw coefficient, h degree): the swap
+            # first, passing the popped coefficient on itself unless a tail
+            # word is the swapped pair, then each tail term
+            swap = one if (j, i) in tail.terms else None
+            rule = rules[pair] = [(j << width | i, 2 * width, swap, 0)] + [
+                (_packed(w2, width), len(w2) * width, c2.terms, c2.degree(H))
+                for w2, c2 in tail.terms.items()]
+        head, rest = word >> shift + 2 * width, word & (1 << shift) - 1
+        for mid, bits, c2, d2 in rule:
+            new = (head << bits | mid) << shift | rest
             b = bound + d2
-            if c2 is None:
-                c = coeff
-            elif b > order:
-                c = h_truncate_poly(coeff * c2, order)
+            capped = cap if b > order else None
+            low, g = guards[new.bit_length()]
+            if (new + low - (new >> width)) & g:
+                entry = pending.get(new)
+                if entry is None:
+                    c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
+                    if c:
+                        pending[new] = [c, b]
+                        heapq.heappush(heap, new)
+                else:
+                    _poly_mac(entry[0], coeff, c2 or one, capped)
+                    if b > entry[1]:
+                        entry[1] = b
             else:
-                c = coeff * c2
-            new = head + mid + rest
-            if clean and (left >= mid[0] and mid[-1] >= right if mid else left >= right):
-                done.add(new, c)
-            elif new in pending:
-                pending.add(new, c)
-                if b > bounds[new]:
-                    bounds[new] = b
-            elif c:
-                pending[new] = c
-                bounds[new] = b
-                heapq.heappush(heap, _word_order(new))
-    return NCElement(a.n_gens, a.h_order, done)
+                c = done.get(new)
+                if c is None:
+                    c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
+                    if c:
+                        done[new] = c
+                elif not _poly_mac(c, coeff, c2 or one, capped):
+                    del done[new]
+    out = Combination()
+    for w, c in done.items():
+        out[_unpacked(w, width)] = LaurentPoly(_poly_finish(c))
+    return NCElement(a.n_gens, a.h_order, out)
 
 
 def commutator_normal_form(R: RelationSet, i: int, j: int) -> NCElement:

@@ -169,6 +169,87 @@ def test_heap_scheduler_matches_min_scan(case):
     assert bool(order_dependent) != confluent
 
 
+@pytest.mark.parametrize("n_gens", [1, 3, 5, 7, 8])
+def test_packed_words_keep_order_and_ascents(n_gens):
+    """A packed word decodes to itself, int order is (length, word) order,
+    and the guard masks flag exactly the ascents the tuple scan finds.  The
+    edge marker n_gens + 1 needs one more bit than the letters at 3 and 7
+    generators; words of up to 40 letters span several machine digits."""
+    width, guards, _ = qt.make_relation_set("free", 1, n_gens, 2, {}).packing
+    draw = random.Random(n_gens)
+    words = {()} | {tuple(draw.randint(1, n_gens) for _ in range(draw.choice((1, 2, 5, 40))))
+                    for _ in range(300)}
+    packed = {qt._packed(word, width, n_gens + 1): word for word in words}
+    assert [packed[w] for w in sorted(packed)] == sorted(words, key=lambda w: (len(w), w))
+    for w, word in packed.items():
+        assert qt._unpacked(w, width) == word
+        low, g = guards[w.bit_length()]
+        ascents = (w + low - (w >> width)) & g
+        # the guard bit of the right letter of the pair at p, and no other bit
+        flagged = [p for p in range(len(word) - 1) if ascents >> (len(word) - 1 - p) * width - 1 & 1]
+        assert flagged == [p for p in range(len(word) - 1) if word[p] < word[p + 1]], word
+        assert ascents.bit_count() == len(flagged), word
+
+
+def _seven_set(h_order):
+    """Seven generators, so the edge marker 8 needs a wider field than the
+    letters, with a tail that holds the swapped pair itself, an empty-word
+    tail and an h^2 term."""
+    h = LaurentPoly.var(qt.H)
+    tails = {(1, 7): {(7, 1): h, (): h},
+             (2, 5): {(5, 2, 2): 2 * h, (3,): -h * h},
+             (3, 4): {(4, 3, 1): h},
+             (6, 7): {(7, 6): -h, (7, 7, 1): h}}
+    return qt.make_relation_set(
+        "seven", 1, 7, h_order,
+        {pair: qt.nc_make(7, h_order, t) for pair, t in tails.items()})
+
+
+def _edge_inputs(R, words):
+    """Each word alone and, at the left edge, the right edge and in the
+    middle of a longer word, times h^order, so that every tail product
+    truncates to zero."""
+    n, order = R.n_gens, R.h_order
+    h_top = LaurentPoly.var(qt.H) ** order
+    inputs = []
+    for word in words:
+        for padded in (word, word + (1,), (n,) + word, (n,) + word + (1,)):
+            inputs += [qt.nc_word(n, order, padded), qt.nc_word(n, order, padded, h_top)]
+    return inputs
+
+
+@pytest.mark.parametrize("case", ["custom", "seven", "long"])
+def test_packed_reduction_edges_match_min_scan(case):
+    """The packed-word nc_reduce against the reference scheduler: the same
+    items in the same order, and the same rng state after each reduction."""
+    if case == "custom":
+        R = _custom_set(3)
+        inputs = _edge_inputs(R, [(1, 2), (1, 3), (2, 3), (1, 2, 3), (2, 3, 1, 2)])
+    elif case == "seven":
+        R = _seven_set(3)
+        inputs = _edge_inputs(R, [(1, 7), (2, 5), (3, 4), (6, 7), (1, 6, 7), (2, 5, 7)])
+    else:
+        R = _custom_set(1)
+        draw = random.Random(32)
+        inputs = [qt.nc_word(3, 1, tuple(draw.randint(1, 3) for _ in range(32)))]
+    for element in inputs:
+        reference, _ = _min_scan_reduce(element, R)
+        assert list(qt.nc_reduce(element, R).terms.items()) == list(reference.items()), element
+        heap_rng, scan_rng = random.Random(5), random.Random(5)
+        shuffled = qt.nc_reduce(element, R, rng=heap_rng)
+        reference, _ = _min_scan_reduce(element, R, scan_rng)
+        assert list(shuffled.terms.items()) == list(reference.items()), element
+        assert heap_rng.getstate() == scan_rng.getstate(), element
+
+
+def test_tail_product_truncated_to_zero_adds_nothing():
+    h = LaurentPoly.var(qt.H)
+    R = _custom_set(3)
+    # h^3 x1 x2 = h^3 x2 x1 + h^4, and h^4 is past the order
+    out = qt.nc_reduce(qt.nc_word(3, 3, (1, 2), h ** 3), R)
+    assert out.terms == {(2, 1): h ** 3}
+
+
 def test_reduce_preserves_graded_degree():
     from jetpoisson.coeffpoly import homogeneous_graded_degree
 

@@ -1,5 +1,6 @@
 """Report schema, golden negative controls, and the command-line surface."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import golden_cases
+from jetpoisson import cli
 from jetpoisson import jetgroup as jg
+from jetpoisson import poissonlie as pl
 from jetpoisson import report as rep
 from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_bialgebra, suite_group
 
@@ -131,9 +134,10 @@ def test_cli_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# every suite at n=3, plus the quantum suite on two more relation sets so that
-# state carried over from one set to another would show
-SUITE_COMMANDS = [f"verify {name} --n 3" for name in sorted(SUITES)] + [
+# every suite, at n=3 where it reads n, plus the quantum suite on two more
+# relation sets so that state carried over from one set to another would show
+SUITE_COMMANDS = [f"verify {name} --n 3" if "n" in cli._READS[name] else f"verify {name}"
+                  for name in sorted(SUITES)] + [
     "verify quantum --set R3", "verify quantum --set R1_pbw"]
 
 
@@ -163,6 +167,7 @@ def test_cli_report_does_not_depend_on_what_ran_before(seed):
     # each command runs twice in one process, in a seeded order, and must
     # print what it prints in a fresh interpreter
     fresh = _outputs_in_fresh_interpreters()
+    assert all(status != 2 for status, _ in fresh.values())
     runs = SUITE_COMMANDS * 2
     for command in random.Random(seed).sample(runs, len(runs)):
         assert _output_in_process(command) == fresh[command], command
@@ -191,22 +196,127 @@ def test_cli_config_errors(capsys):
     "verify quantum --C 1/0",
     "verify poisson --phi table:{zero_row}",
     "verify group --out {missing}/x.json",
+    "verify poisson --n 3 --d 16383",
+    "verify phi --degree 16383",
+    "verify poisson --phi table:{diagonal}",
+    "verify poisson --phi table:{cancelling}",
+    "verify density --lambda 1/0",
+    "verify phi --phi extended",
+    "verify group --set R1",
+    "verify poisson --phi linear --d 3",
+    "verify all --lambda 1/0",
 ], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1",
         "degree-negative", "degree-zero", "phi-degree-1", "phi-degree-2", "all-degree-2",
         "lambda-zero-denominator", "C-zero-denominator", "table-zero-denominator",
-        "out-missing-directory"])
+        "out-missing-directory", "series-exponent-overflow", "series-bound-overflow",
+        "table-diagonal-row", "table-antisymmetrises-to-zero", "density-unused-lambda",
+        "phi-unused-phi", "group-unused-set", "linear-unused-d", "all-unread-lambda"])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no rows\n", encoding="utf-8")
     zero_row = tmp_path / "zero_row.txt"
     zero_row.write_text("2 1 1\n1 2 1/0\n", encoding="utf-8")
-    code = main(argv.format(missing=tmp_path / "missing.txt", empty=empty,
-                            zero_row=zero_row).split())
+    diagonal = tmp_path / "diagonal.txt"
+    diagonal.write_text("2 1 1\n1 1 3\n", encoding="utf-8")
+    cancelling = tmp_path / "cancelling.txt"
+    cancelling.write_text("2 1 1\n1 2 1\n", encoding="utf-8")
+    code = main(argv.format(missing=tmp_path / "missing.txt", empty=empty, zero_row=zero_row,
+                            diagonal=diagonal, cancelling=cancelling).split())
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def _exit_status(argv):
+    """main's return value, or the status it exits with on a parse error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_BAD_NUMBERS = ["0", "-1", "1/0", str(2 ** 31), "x"]
+# every numeric option with each suite that reads it; 0, -1 and 2^31 are
+# values a rational parameter may take (verify quantum --C 0), so those get
+# only the malformed ones
+_NUMERIC_RUNS = (
+    [(f"verify {suite} --n {{}}", v) for suite in ("group", "poisson", "bialgebra", "cybe",
+                                                     "density", "all") for v in _BAD_NUMBERS]
+    + [(f"verify {suite} --d {{}}", v) for suite in ("poisson", "all") for v in _BAD_NUMBERS]
+    + [(f"verify {suite} --h-order {{}}", v) for suite in ("quantum", "all") for v in _BAD_NUMBERS]
+    + [(f"verify {suite} --degree {{}}", v) for suite in ("phi", "poisson", "all")
+       for v in _BAD_NUMBERS]
+    + [(f"verify {suite} {flag} {{}}", v)
+       for flag, suite in [("--lambda", "poisson --phi extended"), ("--C", "quantum"),
+                           ("--C1", "quantum --set R2_ansatz"), ("--C2", "quantum --set R2_ansatz"),
+                           ("--C3", "quantum --set R1"), ("--C4", "quantum --set R1"),
+                           ("--C5", "quantum --set R1")] + [
+           (flag, "all") for flag in ("--lambda", "--C", "--C1", "--C2", "--C3", "--C4", "--C5")]
+       for v in ("1/0", "x")]
+    # a one-row phi table with the value as its first index or as its entry:
+    # index 0 is the extended model, and -1 or 2^31 are possible entries
+    + [(f"verify {suite} --phi table:{{}}", row) for suite in ("poisson", "all")
+       for row in ("2 1 0", "-1 1 1", "2 1 1/0", f"{2 ** 31} 1 1", "2 1 x")])
+
+
+@pytest.mark.parametrize("command,value", _NUMERIC_RUNS)
+def test_cli_numeric_options_reject_bad_values(command, value, tmp_path, capsys):
+    if "table:" in command:
+        table = tmp_path / "phi.txt"
+        table.write_text(value + "\n", encoding="utf-8")
+        value = str(table)
+    assert _exit_status(command.format(value).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_checks_out_before_any_suite_runs(tmp_path, monkeypatch, capsys):
+    def no_suite(args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    assert main(["verify", "all", "--n", "7", "--out", str(tmp_path / "none" / "x.json")]) == 2
+    assert main(["verify", "group", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report")
+    monkeypatch.undo()
+    # a run that fails after the check neither creates nor truncates the report
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report", encoding="utf-8")
+    for out in (kept, tmp_path / "new.json"):
+        code = main(["verify", "poisson", "--phi", f"table:{tmp_path / 'missing.txt'}",
+                     "--out", str(out)])
+        assert code == 2
+    assert kept.read_text(encoding="utf-8") == "earlier report"
+    assert not (tmp_path / "new.json").exists()
+
+
+class _Reads(argparse.Namespace):
+    """A namespace that records every option a suite reads."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_seen").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    "group --n 2", "poisson --n 2", "poisson --n 2 --phi extended", "poisson --n 2 --phi linear",
+    "poisson --n 2 --phi exp", "poisson --n 2 --phi table:{table}", "phi --degree 4",
+    "bialgebra --n 2", "cybe --n 2", "classify", "density --n 2", "quantum --set R3"])
+def test_cli_reads_table_names_what_each_suite_reads(argv, tmp_path):
+    table = tmp_path / "phi.txt"
+    table.write_text("2 1 1\n", encoding="utf-8")
+    args = build_parser().parse_args(["verify", *argv.format(table=table).split()])
+    recorded = _Reads(_seen=set(), **vars(args))
+    try:
+        SUITES[args.suite](recorded)
+    except pl.DegreeBoundTooSmall:  # the exp family fails in build_omega, after reading
+        pass
+    assert recorded._seen - {"suite"} == cli.reads(args)
 
 
 def test_cli_phi_table_file(tmp_path):
