@@ -297,6 +297,8 @@ def reads(args) -> set:
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors print one ``error:`` line, exit status 2."""
+
     def error(self, message):
         self.exit(2, f"error: {message}\n")
 

@@ -157,7 +157,8 @@ class RelationSet:
 
 
 class _GuardMasks(dict):
-    """Bit length of a packed word -> (low, guards) of its letter fields."""
+    """Bit length of a packed word -> (low, guards): the bits below the
+    guard bit of each of its letter fields, and those guard bits."""
 
     def __missing__(self, nbits: int) -> tuple:
         width = self.width
@@ -250,7 +251,7 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
         shift = sites[0] if rng is None else rng.choice(sites)
         pair = word >> shift & pair_mask
         i, j = pair >> width, pair & letter
-        tail = R.tail(i, j)
+        tail = R.tail(i, j)  # once per step: perfbench counts rewrite steps here
         rule = rules.get(pair)
         if rule is None:
             # (middle word, its bits, raw coefficient, h degree): the swap
