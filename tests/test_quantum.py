@@ -242,14 +242,6 @@ def test_packed_reduction_edges_match_min_scan(case):
         assert heap_rng.getstate() == scan_rng.getstate(), element
 
 
-def test_tail_product_truncated_to_zero_adds_nothing():
-    h = LaurentPoly.var(qt.H)
-    R = _custom_set(3)
-    # h^3 x1 x2 = h^3 x2 x1 + h^4, and h^4 is past the order
-    out = qt.nc_reduce(qt.nc_word(3, 3, (1, 2), h ** 3), R)
-    assert out.terms == {(2, 1): h ** 3}
-
-
 def test_reduce_preserves_graded_degree():
     from jetpoisson.coeffpoly import homogeneous_graded_degree
 

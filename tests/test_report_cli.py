@@ -200,7 +200,7 @@ def test_cli_config_errors(capsys):
     "verify phi --degree 16383",
     "verify poisson --phi table:{diagonal}",
     "verify poisson --phi table:{cancelling}",
-    "verify density --lambda 1/0",
+    "verify density --lambda 1/2",
     "verify phi --phi extended",
     "verify group --set R1",
     "verify poisson --phi linear --d 3",
