@@ -7,9 +7,10 @@ Suites: group, poisson, phi, bialgebra, cybe, classify, density, quantum, all.
 Reports are emitted as JSON (default) or text, one record per check.  The
 exit status is 0 when every record passed, 1 when a record failed, and 2 on
 bad input, which prints one ``error:`` line instead of a report: a malformed
-or out-of-range value, an option the suite never reads, an --out path that
-cannot be written (checked before any suite runs), or an input whose
-exponents overflow a series or monomial field.
+or out-of-range value, an unknown --phi family, a phi table row that repeats
+another or is not the negative of its mirror, an option the suite never
+reads, an --out path that cannot be written (checked before any suite runs),
+or an input whose exponents overflow a series or monomial field.
 """
 
 from __future__ import annotations
@@ -54,27 +55,34 @@ def _phi_from_args(args) -> pl.PhiFunction:
             raise ConfigError(str(exc)) from exc
     if args.phi == "linear":
         return pl.phi_linear()
-    if args.phi == "exp":
-        return pl.phi_exponential(_value(args.lam, "lam"), args.degree or 10)
     if args.phi.startswith("table:"):
         try:
             with open(args.phi[6:], "r", encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
         except OSError as exc:
             raise ConfigError(f"cannot read phi table: {exc}") from exc
-        entries = {}
+        # a row sets lam_mn and lam_nm = -lam_mn; a row for (n, m) as well
+        # must be that negation, and is then not added a second time
+        entries, rows = {}, {}
         for line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
                 m, n, value = line.split()
-                m, n = int(m), int(n)
-                entries[(m, n)] = Fraction(value)
+                m, n, value = int(m), int(n), Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad phi table row {line!r}") from exc
             if m == n:
                 raise ConfigError(f"phi table row {line!r} is on the diagonal")
+            if (m, n) in rows:
+                raise ConfigError(f"phi table row {line!r} repeats row {rows[(m, n)]!r}")
+            if (n, m) not in rows:
+                entries[(m, n)] = value
+            elif entries[(n, m)] != -value:
+                raise ConfigError(
+                    f"phi table row {line!r} is not the negative of row {rows[(n, m)]!r}")
+            rows[(m, n)] = line
         if not entries:
             raise ConfigError("phi table has no rows")
         min_index = min(i for pair in entries for i in pair)
@@ -283,8 +291,7 @@ _READS = {
     "density": {"n"},
     "quantum": {"set", "h_order", "C", "C1", "C2", "C3", "C4", "C5"},
 }
-_PHI_READS = {"power": {"d", "degree"}, "extended": {"d", "lam", "degree"},
-              "exp": {"lam", "degree"}}
+_PHI_READS = {"power": {"d", "degree"}, "extended": {"d", "lam", "degree"}, "linear": set()}
 
 
 def reads(args) -> set:
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         verify.add_argument(f"--{name}", default=None, action=_Given,
                             help='rational value or "symbolic"')
     verify.add_argument("--phi", default="power", action=_Given,
-                        help="power | extended | linear | exp | table:<file>")
+                        help="power | extended | linear | table:<file>")
     verify.add_argument("--degree", type=int, default=None, action=_Given)
     verify.add_argument("--format", choices=["json", "text"], default="json")
     verify.add_argument("--out", default=None)
@@ -336,10 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_args(args) -> None:
-    """Reject, before any suite runs, an option the suite never reads, an
-    integer option outside [1, 2^14), the limit of a series bound, a
-    parameter that is not a rational or "symbolic", and an --out path the
-    report could not be written to; creates no file."""
+    """Reject, before any suite runs, an unknown --phi family, an option the
+    suite never reads, an integer option outside [1, 2^14), the limit of a
+    series bound, a parameter that is not a rational or "symbolic", and an
+    --out path the report could not be written to; creates no file."""
+    if "phi" in reads(args) and args.phi not in _PHI_READS and not args.phi.startswith("table:"):
+        raise ConfigError(f"unknown phi family {args.phi!r}")
     unused = sorted(flag for dest, flag in args.given.items() if dest not in reads(args))
     if unused:
         raise ConfigError(f"unused options for {args.suite}: {' '.join(unused)}")

@@ -431,28 +431,29 @@ def _congruence_check(name, params, lo, hi, lhs, parts, sign=-1, reduce=None):
 
 
 def phi_equation_series(phi: PhiFunction, bound: int) -> ts.TruncSeries:
-    """The trivariate series phi(u,v)[d_u phi(w,u) + d_v phi(w,v)] + cyclic."""
+    """The trivariate series F(w,u,v) + F(u,v,w) + F(v,w,u), where
+    F(a,b,c) = phi(b,c) [d_b phi(a,b) + d_c phi(a,c)].
+
+    Every variable has the same bound, so the last two terms are the first
+    with its variables relabelled cyclically: one product, whose exponent
+    tuples (i, j, k) are added at (i, j, k), (k, i, j) and (j, k, i).  No
+    antisymmetry of the table is used, so this is exact for any table."""
     space = ("u", "v", "w")
-    B1 = bound + 1
-    cache: dict = {}
+    box = (bound,) * 3
 
     def pair(a: str, b: str) -> ts.TruncSeries:
-        if (a, b) not in cache:
-            cache[(a, b)] = phi.as_series(a, b, space, (B1, B1, B1))
-        return cache[(a, b)]
+        return phi.as_series(a, b, space, (bound + 1,) * 3)
 
     def d(series: ts.TruncSeries, var: str) -> ts.TruncSeries:
-        return ts.truncate(ts.derivative(series, var), (bound,) * 3)
+        return ts.truncate(ts.derivative(series, var), box)
 
-    def t(a: str, b: str) -> ts.TruncSeries:
-        return ts.truncate(pair(a, b), (bound,) * 3)
-
-    total = ts.zero(space, (bound,) * 3)
-    for (a, b, c) in (("w", "u", "v"), ("u", "v", "w"), ("v", "w", "u")):
-        # phi(b,c) [ d_b phi(a,b) + d_c phi(a,c) ]
-        inner = ts.add(d(pair(a, b), b), d(pair(a, c), c))
-        total = ts.add(total, ts.mul(t(b, c), inner))
-    return total
+    inner = ts.add(d(pair("w", "u"), "u"), d(pair("w", "v"), "v"))
+    first = ts.mul(ts.truncate(pair("u", "v"), box), inner).coeffs
+    total = Combination()
+    for p, q, r in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+        for exps, c in first.items():
+            total.add((exps[p], exps[q], exps[r]), c)
+    return ts.TruncSeries(space, box, total)
 
 
 def verify_phi_equation(phi: PhiFunction, dcheck: int) -> rep.VerificationReport:

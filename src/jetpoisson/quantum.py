@@ -346,12 +346,16 @@ def tensor_multiply(a: Combination, b: Combination, R: RelationSet) -> Combinati
     return Combination.product(a, b, _tensor_join, R.h_order)
 
 
-def tensor_reduce(a: Combination, R: RelationSet) -> Combination:
+def tensor_reduce(a: Combination, R: RelationSet,
+                  normal_forms: Optional[dict] = None) -> Combination:
     """Componentwise normal form in both tensor slots.
 
-    Each word is reduced once per call: the normal forms are kept in a
-    table local to the call, so no result depends on an earlier call."""
-    normal_forms: dict = {}
+    Each word is reduced once: its normal form is kept in ``normal_forms``,
+    a word -> terms table of this relation set.  Without one the call keeps
+    its own, so no result depends on an earlier call; a caller that reduces
+    many elements of one set passes one table to all of them."""
+    if normal_forms is None:
+        normal_forms = {}
 
     def normal_form(word: tuple) -> Combination:
         nf = normal_forms.get(word)
@@ -381,11 +385,12 @@ def verify_delta_homomorphism(R: RelationSet) -> rep.VerificationReport:
     """Delta respects every relation: Delta(xi)Delta(xj) - Delta(xj)Delta(xi)
     - Delta(tail) reduces to zero componentwise."""
     params = {"set": R.label, "h_order": R.h_order}
+    normal_forms: dict = {}  # shared by the relations: each word is reduced once
     for (i, j) in sorted(R.tails):
         di, dj = delta_generator(i, R), delta_generator(j, R)
         diff = tensor_multiply(di, dj, R).add_all(tensor_multiply(dj, di, R), -1)
         diff.add_all(delta_of_element(R.tail(i, j), R), -1)
-        residual = tensor_reduce(diff, R)
+        residual = tensor_reduce(diff, R, normal_forms)
         if residual:
             (lw, rw) = min(residual, key=lambda k: (len(k[0]) + len(k[1]), k))
             txt = (f"({residual[(lw, rw)].render()}) "

@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Mutants of the package and the tests that must kill each one.
+
+    python3 tests/mutants.py [NAME ...]
+
+Each entry of ``MUTANTS`` names a file of the package, a piece of its source
+that occurs there exactly once, the text that replaces it, and the test ids
+that must fail once it is replaced.  The runner first runs every listed test
+on an unchanged copy of ``src/`` and ``tests/`` in a temporary directory,
+then, one mutant at a time, applies the replacement in a fresh copy and runs
+that mutant's tests there.  A mutant is killed when one of its tests fails,
+and survives when all pass.  The exit status is 0 when every mutant named
+(all by default) is killed.  The working tree is never written.
+
+The runner is slow (one pytest process per mutant) and is not part of the
+test suite; ``tests/test_mutants.py`` checks only that each entry still
+applies, so that a change to the code cannot quietly retire a mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+MUTANTS = [
+    {
+        "name": "phi-equation-drops-a-relabelling",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "for p, q, r in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):",
+        "mutant": "for p, q, r in ((0, 1, 2), (2, 0, 1)):",
+        "tests": ["tests/test_poissonlie.py::test_phi_equation_series_matches_three_products"],
+    },
+    {
+        "name": "phi-equation-transposes-instead-of-cycling",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "for p, q, r in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):",
+        "mutant": "for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):",
+        "tests": ["tests/test_poissonlie.py::test_phi_equation_series_matches_three_products"],
+    },
+    {
+        "name": "cojacobi-failure-rank-off-by-one",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "checked=checked + free_rank + 1,",
+        "mutant": "checked=checked + free_rank,",
+        "tests": ["tests/test_bialgebra.py::test_cojacobi_scan_matches_reference",
+                  "tests/test_bialgebra.py::test_cojacobi_counts_a_failure_at_a_later_level"],
+    },
+    {
+        "name": "cojacobi-free-counts-reach",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "free = {i: k for k, i in enumerate(i for i in support if i not in reach)}",
+        "mutant": "free = {i: k for k, i in enumerate(support)}",
+        "tests": ["tests/test_bialgebra.py::test_cojacobi_scan_matches_reference",
+                  "tests/test_bialgebra.py::test_cojacobi_counts_a_failure_at_a_later_level"],
+    },
+    {
+        "name": "cojacobi-rows-in-table-order",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "for key in sorted(k for k in rows if",
+        "mutant": "for key in list(k for k in rows if",
+        "tests": ["tests/test_bialgebra.py::test_cojacobi_scan_matches_reference"],
+    },
+    {
+        "name": "delta-table-per-relation",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "residual = tensor_reduce(diff, R, normal_forms)",
+        "mutant": "residual = tensor_reduce(diff, R)",
+        "tests": ["tests/test_quantum.py::test_delta_homomorphism_reduces_each_word_once"],
+    },
+    {
+        "name": "tensor-reduce-table-shared-across-calls",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "normal_forms: Optional[dict] = None) -> Combination:",
+        "mutant": "normal_forms: Optional[dict] = {}) -> Combination:",
+        "tests": ["tests/test_quantum.py::test_tensor_reduce_alone_keeps_its_own_table"],
+    },
+    {
+        "name": "phi-table-mirror-added-twice",
+        "file": "src/jetpoisson/cli.py",
+        "original": "if (n, m) not in rows:\n",
+        "mutant": "if True:\n",
+        "tests": ["tests/test_report_cli.py::test_cli_phi_table_mirror_row_sets_the_entry_once"],
+    },
+    {
+        "name": "phi-table-mirror-value-unchecked",
+        "file": "src/jetpoisson/cli.py",
+        "original": "elif entries[(n, m)] != -value:",
+        "mutant": "elif False:",
+        "tests": ["tests/test_report_cli.py::test_cli_bad_input_exits_2[table-mirror-not-negated]"],
+    },
+]
+
+
+def _copy(dest: Path) -> Path:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+    shutil.copy(ROOT / "pyproject.toml", dest)
+    return dest
+
+
+def _pytest(root: Path, tests) -> str:
+    """'pass', 'fail' or 'timeout' for the tests run in a copy at root."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"pytest could not run {tests}:\n{proc.stdout}{proc.stderr}")
+    return "pass" if proc.returncode == 0 else "fail"
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m["name"] in names]
+    unknown = set(names) - {m["name"] for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tests = sorted({t for m in chosen for t in m["tests"]})
+        if _pytest(_copy(Path(tmp) / "base"), tests) != "pass":
+            raise SystemExit("the listed tests fail on the unchanged code")
+        survivors = 0
+        for i, m in enumerate(chosen):
+            root = _copy(Path(tmp) / f"m{i}")
+            path = root / m["file"]
+            text = path.read_text(encoding="utf-8")
+            if text.count(m["original"]) != 1:
+                raise SystemExit(f"{m['name']}: the original text does not occur exactly once")
+            path.write_text(text.replace(m["original"], m["mutant"]), encoding="utf-8")
+            outcome = _pytest(root, m["tests"])
+            killed = outcome != "pass"
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'} ({outcome}) {m['name']}", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

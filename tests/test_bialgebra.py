@@ -229,6 +229,20 @@ def test_cojacobi_skips_tuples_past_upper_and_still_reports_failure():
     assert (report.params["checked"], report.params["skipped"]) == (16, 8)
 
 
+def test_cojacobi_counts_a_failure_at_a_later_level():
+    one = LaurentPoly.one()
+    # support {0, 1, 3, 5, 7}.  Level 0 reaches past upper from 3 and 5: 27
+    # quadruples checked, 98 skipped.  Level 1 is unstored: 125 checked.
+    # Level 2 reaches from 0, and a^2_{10} a^0_{35} fails first at (1, 3, 5),
+    # 38th of the 125 support triples and 6th of the 64 free ones
+    alpha = {0: _antisymmetric({(3, 5): one}), 2: _antisymmetric({(0, 1): one, (0, 7): one})}
+    cochain = ba.WedgeCochain(0, alpha, 2)
+    report = ba.verify_cojacobi(cochain, 2)
+    assert report.to_dict() == _reference_cojacobi(cochain, 2).to_dict()
+    assert report.witness == {"indices": [2, 1, 3, 5], "residual": "-1"}
+    assert (report.params["checked"], report.params["skipped"]) == (27 + 125 + 7, 98 + 32)
+
+
 def test_cojacobi_work_counts_of_the_cli_scans():
     # the seven scans of `verify all --n 7`: five coboundaries, 8 levels of
     # support^3 each, then the sl2 pair, 3 levels of 3^3 each

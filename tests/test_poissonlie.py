@@ -16,8 +16,10 @@ from fractions import Fraction
 
 import pytest
 
+from jetpoisson import bialgebra as ba
 from jetpoisson import jetgroup as jg
 from jetpoisson import poissonlie as pl
+from jetpoisson import series as ts
 from jetpoisson.coeffpoly import Combination, LaurentPoly, param, x_var
 
 
@@ -514,6 +516,63 @@ def test_phi_equation_series_matches_quadric_evaluation():
             for r in range(n + 1, 7):
                 got = series.coeff((k, n, r))
                 assert got == pl.quadric_residual(phi, k, n, r), (k, n, r)
+
+
+def _three_product_phi_equation(phi, bound):
+    """The phi equation as three products, one per cyclic term."""
+    space = ("u", "v", "w")
+    B1 = bound + 1
+    box = (bound,) * 3
+
+    def pair(a, b):
+        return phi.as_series(a, b, space, (B1, B1, B1))
+
+    def d(series, var):
+        return ts.truncate(ts.derivative(series, var), box)
+
+    total = ts.zero(space, box)
+    for (a, b, c) in (("w", "u", "v"), ("u", "v", "w"), ("v", "w", "u")):
+        inner = ts.add(d(pair(a, b), b), d(pair(a, c), c))
+        total = ts.add(total, ts.mul(ts.truncate(pair(b, c), box), inner))
+    return total
+
+
+def _random_phi(rng):
+    """A table built directly, from index 0 or 1, with rational or symbolic
+    entries, antisymmetric or not (diagonal entries included), and a bound."""
+    lo = rng.choice((0, 1))
+    top = rng.randint(lo + 2, 5)
+    a = LaurentPoly.var(param("a"))
+    values = (LaurentPoly.one(), LaurentPoly.const(-2), LaurentPoly.const(Fraction(1, 3)), a, a - 1)
+    table = Combination()
+    for _ in range(rng.randint(1, 6)):
+        m, n = rng.randint(lo, top), rng.randint(lo, top)
+        c = rng.choice(values)
+        table.add((m, n), c)
+        if rng.random() < 0.5:
+            table.add((n, m), -c)
+    return pl.PhiFunction(lo, table, top, True, "random"), rng.randint(lo + 2, 6)
+
+
+def test_phi_equation_series_matches_three_products():
+    """One product relabelled cyclically gives every coefficient of the three
+    products, also for tables that are not antisymmetric."""
+    lam = LaurentPoly.var(param("lam"))
+    cases = [(pl.phi_power_family(d), bound) for d in range(1, 6) for bound in (3, d + 2, 8)]
+    cases += [(pl.phi_extended_family(d, value, 8), 7) for d in (2, 3)
+              for value in (lam, Fraction(2, 3))]
+    cases.append((pl.phi_from_table({(1, 2): 1, (1, 3): 1}, 1, 4, exact=True), 6))
+    free = {n: LaurentPoly.var(param(f"a{n}")) for n in range(2, 8)}
+    cases.append((ba.classify_g0_branch(free, 6).to_phi("g0-branch"), 5))
+    rng = random.Random(13)
+    cases += [_random_phi(rng) for _ in range(60)]
+    failing = 0
+    for phi, bound in cases:
+        want = _three_product_phi_equation(phi, bound)
+        assert pl.phi_equation_series(phi, bound) == want, (phi, bound)
+        failing += not want.is_zero()
+    # the sample keeps nonzero residuals, where a lost or wrong relabelling shows
+    assert failing >= 40, failing
 
 
 def test_functional_equation_quadric_list():

@@ -18,6 +18,7 @@ import pytest
 
 from jetpoisson import poissonlie as pl
 from jetpoisson import quantum as qt
+from jetpoisson import report as rep
 from jetpoisson.coeffpoly import Combination, LaurentPoly, param, poly
 
 
@@ -372,6 +373,68 @@ def test_delta_homomorphism_for_shipped_sets():
     for which in ("R2", "R3", "R1", "R1_pbw"):
         R = qt.relation_set_catalog(which)
         assert qt.verify_delta_homomorphism(R).passed, which
+
+
+def _delta_per_relation(R):
+    """verify_delta_homomorphism with one normal-form table per relation:
+    each tensor_reduce call keeps its own."""
+    params = {"set": R.label, "h_order": R.h_order}
+    for (i, j) in sorted(R.tails):
+        di, dj = qt.delta_generator(i, R), qt.delta_generator(j, R)
+        diff = qt.tensor_multiply(di, dj, R).add_all(qt.tensor_multiply(dj, di, R), -1)
+        diff.add_all(qt.delta_of_element(R.tail(i, j), R), -1)
+        residual = qt.tensor_reduce(diff, R)
+        if residual:
+            (lw, rw) = min(residual, key=lambda k: (len(k[0]) + len(k[1]), k))
+            txt = (f"({residual[(lw, rw)].render()}) "
+                   f"{' '.join(qt._word_factors(lw)) or '1'} (x) "
+                   f"{' '.join(qt._word_factors(rw)) or '1'}")
+            return rep.failed("delta-homomorphism", (i, j), txt, **params)
+    return rep.passed("delta-homomorphism", **params)
+
+
+def test_delta_homomorphism_matches_a_table_per_relation():
+    h = LaurentPoly.var(qt.H)
+    sets = [qt.relation_set_catalog(which)
+            for which in ("R1", "R2", "R3", "R2_ansatz", "R1_pbw")]
+    sets.append(qt.relation_set_catalog("R2", {"C": Fraction(2, 3)}))
+    sets.append(_with_tail(qt.relation_set_catalog("R2", {"C": 0}), (2, 4),
+                           {(2, 2, 1, 1, 1): 3 * h, (2, 2): -4 * h}))
+    sets.append(qt.make_relation_set("bad", 2, 2, 4, {(1, 2): qt.nc_make(2, 4, {(1, 1): h})}))
+    statuses = []
+    for R in sets:
+        want = _delta_per_relation(R).to_dict()
+        assert qt.verify_delta_homomorphism(R).to_dict() == want, R.label
+        statuses.append(want["status"])
+    assert statuses.count("fail") == 3  # R2_ansatz, the printed R2 and the bad set
+
+
+def test_delta_homomorphism_reduces_each_word_once(monkeypatch):
+    reduced = []
+    reduce = qt.nc_reduce
+
+    def recording(a, R, rng=None):
+        reduced.extend(a.terms)
+        return reduce(a, R, rng)
+
+    monkeypatch.setattr(qt, "nc_reduce", recording)
+    R = qt.relation_set_catalog("R2")
+    assert qt.verify_delta_homomorphism(R).passed
+    # a table per relation reduced 713 words, 407 of them distinct
+    assert len(reduced) == len(set(reduced)) == 407
+
+
+def test_tensor_reduce_alone_keeps_its_own_table():
+    # the same words reduce differently in the two sets, so a table left
+    # over from an earlier call would show in the later result
+    table = Combination({((1, 3), (2, 4)): LaurentPoly.one(), ((2, 3, 4), (1, 2)): 2})
+    R2 = qt.relation_set_catalog("R2", {"C": Fraction(2, 3)})
+    R3 = qt.relation_set_catalog("R3")
+    results = []
+    for R in (R2, R3, R2):
+        results.append(qt.tensor_reduce(table, R))
+        assert results[-1] == qt.tensor_reduce(table, R, {}), R.label
+    assert results[0] != results[1] and results[0] == results[2]
 
 
 def test_counit_and_coassociativity():
