@@ -40,7 +40,7 @@ from .coeffpoly import (
     LaurentPoly,
     Variable,
     VarKind,
-    _h_cap, _poly_finish, _poly_mac,
+    _finish_all, _h_cap, _poly_finish, _poly_mac,
     compositions,
     homogeneous_graded_degree,
     param,
@@ -117,11 +117,7 @@ def nc_make(n_gens: int, h_order: int, terms: Mapping) -> NCElement:
     return NCElement(n_gens, h_order, clean)
 
 
-def nc_zero(n_gens: int, h_order: int) -> NCElement:
-    return NCElement(n_gens, h_order, Combination())
-
-
-def nc_word(n_gens: int, h_order: int, word, coeff=1) -> NCElement:
+def nc_word(n_gens: int, h_order: int, word, coeff=LaurentPoly.one()) -> NCElement:
     return nc_make(n_gens, h_order, {tuple(word): coeff})
 
 
@@ -188,7 +184,7 @@ def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
     for i in range(1, n_gens + 1):
         for j in range(i + 1, n_gens + 1):
             t = tails.get((i, j))
-            t = nc_zero(n_gens, h_order) if t is None else nc_make(n_gens, h_order, t.terms)
+            t = nc_make(n_gens, h_order, {} if t is None else t.terms)
             for word, c in t.terms.items():
                 if not word_is_canonical(word):
                     raise ValueError(f"tail of ({i},{j}) has non-canonical word {word}")
@@ -300,14 +296,21 @@ def commutator_normal_form(R: RelationSet, i: int, j: int) -> NCElement:
 
 
 def pbw_overlap_check(R: RelationSet, triples=None) -> rep.VerificationReport:
-    """Resolve every overlap word x_i x_j x_k (i<j<k) two ways and compare."""
+    """Resolve every overlap word x_i x_j x_k (i<j<k) two ways and compare.
+
+    The two one-step reductions are subtracted first and the difference is
+    reduced in one call.  Leftmost reduction rewrites each word by the same
+    linear step wherever it occurs, and the h cap is a linear projection, so
+    the normal form of a sum is the sum of the normal forms (Bergman, "The
+    diamond lemma for ring theory", Adv. Math. 1978), also for a set that is
+    not confluent."""
     if triples is None:
         triples = list(itertools.combinations(range(1, R.n_gens + 1), 3))
     params = {"set": R.label, "h_order": R.h_order, "triples": len(triples)}
     for (i, j, k) in triples:
         left = _one_step(R, (i, j, k), 0)
         right = _one_step(R, (i, j, k), 1)
-        diff = nc_sub(nc_reduce(left, R), nc_reduce(right, R))
+        diff = nc_reduce(nc_sub(left, right), R)
         if not diff.is_zero():
             word = min(diff.terms, key=_word_order)
             return rep.failed(
@@ -350,35 +353,69 @@ def tensor_reduce(a: Combination, R: RelationSet,
                   normal_forms: Optional[dict] = None) -> Combination:
     """Componentwise normal form in both tensor slots.
 
-    Each word is reduced once: its normal form is kept in ``normal_forms``,
-    a word -> terms table of this relation set.  Without one the call keeps
-    its own, so no result depends on an earlier call; a caller that reduces
-    many elements of one set passes one table to all of them."""
+    Each word is reduced once: its normal form, as a list of (word, terms)
+    pairs, is kept in ``normal_forms``, a word -> normal form table of this
+    relation set.  Without one the call keeps its own, so no result depends
+    on an earlier call; a caller that reduces many elements of one set
+    passes one table to all of them.
+
+    The whole result is one raw sum: for each term (lw, rw) (x) c and each
+    left normal-form term u, c * u is formed once and multiplied into the
+    accumulator of each (left word, right word) under the h cap, a key whose
+    sum cancels is deleted at once, and every coefficient is normalised once
+    at the end.  Truncation in h is linear, so capping each pair product
+    gives the truncated sum."""
     if normal_forms is None:
         normal_forms = {}
-
-    def normal_form(word: tuple) -> Combination:
-        nf = normal_forms.get(word)
-        if nf is None:
-            nf = normal_forms[word] = nc_reduce(nc_word(R.n_gens, R.h_order, word), R).terms
-        return nf
-
-    out = Combination()
+    cap = _h_cap(R.h_order)
+    raw: dict = {}
     for (lw, rw), c in a.items():
-        left = {wl: c * v for wl, v in normal_form(lw).items()}
-        out.add_all(Combination.product(left, normal_form(rw), lambda wl, wr: (wl, wr), R.h_order))
-    return out
+        for word in (lw, rw):
+            if word not in normal_forms:
+                nf = nc_reduce(nc_word(R.n_gens, R.h_order, word), R).terms
+                normal_forms[word] = [(w, v.terms) for w, v in nf.items()]
+        right = normal_forms[rw]
+        for wl, u in normal_forms[lw]:
+            cu = _poly_mac({}, c.terms, u)
+            for wr, v in right:
+                key = (wl, wr)
+                acc = raw.get(key)
+                if acc is None:
+                    acc = _poly_mac({}, cu, v, cap)
+                    if acc:
+                        raw[key] = acc
+                elif not _poly_mac(acc, cu, v, cap):
+                    del raw[key]
+    return _finish_all(raw)
 
 
 def delta_of_element(a: NCElement, R: RelationSet) -> Combination:
-    """Apply the comultiplication to every word (h and parameters are scalars)."""
+    """Apply the comultiplication to every word (h and parameters are scalars).
+
+    Delta of a word is Delta of its prefix without the last letter times
+    Delta of that letter, and Delta of the empty word is 1 (x) 1; each
+    prefix's Delta is built once, in a table that lives for this call only.
+    No two words share a key of their Deltas (the left word of a key splits
+    its right word into the compositions of the letters), so each key's
+    coefficient is one product, normalised once."""
+    deltas = {(): Combination({((), ()): LaurentPoly.one()})}
     total = Combination()
     for word, c in a.terms.items():
-        cur = Combination({((), ()): 1})
-        for g in word:
-            cur = tensor_multiply(cur, delta_generator(g, R), R)
-        total.add_all(cur, c)
+        total.add_all(_delta_of_word(word, deltas, R), c)
     return total
+
+
+def _delta_of_word(word: tuple, deltas: dict, R: RelationSet) -> Combination:
+    """Delta(word) = Delta(prefix) Delta(last letter), each kept in ``deltas``.
+
+    A module function, not a closure over the table: a closure that calls
+    itself is a reference cycle, which would keep the table alive after the
+    call until the cyclic garbage collector ran."""
+    d = deltas.get(word)
+    if d is None:
+        d = deltas[word] = tensor_multiply(_delta_of_word(word[:-1], deltas, R),
+                                           delta_generator(word[-1], R), R)
+    return d
 
 
 def verify_delta_homomorphism(R: RelationSet) -> rep.VerificationReport:

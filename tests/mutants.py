@@ -82,6 +82,35 @@ MUTANTS = [
         "tests": ["tests/test_quantum.py::test_tensor_reduce_alone_keeps_its_own_table"],
     },
     {
+        "name": "tensor-sum-without-h-cap",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "cap = _h_cap(R.h_order)",
+        "mutant": "cap = None",
+        "tests": ["tests/test_quantum.py::test_tensor_reduce_matches_the_per_pair_loop",
+                  "tests/test_quantum.py::test_tensor_reduce_matches_the_per_term_loop"],
+    },
+    {
+        "name": "tensor-cancelled-key-kept-empty",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "                elif not _poly_mac(acc, cu, v, cap):\n                    del raw[key]\n",
+        "mutant": "                else:\n                    _poly_mac(acc, cu, v, cap)\n",
+        "tests": ["tests/test_quantum.py::test_tensor_reduce_matches_the_per_term_loop"],
+    },
+    {
+        "name": "delta-prefix-table-keyed-by-suffix",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "tensor_multiply(_delta_of_word(word[:-1], deltas, R),",
+        "mutant": "tensor_multiply(_delta_of_word(word[1:], deltas, R),",
+        "tests": ["tests/test_quantum.py::test_delta_of_element_matches_the_letter_by_letter_product"],
+    },
+    {
+        "name": "overlap-reduced-as-sum",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "diff = nc_reduce(nc_sub(left, right), R)",
+        "mutant": "diff = nc_reduce(NCElement(R.n_gens, R.h_order, left.terms.copy().add_all(right.terms)), R)",
+        "tests": ["tests/test_quantum.py::test_overlap_check_reduces_the_difference_once"],
+    },
+    {
         "name": "phi-table-mirror-added-twice",
         "file": "src/jetpoisson/cli.py",
         "original": "if (n, m) not in rows:\n",

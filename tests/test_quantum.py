@@ -324,6 +324,49 @@ def test_linear_set_overlap_constraint_record():
         assert not qt.pbw_overlap_check(off).passed
 
 
+def _overlap_two_reductions(R, triple):
+    """pbw_overlap_check on one triple as it reduced each side on its own
+    and subtracted the two normal forms."""
+    params = {"set": R.label, "h_order": R.h_order, "triples": 1}
+    left, right = qt._one_step(R, triple, 0), qt._one_step(R, triple, 1)
+    diff = qt.nc_sub(qt.nc_reduce(left, R), qt.nc_reduce(right, R))
+    if not diff.is_zero():
+        word = min(diff.terms, key=qt._word_order)
+        return rep.failed(
+            "pbw-overlap", triple,
+            f"normal forms differ; e.g. ({diff.terms[word].render()}) "
+            f"{' '.join(qt._word_factors(word))}", **params)
+    return rep.passed("pbw-overlap", **params)
+
+
+def test_overlap_check_reduces_the_difference_once(monkeypatch):
+    """One reduction of left - right gives the record of two reductions on
+    every triple, also on the sets that are not confluent."""
+    calls = []
+    reduce = qt.nc_reduce
+
+    def counting(a, R, rng=None):
+        calls.append(a)
+        return reduce(a, R, rng)
+
+    sets = [qt.relation_set_catalog(which)
+            for which in ("R1", "R1_pbw", "R2", "R3", "R2_ansatz")]
+    sets.append(qt.relation_set_catalog("R2", {"C": Fraction(2, 3)}))
+    sets += [qt.relation_set_catalog(which, h_order=qt.relation_set_catalog(which).h_order + 2)
+             for which in ("R1", "R2", "R3")]
+    statuses = []
+    for R in sets:
+        for triple in itertools.combinations(range(1, R.n_gens + 1), 3):
+            want = _overlap_two_reductions(R, triple).to_dict()
+            monkeypatch.setattr(qt, "nc_reduce", counting)
+            got = qt.pbw_overlap_check(R, triples=[triple]).to_dict()
+            monkeypatch.setattr(qt, "nc_reduce", reduce)
+            assert got == want, (R.label, R.h_order, triple)
+            statuses.append(want["status"])
+    assert len(calls) == len(statuses) == 72
+    assert statuses.count("fail") == 8  # R1 at x2 x3 x4 (twice) and six R2_ansatz triples
+
+
 def test_delta_generator_printed_rows():
     R = qt.relation_set_catalog("R2")
     one = LaurentPoly.one()
@@ -435,6 +478,82 @@ def test_tensor_reduce_alone_keeps_its_own_table():
         results.append(qt.tensor_reduce(table, R))
         assert results[-1] == qt.tensor_reduce(table, R, {}), R.label
     assert results[0] != results[1] and results[0] == results[2]
+
+
+def _tensor_reduce_per_term(a, R):
+    """tensor_reduce as one product per tensor term: the left normal form
+    scaled by the term's coefficient, times the right normal form under the
+    h cap, added into the result; each word reduced once per call."""
+    table = {}
+
+    def normal_form(word):
+        if word not in table:
+            table[word] = qt.nc_reduce(qt.nc_word(R.n_gens, R.h_order, word), R).terms
+        return table[word]
+
+    out = Combination()
+    for (lw, rw), c in a.items():
+        left = {wl: c * v for wl, v in normal_form(lw).items()}
+        out.add_all(Combination.product(left, normal_form(rw), lambda wl, wr: (wl, wr),
+                                        R.h_order))
+    return out
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["default-h", "lower-h"])
+def test_tensor_reduce_matches_the_per_term_loop(lower):
+    """The one raw sum gives the per-term products' result, item order
+    included, on the Delta residual of every relation of every catalog set.
+    At the default orders the grading keeps every pair product below the h
+    cap; at a quarter of them the cap drops terms."""
+    h = LaurentPoly.var(qt.H)
+    sets = []
+    for which, params in (("R1", None), ("R1_pbw", None), ("R2", None),
+                          ("R2", {"C": Fraction(2, 3)}), ("R3", None), ("R2_ansatz", None)):
+        default = qt.relation_set_catalog(which, params).h_order
+        sets.append(qt.relation_set_catalog(which, params, max(1, default // 4) if lower else None))
+    R2 = qt.relation_set_catalog("R2", {"C": 0}, 2 if lower else None)
+    sets.append(_with_tail(R2, (2, 4), {(2, 2, 1, 1, 1): 3 * h, (2, 2): -4 * h}))
+    nonzero = 0
+    for R in sets:
+        for (i, j) in sorted(R.tails):
+            di, dj = qt.delta_generator(i, R), qt.delta_generator(j, R)
+            diff = qt.tensor_multiply(di, dj, R).add_all(qt.tensor_multiply(dj, di, R), -1)
+            diff.add_all(qt.delta_of_element(R.tail(i, j), R), -1)
+            got = qt.tensor_reduce(diff, R)
+            assert list(got.items()) == list(_tensor_reduce_per_term(diff, R).items()), \
+                (R.label, R.h_order, i, j)
+            nonzero += bool(got)
+    # at both orders R2_ansatz fails at (2,5), (3,5) and (4,5), and the
+    # printed R2 (2,4) tail at (2,4), (2,5), (3,4), (3,5) and (4,5)
+    assert nonzero == 8, nonzero
+
+
+def _delta_letter_by_letter(a, R):
+    """delta_of_element as one tensor product per letter of every word."""
+    total = Combination()
+    for word, c in a.terms.items():
+        cur = Combination({((), ()): 1})
+        for g in word:
+            cur = qt.tensor_multiply(cur, qt.delta_generator(g, R), R)
+        total.add_all(cur, c)
+    return total
+
+
+def test_delta_of_element_matches_the_letter_by_letter_product():
+    h = LaurentPoly.var(qt.H)
+    element = {(): Fraction(3, 2), (2, 3): h, (2, 3, 1): Fraction(1, 3) - h * h,
+               (2, 3, 2): h * Fraction(5, 7), (2,): -2, (1, 1): h ** 3 + 1,
+               (3, 2, 1, 4): Fraction(-4, 9) * h, (3, 2, 1): h ** 2, (5, 1, 4): 7}
+    for R in (qt.relation_set_catalog("R2"), qt.relation_set_catalog("R2", h_order=2)):
+        a = qt.nc_make(R.n_gens, R.h_order, element)
+        got = qt.delta_of_element(a, R)
+        assert list(got.items()) == list(_delta_letter_by_letter(a, R).items()), R.h_order
+        assert got[((), ())] == poly(Fraction(3, 2))
+    for which in ("R1", "R2", "R3"):
+        R = qt.relation_set_catalog(which)
+        for pair in sorted(R.tails):
+            want = _delta_letter_by_letter(R.tail(*pair), R)
+            assert list(qt.delta_of_element(R.tail(*pair), R).items()) == list(want.items())
 
 
 def test_counit_and_coassociativity():
