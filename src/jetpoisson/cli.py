@@ -5,12 +5,13 @@ Usage:
 
 Suites: group, poisson, phi, bialgebra, cybe, classify, density, quantum, all.
 Reports are emitted as JSON (default) or text, one record per check.  The
-exit status is 0 when every record passed, 1 when a record failed, and 2 on
-bad input, which prints one ``error:`` line instead of a report: a malformed
-or out-of-range value, an unknown --phi family, a phi table row that repeats
-another or is not the negative of its mirror, an option the suite never
-reads, an --out path that cannot be written (checked before any suite runs),
-or an input whose exponents overflow a series or monomial field.
+exit status is 0 when every record passed, 1 when a record failed, 2 on bad
+input and 3 when the run ran out of memory; 2 and 3 print one ``error:``
+line instead of a report.  Bad input is a malformed or out-of-range value,
+an unknown --phi family, a phi table row that repeats another or is not the
+negative of its mirror, an option the suite never reads, an --out path that
+cannot be written (checked before any suite runs), or an input whose
+exponents overflow a series or monomial field.
 """
 
 from __future__ import annotations
@@ -321,7 +322,8 @@ class _Given(argparse.Action):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jetpoisson")
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a verification suite")
+    verify = sub.add_parser("verify", help="run a verification suite", epilog=(
+        "exit status: 0 every record passed, 1 a record failed, 2 bad input, 3 out of memory"))
     verify.set_defaults(given={})
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     verify.add_argument("--n", type=int, default=5, action=_Given)
@@ -388,6 +390,9 @@ def main(argv=None) -> int:
             qt.UnknownParameters, ts.SeriesOverflow, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     payload = rep.emit_report(records, args.format)
     if args.out:
         try:

@@ -534,10 +534,10 @@ class LaurentPoly:
             _poly_mac(acc, factor, powers[-1])
         return LaurentPoly(_poly_finish(acc))
 
-    def degree(self, v: Variable) -> float:
-        """The highest exponent of v in any term: 0 for a nonzero polynomial
-        free of v, and -inf for the zero polynomial.  So
-        ``p.drop_high_degree({v.code}, k) is p`` exactly when
+    def degree(self, v: Variable, pick=max) -> float:
+        """The highest exponent of v in any term (the lowest with ``pick=min``):
+        0 for a nonzero polynomial free of v, and -inf for the zero
+        polynomial.  So ``p.drop_high_degree({v.code}, k) is p`` exactly when
         ``p.degree(v) <= k``."""
         if not self.terms:
             return -inf
@@ -545,7 +545,7 @@ class LaurentPoly:
         if slot is None:
             return 0
         shift, bias = _FIELD * slot, _BIAS
-        return max((key + bias) >> shift & _MASK for key in self.terms) - _HALF
+        return pick((key + bias) >> shift & _MASK for key in self.terms) - _HALF
 
     def drop_high_degree(self, codes, max_degree: int) -> "LaurentPoly":
         """Drop terms whose total degree in the given variable codes exceeds

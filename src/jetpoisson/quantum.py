@@ -7,7 +7,8 @@ h order.  A word is canonical when its generator indices are non-increasing;
 a relation set rewrites each ascending adjacent pair x_i x_j (i < j) to
 x_j x_i plus a tail whose every term carries at least one power of h.  With
 the h truncation this makes reduction terminate: a swap lowers the ascent
-count at fixed h degree and every spawned term climbs the finite h ladder.
+count at fixed h degree and every spawned term climbs the finite h ladder;
+`nc_reduce` rewrites by h level, then by word, in step with that descent.
 
 `nc_reduce` rewrites packed words.  A word is one int: the edge marker
 n + 1, then one fixed-width field per letter, leftmost highest, each field
@@ -195,23 +196,26 @@ def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
 
 
 def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None) -> NCElement:
-    """Normal form: rewrite ascending adjacent pairs until every word is
-    canonical.
+    """Normal form, its words in (length, word) order: rewrite ascending
+    adjacent pairs until every word is canonical.
 
-    Each step rewrites the smallest pending word in (length, word) order,
-    which for packed words (see the module docstring) is int order, taken
-    from a heap with lazy deletion: an entry whose word has since cancelled
-    or been rewritten is skipped.  A tail can be shorter than the pair it
-    replaces, so a new word may come before the current one; the heap still
-    yields the exact minimum.  The site is the leftmost ascent unless an rng
-    is supplied, in which case ``rng.choice`` picks one of the ascents, once
-    per step; confluent sets give the same answer either way.  A spawned
-    word is canonical when it has no ascent.
+    A pending word has a level, a lower bound on the h degree of its
+    coefficient: an input term's lowest h degree, at most h_order, or its
+    parent's level plus the lowest h degree of the rule coefficient (0 for
+    the swap, at least 1 for a tail), the smaller of two on a merge.  A step
+    rewrites the lowest level's smallest word in packed-int order (see the
+    module docstring), from one heap per level with lazy deletion: an entry
+    whose word has since cancelled, been rewritten or been queued lower is
+    skipped.  A swap child is a larger word on the same level and a tail
+    child sits higher, so the rewritten (level, word) never decreases; on a
+    graded set no word of a homogeneous input is rewritten twice.  A child
+    above level h_order is dropped unformed.  The site is the leftmost
+    ascent unless an rng is supplied, in which case ``rng.choice`` picks one
+    of the ascents, once per step; confluent sets agree either way.
 
-    Coefficients stay raw `_poly_mac` accumulators until the end, each
-    pending one with an upper bound on its h degree (exact for an input
-    term, kept by a swap, raised by the tail coefficient's degree, the
-    larger of two on a merge).  A tail product is h-truncated, by the cap of
+    Coefficients stay raw `_poly_mac` accumulators until the end, each with
+    an upper bound on its h degree, kept like the level from highest degrees
+    and the larger on a merge; a tail product is h-truncated, by the cap of
     `Combination.product`, only when that bound passes the order."""
     if a.h_order != R.h_order or a.n_gens != R.n_gens:
         raise ShapeMismatch("element and relation set disagree on shape")
@@ -221,70 +225,76 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     letter, pair_mask = (1 << width - 1) - 1, (1 << 2 * width) - 1
     cap, one = _h_cap(order), {0: (1, 1)}
     done: dict = {}  # canonical word -> raw coefficient
-    pending: dict = {}  # word -> [raw coefficient, bound on its h degree]
+    pending: dict = {}  # word -> [raw coefficient, bound on its h degree, level]
+    heaps = [[] for _ in range(order + 1)]  # level -> heap of its pending words
     for word, c in a.terms.items():
         w = _packed(word, width, top)
         low, g = guards[w.bit_length()]
         if (w + low - (w >> width)) & g:
-            pending[w] = [dict(c.terms), c.degree(H)]
+            pending[w] = [dict(c.terms), c.degree(H), min(c.degree(H, min), order)]
+            heapq.heappush(heaps[pending[w][2]], w)
         else:
             done[w] = dict(c.terms)
-    heap = list(pending)
-    heapq.heapify(heap)
-    while heap:
-        word = heapq.heappop(heap)
-        entry = pending.pop(word, None)
-        if entry is None or not entry[0]:
-            continue
-        coeff, bound = entry
-        low, g = guards[word.bit_length()]
-        ascents = (word + low - (word >> width)) & g
-        sites = []  # the shift of each ascent's right letter, leftmost first
-        while ascents:
-            shift = ascents.bit_length() - width
-            sites.append(shift)
-            ascents &= (1 << shift) - 1
-        shift = sites[0] if rng is None else rng.choice(sites)
-        pair = word >> shift & pair_mask
-        i, j = pair >> width, pair & letter
-        tail = R.tail(i, j)  # once per step: perfbench counts rewrite steps here
-        rule = rules.get(pair)
-        if rule is None:
-            # (middle word, its bits, raw coefficient, h degree): the swap
-            # first, passing the popped coefficient on itself unless a tail
-            # word is the swapped pair, then each tail term
-            swap = one if (j, i) in tail.terms else None
-            rule = rules[pair] = [(j << width | i, 2 * width, swap, 0)] + [
-                (_packed(w2, width), len(w2) * width, c2.terms, c2.degree(H))
-                for w2, c2 in tail.terms.items()]
-        head, rest = word >> shift + 2 * width, word & (1 << shift) - 1
-        for mid, bits, c2, d2 in rule:
-            new = (head << bits | mid) << shift | rest
-            b = bound + d2
-            capped = cap if b > order else None
-            low, g = guards[new.bit_length()]
-            if (new + low - (new >> width)) & g:
-                entry = pending.get(new)
-                if entry is None:
-                    c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
-                    if c:
-                        pending[new] = [c, b]
-                        heapq.heappush(heap, new)
+    for level, heap in enumerate(heaps):
+        while heap:
+            word = heapq.heappop(heap)
+            if pending.get(word, (0, 0, -1))[2] != level:
+                continue  # cancelled, rewritten or queued lower since
+            coeff, bound, _ = pending.pop(word)
+            low, g = guards[word.bit_length()]
+            ascents = (word + low - (word >> width)) & g
+            sites = []  # the shift of each ascent's right letter, leftmost first
+            while ascents:
+                shift = ascents.bit_length() - width
+                sites.append(shift)
+                ascents &= (1 << shift) - 1
+            shift = sites[0] if rng is None else rng.choice(sites)
+            pair = word >> shift & pair_mask
+            i, j = pair >> width, pair & letter
+            tail = R.tail(i, j)  # once per step: perfbench counts rewrite steps here
+            rule = rules.get(pair)
+            if rule is None:
+                # (middle word, its bits, raw coefficient, highest and lowest
+                # h degree): the swap, passing the popped coefficient on
+                # itself unless a tail word is the swapped pair, then the tails
+                swap = one if (j, i) in tail.terms else None
+                rule = rules[pair] = [(j << width | i, 2 * width, swap, 0, 0)] + [
+                    (_packed(w2, width), len(w2) * width, c2.terms, c2.degree(H), c2.degree(H, min))
+                    for w2, c2 in tail.terms.items()]
+            head, rest = word >> shift + 2 * width, word & (1 << shift) - 1
+            for mid, bits, c2, d2, l2 in rule:
+                lev = level + l2
+                if lev > order:
+                    continue  # the cap would drop every term of the product
+                new = (head << bits | mid) << shift | rest
+                b = bound + d2
+                capped = cap if b > order else None
+                low, g = guards[new.bit_length()]
+                if (new + low - (new >> width)) & g:
+                    entry = pending.get(new)
+                    if entry is None:
+                        c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
+                        if c:
+                            pending[new] = [c, b, lev]
+                            heapq.heappush(heaps[lev], new)
+                    elif not _poly_mac(entry[0], coeff, c2 or one, capped):
+                        del pending[new]
+                    else:
+                        entry[1] = max(entry[1], b)
+                        if lev < entry[2]:
+                            entry[2] = lev
+                            heapq.heappush(heaps[lev], new)
                 else:
-                    _poly_mac(entry[0], coeff, c2 or one, capped)
-                    if b > entry[1]:
-                        entry[1] = b
-            else:
-                c = done.get(new)
-                if c is None:
-                    c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
-                    if c:
-                        done[new] = c
-                elif not _poly_mac(c, coeff, c2 or one, capped):
-                    del done[new]
+                    c = done.get(new)
+                    if c is None:
+                        c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
+                        if c:
+                            done[new] = c
+                    elif not _poly_mac(c, coeff, c2 or one, capped):
+                        del done[new]
     out = Combination()
-    for w, c in done.items():
-        out[_unpacked(w, width)] = LaurentPoly(_poly_finish(c))
+    for w in sorted(done):
+        out[_unpacked(w, width)] = LaurentPoly(_poly_finish(done[w]))
     return NCElement(a.n_gens, a.h_order, out)
 
 

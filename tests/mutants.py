@@ -111,6 +111,70 @@ MUTANTS = [
         "tests": ["tests/test_quantum.py::test_overlap_check_reduces_the_difference_once"],
     },
     {
+        "name": "reduce-swap-always-passed-on",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "swap = one if (j, i) in tail.terms else None",
+        "mutant": "swap = None",
+        "tests": ["tests/test_quantum.py::test_packed_reduction_edges_match_min_scan[seven]"],
+    },
+    {
+        "name": "packed-field-one-bit-narrower",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "guards.width = (self.n_gens + 1).bit_length() + 1",
+        "mutant": "guards.width = (self.n_gens + 1).bit_length()",
+        "tests": ["tests/test_quantum.py::test_packed_words_keep_order_and_ascents"],
+    },
+    {
+        "name": "reduce-emptied-done-entry-kept",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "                    elif not _poly_mac(c, coeff, c2 or one, capped):\n"
+                    "                        del done[new]\n",
+        "mutant": "                    else:\n"
+                  "                        _poly_mac(c, coeff, c2 or one, capped)\n",
+        "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    {
+        "name": "reduce-h-bound-not-raised-on-merge",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "entry[1] = max(entry[1], b)",
+        "mutant": "pass",
+        "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    # With no h cap the reduction still ends, because nc_reduce drops every
+    # child above level h_order, and the terms above the order that it keeps
+    # show; when only the cap ended a chain of tail terms, it never ended.
+    {
+        "name": "reduce-no-h-cap",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "capped = cap if b > order else None",
+        "mutant": "capped = None",
+        "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    {
+        "name": "scheduler-lowered-level-not-pushed-again",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "                            entry[2] = lev\n"
+                    "                            heapq.heappush(heaps[lev], new)\n",
+        "mutant": "                            entry[2] = lev\n",
+        "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    {
+        "name": "scheduler-child-level-ignores-rule-degree",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "lev = level + l2",
+        "mutant": "lev = level",
+        "tests": ["tests/test_quantum.py::test_graded_sets_rewrite_each_word_at_most_once",
+                  "tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    {
+        "name": "scheduler-level-drop-at-order",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "if lev > order:",
+        "mutant": "if lev >= order:",
+        "tests": ["tests/test_quantum.py::test_packed_reduction_edges_match_min_scan",
+                  "tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    {
         "name": "phi-table-mirror-added-twice",
         "file": "src/jetpoisson/cli.py",
         "original": "if (n, m) not in rows:\n",

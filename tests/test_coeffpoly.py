@@ -250,10 +250,13 @@ def test_degree_is_the_bound_drop_high_degree_keeps():
         if ra is not None:
             for pos, v in enumerate(ORACLE_VARS):
                 assert p.degree(v) == max((e[pos] for e in ra), default=-math.inf)
+                if ra:
+                    assert p.degree(v, min) == min(e[pos] for e in ra)
         for v in ORACLE_VARS + (h, unused):
             for k in range(-4, 5):
                 assert (p.drop_high_degree({v.code}, k) is p) == (p.degree(v) <= k), (p, v, k)
     assert h_negative.degree(h) == -1 and h_negative.degree(unused) == 0
+    assert h_negative.degree(h, min) == -2 and (LaurentPoly.var(h, 3) - 2).degree(h, min) == 0
     assert LaurentPoly.var(h, 3).degree(h) == 3 and LaurentPoly.zero().degree(unused) == -math.inf
     assert unused.code not in coeffpoly._SLOT
 

@@ -64,6 +64,19 @@ def test_reduce_fixpoint_and_idempotence():
     assert all(qt.word_is_canonical(w) for w in once.terms)
 
 
+def test_reduce_of_an_element_built_past_its_order():
+    """An NCElement built directly, not through nc_make, may hold terms past
+    its h order: they enter at level h_order, so their swaps are kept and
+    every tail product is dropped."""
+    h = LaurentPoly.var(qt.H)
+    R = qt.make_relation_set("deep", 1, 3, 1, {(1, 2): qt.nc_make(3, 1, {(3,): h}),
+                                               (2, 3): qt.nc_make(3, 1, {(): h})})
+    deep = qt.NCElement(3, 1, Combination({(1, 2): h ** 2, (2, 3, 1): h ** 3,
+                                           (3, 1): h ** 5, (1, 2, 3): h}))
+    assert list(qt.nc_reduce(deep, R).terms.items()) == [
+        ((2, 1), h ** 2), ((3, 1), h ** 5), ((3, 2, 1), h + h ** 3)]
+
+
 def test_reduce_random_site_order_agrees_with_leftmost():
     R2 = qt.relation_set_catalog("R2", {"C": Fraction(2, 3)})
     rng = random.Random(17)
@@ -75,30 +88,46 @@ def test_reduce_random_site_order_agrees_with_leftmost():
 
 
 def _min_scan_reduce(a, R, rng=None):
-    """Reference scheduler for nc_reduce: each step rewrites the smallest
-    pending word in (length, word) order, found by a min() scan over all,
+    """Reference scheduler for nc_reduce: each step rewrites the pending word
+    smallest in (level, length, word) order, found by a min() scan over all,
     scans every spawned word for canonicality and h-truncates every tail
-    product.  Returns the normal form and the number of terms truncated."""
+    product.  A word's level is the lowest h degree of its input coefficient,
+    or its parent's level plus the lowest h degree of the rule coefficient,
+    the smaller of two on a merge; a child above level h_order is dropped.
+    Returns the normal form in (length, word) order, the number of terms
+    truncated and the list of words rewritten."""
     done = Combination()
     pending = Combination()
+    level = {}
     dropped = 0
+    rewritten = []
+
+    def put(word, c, lev):
+        if qt.word_is_canonical(word):
+            done.add(word, c)
+        elif lev <= a.h_order:
+            level[word] = min(lev, level[word]) if word in pending else lev
+            pending.add(word, c)
+
     for word, c in a.terms.items():
-        (done if qt.word_is_canonical(word) else pending).add(word, c)
+        put(word, c, c.degree(qt.H, min))
     while pending:
-        word = min(pending, key=lambda w: (len(w), w))
+        word = min(pending, key=lambda w: (level[w], len(w), w))
+        rewritten.append(word)
         coeff = pending.pop(word)
         sites = [p for p in range(len(word) - 1) if word[p] < word[p + 1]]
         p = sites[0] if rng is None else rng.choice(sites)
         i, j = word[p], word[p + 1]
-        swapped = word[:p] + (j, i) + word[p + 2:]
-        (done if qt.word_is_canonical(swapped) else pending).add(swapped, coeff)
+        put(word[:p] + (j, i) + word[p + 2:], coeff, level[word])
         for w2, c2 in R.tail(i, j).terms.items():
-            grown = word[:p] + w2 + word[p + 2:]
             full = coeff * c2
             c = qt.h_truncate_poly(full, a.h_order)
             dropped += len(full.terms) - len(c.terms)
-            (done if qt.word_is_canonical(grown) else pending).add(grown, c)
-    return done, dropped
+            put(word[:p] + w2 + word[p + 2:], c, level[word] + c2.degree(qt.H, min))
+    ordered = Combination()
+    for word in sorted(done, key=lambda w: (len(w), w)):
+        ordered[word] = done[word]
+    return ordered, dropped, rewritten
 
 
 def _custom_set(h_order):
@@ -119,11 +148,11 @@ _SCHEDULER_CASES = {
     "R3": lambda: (qt.relation_set_catalog("R3"), True, 90),
     "R1": lambda: (qt.relation_set_catalog("R1"), False, 800),
     "R2-h2": lambda: (qt.relation_set_catalog("R2", {"C": Fraction(2, 3)}, h_order=2),
-                      True, 3000),
+                      True, 2900),
     # the x2 x3 x4 overlap residual of R1 starts at h^5
-    "R1-h3": lambda: (qt.relation_set_catalog("R1", h_order=3), True, 31000),
+    "R1-h3": lambda: (qt.relation_set_catalog("R1", h_order=3), True, 26000),
     # the x1 x2 x3 overlap leaves 2 h^3 x1
-    "custom": lambda: (_custom_set(3), False, 900),
+    "custom": lambda: (_custom_set(3), False, 700),
 }
 
 
@@ -153,13 +182,13 @@ def test_heap_scheduler_matches_min_scan(case):
     order_dependent = dropped = 0
     for element in _scheduler_inputs(R):
         leftmost = qt.nc_reduce(element, R)
-        reference, lost = _min_scan_reduce(element, R)
+        reference, lost, _ = _min_scan_reduce(element, R)
         assert list(leftmost.terms.items()) == list(reference.items()), element
         dropped += lost
         for seed in range(3):
             heap_rng, scan_rng = random.Random(seed), random.Random(seed)
             shuffled = qt.nc_reduce(element, R, rng=heap_rng)
-            reference, lost = _min_scan_reduce(element, R, scan_rng)
+            reference, lost, _ = _min_scan_reduce(element, R, scan_rng)
             assert list(shuffled.terms.items()) == list(reference.items()), (element, seed)
             assert heap_rng.getstate() == scan_rng.getstate(), (element, seed)
             dropped += lost
@@ -168,6 +197,37 @@ def test_heap_scheduler_matches_min_scan(case):
     # a set that is not confluent has normal forms that depend on the order
     # in which words are rewritten, and there this pins the order itself
     assert bool(order_dependent) != confluent
+
+
+@pytest.mark.parametrize("which, params", [
+    ("R2", {"C": Fraction(2, 3)}), ("R2", None), ("R3", None), ("R1_pbw", None)])
+def test_graded_sets_rewrite_each_word_at_most_once(monkeypatch, which, params):
+    """On a graded set and a homogeneous input the level is the h degree of
+    every term of a word's coefficient, so no word is rewritten twice:
+    nc_reduce makes one RelationSet.tail call per distinct word that the
+    reference rewrites.  The inputs are the one-word scheduler inputs and
+    the overlap differences that pbw_overlap_check reduces."""
+    R = qt.relation_set_catalog(which, params)
+    assert qt.verify_grading(R).passed
+    inputs = [e for e in _scheduler_inputs(R) if len(e.terms) == 1]
+    inputs += [qt.nc_sub(qt._one_step(R, t, 0), qt._one_step(R, t, 1))
+               for t in itertools.combinations(range(1, R.n_gens + 1), 3)]
+    steps = []
+    tail = qt.RelationSet.tail
+
+    def counted(self, i, j):
+        steps.append((i, j))
+        return tail(self, i, j)
+
+    monkeypatch.setattr(qt.RelationSet, "tail", counted)
+    for element in inputs:
+        for seed in (None, 0, 1):
+            rng, scan_rng = (None, None) if seed is None else (random.Random(seed), random.Random(seed))
+            reference, _, rewritten = _min_scan_reduce(element, R, scan_rng)
+            steps.clear()
+            out = qt.nc_reduce(element, R, rng=rng)
+            assert list(out.terms.items()) == list(reference.items()), (element, seed)
+            assert len(steps) == len(set(rewritten)) == len(rewritten), (element, seed)
 
 
 @pytest.mark.parametrize("n_gens", [1, 3, 5, 7, 8])
@@ -234,11 +294,11 @@ def test_packed_reduction_edges_match_min_scan(case):
         draw = random.Random(32)
         inputs = [qt.nc_word(3, 1, tuple(draw.randint(1, 3) for _ in range(32)))]
     for element in inputs:
-        reference, _ = _min_scan_reduce(element, R)
+        reference, _, _ = _min_scan_reduce(element, R)
         assert list(qt.nc_reduce(element, R).terms.items()) == list(reference.items()), element
         heap_rng, scan_rng = random.Random(5), random.Random(5)
         shuffled = qt.nc_reduce(element, R, rng=heap_rng)
-        reference, _ = _min_scan_reduce(element, R, scan_rng)
+        reference, _, _ = _min_scan_reduce(element, R, scan_rng)
         assert list(shuffled.terms.items()) == list(reference.items()), element
         assert heap_rng.getstate() == scan_rng.getstate(), element
 

@@ -286,6 +286,22 @@ def test_cli_numeric_options_reject_bad_values(command, value, tmp_path, capsys)
     assert captured.err.startswith("error: ")
 
 
+def test_cli_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    """A suite that runs out of memory gives one error line and exit 3, not
+    a traceback with exit 1, and writes no report."""
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.SUITES, "phi", exhausted)
+    out = tmp_path / "report.json"
+    for argv in (["verify", "phi"], ["verify", "all", "--n", "3", "--out", str(out)]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_cli_checks_out_before_any_suite_runs(tmp_path, monkeypatch, capsys):
     def no_suite(args):
         raise AssertionError("a suite ran")
