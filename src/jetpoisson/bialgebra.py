@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import report as rep
@@ -76,13 +77,20 @@ class RMatrix:
     min_index: int
     r: dict  # (i, j) -> LaurentPoly, antisymmetric
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        if i < self.min_index or j < self.min_index:
-            return LaurentPoly.zero()
-        return self.r.get((i, j), LaurentPoly.zero())
+    @cached_property
+    def stored(self) -> dict:
+        """The nonzero entries: those stored with both indices in range."""
+        lo = self.min_index
+        return {(i, j): c for (i, j), c in self.r.items() if i >= lo and j >= lo}
 
-    def support_indices(self) -> list[int]:
-        return sorted({i for pair in self.r for i in pair})
+    @cached_property
+    def scaled_rows(self) -> dict:
+        """k -> {j: k r_{kj}} over the nonzero entries with k != 0."""
+        rows: dict = {}
+        for (k, j), c in self.stored.items():
+            if k:
+                rows.setdefault(k, {})[j] = c * k
+        return rows
 
 
 def rmatrix_from_entries(entries: Mapping, min_index: int) -> RMatrix:
@@ -118,8 +126,12 @@ def verify_cocycle(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
                            - (2m-i) a^n_{i-m,j} - (2m-j) a^n_{i,j-m}
 
     checked for every n, m (with n+m also stored) and every potentially
-    nonzero (i, j).  Entries below the basis range count as zero.
+    nonzero (i, j), as one sum over the stored entries, each weighted by its
+    integer factor.  Entries outside the basis range count as zero.
     """
+    tables = {n: {(i, j): c for (i, j), c in table.items()
+                  if alpha._in_range(i) and alpha._in_range(j)}
+              for n, table in alpha.alpha.items()}
     lo = alpha.min_index
     top = min(N, alpha.upper)
     params = {"N": N, "min_index": lo, "levels": top}
@@ -137,16 +149,15 @@ def verify_cocycle(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
             for (a, b) in alpha.alpha.get(n, {}):
                 candidates.add((a + m, b))
                 candidates.add((a, b + m))
+            top_m, at_m, at_n = tables.get(n + m, {}), tables.get(m, {}), tables.get(n, {})
             for (i, j) in candidates:
                 if not alpha._in_range(i) or not alpha._in_range(j):
                     continue
-                residual = (
-                    alpha.entry(n + m, i, j) * (n - m)
-                    - alpha.entry(m, i - n, j) * (2 * n - i)
-                    - alpha.entry(m, i, j - n) * (2 * n - j)
-                    + alpha.entry(n, i - m, j) * (2 * m - i)
-                    + alpha.entry(n, i, j - m) * (2 * m - j)
-                )
+                weighted = ((top_m.get((i, j)), n - m),
+                            (at_m.get((i - n, j)), i - 2 * n), (at_m.get((i, j - n)), j - 2 * n),
+                            (at_n.get((i - m, j)), 2 * m - i), (at_n.get((i, j - m)), 2 * m - j))
+                residual = LaurentPoly.sum_of_products(
+                    (c, w) for c, w in weighted if c is not None)
                 checked += 1
                 if not residual.is_zero():
                     params["checked"] = checked
@@ -224,12 +235,17 @@ def cybe_residual(r: RMatrix, n: int, j: int, l: int) -> LaurentPoly:
       sum_k k [ (r_{n-k,l} + r_{n,l-k}) r_{kj}
               + (r_{j,n-k} + r_{j-k,n}) r_{kl}
               + (r_{l,j-k} + r_{l-k,j}) r_{kn} ]
-    """
-    return LaurentPoly.sum_of_products(
-        pair for k in r.support_indices() if k
-        for pair in (((r.entry(n - k, l) + r.entry(n, l - k)) * k, r.entry(k, j)),
-                     ((r.entry(j, n - k) + r.entry(j - k, n)) * k, r.entry(k, l)),
-                     ((r.entry(l, j - k) + r.entry(l - k, j)) * k, r.entry(k, n))))
+
+    with a product only where r_{kj} and a bracket entry are nonzero."""
+    get, pairs = r.stored.get, []
+    for k, row in r.scaled_rows.items():
+        for col, first, second in ((j, (n - k, l), (n, l - k)), (l, (j, n - k), (j - k, n)),
+                                   (n, (l, j - k), (l - k, j))):
+            a, b, rk = get(first), get(second), row.get(col)
+            if rk is None or a is None and b is None:
+                continue
+            pairs.append((rk, b if a is None else a if b is None else a + b))
+    return LaurentPoly.sum_of_products(pairs)
 
 
 def verify_cybe(r: RMatrix, N: int) -> rep.VerificationReport:

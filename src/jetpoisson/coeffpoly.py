@@ -35,8 +35,8 @@ reading a variable that has no slot sees exponent 0.  Every stored exponent
 lies in [-2^30, 2^30), so the sum of two fields never carries into the next
 one; each key an operation produces is checked against that range once, and
 one outside it raises `ExponentOverflow` rather than alias another monomial.
-Single-variable reads (`coefficient`, `derivative`, `degree`,
-`drop_high_degree`) are a shift and a mask.  Keys are decoded into
+Single-variable reads (`coefficient`, `coefficients`, `derivative`,
+`degree`, `drop_high_degree`) are a shift and a mask.  Keys are decoded into
 ((varcode, exp), ...) only where names or order are needed: rendering,
 `variables`, invertibility, `substitute` and the grading.  Slot numbers
 never reach any output.
@@ -231,6 +231,7 @@ class VarKind(IntEnum):
     DENSITY_X = 3
     PARAM = 4
     AUX_T = 5
+    TAG = 6  # a private marker that has no name, so that rendering it raises
 
 
 # Stride between kinds in the integer variable code; indices from -1 upward.
@@ -353,6 +354,8 @@ class LaurentPoly:
 
     @staticmethod
     def const(value) -> "LaurentPoly":
+        if value.__class__ is int:
+            return LaurentPoly({0: (value, 1)}) if value else _ZERO
         num, den = _as_pair(Fraction(value) if isinstance(value, int) else value)
         if num == 0:
             return _ZERO
@@ -474,6 +477,18 @@ class LaurentPoly:
         bias, want, part = _BIAS, exp + _HALF, exp << shift
         return LaurentPoly({key - part: c for key, c in self.terms.items()
                             if (key + bias) >> shift & _MASK == want})
+
+    def coefficients(self, v: Variable) -> dict:
+        """{exp: self.coefficient(v, exp)} over the powers of v that occur."""
+        slot = _SLOT.get(v.code)
+        if slot is None:
+            return {0: self} if self.terms else {}
+        shift, bias = _FIELD * slot, _BIAS
+        out: dict = {}
+        for key, c in self.terms.items():
+            e = ((key + bias) >> shift & _MASK) - _HALF
+            out.setdefault(e, {})[key - (e << shift)] = c
+        return {e: LaurentPoly(terms) for e, terms in out.items()}
 
     def constant_term(self) -> Fraction:
         c = self.terms.get(0, (0, 1))

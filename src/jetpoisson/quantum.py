@@ -51,6 +51,7 @@ from .poissonlie import PoissonStructure
 
 H = param("h")
 _H_CODES = frozenset({H.code})
+_TAG = Variable(VarKind.TAG, 0)  # tags the elements of one batched reduction
 
 
 class ShapeMismatch(ValueError):
@@ -367,7 +368,9 @@ def tensor_reduce(a: Combination, R: RelationSet,
     pairs, is kept in ``normal_forms``, a word -> normal form table of this
     relation set.  Without one the call keeps its own, so no result depends
     on an earlier call; a caller that reduces many elements of one set
-    passes one table to all of them.
+    passes one table to all of them.  The words new to the table, w_k, are
+    reduced in one call, as sum_k tag^k w_k: reduction is linear (see
+    `pbw_overlap_check`), so the part at tag^k is the normal form of w_k.
 
     The whole result is one raw sum: for each term (lw, rw) (x) c and each
     left normal-form term u, c * u is formed once and multiplied into the
@@ -377,13 +380,16 @@ def tensor_reduce(a: Combination, R: RelationSet,
     gives the truncated sum."""
     if normal_forms is None:
         normal_forms = {}
+    new = [w for w in dict.fromkeys(w for key in a for w in key) if w not in normal_forms]
+    if new:
+        normal_forms.update((w, []) for w in new)
+        tagged = Combination((w, LaurentPoly.var(_TAG, k)) for k, w in enumerate(new))
+        for word, c in nc_reduce(NCElement(R.n_gens, R.h_order, tagged), R).terms.items():
+            for k, part in c.coefficients(_TAG).items():
+                normal_forms[new[k]].append((word, part.terms))
     cap = _h_cap(R.h_order)
     raw: dict = {}
     for (lw, rw), c in a.items():
-        for word in (lw, rw):
-            if word not in normal_forms:
-                nf = nc_reduce(nc_word(R.n_gens, R.h_order, word), R).terms
-                normal_forms[word] = [(w, v.terms) for w, v in nf.items()]
         right = normal_forms[rw]
         for wl, u in normal_forms[lw]:
             cu = _poly_mac({}, c.terms, u)
@@ -399,16 +405,17 @@ def tensor_reduce(a: Combination, R: RelationSet,
     return _finish_all(raw)
 
 
-def delta_of_element(a: NCElement, R: RelationSet) -> Combination:
+def delta_of_element(a: NCElement, R: RelationSet, deltas: Optional[dict] = None) -> Combination:
     """Apply the comultiplication to every word (h and parameters are scalars).
 
     Delta of a word is Delta of its prefix without the last letter times
     Delta of that letter, and Delta of the empty word is 1 (x) 1; each
-    prefix's Delta is built once, in a table that lives for this call only.
-    No two words share a key of their Deltas (the left word of a key splits
-    its right word into the compositions of the letters), so each key's
-    coefficient is one product, normalised once."""
-    deltas = {(): Combination({((), ()): LaurentPoly.one()})}
+    prefix's Delta is built once, in ``deltas``: this call's table, or one
+    that a verifier passes to all its calls.  No two words share a key of
+    their Deltas (the left word of a key splits its right word into the
+    compositions of the letters), so each key's coefficient is one product,
+    normalised once."""
+    deltas = {} if deltas is None else deltas
     total = Combination()
     for word, c in a.terms.items():
         total.add_all(_delta_of_word(word, deltas, R), c)
@@ -423,8 +430,9 @@ def _delta_of_word(word: tuple, deltas: dict, R: RelationSet) -> Combination:
     call until the cyclic garbage collector ran."""
     d = deltas.get(word)
     if d is None:
-        d = deltas[word] = tensor_multiply(_delta_of_word(word[:-1], deltas, R),
-                                           delta_generator(word[-1], R), R)
+        d = deltas[word] = (tensor_multiply(_delta_of_word(word[:-1], deltas, R),
+                                            delta_generator(word[-1], R), R)
+                            if word else Combination({((), ()): LaurentPoly.one()}))
     return d
 
 
@@ -462,6 +470,7 @@ def verify_counit_coassoc(R: RelationSet) -> rep.VerificationReport:
         residual = counit(R.tail(i, j))
         if not residual.is_zero():
             return rep.failed("counit-coassoc", (i, j), residual.render(), **params)
+    deltas: dict = {}  # shared by the generators: each prefix's Delta is built once
     for i in range(1, R.n_gens + 1):
         di = delta_generator(i, R)
         left = Combination()
@@ -481,11 +490,11 @@ def verify_counit_coassoc(R: RelationSet) -> rep.VerificationReport:
         rhs = Combination()
         for (lw, rw), c in di.items():
             for (a2, b2), c2 in delta_of_element(
-                nc_word(R.n_gens, R.h_order, lw), R
+                nc_word(R.n_gens, R.h_order, lw), R, deltas
             ).items():
                 lhs.add((a2, b2, rw), c * c2)
             for (a2, b2), c2 in delta_of_element(
-                nc_word(R.n_gens, R.h_order, rw), R
+                nc_word(R.n_gens, R.h_order, rw), R, deltas
             ).items():
                 rhs.add((lw, a2, b2), c * c2)
         if lhs != rhs:

@@ -175,6 +175,57 @@ MUTANTS = [
                   "tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     {
+        "name": "tensor-batch-reduces-an-empty-sum",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "    if new:\n",
+        "mutant": "    if True:\n",
+        "tests": ["tests/test_quantum.py::test_batched_normal_forms_match_per_word_reduction"],
+    },
+    {
+        "name": "tag-split-keeps-the-tag-power",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "out.setdefault(e, {})[key - (e << shift)] = c",
+        "mutant": "out.setdefault(e, {})[key] = c",
+        "tests": ["tests/test_quantum.py::test_batched_normal_forms_match_per_word_reduction",
+                  "tests/test_quantum.py::test_tagged_reduction_splits_into_each_normal_form",
+                  "tests/test_coeffpoly.py::test_coefficients_split_by_the_powers_of_a_variable"],
+    },
+    {
+        "name": "coassoc-prefix-table-per-word",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "nc_word(R.n_gens, R.h_order, lw), R, deltas",
+        "mutant": "nc_word(R.n_gens, R.h_order, lw), R",
+        "tests": ["tests/test_quantum.py::test_coassociativity_builds_each_delta_prefix_once"],
+    },
+    {
+        "name": "cybe-skip-needs-both-entries",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "if rk is None or a is None and b is None:",
+        "mutant": "if rk is None or a is None or b is None:",
+        "tests": ["tests/test_bialgebra.py::test_cybe_residual_matches_the_entrywise_formula"],
+    },
+    {
+        "name": "cybe-reads-entries-below-the-range",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "c for (i, j), c in self.r.items() if i >= lo and j >= lo}",
+        "mutant": "c for (i, j), c in self.r.items()}",
+        "tests": ["tests/test_bialgebra.py::test_cybe_residual_matches_the_entrywise_formula"],
+    },
+    {
+        "name": "cocycle-drops-the-top-level",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "weighted = ((top_m.get((i, j)), n - m),",
+        "mutant": "weighted = ((None, n - m),",
+        "tests": ["tests/test_bialgebra.py::test_cocycle_matches_the_entrywise_formula"],
+    },
+    {
+        "name": "cocycle-reads-entries-outside-the-range",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "                  if alpha._in_range(i) and alpha._in_range(j)}\n",
+        "mutant": "}\n",
+        "tests": ["tests/test_bialgebra.py::test_cocycle_matches_the_entrywise_formula"],
+    },
+    {
         "name": "phi-table-mirror-added-twice",
         "file": "src/jetpoisson/cli.py",
         "original": "if (n, m) not in rows:\n",

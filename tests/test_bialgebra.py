@@ -273,6 +273,119 @@ def test_cybe_families_and_negative_control():
     assert report.witness is not None
 
 
+def _entry(r, i, j):
+    """r_{ij}, zero when unstored or when an index is below the range."""
+    if i < r.min_index or j < r.min_index:
+        return LaurentPoly.zero()
+    return r.r.get((i, j), LaurentPoly.zero())
+
+
+def _cybe_by_entries(r, n, j, l):
+    """cybe_residual as the sum over every support index k, of every entry."""
+    support = sorted({i for pair in r.r for i in pair})
+    return LaurentPoly.sum_of_products(
+        pair for k in support if k
+        for pair in (((_entry(r, n - k, l) + _entry(r, n, l - k)) * k, _entry(r, k, j)),
+                     ((_entry(r, j, n - k) + _entry(r, j - k, n)) * k, _entry(r, k, l)),
+                     ((_entry(r, l, j - k) + _entry(r, l - k, j)) * k, _entry(r, k, n))))
+
+
+def _perturbed_r(d, pair, c):
+    r = ba.r_from_phi(pl.phi_power_family(d))
+    table = dict(r.r)
+    for key, sign in ((pair, 1), (pair[::-1], -1)):
+        table[key] = table.get(key, LaurentPoly.zero()) + c * sign
+    return ba.RMatrix(r.min_index, {k: v for k, v in table.items() if v})
+
+
+def test_cybe_residual_matches_the_entrywise_formula():
+    """The sum over stored entries equals the sum over every entry on every
+    component, for r-matrices that pass and that fail, one with entries
+    below its range (which count as zero) and a symbolic one; so the
+    verify_cybe records, negative controls included, are unchanged."""
+    lam = LaurentPoly.var(param("lam"))
+    rng = random.Random(1)
+    matrices = [ba.r_from_phi(pl.phi_power_family(d)) for d in (1, 2, 3)]
+    matrices += [_perturbed_r(2, (1, 3), LaurentPoly.one()), _perturbed_r(1, (0, 4), lam),
+                 ba.rmatrix_from_entries({(i, j): Fraction(rng.randint(-3, 3))
+                                          for i in range(0, 3) for j in range(i + 1, 4)}, 0),
+                 ba.rmatrix_from_entries({(-2, 1): 5, (0, 2): lam, (1, 3): -2, (-1, 3): 7}, 0)]
+    nonzero = 0
+    for r in matrices:
+        for n, j, l in itertools.product(range(-2, 8), repeat=3):
+            got = ba.cybe_residual(r, n, j, l)
+            assert got == _cybe_by_entries(r, n, j, l), (r.r, n, j, l)
+            nonzero += not got.is_zero()
+    assert nonzero > 100, nonzero
+    report = ba.verify_cybe(matrices[3], 6)
+    assert not report.passed and report.witness["residual"] == _cybe_by_entries(
+        matrices[3], *report.witness["indices"]).render()
+
+
+def _cocycle_by_entries(alpha, N):
+    """verify_cocycle with the residual summed over every entry, stored or not."""
+    lo, top = alpha.min_index, min(N, alpha.upper)
+    params = {"N": N, "min_index": lo, "levels": top}
+    checked = 0
+    for n in range(lo, top + 1):
+        for m in range(lo, top + 1):
+            if n == m or n + m > alpha.upper:
+                continue
+            candidates = set(alpha.alpha.get(n + m, {}).keys())
+            for (a, b) in alpha.alpha.get(m, {}):
+                candidates.add((a + n, b))
+                candidates.add((a, b + n))
+            for (a, b) in alpha.alpha.get(n, {}):
+                candidates.add((a + m, b))
+                candidates.add((a, b + m))
+            for (i, j) in candidates:
+                if not alpha._in_range(i) or not alpha._in_range(j):
+                    continue
+                residual = (alpha.entry(n + m, i, j) * (n - m)
+                            - alpha.entry(m, i - n, j) * (2 * n - i)
+                            - alpha.entry(m, i, j - n) * (2 * n - j)
+                            + alpha.entry(n, i - m, j) * (2 * m - i)
+                            + alpha.entry(n, i, j - m) * (2 * m - j))
+                checked += 1
+                if not residual.is_zero():
+                    params["checked"] = checked
+                    return rep.failed("cocycle", (n, m, i, j), residual.render(), **params)
+    params["checked"] = checked
+    return rep.passed("cocycle", **params)
+
+
+def _perturbed_cochain(alpha, level, pair, c, **kw):
+    tables = {n: dict(t) for n, t in alpha.alpha.items()}
+    table = tables.setdefault(level, {})
+    for key, sign in ((pair, 1), (pair[::-1], -1)):
+        table[key] = table.get(key, LaurentPoly.zero()) + c * sign
+    return ba.WedgeCochain(alpha.min_index, tables, alpha.upper, **kw)
+
+
+def test_cocycle_matches_the_entrywise_formula():
+    """verify_cocycle's one weighted sum over stored entries gives the record
+    of the five-term formula over every entry, on cochains that pass and on
+    perturbed ones, with entries outside the range and a symbolic residual."""
+    lam = LaurentPoly.var(param("lam"))
+    cb = ba.coboundary(ba.r_from_phi(pl.phi_power_family(1)), 12)
+    cochains = [(cb, 8), (ba.family_witt_linear(6), 6), (ba.family_jet_extended(2, lam, 6), 6)]
+    cochains += [(ba.coboundary(ba.r_from_phi(pl.phi_power_family(d)), 10), 6) for d in (2, 3)]
+    cochains += [(_perturbed_cochain(cb, 3, (2, 5), LaurentPoly.one()), 8),
+                 (_perturbed_cochain(cb, 6, (0, 6), lam), 8),
+                 (_perturbed_cochain(ba.family_witt_linear(6), 2, (-1, 4), Fraction(1, 3)), 6),
+                 (_perturbed_cochain(ba.family_witt_linear(6), 1, (-3, 4), 1), 6),
+                 (_perturbed_cochain(ba.sl2_pair()[0], 1, (0, 2), 1, max_index=1), 1)]
+    cochains += [(c, 1) for c in ba.sl2_pair()]
+    statuses = []
+    for alpha, N in cochains:
+        want = _cocycle_by_entries(alpha, N).to_dict()
+        assert ba.verify_cocycle(alpha, N).to_dict() == want
+        statuses.append(want["status"])
+    # the truncated extended family and three perturbations in range fail;
+    # the two perturbations outside the range change nothing
+    assert statuses.count("fail") == 4, statuses
+
+
 def test_rr_invariance_and_action_identity():
     for d in (1, 2, 3):
         r = ba.r_from_phi(pl.phi_power_family(d))

@@ -553,3 +553,39 @@ def test_power_and_division():
     assert p ** 0 == LaurentPoly.one()
     assert (x(1, 2) * 6) / 3 == 2 * x(1, 2)
     assert x(1) ** -2 == x(1, -2)
+
+
+@pytest.mark.parametrize("value, terms", [
+    (5, {0: (5, 1)}), (-7, {0: (-7, 1)}), (2 ** 100, {0: (2 ** 100, 1)}), (0, {}),
+    (True, {0: (1, 1)}), (False, {}),
+    (Fraction(6, 4), {0: (3, 2)}), (Fraction(-3), {0: (-3, 1)}), (Fraction(0), {}),
+    ((6, -4), {0: (-3, 2)}), ((4, 2), {0: (2, 1)}), ((0, 5), {}),
+], ids=["int", "negative-int", "big-int", "zero", "true", "false", "fraction",
+        "integral-fraction", "zero-fraction", "pair", "reducible-pair", "zero-pair"])
+def test_const_builds_reduced_int_terms(value, terms):
+    """An int is stored as (value, 1) without a Fraction; bool, Fraction and
+    (num, den) are reduced as before; zero in any form is the shared zero."""
+    p = LaurentPoly.const(value)
+    assert p.terms == terms
+    for num, den in p.terms.values():
+        assert type(num) is int and type(den) is int
+    if not terms:
+        assert p is LaurentPoly.zero()
+    assert p == Fraction(*value) if isinstance(value, tuple) else p == value
+
+
+def test_coefficients_split_by_the_powers_of_a_variable():
+    rng = random.Random(61)
+    lam = LaurentPoly.var(param("lam"))
+    for _ in range(20):
+        p = random_poly(rng, allow_negative=True) * (lam + 2) + random_poly(rng) * lam ** 3
+        for v in (x_var(1), x_var(2), param("lam")):
+            parts = p.coefficients(v)
+            assert set(parts) == {e for e in range(-4, 9) if p.coefficient(v, e)}
+            for e, part in parts.items():
+                assert part == p.coefficient(v, e) and part.degree(v) == 0
+            assert sum((part * LaurentPoly.var(v, e) for e, part in parts.items()),
+                       LaurentPoly.zero()) == p
+    p = x(1, -1) * x(2) + 3
+    assert p.coefficients(z_var(78)) == {0: p}
+    assert LaurentPoly.zero().coefficients(x_var(1)) == {}

@@ -540,6 +540,99 @@ def test_tensor_reduce_alone_keeps_its_own_table():
     assert results[0] != results[1] and results[0] == results[2]
 
 
+def _delta_residual_tables(R):
+    """The tensor table of each relation that verify_delta_homomorphism reduces."""
+    for (i, j) in sorted(R.tails):
+        di, dj = qt.delta_generator(i, R), qt.delta_generator(j, R)
+        diff = qt.tensor_multiply(di, dj, R).add_all(qt.tensor_multiply(dj, di, R), -1)
+        yield diff.add_all(qt.delta_of_element(R.tail(i, j), R), -1)
+
+
+_BATCH_SETS = {
+    "R1": lambda: qt.relation_set_catalog("R1"),
+    "R1_pbw": lambda: qt.relation_set_catalog("R1_pbw"),
+    "R2-C2/3": lambda: qt.relation_set_catalog("R2", {"C": Fraction(2, 3)}),
+    "R2-Csym": lambda: qt.relation_set_catalog("R2"),
+    "R3": lambda: qt.relation_set_catalog("R3"),
+    "R2-printed": lambda: _with_tail(qt.relation_set_catalog("R2", {"C": 0}), (2, 4),
+                                     {(2, 2, 1, 1, 1): 3 * LaurentPoly.var(qt.H),
+                                      (2, 2): -4 * LaurentPoly.var(qt.H)}),
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCH_SETS))
+def test_batched_normal_forms_match_per_word_reduction(monkeypatch, name):
+    """tensor_reduce reduces the words new to its table in one nc_reduce
+    call; every word of every Delta residual table gets the items, in order,
+    of its own reduction, also on verbatim R1, which is not confluent."""
+    R = _BATCH_SETS[name]()
+    tables = list(_delta_residual_tables(R))
+    sizes = []
+    reduce = qt.nc_reduce
+
+    def counting(a, R, rng=None):
+        sizes.append(len(a.terms))
+        return reduce(a, R, rng)
+
+    monkeypatch.setattr(qt, "nc_reduce", counting)
+    normal_forms = {}
+    for diff in tables + tables[:1]:  # the repeated table has no new word to reduce
+        qt.tensor_reduce(diff, R, normal_forms)
+    monkeypatch.setattr(qt, "nc_reduce", reduce)
+    assert 0 not in sizes and len(sizes) <= len(tables)
+    assert sum(sizes) == len(normal_forms) > 100
+    for word, nf in normal_forms.items():
+        want = qt.nc_reduce(qt.nc_word(R.n_gens, R.h_order, word), R).terms
+        assert nf == [(w, v.terms) for w, v in want.items()], (name, word)
+
+
+@pytest.mark.parametrize("which, h_order", [("R2", None), ("R2", 2), ("R1", None)])
+def test_tagged_reduction_splits_into_each_normal_form(which, h_order):
+    """One reduction of sum_k tag^k a_k, split by the power of the tag, gives
+    each a_k's normal form when the a_k share words and their coefficients
+    carry h and parameters: reduction is linear whether or not the set is
+    confluent, and the h cap is a linear projection."""
+    R = qt.relation_set_catalog(which, h_order=h_order)
+    h, C = LaurentPoly.var(qt.H), LaurentPoly.var(param("C"))
+    coeffs = (1 + h, C * h - 2, h ** 3 * Fraction(1, 3), C * C + h, Fraction(-5, 2), h ** 2 - C)
+    draw = random.Random(71)
+    words = []
+    while len(words) < 8:
+        word = tuple(draw.randint(1, R.n_gens) for _ in range(draw.randint(2, 4)))
+        if sum(g - 1 for g in word) <= 6 and word not in words:
+            words.append(word)
+    elements = [qt.nc_make(R.n_gens, R.h_order, {w: draw.choice(coeffs) for w in draw.sample(words, 3)})
+                for _ in range(6)]
+    tagged = Combination()
+    for k, a in enumerate(elements):
+        for word, c in a.terms.items():
+            tagged.add(word, c * LaurentPoly.var(qt._TAG, k))
+    parts = [Combination() for _ in elements]
+    for word, c in qt.nc_reduce(qt.NCElement(R.n_gens, R.h_order, tagged), R).terms.items():
+        for k, part in c.coefficients(qt._TAG).items():
+            parts[k][word] = part
+    for a, got in zip(elements, parts):
+        assert list(got.items()) == list(qt.nc_reduce(a, R).terms.items()), a
+
+
+@pytest.mark.parametrize("which", ["R1", "R2", "R3"])
+def test_coassociativity_builds_each_delta_prefix_once(monkeypatch, which):
+    """verify_counit_coassoc passes one Delta prefix table to all its
+    generators, so no prefix's Delta is built twice in one call."""
+    R = qt.relation_set_catalog(which)
+    built = []
+    delta_of_word = qt._delta_of_word
+
+    def recording(word, deltas, R):
+        if word not in deltas:
+            built.append(word)
+        return delta_of_word(word, deltas, R)
+
+    monkeypatch.setattr(qt, "_delta_of_word", recording)
+    assert qt.verify_counit_coassoc(R).passed
+    assert len(built) == len(set(built)) > R.n_gens
+
+
 def _tensor_reduce_per_term(a, R):
     """tensor_reduce as one product per tensor term: the left normal form
     scaled by the term's coefficient, times the right normal form under the

@@ -384,3 +384,21 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "phi-equation" in proc.stdout
+
+
+def test_the_batch_tag_never_reaches_a_report(monkeypatch, capsys):
+    """quantum.tensor_reduce tags the words it reduces together with a
+    variable that has no name, so rendering it raises.  Given a name here,
+    the name shows in no report of ``verify all`` and in no golden case."""
+    from jetpoisson import coeffpoly
+    from jetpoisson import quantum as qt
+
+    with pytest.raises(KeyError):
+        LaurentPoly.var(qt._TAG).render()
+    monkeypatch.setitem(coeffpoly._KIND_LETTERS, coeffpoly.VarKind.TAG, "TAGGED")
+    assert LaurentPoly.var(qt._TAG).render() == "1*TAGGED0"
+    assert main(["verify", "all", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "delta-homomorphism" in out and "TAGGED" not in out
+    for name in sorted(golden_cases.CASES):
+        assert "TAGGED" not in golden_cases.render(name), name
