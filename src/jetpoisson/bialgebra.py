@@ -497,7 +497,8 @@ def family_jet_extended(d: int, lam, N: int) -> WedgeCochain:
     """The one-parameter deformation of the monomial family, truncated at N.
 
     lam must be a rational (or parameter) value small in the sense that the
-    geometric tails are simply cut at index N.
+    geometric tails are simply cut at index N.  The cochain lives on
+    e_0..e_N, so no check reads an entry past the cut as zero.
     """
     lam = poly(lam)
     terms: dict = {}
@@ -514,7 +515,7 @@ def family_jet_extended(d: int, lam, N: int) -> WedgeCochain:
             for j in range(n + 1, d + n):
                 items.append((i, j, Fraction(2, d - 1) * (2 * n - j) * lam ** (i + j - n - d)))
         terms[n] = items
-    return cochain_from_wedge_terms(terms, 0, N)
+    return cochain_from_wedge_terms(terms, 0, N, max_index=N)
 
 
 def family_witt_linear(N: int) -> WedgeCochain:

@@ -242,11 +242,10 @@ def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonS
     positive parts and x_k = 0 for k < 1.
     """
     kind = _LETTERS[coord_letter]
+    coords = [LaurentPoly.var(Variable(kind, k)) for k in range(1, n + 1)]
 
     def xv(k: int) -> LaurentPoly:
-        if k < 1 or k > n:
-            return LaurentPoly.zero()
-        return LaurentPoly.var(Variable(kind, k))
+        return coords[k - 1] if 1 <= k <= n else LaurentPoly.zero()
 
     def comp_sum(m: int, parts: int) -> LaurentPoly:
         total = LaurentPoly.zero()
@@ -257,14 +256,15 @@ def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonS
             total = total + term
         return total
 
+    sums = [comp_sum(m, d + 1) for m in range(n + 1)]  # S_{d+1}(m)
     omega = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             val = (
                 xv(j) * xv(i - d) * ((i - d) * j)
                 - xv(i) * xv(j - d) * (i * (j - d))
-                + xv(i) * comp_sum(j, d + 1)
-                - xv(j) * comp_sum(i, d + 1)
+                + xv(i) * sums[j]
+                - xv(j) * sums[i]
             )
             if not val.is_zero():
                 omega[(i, j)] = val

@@ -23,6 +23,13 @@ x_i x_j x_k (i < j < k) the two one-step reductions must meet at the same
 normal form.  With symbolic parameters in the coefficients, a vanishing
 residual certifies the property for every parameter value at once, and a
 nonzero residual pins the constraint.
+
+The catalog writes out only what the classical limit leaves free.  Each
+tail is h {x_i, x_j} of the closed-form bracket table, each monomial read
+as its non-increasing word, since [x_i, x_j] = h {x_i, x_j} + O(h^2)
+(Drinfeld, "Quantum groups", ICM 1986), plus the terms of h^2 and above.
+R2 and R1_pbw are the sections of R2_ansatz and R1 on which the overlaps
+resolve.
 """
 
 from __future__ import annotations
@@ -41,13 +48,13 @@ from .coeffpoly import (
     LaurentPoly,
     Variable,
     VarKind,
-    _finish_all, _h_cap, _poly_finish, _poly_mac,
+    _finish_all, _h_cap, _poly_finish, _poly_mac, _unpack,
     compositions,
     homogeneous_graded_degree,
     param,
     poly,
 )
-from .poissonlie import PoissonStructure
+from .poissonlie import PoissonStructure, omega_power_closed_form
 
 H = param("h")
 _H_CODES = frozenset({H.code})
@@ -530,7 +537,11 @@ def word_to_commutative(word: tuple) -> LaurentPoly:
 
 def verify_quasiclassical(R: RelationSet, omega: PoissonStructure) -> rep.VerificationReport:
     """[x_i, x_j] = h {x_i, x_j} + O(h^2): the h-linear part of each reduced
-    commutator must equal the bracket table entry, read commutatively."""
+    commutator must equal the bracket table entry, read commutatively.
+
+    The catalog reads its h-linear parts off `omega_power_closed_form`;
+    given the table `build_omega` sums from the generating series, as the
+    suite does, this compares two independent constructions."""
     params = {"set": R.label, "n": omega.n}
     for (i, j) in sorted(R.tails):
         tail = commutator_normal_form(R, i, j)
@@ -556,204 +567,132 @@ def _sym(value, name: str):
     return poly(value)
 
 
-def _tail(n_gens: int, h_order: int, terms) -> NCElement:
-    """terms: list of (h exponent, coefficient, word as ((gen, power), ...))."""
-    table = Combination()
-    for hexp, c, factors in terms:
-        word = tuple(g for g, k in factors for _ in range(k))
-        table.add(word, poly(c) * LaurentPoly.var(H, hexp) if hexp else poly(c))
-    return nc_make(n_gens, h_order, table)
+def _quantised(d: int, n_gens: int, h_order: int, higher: Mapping) -> dict:
+    """Each tail as h {x_i, x_j} of the u v (u^d - v^d) bracket table, each
+    monomial read as its non-increasing word, plus the terms of h^2 and above
+    that higher lists for (i, j) as (h exponent, coefficient, word as
+    ((gen, power), ...)).  make_relation_set truncates them at h_order.
+
+    h is packed before the bracket's coordinates: a variable's first use
+    fixes its exponent field, and the rewriting sums keys of h and the
+    parameters, which stay short ints in the low fields."""
+    (h_key,) = LaurentPoly.var(H).terms  # the key of the monomial h
+    omega = omega_power_closed_form(d, n_gens)
+    letter = {Variable(VarKind.GROUP_X, g).code: g for g in range(1, n_gens + 1)}
+    tails = {}
+    for i, j in itertools.combinations(range(1, n_gens + 1), 2):
+        table = Combination()
+        for key, c in omega.bracket(i, j).terms.items():
+            word = tuple(letter[code] for code, e in reversed(_unpack(key)) for _ in range(e))
+            table.add(word, LaurentPoly({h_key: c}))
+        for hexp, c, factors in higher.get((i, j), ()):
+            word = tuple(g for g, k in factors for _ in range(k))
+            table.add(word, poly(c) * LaurentPoly.var(H, hexp))
+        tails[(i, j)] = NCElement(n_gens, h_order, table)
+    return tails
+
+
+def _linear_higher(C3, C4, C5) -> dict:
+    """The terms of h^2 and above of the linear-family set."""
+    return {
+        (1, 3): [(2, 2, ((1, 4),)), (2, -3, ((1, 3),)), (2, 1, ((1, 2),))],
+        (2, 3): [(2, 3, ((2, 1), (1, 2))), (2, -3, ((2, 1), (1, 1))),
+                 (3, 2 - C3 * 2, ((1, 5),)), (3, -(2 - C3 * 2), ((1, 2),))],
+        (1, 4): [(2, 3, ((2, 1), (1, 1))), (2, -8, ((2, 1), (1, 2))),
+                 (2, 5, ((2, 1), (1, 3))),
+                 (3, 5, ((1, 5),)), (3, -12, ((1, 4),)), (3, 7, ((1, 3),)),
+                 (3, C3, ((1, 5),)), (3, -C3, ((1, 2),))],
+        (2, 4): [(2, 3, ((2, 2), (1, 2))), (2, -10, ((2, 2), (1, 1))),
+                 (2, 12, ((2, 2),)),
+                 (2, 12, ((3, 1), (1, 2))), (2, -2, ((3, 1), (1, 3))),
+                 (2, -15, ((3, 1), (1, 1))),
+                 (3, C3 * 2 + 9, ((2, 1), (1, 1))), (3, -17, ((2, 1), (1, 2))),
+                 (3, 6, ((2, 1), (1, 3))), (3, 5 - C3 * 5, ((2, 1), (1, 4))),
+                 (4, 22 - C3 * 22, ((1, 2),)), (4, C3 * 4 - 4, ((1, 3),)),
+                 (4, C3 * 18 - 18, ((1, 5),)),
+                 (4, C4, ((1, 6),)), (4, -C4, ((1, 2),))],
+        (3, 4): [(2, -1, ((3, 1), (2, 1), (1, 2))), (2, 16, ((3, 1), (2, 1), (1, 1))),
+                 (2, -24, ((3, 1), (2, 1))),
+                 (2, -7, ((4, 1), (1, 2))), (2, 16, ((4, 1), (1, 1))),
+                 (3, 10 - C3 * 10, ((2, 2), (1, 3))), (3, C3 * 8 - 9, ((2, 2),)),
+                 (3, C3 * 5 - 5, ((3, 1), (1, 4))), (3, 16, ((3, 1), (1, 2))),
+                 (3, -(C3 * 9 + 6), ((3, 1), (1, 1))),
+                 (4, 8 - C3 * 9 - C4 * 2, ((2, 1), (1, 1))),
+                 (4, 9 - C3 * 8, ((2, 1), (1, 2))),
+                 (4, 10 - C3 * 10, ((2, 1), (1, 4))),
+                 (4, C4 * 2 - 18 + C3 * 18, ((2, 1), (1, 5))),
+                 (5, C4 + C3 * 2 - 2, ((1, 2),)), (5, 4 - C3 * 4 - C4, ((1, 6),)),
+                 (5, C3 * 2 - 2, ((1, 5),)),
+                 (5, C5, ((1, 7),)), (5, -C5, ((1, 2),))],
+    }
+
+
+def _quadratic_higher(C1, C2, C3) -> dict:
+    """The terms of h^2 and above of the quadratic-family ansatz."""
+    return {
+        (2, 4): [(2, C1, ((1, 6),)), (2, -C1, ((1, 2),))],
+        (3, 4): [(2, 2 - C1 * 2, ((2, 1), (1, 1))), (2, C1 * 2, ((2, 1), (1, 5)))],
+        (1, 5): [(2, 6, ((1, 2),)), (2, -6, ((1, 4),)),
+                 (2, C2, ((1, 6),)), (2, -C2, ((1, 2),))],
+        (2, 5): [(2, 15 - C2 * 2, ((2, 1), (1, 1))), (2, -9, ((2, 1), (1, 3))),
+                 (2, C2, ((2, 1), (1, 5)))],
+        (3, 5): [(2, 6 - C2 * 3, ((3, 1), (1, 1))), (2, 6, ((3, 1), (1, 3))),
+                 (2, C2 - 3, ((3, 1), (1, 5))),
+                 (3, C3, ((1, 8),)), (3, -C3, ((1, 2),))],
+        (4, 5): [(2, -(C2 * 4 + 6), ((4, 1), (1, 1))), (2, 9, ((4, 1), (1, 3))),
+                 (2, C2 - 3, ((4, 1), (1, 5))), (2, 6, ((3, 1), (2, 1))),
+                 (3, 3 - C2 * 2 - C3 * 2, ((2, 1), (1, 1))), (3, C3 * 3, ((2, 1), (1, 7)))],
+    }
+
+
+# label -> (d, generators, default h order, parameter names)
+_CATALOG = {
+    "R1": (1, 4, 10, ("C3", "C4", "C5")),
+    "R1_pbw": (1, 4, 10, ("C3", "C4")),
+    "R2": (2, 5, 8, ("C",)),
+    "R2_ansatz": (2, 5, 8, ("C1", "C2", "C3")),
+    "R3": (3, 5, 4, ()),
+}
 
 
 def relation_set_catalog(which: str, params: Optional[Mapping] = None,
                          h_order: Optional[int] = None) -> RelationSet:
-    """The three shipped quantum semigroup relation sets plus the two-constant
-    intermediate ansatz used by the confluence analysis of the quadratic
-    family.
+    """The three shipped quantum semigroup relation sets, the linear set's
+    confluent section and the three-constant ansatz of the quadratic set.
+
+    Every tail is h {x_i, x_j} of the set's bracket table plus its terms of
+    h^2 and above.  R2 is the ansatz at C1 = 0, C2 = 9/2 with C3 named C, and
+    R1_pbw is R1 at C5 = 2 C3^2 + 36 C3 + 4 C4 - 38: the values at which the
+    overlaps resolve (see the overlap reports of the unconstrained sets).
 
     params values are rationals or the string "symbolic"; defaults are
-    symbolic.  Default h orders: quadratic set 8, linear set 10, cubic set 4
-    (strictly above the deepest h power reachable in any length-3 overlap
-    reduction; the tests re-run at h_order+2 and compare).
+    symbolic, and R2_ansatz reads C as C3.  Default h orders: quadratic set
+    8, linear set 10, cubic set 4 (strictly above the deepest h power
+    reachable in any length-3 overlap reduction; the tests re-run at
+    h_order+2 and compare).
     """
+    if which not in _CATALOG:
+        raise ValueError(f"unknown relation set {which}")
+    d, n_gens, default, names = _CATALOG[which]
     params = dict(params or {})
-
-    def take(name, *also):
-        value = params.pop(name, "symbolic")
-        for alias in also:
-            if alias in params:
-                value = params.pop(alias)
-        return _sym(value, name)
-
-    if which == "R2":
-        C = take("C")
-        if params:
-            raise UnknownParameters(f"unused parameters: {sorted(params)}")
-        K = 8 if h_order is None else h_order
-        F = Fraction
-        tails = {
-            (1, 2): [],
-            (1, 3): [(1, -1, ((1, 2),)), (1, 1, ((1, 4),))],
-            (2, 3): [(1, 1, ((2, 1), (1, 3))), (1, -2, ((2, 1), (1, 1)))],
-            (1, 4): [(1, 3, ((2, 1), (1, 3))), (1, -2, ((2, 1), (1, 1)))],
-            # x1 exponent 2 in the cubic term: forced by the quadratic-family
-            # bracket, the cocycle identity and Delta-compatibility alike.
-            (2, 4): [(1, 3, ((2, 2), (1, 2))), (1, -4, ((2, 2),))],
-            (3, 4): [(1, 4, ((4, 1), (1, 1))), (1, -1, ((4, 1), (1, 3))),
-                     (1, 3, ((3, 1), (2, 1), (1, 2))), (1, -6, ((3, 1), (2, 1))),
-                     (2, 2, ((2, 1), (1, 1)))],
-            (1, 5): [(1, 3, ((3, 1), (1, 3))), (1, -3, ((3, 1), (1, 1))),
-                     (1, 3, ((2, 2), (1, 2))),
-                     (2, -6, ((1, 4),)), (2, F(9, 2), ((1, 6),)), (2, F(3, 2), ((1, 2),))],
-            (2, 5): [(1, 3, ((2, 3), (1, 1))),
-                     (1, 3, ((3, 1), (2, 1), (1, 2))), (1, -6, ((3, 1), (2, 1))),
-                     (2, 6, ((2, 1), (1, 1))), (2, -9, ((2, 1), (1, 3))),
-                     (2, F(9, 2), ((2, 1), (1, 5)))],
-            (3, 5): [(1, 5, ((5, 1), (1, 1))), (1, -1, ((5, 1), (1, 3))),
-                     (1, 3, ((3, 2), (1, 2))), (1, -9, ((3, 2),)),
-                     (1, 3, ((3, 1), (2, 2), (1, 1))),
-                     (2, F(-15, 2), ((3, 1), (1, 1))), (2, 6, ((3, 1), (1, 3))),
-                     (2, F(3, 2), ((3, 1), (1, 5))),
-                     (3, C, ((1, 8),)), (3, -C, ((1, 2),))],
-            (4, 5): [(1, 10, ((5, 1), (2, 1))), (1, -3, ((5, 1), (2, 1), (1, 2))),
-                     (1, 3, ((4, 1), (3, 1), (1, 2))), (1, -12, ((4, 1), (3, 1))),
-                     (1, 3, ((4, 1), (2, 2), (1, 1))),
-                     (2, -24, ((4, 1), (1, 1))), (2, 9, ((4, 1), (1, 3))),
-                     (2, F(3, 2), ((4, 1), (1, 5))), (2, 6, ((3, 1), (2, 1))),
-                     (3, -(C * 2 + 6), ((2, 1), (1, 1))), (3, C * 3, ((2, 1), (1, 7)))],
-        }
-        built = {pair: _tail(5, K, t) for pair, t in tails.items()}
-        return make_relation_set("R2", 2, 5, K, built, ("C",))
-
-    if which == "R2_ansatz":
-        C1 = take("C1")
-        C2 = take("C2")
-        C3 = take("C3", "C")
-        if params:
-            raise UnknownParameters(f"unused parameters: {sorted(params)}")
-        K = 8 if h_order is None else h_order
-        base = relation_set_catalog("R2", {"C": 0}, K)
-        tails = {
-            (1, 2): [], (1, 3): None, (2, 3): None, (1, 4): None,
-            (2, 4): [(1, 3, ((2, 2), (1, 2))), (1, -4, ((2, 2),)),
-                     (2, C1, ((1, 6),)), (2, -C1, ((1, 2),))],
-            (3, 4): [(1, 4, ((4, 1), (1, 1))), (1, -1, ((4, 1), (1, 3))),
-                     (1, 3, ((3, 1), (2, 1), (1, 2))), (1, -6, ((3, 1), (2, 1))),
-                     (2, 2 - C1 * 2, ((2, 1), (1, 1))), (2, C1 * 2, ((2, 1), (1, 5)))],
-            (1, 5): [(1, 3, ((3, 1), (1, 3))), (1, -3, ((3, 1), (1, 1))),
-                     (1, 3, ((2, 2), (1, 2))),
-                     (2, 6, ((1, 2),)), (2, -6, ((1, 4),)),
-                     (2, C2, ((1, 6),)), (2, -C2, ((1, 2),))],
-            (2, 5): [(1, 3, ((2, 3), (1, 1))),
-                     (1, 3, ((3, 1), (2, 1), (1, 2))), (1, -6, ((3, 1), (2, 1))),
-                     (2, 15 - C2 * 2, ((2, 1), (1, 1))), (2, -9, ((2, 1), (1, 3))),
-                     (2, C2, ((2, 1), (1, 5)))],
-            (3, 5): [(1, 5, ((5, 1), (1, 1))), (1, -1, ((5, 1), (1, 3))),
-                     (1, 3, ((3, 2), (1, 2))), (1, -9, ((3, 2),)),
-                     (1, 3, ((3, 1), (2, 2), (1, 1))),
-                     (2, 6 - C2 * 3, ((3, 1), (1, 1))), (2, 6, ((3, 1), (1, 3))),
-                     (2, C2 - 3, ((3, 1), (1, 5))),
-                     (3, C3, ((1, 8),)), (3, -C3, ((1, 2),))],
-            (4, 5): [(1, 10, ((5, 1), (2, 1))), (1, -3, ((5, 1), (2, 1), (1, 2))),
-                     (1, 3, ((4, 1), (3, 1), (1, 2))), (1, -12, ((4, 1), (3, 1))),
-                     (1, 3, ((4, 1), (2, 2), (1, 1))),
-                     (2, -(C2 * 4 + 6), ((4, 1), (1, 1))), (2, 9, ((4, 1), (1, 3))),
-                     (2, C2 - 3, ((4, 1), (1, 5))), (2, 6, ((3, 1), (2, 1))),
-                     (3, 3 - C2 * 2 - C3 * 2, ((2, 1), (1, 1))), (3, C3 * 3, ((2, 1), (1, 7)))],
-        }
-        built = {}
-        for pair, t in tails.items():
-            built[pair] = base.tail(*pair) if t is None else _tail(5, K, t)
-        return make_relation_set("R2_ansatz", 2, 5, K, built, ("C1", "C2", "C3"))
-
+    if which == "R2_ansatz" and "C" in params:
+        if "C3" in params:
+            raise UnknownParameters("parameter C3 given twice, as C3 and as C")
+        params["C3"] = params.pop("C")
+    unused = sorted(set(params) - set(names))
+    if unused:
+        raise UnknownParameters(f"unused parameters: {unused}")
+    p = {name: _sym(params.get(name, "symbolic"), name) for name in names}
     if which == "R1":
-        C3 = take("C3")
-        C4 = take("C4")
-        C5 = take("C5")
-        if params:
-            raise UnknownParameters(f"unused parameters: {sorted(params)}")
-        K = 10 if h_order is None else h_order
-        tails = {
-            (1, 2): [(1, 1, ((1, 3),)), (1, -1, ((1, 2),))],
-            (1, 3): [(1, 2, ((2, 1), (1, 2))), (1, -2, ((2, 1), (1, 1))),
-                     (2, 2, ((1, 4),)), (2, -3, ((1, 3),)), (2, 1, ((1, 2),))],
-            (2, 3): [(1, 3, ((3, 1), (1, 1))), (1, -1, ((3, 1), (1, 2))),
-                     (1, 2, ((2, 2), (1, 1))), (1, -4, ((2, 2),)),
-                     (2, 3, ((2, 1), (1, 2))), (2, -3, ((2, 1), (1, 1))),
-                     (3, 2 - C3 * 2, ((1, 5),)), (3, -(2 - C3 * 2), ((1, 2),))],
-            (1, 4): [(1, -3, ((3, 1), (1, 1))), (1, 2, ((3, 1), (1, 2))),
-                     (1, 1, ((2, 2), (1, 1))),
-                     (2, 3, ((2, 1), (1, 1))), (2, -8, ((2, 1), (1, 2))),
-                     (2, 5, ((2, 1), (1, 3))),
-                     (3, 5, ((1, 5),)), (3, -12, ((1, 4),)), (3, 7, ((1, 3),)),
-                     (3, C3, ((1, 5),)), (3, -C3, ((1, 2),))],
-            (2, 4): [(1, 4, ((4, 1), (1, 1))), (1, -1, ((4, 1), (1, 2))),
-                     (1, 2, ((3, 1), (2, 1), (1, 1))), (1, -6, ((3, 1), (2, 1))),
-                     (1, 1, ((2, 3),)),
-                     (2, 3, ((2, 2), (1, 2))), (2, -10, ((2, 2), (1, 1))),
-                     (2, 12, ((2, 2),)),
-                     (2, 12, ((3, 1), (1, 2))), (2, -2, ((3, 1), (1, 3))),
-                     (2, -15, ((3, 1), (1, 1))),
-                     (3, C3 * 2 + 9, ((2, 1), (1, 1))), (3, -17, ((2, 1), (1, 2))),
-                     (3, 6, ((2, 1), (1, 3))), (3, 5 - C3 * 5, ((2, 1), (1, 4))),
-                     (4, 22 - C3 * 22, ((1, 2),)), (4, C3 * 4 - 4, ((1, 3),)),
-                     (4, C3 * 18 - 18, ((1, 5),)),
-                     (4, C4, ((1, 6),)), (4, -C4, ((1, 2),))],
-            (3, 4): [(1, 8, ((4, 1), (2, 1))), (1, -2, ((4, 1), (2, 1), (1, 1))),
-                     (1, 1, ((3, 1), (2, 2))), (1, -9, ((3, 2),)), (1, 2, ((3, 2), (1, 1))),
-                     (2, -1, ((3, 1), (2, 1), (1, 2))), (2, 16, ((3, 1), (2, 1), (1, 1))),
-                     (2, -24, ((3, 1), (2, 1))),
-                     (2, -7, ((4, 1), (1, 2))), (2, 16, ((4, 1), (1, 1))),
-                     (3, 10 - C3 * 10, ((2, 2), (1, 3))), (3, C3 * 8 - 9, ((2, 2),)),
-                     (3, C3 * 5 - 5, ((3, 1), (1, 4))), (3, 16, ((3, 1), (1, 2))),
-                     (3, -(C3 * 9 + 6), ((3, 1), (1, 1))),
-                     (4, 8 - C3 * 9 - C4 * 2, ((2, 1), (1, 1))),
-                     (4, 9 - C3 * 8, ((2, 1), (1, 2))),
-                     (4, 10 - C3 * 10, ((2, 1), (1, 4))),
-                     (4, C4 * 2 - 18 + C3 * 18, ((2, 1), (1, 5))),
-                     (5, C4 + C3 * 2 - 2, ((1, 2),)), (5, 4 - C3 * 4 - C4, ((1, 6),)),
-                     (5, C3 * 2 - 2, ((1, 5),)),
-                     (5, C5, ((1, 7),)), (5, -C5, ((1, 2),))],
-        }
-        built = {pair: _tail(4, K, t) for pair, t in tails.items()}
-        return make_relation_set("R1", 1, 4, K, built, ("C3", "C4", "C5"))
-
-    if which == "R1_pbw":
-        # The confluent section of the linear-family set: the x2 x3 x4 overlap
-        # resolves iff C5 = 2 C3^2 + 36 C3 + 4 C4 - 38 (see the overlap report
-        # for the unconstrained set), so this catalog entry bakes that value.
-        C3 = take("C3")
-        C4 = take("C4")
-        if params:
-            raise UnknownParameters(f"unused parameters: {sorted(params)}")
-        base = relation_set_catalog("R1", None, h_order)
-        section = C3 * C3 * 2 + C3 * 36 + C4 * 4 - 38
-        sub = {param("C3"): C3, param("C4"): C4, param("C5"): section}
-        tails = {
-            pair: nc_make(4, base.h_order,
-                          {w: c.substitute(sub) for w, c in t.terms.items()})
-            for pair, t in base.tails.items()
-        }
-        return make_relation_set("R1_pbw", 1, 4, base.h_order, tails, ("C3", "C4"))
-
-    if which == "R3":
-        if params:
-            raise UnknownParameters(f"unused parameters: {sorted(params)}")
-        K = 4 if h_order is None else h_order
-        tails = {
-            (1, 2): [], (1, 3): [], (2, 3): [],
-            (1, 4): [(1, 1, ((1, 5),)), (1, -1, ((1, 2),))],
-            (2, 4): [(1, 1, ((2, 1), (1, 4))), (1, -2, ((2, 1), (1, 1)))],
-            (3, 4): [(1, 1, ((3, 1), (1, 4))), (1, -3, ((3, 1), (1, 1)))],
-            (1, 5): [(1, 4, ((2, 1), (1, 4))), (1, -2, ((2, 1), (1, 1)))],
-            # x1 exponent 3 in the quartic term: forced as in the quadratic set.
-            (2, 5): [(1, 4, ((2, 2), (1, 3))), (1, -4, ((2, 2),))],
-            (3, 5): [(1, 4, ((3, 1), (2, 1), (1, 3))), (1, -6, ((3, 1), (2, 1)))],
-            (4, 5): [(1, 4, ((4, 1), (2, 1), (1, 3))), (1, -8, ((4, 1), (2, 1))),
-                     (1, 5, ((5, 1), (1, 1))), (1, -1, ((5, 1), (1, 4))),
-                     (2, 3, ((2, 1), (1, 1)))],
-        }
-        built = {pair: _tail(5, K, t) for pair, t in tails.items()}
-        return make_relation_set("R3", 3, 5, K, built)
-
-    raise ValueError(f"unknown relation set {which}")
+        higher = _linear_higher(**p)
+    elif which == "R1_pbw":
+        C3, C4 = p["C3"], p["C4"]
+        higher = _linear_higher(C3, C4, C3 * C3 * 2 + C3 * 36 + C4 * 4 - 38)
+    elif which == "R2":
+        higher = _quadratic_higher(0, Fraction(9, 2), p["C"])
+    elif which == "R2_ansatz":
+        higher = _quadratic_higher(**p)
+    else:
+        higher = {(4, 5): [(2, 3, ((2, 1), (1, 1)))]}
+    K = default if h_order is None else h_order
+    return make_relation_set(which, d, n_gens, K, _quantised(d, n_gens, K, higher), names)

@@ -239,6 +239,44 @@ MUTANTS = [
         "mutant": "elif False:",
         "tests": ["tests/test_report_cli.py::test_cli_bad_input_exits_2[table-mirror-not-negated]"],
     },
+    {
+        "name": "catalog-h-linear-sign-flipped",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "table.add(word, LaurentPoly({h_key: c}))",
+        "mutant": "table.add(word, -LaurentPoly({h_key: c}))",
+        "tests": ["tests/test_quantum.py::test_catalog_tails_match_the_record",
+                  "tests/test_quantum.py::test_quasiclassical_limits_match_bracket_tables"],
+    },
+    {
+        "name": "catalog-R2-pinned-at-C2-4",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "higher = _quadratic_higher(0, Fraction(9, 2), p[\"C\"])",
+        "mutant": "higher = _quadratic_higher(0, 4, p[\"C\"])",
+        "tests": ["tests/test_quantum.py::test_catalog_tails_match_the_record",
+                  "tests/test_quantum.py::test_overlap_checks_for_shipped_sets"],
+    },
+    {
+        "name": "catalog-R1-pbw-section-constant",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "C3 * C3 * 2 + C3 * 36 + C4 * 4 - 38)",
+        "mutant": "C3 * C3 * 2 + C3 * 36 + C4 * 4 - 37)",
+        "tests": ["tests/test_quantum.py::test_catalog_tails_match_the_record",
+                  "tests/test_quantum.py::test_overlap_checks_for_shipped_sets"],
+    },
+    {
+        "name": "catalog-h2-term-dropped",
+        "file": "src/jetpoisson/quantum.py",
+        "original": " (2, -9, ((2, 1), (1, 3))),",
+        "mutant": "",
+        "tests": ["tests/test_quantum.py::test_catalog_tails_match_the_record"],
+    },
+    {
+        "name": "extended-family-read-past-the-cut",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "return cochain_from_wedge_terms(terms, 0, N, max_index=N)",
+        "mutant": "return cochain_from_wedge_terms(terms, 0, N)",
+        "tests": ["tests/test_bialgebra.py::test_truncated_extended_family_is_a_cocycle"],
+    },
 ]
 
 

@@ -381,9 +381,25 @@ def test_cocycle_matches_the_entrywise_formula():
         want = _cocycle_by_entries(alpha, N).to_dict()
         assert ba.verify_cocycle(alpha, N).to_dict() == want
         statuses.append(want["status"])
-    # the truncated extended family and three perturbations in range fail;
-    # the two perturbations outside the range change nothing
-    assert statuses.count("fail") == 4, statuses
+    # the three perturbations in range fail; the two outside the range
+    # change nothing
+    assert statuses.count("fail") == 3, statuses
+
+
+def test_truncated_extended_family_is_a_cocycle():
+    """The extended family cut at index N lives on e_0..e_N, so the check
+    reads no entry past the cut as zero; an entry changed inside the range
+    still fails."""
+    lam = LaurentPoly.var(param("lam"))
+    for value in (lam, Fraction(1, 3)):
+        for N, k in ((6, 6), (10, 4), (12, 2), (8, 8)):
+            fam = ba.family_jet_extended(2, value, N)
+            assert fam.max_index == N
+            assert ba.verify_cocycle(fam, k).passed, (value, N, k)
+        bad = _perturbed_cochain(ba.family_jet_extended(2, value, 8), 2, (1, 5),
+                                 LaurentPoly.one(), max_index=8)
+        report = ba.verify_cocycle(bad, 8)
+        assert not report.passed and report.to_dict() == _cocycle_by_entries(bad, 8).to_dict()
 
 
 def test_rr_invariance_and_action_identity():

@@ -4,8 +4,9 @@ counit, grading and the quasiclassical limit.
 Two catalog coefficients differ from the published tables (the x1
 exponent in the quadratic set's (2,4) tail and in the cubic set's (2,5)
 tail): the printed exponents contradict the bracket tables the relations
-must deform, and the printed-variant tests below show they also break the
-comultiplication compatibility.  The linear set is shipped verbatim; its
+must deform, from which the catalog derives every h-linear term, and
+the printed-variant tests below show they also break the comultiplication
+compatibility.  The linear set is shipped verbatim; its
 overlap check discovers that confluence holds only on a section of the
 printed three-parameter family, and that record is asserted here.
 """
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import tail_record
 from jetpoisson import poissonlie as pl
 from jetpoisson import quantum as qt
 from jetpoisson import report as rep
@@ -763,7 +765,10 @@ def test_grading_negative_control():
 
 
 def test_quasiclassical_limits_match_bracket_tables():
-    for which, d, n in (("R2", 2, 5), ("R3", 3, 5), ("R1", 1, 4)):
+    # the catalog reads its h-linear parts off the closed-form table; this
+    # compares them with the table built from the generating series
+    for which, d, n in (("R2", 2, 5), ("R3", 3, 5), ("R1", 1, 4),
+                        ("R1_pbw", 1, 4), ("R2_ansatz", 2, 5)):
         R = qt.relation_set_catalog(which)
         omega = pl.build_omega(pl.phi_power_family(d), n)
         assert qt.verify_quasiclassical(R, omega).passed, which
@@ -816,3 +821,40 @@ def test_unknown_parameters_rejected():
         qt.relation_set_catalog("R2", {"C9": 1})
     with pytest.raises(ValueError):
         qt.relation_set_catalog("R9")
+
+
+def test_a_parameter_given_twice_is_rejected():
+    """R2_ansatz reads C as C3; given both, neither silently wins."""
+    with pytest.raises(qt.UnknownParameters, match="C3 given twice"):
+        qt.relation_set_catalog("R2_ansatz", {"C": 1, "C3": 2})
+    alias = qt.relation_set_catalog("R2_ansatz", {"C": 2})
+    assert alias.tails == qt.relation_set_catalog("R2_ansatz", {"C3": 2}).tails
+
+
+# -- the catalog against its written-out record --------------------------------
+
+
+_RECORD_CASES = [
+    ("R1", None), ("R1", {"C3": Fraction(1, 2), "C4": -3, "C5": 7}),
+    ("R1_pbw", None), ("R1_pbw", {"C3": Fraction(2, 3), "C4": 5}),
+    ("R2", None), ("R2", {"C": Fraction(2, 3)}), ("R2", {"C": 0}),
+    ("R2_ansatz", None), ("R2_ansatz", {"C1": 1, "C2": Fraction(9, 2), "C3": Fraction(-1, 3)}),
+    ("R2_ansatz", {"C1": 0, "C2": "symbolic", "C": 5}),
+    ("R3", None),
+]
+
+
+@pytest.mark.parametrize("h_order", [None, 3, 12])
+@pytest.mark.parametrize("which,params", _RECORD_CASES,
+                         ids=[f"{w}-{'sym' if p is None else 'vals'}{k}"
+                              for k, (w, p) in enumerate(_RECORD_CASES)])
+def test_catalog_tails_match_the_record(which, params, h_order):
+    """Each derived tail (h times the bracket, plus the terms of h^2 and above,
+    R2 and R1_pbw as sections) holds exactly the terms written out in
+    tests/tail_record.py."""
+    R = qt.relation_set_catalog(which, params, h_order)
+    record = tail_record.recorded_tails(which, params, h_order)
+    derived = {pair: dict(t.terms) for pair, t in R.tails.items() if t.terms}
+    assert derived.keys() == record.keys()
+    for pair, terms in record.items():
+        assert derived[pair] == terms, pair

@@ -210,6 +210,7 @@ def test_cli_config_errors(capsys):
     "verify poisson --phi table:{mirror_repeated}",
     "verify poisson --phi exp",
     "verify all --phi exp",
+    "verify quantum --set R2_ansatz --C 1 --C3 2",
 ], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1",
         "degree-negative", "degree-zero", "phi-degree-1", "phi-degree-2", "all-degree-2",
         "lambda-zero-denominator", "C-zero-denominator", "table-zero-denominator",
@@ -217,7 +218,7 @@ def test_cli_config_errors(capsys):
         "table-diagonal-row", "table-antisymmetrises-to-zero", "density-unused-lambda",
         "phi-unused-phi", "group-unused-set", "linear-unused-d", "all-unread-lambda",
         "table-repeated-row", "table-mirror-not-negated", "table-mirror-then-repeat",
-        "poisson-unknown-family", "all-unknown-family"])
+        "poisson-unknown-family", "all-unknown-family", "ansatz-C3-given-twice"])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no rows\n", encoding="utf-8")
