@@ -49,9 +49,6 @@ class WedgeCochain:
     def _in_range(self, i: int) -> bool:
         return i >= self.min_index and (self.max_index is None or i <= self.max_index)
 
-    def levels(self):
-        return sorted(self.alpha.keys())
-
     def lower_support(self) -> list[int]:
         seen = set()
         for table in self.alpha.values():
@@ -396,21 +393,7 @@ def witt_a_sequence(N: int) -> list[Fraction]:
 # Classifiers: coefficient tables of all solutions, one branch at a time
 
 
-@dataclass(frozen=True)
-class LambdaTable:
-    d: Optional[int]            # branch label; None for the extended-group branch
-    min_index: int
-    table: dict                 # (m, n) -> LaurentPoly, antisymmetric
-    degree: int                 # entries with max(m, n) <= degree are exact
-
-    def coeff(self, m: int, n: int) -> LaurentPoly:
-        return self.table.get((m, n), LaurentPoly.zero())
-
-    def to_phi(self, provenance: str = "classified") -> PhiFunction:
-        return PhiFunction(self.min_index, dict(self.table), self.degree, False, provenance)
-
-
-def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> LambdaTable:
+def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> PhiFunction:
     """Fill a branch-d coefficient table from its free parameters.
 
     Normalization lam_{1,d+1} = 1.  Free data: lam_{1,n} for
@@ -449,10 +432,10 @@ def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> LambdaT
     box = n_max - d
     upper = (((m, n), lam1[m] * row[n] - lam1[n] * row[m])
              for m in range(1, box + 1) for n in range(m + 1, box + 1))
-    return LambdaTable(d, 1, Combination.antisymmetric(upper), box)
+    return PhiFunction(1, Combination.antisymmetric(upper), box, False, f"branch d={d}")
 
 
-def classify_g0_branch(free: Mapping[int, object], n_max: int) -> LambdaTable:
+def classify_g0_branch(free: Mapping[int, object], n_max: int) -> PhiFunction:
     """Extended-group branch with lam_{0,1} = 1 and free lam_{0,n}, n >= 2.
 
     lam_{1,r} follows recursively, then every entry is the two-by-two
@@ -480,7 +463,7 @@ def classify_g0_branch(free: Mapping[int, object], n_max: int) -> LambdaTable:
         return lam0[m] * lam1[n] - lam1[m] * lam0[n]
 
     upper = (((m, n), entry(m, n)) for m in range(0, n_max + 1) for n in range(m + 1, n_max + 1))
-    return LambdaTable(None, 0, Combination.antisymmetric(upper), n_max)
+    return PhiFunction(0, Combination.antisymmetric(upper), n_max, False, "g0-branch")
 
 
 # ---------------------------------------------------------------------------

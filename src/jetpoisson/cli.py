@@ -35,6 +35,9 @@ class ConfigError(ValueError):
     pass
 
 
+_PARAMS = ("C", "C1", "C2", "C3", "C4", "C5")  # the relation-set catalog's options
+
+
 def _value(text: str, name: str):
     """Rational or "symbolic" parameter values from the command line."""
     if text == "symbolic":
@@ -121,8 +124,7 @@ def suite_group(args) -> list[rep.VerificationReport]:
 
     def bracket_ok(a, b):
         got = jg.vf_commutator(jg.left_invariant_field(a, n), jg.left_invariant_field(b, n))
-        expect = jg.vf_scale(jg.left_invariant_field(a + b - 1, n), a - b)
-        return jg.vf_sub(got, expect).is_zero()
+        return got == jg.left_invariant_field(a + b - 1, n).map(lambda c: c * (a - b))
 
     pairs = ((a, b) for a in range(1, top + 1) for b in range(1, top + 1))
     bad_pair = next((pair for pair in pairs if not bracket_ok(*pair)), None)
@@ -234,7 +236,7 @@ def suite_classify(args) -> list[rep.VerificationReport]:
                    else rep.failed("branch-d-geometric-specialization", (0, 0), "tables differ", d=2))
     free = {n: LaurentPoly.var(param(f"a{n}")) for n in range(2, 8)}
     g0 = ba.classify_g0_branch(free, 6)
-    records.append(pl.verify_phi_equation(g0.to_phi("g0-branch"), 5))
+    records.append(pl.verify_phi_equation(g0, 5))
     return records
 
 
@@ -248,15 +250,16 @@ def suite_density(args) -> list[rep.VerificationReport]:
     return records
 
 
+def _catalog_args(args) -> tuple[str, dict]:
+    """The relation set and the catalog options given; "symbolic" stays a
+    word, since the catalog names the symbol (--C feeds C3 of R2_ansatz)."""
+    return args.set.replace("-", "_"), {
+        name: value if value == "symbolic" else _value(value, name)
+        for name in _PARAMS if (value := getattr(args, name)) is not None}
+
+
 def suite_quantum(args) -> list[rep.VerificationReport]:
-    params = {}
-    for name in ("C", "C1", "C2", "C3", "C4", "C5"):
-        value = getattr(args, name, None)
-        if value is not None:
-            # "symbolic" stays a word: the catalog names the symbol (--C feeds C3 of R2_ansatz)
-            params[name] = value if value == "symbolic" else _value(value, name)
-    which = args.set.replace("-", "_")
-    R = qt.relation_set_catalog(which, params or None, args.h_order)
+    R = qt.relation_set_catalog(*_catalog_args(args), args.h_order)
     records = [
         qt.pbw_overlap_check(R),
         qt.verify_delta_homomorphism(R),
@@ -290,7 +293,7 @@ _READS = {
     "cybe": {"n"},
     "classify": set(),
     "density": {"n"},
-    "quantum": {"set", "h_order", "C", "C1", "C2", "C3", "C4", "C5"},
+    "quantum": {"set", "h_order", *_PARAMS},
 }
 _PHI_READS = {"power": {"d", "degree"}, "extended": {"d", "lam", "degree"}, "linear": set()}
 
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--h-order", type=int, default=None, action=_Given)
     verify.add_argument("--set", default="R2", action=_Given,
                         choices=["R1", "R2", "R3", "R2-ansatz", "R2_ansatz", "R1_pbw", "R1-pbw"])
-    for name in ("C", "C1", "C2", "C3", "C4", "C5"):
+    for name in _PARAMS:
         verify.add_argument(f"--{name}", default=None, action=_Given,
                             help='rational value or "symbolic"')
     verify.add_argument("--phi", default="power", action=_Given,
@@ -347,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 def check_args(args) -> None:
     """Reject, before any suite runs, an unknown --phi family, an option the
     suite never reads, an integer option outside [1, 2^14), the limit of a
-    series bound, a parameter that is not a rational or "symbolic", and an
-    --out path the report could not be written to; creates no file."""
+    series bound, a value not rational or "symbolic", a catalog parameter the
+    set does not read or given twice, and an unwritable --out; creates no file."""
     if "phi" in reads(args) and args.phi not in _PHI_READS and not args.phi.startswith("table:"):
         raise ConfigError(f"unknown phi family {args.phi!r}")
     unused = sorted(flag for dest, flag in args.given.items() if dest not in reads(args))
@@ -358,7 +361,7 @@ def check_args(args) -> None:
                         ("degree", args.degree)):
         if value is not None and not 1 <= value < ts._LIMIT:
             raise ConfigError(f"--{flag} must lie in [1, {ts._LIMIT})")
-    for name in ("lam", "C", "C1", "C2", "C3", "C4", "C5"):
+    for name in ("lam",) + _PARAMS:
         if getattr(args, name) is not None:
             _value(getattr(args, name), name)
     if args.out:
@@ -367,14 +370,15 @@ def check_args(args) -> None:
                 os.access(args.out, os.W_OK) if os.path.exists(args.out)
                 else os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
             raise ConfigError(f"cannot write report: {args.out}")
+    if "set" in reads(args):
+        qt.catalog_params(*_catalog_args(args))
 
 
 def run_suite(args) -> tuple[int, list[rep.VerificationReport]]:
     if args.suite == "all":
         records = []
-        for name in ("group", "poisson", "phi", "bialgebra", "cybe",
-                     "classify", "density", "quantum"):
-            records.extend(SUITES[name](args))
+        for suite in SUITES.values():
+            records.extend(suite(args))
     else:
         records = SUITES[args.suite](args)
     status = 0 if all(r.passed for r in records) else 1

@@ -49,7 +49,7 @@ the variables and parameters were created in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, inf
@@ -159,21 +159,6 @@ def _poly_add(p, q):
     return out
 
 
-def _poly_sub(p, q):
-    out = dict(p)
-    for k, c in q.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = (-c[0], c[1])
-        else:
-            s = _rat_add(cur, (-c[0], c[1]))
-            if s[0]:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
 def _poly_scale(p, num, den):
     if num == 0:
         return {}
@@ -255,15 +240,14 @@ _FIXED_PARAMS = len(_PARAM_NAMES)
 _RENDER_RANK: dict[int, int] = {}
 
 
-class SubstituteSingular(ValueError):
-    """An invertible variable with a negative exponent was bound to a non-unit."""
+class NotInvertible(ValueError):
+    """A value that is not a rational times invertible variables was inverted."""
 
 
 @dataclass(frozen=True)
 class Variable:
     kind: VarKind
     index: int
-    invertible: bool = field(init=False)
 
     def __post_init__(self):
         if self.index < _MIN_INDEX:
@@ -271,11 +255,10 @@ class Variable:
         if self.index - _MIN_INDEX >= _STRIDE:
             # the code would spill into the next kind (x_{2^20+5} read back as y5)
             raise ValueError(f"variable index {self.index} above maximum {_STRIDE + _MIN_INDEX - 1}")
-        inv = (
-            self.kind in (VarKind.GROUP_X, VarKind.GROUP_Y, VarKind.GROUP_Z)
-            and self.index == 1
-        ) or self.kind is VarKind.AUX_T
-        object.__setattr__(self, "invertible", inv)
+
+    @property
+    def invertible(self) -> bool:
+        return _code_invertible(self.code)
 
     @property
     def code(self) -> int:
@@ -295,8 +278,8 @@ def decode(code: int) -> Variable:
 
 
 def _code_invertible(code: int) -> bool:
-    kind = code // _STRIDE
-    index = code % _STRIDE + _MIN_INDEX
+    """The leading coordinate x1, y1, z1 of a jet and the opaque units t."""
+    kind, index = code // _STRIDE, code % _STRIDE + _MIN_INDEX
     return (kind <= VarKind.GROUP_Z and index == 1) or kind == VarKind.AUX_T
 
 
@@ -381,25 +364,25 @@ class LaurentPoly:
         """sum(a * b for a, b in pairs), accumulated raw and normalised once."""
         acc: dict = {}
         for a, b in pairs:
-            _poly_mac(acc, _coerce(a).terms, _coerce(b).terms)
+            _poly_mac(acc, poly(a).terms, poly(b).terms)
         return LaurentPoly(_poly_finish(acc))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
         if other.__class__ is not LaurentPoly:
-            other = _coerce(other)
+            other = poly(other)
         return LaurentPoly(_poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
         if other.__class__ is not LaurentPoly:
-            other = _coerce(other)
-        return LaurentPoly(_poly_sub(self.terms, other.terms))
+            other = poly(other)
+        return LaurentPoly(_poly_add(self.terms, (-other).terms))
 
     def __rsub__(self, other) -> "LaurentPoly":
-        return _coerce(other) - self
+        return poly(other) - self
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({k: (-n, d) for k, (n, d) in self.terms.items()})
@@ -450,19 +433,13 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_unit_monomial(self) -> bool:
-        """True when the value is c * (product of invertible variables)."""
-        if len(self.terms) != 1:
-            return False
-        key = next(iter(self.terms))
-        return all(_code_invertible(code) for code, _ in _unpack(key))
-
     def monomial_inverse(self) -> "LaurentPoly":
+        """1 / self; raises NotInvertible unless self is a rational times units."""
         if len(self.terms) != 1:
-            raise SubstituteSingular(f"not an invertible monomial: {self.render()}")
+            raise NotInvertible(f"not an invertible monomial: {self.render()}")
         key, (num, den) = next(iter(self.terms.items()))
         if not all(_code_invertible(code) for code, _ in _unpack(key)):
-            raise SubstituteSingular(f"not an invertible monomial: {self.render()}")
+            raise NotInvertible(f"not an invertible monomial: {self.render()}")
         return LaurentPoly({_checked(-key): _rat_norm(den, num)})
 
     def variables(self) -> set[Variable]:
@@ -515,14 +492,14 @@ class LaurentPoly:
     def substitute(self, bindings: Mapping[Variable, "LaurentPoly"]) -> "LaurentPoly":
         """Simultaneously replace variables by polynomials, exactly.
 
-        Raises SubstituteSingular when a variable occurring with a negative
+        Raises NotInvertible when a variable occurring with a negative
         exponent is bound to anything but an invertible monomial.
 
         A term's bound powers are multiplied raw; the last factor (the leftover
         monomial of unbound variables, if any) goes straight into the sum.  Each
         key is range-checked where a product of normalised polynomials checks it.
         """
-        by_code = {v.code: _coerce(p) for v, p in bindings.items()}
+        by_code = {v.code: poly(p) for v, p in bindings.items()}
         acc: dict = {}
         pow_cache: dict[tuple[int, int], dict] = {}
         for key, (num, den) in self.terms.items():
@@ -613,16 +590,13 @@ _ZERO = LaurentPoly({})
 _ONE = LaurentPoly({0: (1, 1)})
 
 
-def _coerce(value) -> LaurentPoly:
+def poly(value) -> LaurentPoly:
+    """A polynomial as itself, and an int or Fraction as a constant."""
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, (int, Fraction)):
         return LaurentPoly.const(value)
     raise TypeError(f"cannot coerce {value!r} to LaurentPoly")
-
-
-def poly(value) -> LaurentPoly:
-    return _coerce(value)
 
 
 class Combination(dict):
@@ -642,7 +616,7 @@ class Combination(dict):
     def __init__(self, items=()):
         super().__init__()
         for key, c in items.items() if isinstance(items, Mapping) else items:
-            self.add(key, _coerce(c))
+            self.add(key, poly(c))
 
     def __missing__(self, key) -> LaurentPoly:
         return _ZERO
@@ -734,7 +708,7 @@ class Combination(dict):
         for each ((i, j), c); repeated pairs are summed, the diagonal skipped."""
         out = Combination()
         for (i, j), c in pairs:
-            c = _coerce(c)
+            c = poly(c)
             if i == j or not c.terms:
                 continue
             if scale is not None:

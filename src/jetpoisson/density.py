@@ -19,9 +19,9 @@ from typing import Optional
 from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
-from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, aux_t, param, poly
+from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, aux_t, poly
 from .poissonlie import (PhiFunction, PoissonStructure, build_omega, upper_triangle,
-                         verify_jacobi)
+                         verify_jacobi, weight)
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,6 @@ class DensityElement:
         bound = self.n if bound is None else bound
         return ts.make((var,), (bound,),
                        {(i,): self.coord(i) for i in range(min(self.n, bound) + 1)})
-
-
-def weight(lam) -> LaurentPoly:
-    if isinstance(lam, str):
-        return LaurentPoly.var(param(lam))
-    return poly(lam)
 
 
 def make_density(coords, lam) -> DensityElement:
@@ -83,8 +77,7 @@ def density_act(y: jg.JetElement, x: DensityElement,
     """
     if y.start_index != 1:
         raise jg.NotInvertible("densities are acted on by origin-fixing jets")
-    if not y.coord(1).is_unit_monomial():
-        raise jg.NotInvertible("leading jet coefficient must be invertible")
+    y.coord(1).monomial_inverse()  # raises NotInvertible unless y_1 is a unit
     n_out = min(x.n, y.n - 1)
     z = ts.compose(x.to_series(bound=n_out), y.to_series(bound=n_out))
     lam = x.lam

@@ -20,27 +20,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import series as ts
-from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, poly
+from .coeffpoly import Combination, LaurentPoly, NotInvertible, Variable, VarKind, poly
 
-_LETTER_KINDS = {"x": VarKind.GROUP_X, "y": VarKind.GROUP_Y, "z": VarKind.GROUP_Z}
-
-# Codes of the degree-0 group coordinates; these are the nilpotent generators
-# of the extended model.
-ZERO_COORD_CODES = frozenset(
-    Variable(kind, 0).code for kind in (VarKind.GROUP_X, VarKind.GROUP_Y, VarKind.GROUP_Z)
-)
+LETTER_KINDS = {"x": VarKind.GROUP_X, "y": VarKind.GROUP_Y, "z": VarKind.GROUP_Z}
 
 
 class ShapeMismatch(ValueError):
     pass
 
 
-class NotInvertible(ValueError):
-    pass
-
-
 def nilpotent_reduce(p: LaurentPoly, m: int) -> LaurentPoly:
-    return p.drop_high_degree(ZERO_COORD_CODES, m)
+    return p.drop_high_degree(ts.ZERO_COORD_CODES, m)
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,7 @@ def make_jet(coords, start_index: int = 1, nilpotency: Optional[int] = None) -> 
 
 def symbolic_jet(n: int, letter: str = "x", start_index: int = 1,
                  nilpotency: Optional[int] = None) -> JetElement:
-    kind = _LETTER_KINDS[letter]
+    kind = LETTER_KINDS[letter]
     coords = [LaurentPoly.var(Variable(kind, i)) for i in range(start_index, n + 1)]
     return make_jet(coords, start_index, nilpotency)
 
@@ -121,10 +111,7 @@ def jet_compose(x: JetElement, y: JetElement) -> JetElement:
 def jet_inverse(x: JetElement) -> JetElement:
     if x.start_index != 1:
         raise NotInvertible("only jets fixing the origin are inverted here")
-    try:
-        inv = ts.comp_inverse(x.to_series(), x.n)
-    except ts.NotInvertible as exc:
-        raise NotInvertible(str(exc)) from exc
+    inv = ts.comp_inverse(x.to_series(), x.n)
     return make_jet([inv.coeff((i,)) for i in range(1, x.n + 1)], 1)
 
 
@@ -136,44 +123,24 @@ def jet_project(x: JetElement, m: int) -> JetElement:
     return JetElement(x.start_index, x.coords[: m - x.start_index + 1], m, x.nilpotency)
 
 
-# -- left-invariant vector fields -------------------------------------------
+# -- left-invariant vector fields, as combinations {i: component of d/dx_i} --
 
 
-@dataclass(frozen=True)
-class VectorField:
-    components: Combination  # coordinate index -> LaurentPoly
-
-    def component(self, i: int) -> LaurentPoly:
-        return self.components[i]
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-
-def left_invariant_field(k: int, n: int) -> VectorField:
+def left_invariant_field(k: int, n: int) -> Combination:
     """X_k = sum_{i=1}^{n-k+1} i * x_i * d/dx_{i+k-1} at truncation n."""
-    return VectorField(Combination(
+    return Combination(
         (i + k - 1, LaurentPoly.var(Variable(VarKind.GROUP_X, i)) * i)
         for i in range(1, n - k + 2)
-    ))
+    )
 
 
-def vf_commutator(a: VectorField, b: VectorField) -> VectorField:
+def vf_commutator(a: Combination, b: Combination) -> Combination:
     """[a, b]_j = sum_i a_i d(b_j)/dx_i - b_i d(a_j)/dx_i."""
     comps = Combination()
     for f, g, negate in ((a, b, False), (b, a, True)):
-        for i, fi in f.components.items():
+        for i, fi in f.items():
             xi = Variable(VarKind.GROUP_X, i)
-            for j, gj in g.components.items():
+            for j, gj in g.items():
                 term = fi * gj.derivative(xi)
                 comps.add(j, -term if negate else term)
-    return VectorField(comps)
-
-
-def vf_sub(a: VectorField, b: VectorField) -> VectorField:
-    return VectorField(a.components.copy().add_all(b.components, -1))
-
-
-def vf_scale(a: VectorField, c) -> VectorField:
-    c = poly(c)
-    return VectorField(a.components.map(lambda p: p * c))
+    return comps

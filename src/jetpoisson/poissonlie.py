@@ -79,6 +79,11 @@ class PhiFunction:
         return ts.make(tuple(space), tuple(bounds), coeffs)
 
 
+def weight(lam) -> LaurentPoly:
+    """A deformation parameter or weight: the parameter a str names, else poly(lam)."""
+    return LaurentPoly.var(param(lam)) if isinstance(lam, str) else poly(lam)
+
+
 def phi_from_table(entries: Mapping, min_index: int, degree: int, exact: bool = False,
                    provenance: str = "custom") -> PhiFunction:
     return PhiFunction(min_index, Combination.antisymmetric(entries.items()), degree, exact,
@@ -105,7 +110,7 @@ def phi_extended_family(d: int, lam, degree: int) -> PhiFunction:
     """
     if d < 2:
         raise ValueError("extended family needs d >= 2")
-    lam = poly(lam if not isinstance(lam, str) else LaurentPoly.var(param(lam)))
+    lam = weight(lam)
     B = degree
     space, bounds = ("u", "v"), (B, B)
 
@@ -132,7 +137,7 @@ def phi_linear() -> PhiFunction:
 
 def phi_exponential(lam, degree: int) -> PhiFunction:
     """phi(u,v) = e^{lam u} - e^{lam v}, truncated at the degree box."""
-    lam = poly(lam if not isinstance(lam, str) else LaurentPoly.var(param(lam)))
+    lam = weight(lam)
     entries = {}
     fact = 1
     power = LaurentPoly.one()
@@ -145,9 +150,6 @@ def phi_exponential(lam, degree: int) -> PhiFunction:
 
 # ---------------------------------------------------------------------------
 # Building bracket tables
-
-
-_LETTERS = {"x": VarKind.GROUP_X, "y": VarKind.GROUP_Y, "z": VarKind.GROUP_Z}
 
 
 @dataclass(frozen=True)
@@ -164,12 +166,6 @@ class PoissonStructure:
         if i < j:
             return self.omega.get((i, j), LaurentPoly.zero())
         return -self.omega.get((j, i), LaurentPoly.zero())
-
-    def pairs(self):
-        return sorted(self.omega.keys())
-
-    def coord(self, i: int) -> Variable:
-        return Variable(self.coord_kind, i)
 
     def perturbed(self, i: int, j: int, delta: LaurentPoly) -> "PoissonStructure":
         """Deliberately corrupted copy with {x_i, x_j} += delta; used by the
@@ -202,7 +198,7 @@ def build_omega(phi: PhiFunction, n: int, start_index: int = 1,
         raise DegreeBoundTooSmall(
             "extended-model tables need a finitely supported generating function"
         )
-    kind = _LETTERS[coord_letter]
+    kind = jg.LETTER_KINDS[coord_letter]
     bounds = (n, n)
     space = ("u", "v")
     hi = n if start_index == 1 else n + 1
@@ -241,7 +237,7 @@ def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonS
     with S_p(m) the sum of x_{s_1}...x_{s_p} over compositions of m into p
     positive parts and x_k = 0 for k < 1.
     """
-    kind = _LETTERS[coord_letter]
+    kind = jg.LETTER_KINDS[coord_letter]
     coords = [LaurentPoly.var(Variable(kind, k)) for k in range(1, n + 1)]
 
     def xv(k: int) -> LaurentPoly:

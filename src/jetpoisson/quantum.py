@@ -54,15 +54,12 @@ from .coeffpoly import (
     param,
     poly,
 )
+from .jetgroup import ShapeMismatch
 from .poissonlie import PoissonStructure, omega_power_closed_form
 
 H = param("h")
 _H_CODES = frozenset({H.code})
 _TAG = Variable(VarKind.TAG, 0)  # tags the elements of one batched reduction
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 class UnknownParameters(ValueError):
@@ -655,6 +652,23 @@ _CATALOG = {
 }
 
 
+def catalog_params(which: str, params: Optional[Mapping] = None) -> dict:
+    """Each parameter set ``which`` reads, "symbolic" if not given (C is C3 on
+    R2_ansatz); raises UnknownParameters for one given twice or not read."""
+    if which not in _CATALOG:
+        raise ValueError(f"unknown relation set {which}")
+    params = dict(params or {})
+    if which == "R2_ansatz" and "C" in params:
+        if "C3" in params:
+            raise UnknownParameters("parameter C3 given twice, as C3 and as C")
+        params["C3"] = params.pop("C")
+    names = _CATALOG[which][3]
+    unused = sorted(set(params) - set(names))
+    if unused:
+        raise UnknownParameters(f"unused parameters: {unused}")
+    return {name: params.get(name, "symbolic") for name in names}
+
+
 def relation_set_catalog(which: str, params: Optional[Mapping] = None,
                          h_order: Optional[int] = None) -> RelationSet:
     """The three shipped quantum semigroup relation sets, the linear set's
@@ -671,18 +685,8 @@ def relation_set_catalog(which: str, params: Optional[Mapping] = None,
     reachable in any length-3 overlap reduction; the tests re-run at
     h_order+2 and compare).
     """
-    if which not in _CATALOG:
-        raise ValueError(f"unknown relation set {which}")
+    p = {name: _sym(value, name) for name, value in catalog_params(which, params).items()}
     d, n_gens, default, names = _CATALOG[which]
-    params = dict(params or {})
-    if which == "R2_ansatz" and "C" in params:
-        if "C3" in params:
-            raise UnknownParameters("parameter C3 given twice, as C3 and as C")
-        params["C3"] = params.pop("C")
-    unused = sorted(set(params) - set(names))
-    if unused:
-        raise UnknownParameters(f"unused parameters: {unused}")
-    p = {name: _sym(params.get(name, "symbolic"), name) for name in names}
     if which == "R1":
         higher = _linear_higher(**p)
     elif which == "R1_pbw":

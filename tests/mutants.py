@@ -277,6 +277,72 @@ MUTANTS = [
         "mutant": "return cochain_from_wedge_terms(terms, 0, N)",
         "tests": ["tests/test_bialgebra.py::test_truncated_extended_family_is_a_cocycle"],
     },
+    {
+        "name": "invertible-rule-at-index-0",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "return (kind <= VarKind.GROUP_Z and index == 1) or kind == VarKind.AUX_T",
+        "mutant": "return (kind <= VarKind.GROUP_Z and index == 0) or kind == VarKind.AUX_T",
+        "tests": ["tests/test_coeffpoly.py::test_variable_identity_and_invertibility"],
+    },
+    {
+        "name": "sub-adds-without-negating",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "return LaurentPoly(_poly_add(self.terms, (-other).terms))",
+        "mutant": "return LaurentPoly(_poly_add(self.terms, other.terms))",
+        "tests": ["tests/test_coeffpoly.py::test_cancellation_and_laurent_product",
+                  "tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "field-bracket-sign-flipped",
+        "file": "src/jetpoisson/cli.py",
+        "original": "lambda c: c * (a - b)",
+        "mutant": "lambda c: c * (b - a)",
+        "tests": ["tests/test_report_cli.py::test_cli_pass_and_exit_status"],
+    },
+    {
+        "name": "nilpotent-constant-any-coordinate",
+        "file": "src/jetpoisson/series.py",
+        "original": "return all(v.code in ZERO_COORD_CODES for v in c.variables())",
+        "mutant": "return True",
+        "tests": ["tests/test_series.py::test_compose_rejects_plain_constant_term"],
+    },
+    {
+        "name": "catalog-parameters-checked-only-in-the-suite",
+        "file": "src/jetpoisson/cli.py",
+        "original": "        qt.catalog_params(*_catalog_args(args))\n",
+        "mutant": "        pass\n",
+        "tests": ["tests/test_report_cli.py::test_cli_checks_out_before_any_suite_runs"],
+    },
+    {
+        "name": "mac-keeps-cancelled-terms",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "            if n:\n                acc[k] = (n, d)\n            else:\n"
+                    "                del acc[k]\n",
+        "mutant": "            acc[k] = (n, d)\n",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "series-mul-slack-off-by-one",
+        "file": "src/jetpoisson/series.py",
+        "original": "slack |= (_TOP - 1 - bd) << (_FIELD * i)",
+        "mutant": "slack |= (_TOP - bd) << (_FIELD * i)",
+        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+    },
+    {
+        "name": "congruence-without-the-antisymmetric-half",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "            W.setdefault(k, ([], []))[1].append((l, w))\n",
+        "mutant": "",
+        "tests": ["tests/test_poissonlie.py::test_multiplicativity_families_and_identity_substitution",
+                  "tests/test_poissonlie.py::test_inversion_anti_poisson"],
+    },
+    {
+        "name": "inversion-with-the-multiplicativity-sign",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "omega.omega)], sign=1)",
+        "mutant": "omega.omega)], sign=-1)",
+        "tests": ["tests/test_poissonlie.py::test_inversion_anti_poisson"],
+    },
 ]
 
 

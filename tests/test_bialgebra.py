@@ -457,7 +457,8 @@ def test_classify_branch_functional_equation():
     mu = LaurentPoly.var(param("mu"))
     nu = LaurentPoly.var(param("nu"))
     table = ba.classify_branch_d(2, {4: mu, 6: nu}, 12)
-    assert pl.verify_phi_equation(table.to_phi(), 8).passed
+    assert table.provenance == "branch d=2"
+    assert pl.verify_phi_equation(table, 8).passed
 
 
 def test_classify_branch_rejects_non_free_slots():
@@ -485,12 +486,12 @@ def test_classify_g0_branch_formulas():
     assert table.coeff(1, 3) == (2 * a2 * a3 - 4 * a4) / 3
     expect_14 = (2 * a2 * a2 * a3 - 9 * a3 * a3 + 20 * a2 * a4 - 30 * a5) / 24
     assert table.coeff(1, 4) == expect_14
-    assert pl.verify_phi_equation(table.to_phi(), 4).passed
+    assert table.provenance == "g0-branch"
+    assert pl.verify_phi_equation(table, 4).passed
 
 
 def test_classify_g0_degenerate_row_gives_linear_class():
-    table = ba.classify_g0_branch({}, 7)
-    phi = table.to_phi()
+    phi = ba.classify_g0_branch({}, 7)
     assert phi.coeff(0, 1) == LaurentPoly.one()
     assert all(c.is_zero() for (m, n), c in phi.table.items() if m >= 1 and n >= 1)
     assert pl.verify_phi_equation(phi, 6).passed

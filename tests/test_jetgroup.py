@@ -69,10 +69,10 @@ def test_inverse_requires_unit_leading_coefficient():
 
 def test_left_invariant_fields_components():
     X1 = jg.left_invariant_field(1, 3)
-    assert {i: c.render() for i, c in sorted(X1.components.items())} == {
+    assert {i: c.render() for i, c in sorted(X1.items())} == {
         1: "1*x1", 2: "2*x2", 3: "3*x3"}
     X3 = jg.left_invariant_field(3, 3)
-    assert {i: c.render() for i, c in X3.components.items()} == {3: "1*x1"}
+    assert {i: c.render() for i, c in X3.items()} == {3: "1*x1"}
 
 
 def test_field_bracket_table_at_truncation_8():
@@ -81,8 +81,8 @@ def test_field_bracket_table_at_truncation_8():
     for a in range(1, 7):
         for b in range(1, 7):
             got = jg.vf_commutator(fields[a], fields[b])
-            expect = jg.vf_scale(jg.left_invariant_field(a + b - 1, n), a - b)
-            assert jg.vf_sub(got, expect).is_zero(), (a, b)
+            expect = jg.left_invariant_field(a + b - 1, n).map(lambda c: c * (a - b))
+            assert got == expect, (a, b)
 
 
 def test_witt_bracket_after_index_shift():
@@ -92,8 +92,8 @@ def test_witt_bracket_after_index_shift():
         for b in range(0, 5):
             got = jg.vf_commutator(jg.left_invariant_field(a + 1, n),
                                    jg.left_invariant_field(b + 1, n))
-            expect = jg.vf_scale(jg.left_invariant_field(a + b + 1, n), a - b)
-            assert jg.vf_sub(got, expect).is_zero()
+            expect = jg.left_invariant_field(a + b + 1, n).map(lambda c: c * (a - b))
+            assert got == expect
 
 
 def test_left_translation_tangent_matrix():

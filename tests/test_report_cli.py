@@ -63,19 +63,17 @@ def test_golden_check_names_each_differing_file(tmp_path, monkeypatch):
 
 
 def test_field_bracket_reports_the_first_broken_pair(monkeypatch):
-    scale = jg.vf_scale
+    commutator = jg.vf_commutator
     seen = []
 
-    def broken_scale(field, c):
-        # called with (X_{a+b-1}, a-b); X_k's lowest component is at index k
-        if not field.components:
-            return scale(field, c)
-        k = min(field.components)
-        pair = ((k + 1 + c) // 2, (k + 1 - c) // 2)
+    def broken_commutator(a, b):
+        # called with (X_a, X_b); X_k's lowest component is at index k
+        pair = (min(a), min(b))
         seen.append(pair)
-        return scale(field, c + 1 if pair in ((2, 3), (3, 1)) else c)
+        got = commutator(a, b)
+        return got.map(lambda c: c * 2) if pair in ((2, 3), (3, 1)) else got
 
-    monkeypatch.setattr(jg, "vf_scale", broken_scale)
+    monkeypatch.setattr(jg, "vf_commutator", broken_commutator)
     records = suite_group(build_parser().parse_args(["verify", "group", "--n", "4"]))
     [record] = [r for r in records if r.check == "field-bracket"]
     assert record.witness["indices"] == [2, 3]
@@ -311,6 +309,16 @@ def test_cli_checks_out_before_any_suite_runs(tmp_path, monkeypatch, capsys):
     assert main(["verify", "all", "--n", "7", "--out", str(tmp_path / "none" / "x.json")]) == 2
     assert main(["verify", "group", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write report")
+    # a catalog parameter that the chosen relation set does not read, or one given twice
+    for argv, err in (("all --n 7 --C1 2", "unused parameters: ['C1']"),
+                      ("all --n 3 --set R1 --C 1", "unused parameters: ['C']"),
+                      ("quantum --set R2 --C1 2 --C5 1", "unused parameters: ['C1', 'C5']"),
+                      ("quantum --set R3 --C 2", "unused parameters: ['C']"),
+                      ("quantum --set R1-pbw --C5 symbolic", "unused parameters: ['C5']"),
+                      ("quantum --set R2_ansatz --C 1 --C3 2",
+                       "parameter C3 given twice, as C3 and as C")):
+        assert main(["verify", *argv.split()]) == 2, argv
+        assert capsys.readouterr().err == f"error: {err}\n", argv
     monkeypatch.undo()
     # a run that fails after the check neither creates nor truncates the report
     kept = tmp_path / "kept.json"

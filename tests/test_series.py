@@ -56,6 +56,13 @@ def test_compose_rejects_plain_constant_term():
     inner = ts.make(("u",), (3,), {(0,): LaurentPoly.one(), (1,): LaurentPoly.one()})
     with pytest.raises(ts.NonNilpotentConstantTerm):
         ts.compose(outer, inner)
+    # only the degree-0 coordinates x0, y0, z0 are nilpotent
+    x0, y0, x1 = (LaurentPoly.var(v) for v in (x_var(0), y_var(0), x_var(1)))
+    nilpotent = ts.make(("u",), (3,), {(0,): x0 * y0, (1,): 1})
+    assert ts.compose(xs(1), nilpotent).coeff((0,)) == x1 * x0 * y0
+    for c0 in (x1, x0 * x1):
+        with pytest.raises(ts.NonNilpotentConstantTerm):
+            ts.compose(outer, ts.make(("u",), (3,), {(0,): c0, (1,): 1}))
 
 
 def test_compose_associativity_symbolic():
