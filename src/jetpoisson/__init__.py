@@ -7,15 +7,13 @@ no floating point anywhere.  The one arithmetic kernel is pure Python and
 lives in ``jetpoisson.coeffpoly``; ``BACKEND`` names it.
 """
 
-from .coeffpoly import ExactScalar, LaurentPoly, Variable, VarKind, graded_degree, param
+from .coeffpoly import LaurentPoly, Variable, VarKind, param
 
 __all__ = [
     "BACKEND",
-    "ExactScalar",
     "LaurentPoly",
     "Variable",
     "VarKind",
-    "graded_degree",
     "param",
 ]
 

@@ -63,7 +63,7 @@ def cochain_from_wedge_terms(terms: Mapping, min_index: int, upper: int,
     """Build from printed wedge terms {n: [(a, b, c), ...]} meaning
     alpha(e_n) = sum c * e_a ^ e_b (each unordered pair listed once)."""
     alpha = {
-        n: Combination.antisymmetric((((a, b), c) for a, b, c in items), Fraction(1, 2))
+        n: Combination.antisymmetric(((a, b), poly(c) / 2) for a, b, c in items)
         for n, items in terms.items()
     }
     return WedgeCochain(min_index, alpha, upper, max_index)
@@ -283,17 +283,17 @@ def adjoint_action(T: Mapping, m: int, min_index: int) -> Combination:
     return out
 
 
-def verify_rr_invariance(r: RMatrix, N: int, max_m: int = 2) -> rep.VerificationReport:
+def verify_rr_invariance(r: RMatrix, N: int) -> rep.VerificationReport:
     """Adjoint invariance of <r,r>, plus the structural identity that ties
     the e_0 action to the Yang-Baxter residuals:
 
         (e_0 . <r,r>)_{njl} = -(n+j+l) * cybe_residual(n,j,l).
 
     The identity is asserted always; invariance itself holds iff every
-    e_m-action table vanishes (m = 0..max_m).
+    e_m-action table vanishes (m = 0, 1, 2).
     """
     T = rr_tensor(r)
-    params = {"N": N, "min_index": r.min_index, "max_m": max_m,
+    params = {"N": N, "min_index": r.min_index, "max_m": 2,
               "rr_is_zero": not T}
     act0 = adjoint_action(T, 0, r.min_index)
     keys = set(act0)
@@ -308,7 +308,7 @@ def verify_rr_invariance(r: RMatrix, N: int, max_m: int = 2) -> rep.Verification
             return rep.failed(
                 "rr-invariance", (0, n, j, l),
                 f"action {got.render()} vs -(n+j+l)*cybe {expect.render()}", **params)
-    for m in range(0, max_m + 1):
+    for m in range(3):
         act = adjoint_action(T, m, r.min_index) if m else act0
         if act:
             key = min(act)
@@ -432,7 +432,7 @@ def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> PhiFunc
     box = n_max - d
     upper = (((m, n), lam1[m] * row[n] - lam1[n] * row[m])
              for m in range(1, box + 1) for n in range(m + 1, box + 1))
-    return PhiFunction(1, Combination.antisymmetric(upper), box, False, f"branch d={d}")
+    return PhiFunction(1, Combination.antisymmetric(upper), box, f"branch d={d}")
 
 
 def classify_g0_branch(free: Mapping[int, object], n_max: int) -> PhiFunction:
@@ -463,7 +463,7 @@ def classify_g0_branch(free: Mapping[int, object], n_max: int) -> PhiFunction:
         return lam0[m] * lam1[n] - lam1[m] * lam0[n]
 
     upper = (((m, n), entry(m, n)) for m in range(0, n_max + 1) for n in range(m + 1, n_max + 1))
-    return PhiFunction(0, Combination.antisymmetric(upper), n_max, False, "g0-branch")
+    return PhiFunction(0, Combination.antisymmetric(upper), n_max, "g0-branch")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def _value(text: str, name: str):
 
 def _phi_from_args(args) -> pl.PhiFunction:
     if args.phi == "power":
-        return pl.phi_power_family(args.d, args.degree or 0)
+        return pl.phi_power_family(args.d)
     if args.phi == "extended":
         lam = _value(args.lam, "lam")
         try:
@@ -295,7 +295,7 @@ _READS = {
     "density": {"n"},
     "quantum": {"set", "h_order", *_PARAMS},
 }
-_PHI_READS = {"power": {"d", "degree"}, "extended": {"d", "lam", "degree"}, "linear": set()}
+_PHI_READS = {"power": {"d"}, "extended": {"d", "lam", "degree"}, "linear": set()}
 
 
 def reads(args) -> set:

@@ -1,10 +1,10 @@
 """Exact coefficient arithmetic: rationals and sparse multivariate Laurent polynomials.
 
 Every identity in this package is checked over the rationals, so coefficients
-are `fractions.Fraction` values (exposed here as ``ExactScalar``) and
-polynomials are sparse term maps.  This module holds the one arithmetic
-kernel; of the layers above it only `quantum.nc_reduce` holds term maps,
-as raw accumulators of `_poly_mac`, and none unpacks a monomial key.
+are `fractions.Fraction` values and polynomials are sparse term maps.  This
+module holds the one arithmetic kernel; of the layers above it only
+`quantum.nc_reduce` holds term maps, as raw accumulators of `_poly_mac`, and
+none unpacks a monomial key.
 
 A variable is a (kind, index) pair.  Group coordinates come in three kinds
 (x, y, z) so that identities mixing several group elements stay unambiguous;
@@ -54,8 +54,6 @@ from enum import IntEnum
 from fractions import Fraction
 from math import gcd, inf
 from typing import Iterable, Mapping
-
-ExactScalar = Fraction
 
 
 # -- the kernel: arithmetic on raw term maps ---------------------------------
@@ -316,7 +314,7 @@ def _as_pair(value) -> tuple[int, int]:
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial over ExactScalar."""
+    """Immutable sparse Laurent polynomial over the rationals."""
 
     __slots__ = ("terms",)
 
@@ -703,16 +701,14 @@ class Combination(dict):
         return _finish_all(raw)
 
     @staticmethod
-    def antisymmetric(pairs, scale=None) -> "Combination":
-        """The antisymmetric table with (i, j) += scale * c and (j, i) -= scale * c
-        for each ((i, j), c); repeated pairs are summed, the diagonal skipped."""
+    def antisymmetric(pairs) -> "Combination":
+        """The antisymmetric table with (i, j) += c and (j, i) -= c for each
+        ((i, j), c); repeated pairs are summed, the diagonal skipped."""
         out = Combination()
         for (i, j), c in pairs:
             c = poly(c)
             if i == j or not c.terms:
                 continue
-            if scale is not None:
-                c = c * scale
             out.add((i, j), c)
             out.add((j, i), -c)
         return out
@@ -765,14 +761,6 @@ def graded_degree_of_key(key, d: int, word_weight: int = 0):
         else:
             return None
     return total
-
-
-def graded_degree(monomial: LaurentPoly, d: int):
-    """Graded degree of a single-term polynomial; None when undefined."""
-    if len(monomial.terms) != 1:
-        raise ValueError("graded_degree expects a single monomial")
-    key = next(iter(monomial.terms))
-    return graded_degree_of_key(key, d)
 
 
 def homogeneous_graded_degree(p: LaurentPoly, d: int, word_weight: int = 0):

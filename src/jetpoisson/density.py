@@ -35,9 +35,9 @@ class DensityElement:
             return self.coords[i]
         return LaurentPoly.zero()
 
-    def to_series(self, var: str = "u", bound: Optional[int] = None) -> ts.TruncSeries:
+    def to_series(self, bound: Optional[int] = None) -> ts.TruncSeries:
         bound = self.n if bound is None else bound
-        return ts.make((var,), (bound,),
+        return ts.make(("u",), (bound,),
                        {(i,): self.coord(i) for i in range(min(self.n, bound) + 1)})
 
 
@@ -120,8 +120,7 @@ def build_omega_density(phi: PhiFunction, lam, n: int) -> PoissonStructure:
         ts.add(ts.scale(ts.product(dv, xpu, xv), lam),
                ts.scale(ts.product(duv, xu, xv), lam * lam)),
     )
-    return PoissonStructure(n, 0, upper_triangle(omega_series, 0, n), VarKind.DENSITY_X,
-                            {"phi": phi, "lam": lam, "provenance": f"density({phi.provenance})"})
+    return PoissonStructure(n, 0, upper_triangle(omega_series, 0, n), VarKind.DENSITY_X, phi)
 
 
 def verify_density_action(phi: PhiFunction, lam, n: int,

@@ -48,10 +48,10 @@ class JetElement:
     def indices(self):
         return range(self.start_index, self.n + 1)
 
-    def to_series(self, var: str = "u", bound: Optional[int] = None) -> ts.TruncSeries:
+    def to_series(self, bound: Optional[int] = None) -> ts.TruncSeries:
         bound = self.n if bound is None else bound
         return ts.make(
-            (var,), (bound,), {(i,): self.coord(i) for i in self.indices() if i <= bound}
+            ("u",), (bound,), {(i,): self.coord(i) for i in self.indices() if i <= bound}
         )
 
     def __repr__(self):

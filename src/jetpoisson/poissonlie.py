@@ -15,7 +15,7 @@ functional equation on phi equivalent to Jacobi, and anti-Poisson inversion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -42,14 +42,13 @@ class PhiFunction:
     """Antisymmetric coefficient table lam_{mn}, m,n >= min_index.
 
     ``degree`` is a box bound: entries with max(m,n) <= degree are exact.
-    Tables of polynomial generating functions are complete; they set
-    ``exact=True`` and ignore the bound.
+    ``degree is None`` marks a complete table, that of a polynomial
+    generating function, which no bound limits.
     """
 
     min_index: int
     table: dict  # (m, n) -> LaurentPoly, both orientations stored
-    degree: int
-    exact: bool
+    degree: Optional[int]
     provenance: str = "custom"
 
     def coeff(self, m: int, n: int) -> LaurentPoly:
@@ -59,7 +58,7 @@ class PhiFunction:
         return self.table.keys()
 
     def ensure_degree(self, needed: int, what: str):
-        if not self.exact and self.degree < needed:
+        if self.degree is not None and self.degree < needed:
             raise DegreeBoundTooSmall(
                 f"{what} needs table entries up to degree {needed}, have {self.degree}"
             )
@@ -86,17 +85,15 @@ def weight(lam) -> LaurentPoly:
 
 def phi_from_table(entries: Mapping, min_index: int, degree: int, exact: bool = False,
                    provenance: str = "custom") -> PhiFunction:
-    return PhiFunction(min_index, Combination.antisymmetric(entries.items()), degree, exact,
-                       provenance)
+    return PhiFunction(min_index, Combination.antisymmetric(entries.items()),
+                       None if exact else degree, provenance)
 
 
-def phi_power_family(d: int, degree: int = 0) -> PhiFunction:
+def phi_power_family(d: int) -> PhiFunction:
     """phi(u,v) = u v (u^d - v^d)."""
     if d < 1:
         raise ValueError("power family needs d >= 1")
-    return phi_from_table(
-        {(d + 1, 1): 1}, 1, max(degree, d + 1), exact=True, provenance=f"power d={d}"
-    )
+    return phi_from_table({(d + 1, 1): 1}, 1, d + 1, exact=True, provenance=f"power d={d}")
 
 
 def phi_extended_family(d: int, lam, degree: int) -> PhiFunction:
@@ -127,7 +124,7 @@ def phi_extended_family(d: int, lam, degree: int) -> PhiFunction:
     series = ts.product(ts.make(space, bounds, numerator), geom("u"), geom("v"))
     series = ts.scale(series, Fraction(1, d - 1))
     upper = ((mn, c) for mn, c in series.coeffs.items() if mn[0] < mn[1])
-    return PhiFunction(1, Combination.antisymmetric(upper), B, False, f"extended d={d}")
+    return PhiFunction(1, Combination.antisymmetric(upper), B, f"extended d={d}")
 
 
 def phi_linear() -> PhiFunction:
@@ -158,7 +155,7 @@ class PoissonStructure:
     start_index: int
     omega: dict  # (i, j) with i < j -> LaurentPoly
     coord_kind: VarKind = VarKind.GROUP_X
-    meta: dict = field(default_factory=dict)
+    phi: Optional[PhiFunction] = None  # the generating function the table was built from
 
     def bracket(self, i: int, j: int) -> LaurentPoly:
         if i == j:
@@ -175,8 +172,7 @@ class PoissonStructure:
             raise ValueError(f"cannot perturb the diagonal bracket ({i},{j})")
         omega = Combination(self.omega)
         omega.add((min(i, j), max(i, j)), delta if i < j else -delta)
-        return PoissonStructure(self.n, self.start_index, omega, self.coord_kind,
-                                dict(self.meta) | {"perturbed": f"({i},{j})"})
+        return PoissonStructure(self.n, self.start_index, omega, self.coord_kind, self.phi)
 
 
 def build_omega(phi: PhiFunction, n: int, start_index: int = 1,
@@ -192,7 +188,7 @@ def build_omega(phi: PhiFunction, n: int, start_index: int = 1,
         raise DivisibilityViolation(
             "origin-fixing jets need a generating function divisible by u and v"
         )
-    if start_index == 0 and not phi.exact:
+    if start_index == 0 and phi.degree is not None:
         # with a constant coordinate, phi(x(u), x(v)) sums over the whole
         # table row by row; only finitely supported tables extract exactly
         raise DegreeBoundTooSmall(
@@ -217,9 +213,7 @@ def build_omega(phi: PhiFunction, n: int, start_index: int = 1,
          "v": ts.lift(ts.truncate(x_v, (n,)), space, bounds)},
     )
     return PoissonStructure(
-        n, start_index, upper_triangle(ts.sub(first, second), start_index, n), kind,
-        {"phi": phi, "provenance": phi.provenance},
-    )
+        n, start_index, upper_triangle(ts.sub(first, second), start_index, n), kind, phi)
 
 
 def upper_triangle(omega_series: ts.TruncSeries, lo: int, n: int) -> Combination:
@@ -228,7 +222,7 @@ def upper_triangle(omega_series: ts.TruncSeries, lo: int, n: int) -> Combination
                        for i in range(lo, n + 1) for j in range(i + 1, n + 1))
 
 
-def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonStructure:
+def omega_power_closed_form(d: int, n: int) -> PoissonStructure:
     """Independent construction of the u v (u^d - v^d) bracket table:
 
       omega_ij = (i-d) j x_j x_{i-d} - i (j-d) x_i x_{j-d}
@@ -237,8 +231,7 @@ def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonS
     with S_p(m) the sum of x_{s_1}...x_{s_p} over compositions of m into p
     positive parts and x_k = 0 for k < 1.
     """
-    kind = jg.LETTER_KINDS[coord_letter]
-    coords = [LaurentPoly.var(Variable(kind, k)) for k in range(1, n + 1)]
+    coords = [LaurentPoly.var(Variable(VarKind.GROUP_X, k)) for k in range(1, n + 1)]
 
     def xv(k: int) -> LaurentPoly:
         return coords[k - 1] if 1 <= k <= n else LaurentPoly.zero()
@@ -264,7 +257,7 @@ def omega_power_closed_form(d: int, n: int, coord_letter: str = "x") -> PoissonS
             )
             if not val.is_zero():
                 omega[(i, j)] = val
-    return PoissonStructure(n, 1, omega, kind, {"provenance": f"power-closed-form d={d}"})
+    return PoissonStructure(n, 1, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +353,7 @@ def _verify_mult_extended(omega, m, check_max):
     # the residual to vanish on all monomials of degree-0 weight <= m: the
     # composition at order M is exact there even after one d/dx_0.
     K = (omega.n if check_max is None else min(check_max, omega.n))
-    phi = omega.meta.get("phi")
+    phi = omega.phi
     if phi is None:
         raise ValueError("extended-model multiplicativity needs the generating function")
     M = m + 1

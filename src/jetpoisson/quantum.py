@@ -123,8 +123,8 @@ def nc_make(n_gens: int, h_order: int, terms: Mapping) -> NCElement:
     return NCElement(n_gens, h_order, clean)
 
 
-def nc_word(n_gens: int, h_order: int, word, coeff=LaurentPoly.one()) -> NCElement:
-    return nc_make(n_gens, h_order, {tuple(word): coeff})
+def nc_word(n_gens: int, h_order: int, word) -> NCElement:
+    return nc_make(n_gens, h_order, {tuple(word): LaurentPoly.one()})
 
 
 def nc_sub(a: NCElement, b: NCElement) -> NCElement:
@@ -144,7 +144,6 @@ class RelationSet:
     n_gens: int
     h_order: int
     tails: dict  # (i, j) with i < j -> NCElement: x_i x_j = x_j x_i + tail
-    params: tuple = ()
 
     def tail(self, i: int, j: int) -> NCElement:
         return self.tails[(i, j)]
@@ -185,7 +184,7 @@ def _unpacked(packed: int, width: int) -> tuple:
 
 
 def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
-                      tails: Mapping, params=()) -> RelationSet:
+                      tails: Mapping) -> RelationSet:
     full = {}
     for i in range(1, n_gens + 1):
         for j in range(i + 1, n_gens + 1):
@@ -197,7 +196,7 @@ def make_relation_set(label: str, d: int, n_gens: int, h_order: int,
                 if c.coefficient(H, 0):
                     raise ValueError(f"tail of ({i},{j}) has an h-free term")
             full[(i, j)] = t
-    return RelationSet(label, d, n_gens, h_order, full, tuple(params))
+    return RelationSet(label, d, n_gens, h_order, full)
 
 
 def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None) -> NCElement:
@@ -686,7 +685,7 @@ def relation_set_catalog(which: str, params: Optional[Mapping] = None,
     h_order+2 and compare).
     """
     p = {name: _sym(value, name) for name, value in catalog_params(which, params).items()}
-    d, n_gens, default, names = _CATALOG[which]
+    d, n_gens, default, _ = _CATALOG[which]
     if which == "R1":
         higher = _linear_higher(**p)
     elif which == "R1_pbw":
@@ -699,4 +698,4 @@ def relation_set_catalog(which: str, params: Optional[Mapping] = None,
     else:
         higher = {(4, 5): [(2, 3, ((2, 1), (1, 1)))]}
     K = default if h_order is None else h_order
-    return make_relation_set(which, d, n_gens, K, _quantised(d, n_gens, K, higher), names)
+    return make_relation_set(which, d, n_gens, K, _quantised(d, n_gens, K, higher))

@@ -279,7 +279,7 @@ def comp_inverse(x: TruncSeries, bound: int) -> TruncSeries:
     return make((var,), (bound,), inv_coeffs)
 
 
-def binomial_power(base: TruncSeries, exponent, bound: int | None = None) -> TruncSeries:
+def binomial_power(base: TruncSeries, exponent) -> TruncSeries:
     """(1 + w)**lam as sum of generalized binomial coefficients times w**k.
 
     ``exponent`` may be a parameter variable, a polynomial or a rational; the
@@ -292,8 +292,7 @@ def binomial_power(base: TruncSeries, exponent, bound: int | None = None) -> Tru
     out = const(1, base.vars, base.bounds)
     wk = const(1, base.vars, base.bounds)
     binom = LaurentPoly.one()
-    limit = sum(base.bounds) if bound is None else min(bound, sum(base.bounds))
-    for k in range(1, limit + 1):
+    for k in range(1, sum(base.bounds) + 1):
         binom = binom * (lam - (k - 1)) / k
         wk = mul(wk, w)
         if wk.is_zero():

@@ -5,12 +5,15 @@
 
 Each entry of ``MUTANTS`` names a file of the package, a piece of its source
 that occurs there exactly once, the text that replaces it, and the test ids
-that must fail once it is replaced.  The runner first runs every listed test
-on an unchanged copy of ``src/`` and ``tests/`` in a temporary directory,
-then, one mutant at a time, applies the replacement in a fresh copy and runs
-that mutant's tests there.  A mutant is killed when one of its tests fails,
-and survives when all pass.  The exit status is 0 when every mutant named
-(all by default) is killed.  The working tree is never written.
+that must fail once it is replaced.  An entry with an ``equivalent`` reason
+is a mutant that no test can kill, because it does not change what the code
+computes; its tests must all still pass.  The runner first runs every listed
+test on an unchanged copy of ``src/`` and ``tests/`` in a temporary
+directory, then, one mutant at a time, applies the replacement in a fresh
+copy and runs that mutant's tests there.  A mutant is killed when one of its
+tests fails, and survives when all pass.  The exit status is 0 when every
+mutant named (all by default) is killed, or survives and is marked
+equivalent.  The working tree is never written.
 
 The runner is slow (one pytest process per mutant) and is not part of the
 test suite; ``tests/test_mutants.py`` checks only that each entry still
@@ -343,6 +346,157 @@ MUTANTS = [
         "mutant": "omega.omega)], sign=-1)",
         "tests": ["tests/test_poissonlie.py::test_inversion_anti_poisson"],
     },
+    {
+        "name": "phi-table-exact-keeps-its-degree",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "None if exact else degree, provenance)",
+        "mutant": "degree, provenance)",
+        "tests": ["tests/test_poissonlie.py::test_extended_model_linear_structure",
+                  "tests/test_acceptance.py::test_criterion_03_bracket_tables"],
+    },
+    {
+        "name": "perturbed-drops-phi",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "omega, self.coord_kind, self.phi)",
+        "mutant": "omega, self.coord_kind)",
+        "tests": ["tests/test_poissonlie.py::test_perturbed_below_the_diagonal_and_on_it",
+                  "tests/test_poissonlie.py::test_extended_multiplicativity_reads_the_given_table"],
+    },
+    {
+        "name": "wedge-terms-not-halved",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "poly(c) / 2) for a, b, c in items)",
+        "mutant": "poly(c)) for a, b, c in items)",
+        "tests": ["tests/test_bialgebra.py::test_witt_linear_family",
+                  "tests/test_bialgebra.py::test_sl2_pair"],
+    },
+    {
+        "name": "extended-model-check-inverted",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "if start_index == 0 and phi.degree is not None:",
+        "mutant": "if start_index == 0 and phi.degree is None:",
+        "tests": ["tests/test_poissonlie.py::test_extended_model_linear_structure"],
+    },
+    {
+        "name": "power-family-reads-degree",
+        "file": "src/jetpoisson/cli.py",
+        "original": "_PHI_READS = {\"power\": {\"d\"},",
+        "mutant": "_PHI_READS = {\"power\": {\"d\", \"degree\"},",
+        "tests": ["tests/test_report_cli.py::test_cli_bad_input_exits_2[power-unused-degree]",
+                  "tests/test_report_cli.py::test_cli_reads_table_names_what_each_suite_reads"
+                  "[poisson --n 2]"],
+    },
+    {
+        "name": "product-keeps-cancelled-key",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "                elif not _poly_mac(acc, pa, cb.terms, cap):\n"
+                    "                    del raw[key]\n",
+        "mutant": "                else:\n                    _poly_mac(acc, pa, cb.terms, cap)\n",
+        "tests": ["tests/test_coeffpoly.py::test_product_matches_the_per_pair_loop"],
+    },
+    {
+        "name": "masked-product-keeps-cancelled-key",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "                elif not _poly_mac(acc, pa, pb):\n                    del raw[key]\n",
+        "mutant": "                else:\n                    _poly_mac(acc, pa, pb)\n",
+        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+    },
+    {
+        "name": "mac-without-range-check",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "if b < 0 or b & top:",
+        "mutant": "if False:",
+        "tests": ["tests/test_coeffpoly.py::test_exponents_outside_the_key_range_raise",
+                  "tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "jacobi-flip-ignored",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "pairs.append((omega.bracket(a, i) if flip else omega.bracket(i, a), dv))",
+        "mutant": "pairs.append((omega.bracket(i, a), dv))",
+        "tests": ["tests/test_poissonlie.py::test_jacobi_matches_the_per_triple_loop",
+                  "tests/test_poissonlie.py::test_jacobi_families_and_negative_control"],
+    },
+    {
+        "name": "jacobi-skip-not-counted",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "            skipped += 1\n",
+        "mutant": "            pass\n",
+        "tests": ["tests/test_poissonlie.py::test_jacobi_matches_the_per_triple_loop"],
+    },
+    {
+        "name": "multiplicativity-origin-fixing-without-y-part",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "table),\n         (_jacobian(z, VarKind.GROUP_Y, range(1, n + 1)),\n"
+                    "          {kl: w.substitute(to_y) for kl, w in table.items()})])",
+        "mutant": "table)])",
+        "tests": ["tests/test_poissonlie.py::test_multiplicativity_families_and_identity_substitution",
+                  "tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops"],
+    },
+    {
+        "name": "multiplicativity-extended-without-nilpotent-reduction",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "reduce=lambda p: jg.nilpotent_reduce(p, m))",
+        "mutant": "reduce=None)",
+        "tests": ["tests/test_poissonlie.py::test_extended_model_linear_structure",
+                  "tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops"],
+    },
+    {
+        "name": "perturbed-accepts-the-diagonal",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "            raise ValueError(f\"cannot perturb the diagonal bracket ({i},{j})\")\n",
+        "mutant": "            pass\n",
+        "tests": ["tests/test_poissonlie.py::test_perturbed_below_the_diagonal_and_on_it"],
+    },
+    {
+        "name": "within-never-filters",
+        "file": "src/jetpoisson/series.py",
+        "original": "if any(b < o for old in olds for b, o in zip(bounds, old)):",
+        "mutant": "if False:",
+        "tests": ["tests/test_series.py::test_sums_truncations_and_derivatives_match_make"],
+    },
+    {
+        "name": "truncate-bounds-unchecked",
+        "file": "src/jetpoisson/series.py",
+        "original": "return _within(a.vars, _checked_bounds(a.vars, bounds), a.coeffs, a.bounds)",
+        "mutant": "return _within(a.vars, tuple(bounds), a.coeffs, a.bounds)",
+        "tests": ["tests/test_series.py::test_sums_truncations_and_derivatives_match_make"],
+    },
+    # Equivalent mutants: each changes no result, so the tests that run the
+    # mutated code must still pass.
+    {
+        "name": "series-mul-filters-terms-past-the-bound",
+        "file": "src/jetpoisson/series.py",
+        "original": "pa = {_pack(e) + slack: c for e, c in a.coeffs.items()}",
+        "mutant": "pa = {_pack(e) + slack: c for e, c in a.coeffs.items()\n"
+                  "          if all(x <= bd for x, bd in zip(e, bounds))}",
+        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+        "equivalent": "a term of a past the common bound passes it in every pair, since the "
+                      "other exponents are at least 0, so the mask already drops each pair "
+                      "the filter would (it kept 111,212 of 111,212 pairs of a jet-poisson pass)",
+    },
+    {
+        "name": "jacobi-boundary-tested-before-the-diagonal",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "                if i == a:\n                    continue\n"
+                    "                if max(i, a) > omega.n:\n                    ok = False\n"
+                    "                    break\n",
+        "mutant": "                if max(i, a) > omega.n:\n                    ok = False\n"
+                  "                    break\n                if i == a:\n                    continue\n",
+        "tests": ["tests/test_poissonlie.py::test_jacobi_matches_the_per_triple_loop"],
+        "equivalent": "a is one of the triple's indices, all at most n, so when i == a "
+                      "the boundary test max(i, a) > n is false in either order",
+    },
+    {
+        "name": "multiplicativity-extended-y-table-to-K-plus-1",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "for kl, w in table.items() if max(kl) <= K})],",
+        "mutant": "for kl, w in table.items() if max(kl) <= K + 1})],",
+        "tests": ["tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops",
+                  "tests/test_poissonlie.py::test_extended_multiplicativity_reads_the_given_table"],
+        "equivalent": "z_i depends on y_k only for k <= i <= K, so an entry past K meets no "
+                      "nonzero column of the y Jacobian",
+    },
 ]
 
 
@@ -368,6 +522,11 @@ def _pytest(root: Path, tests) -> str:
     return "pass" if proc.returncode == 0 else "fail"
 
 
+# (killed, marked equivalent) -> what the runner prints; upper case is a fault
+_LABELS = {(True, False): "killed", (False, False): "SURVIVED",
+           (False, True): "equivalent, survived", (True, True): "EQUIVALENT KILLED"}
+
+
 def main(names) -> int:
     chosen = [m for m in MUTANTS if not names or m["name"] in names]
     unknown = set(names) - {m["name"] for m in MUTANTS}
@@ -377,7 +536,7 @@ def main(names) -> int:
         tests = sorted({t for m in chosen for t in m["tests"]})
         if _pytest(_copy(Path(tmp) / "base"), tests) != "pass":
             raise SystemExit("the listed tests fail on the unchanged code")
-        survivors = 0
+        wrong = 0
         for i, m in enumerate(chosen):
             root = _copy(Path(tmp) / f"m{i}")
             path = root / m["file"]
@@ -387,10 +546,13 @@ def main(names) -> int:
             path.write_text(text.replace(m["original"], m["mutant"]), encoding="utf-8")
             outcome = _pytest(root, m["tests"])
             killed = outcome != "pass"
-            survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED'} ({outcome}) {m['name']}", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
-    return 1 if survivors else 0
+            equivalent = "equivalent" in m
+            wrong += killed == equivalent
+            print(f"{_LABELS[killed, equivalent]} ({outcome}) {m['name']}", flush=True)
+    marked = sum("equivalent" in m for m in chosen)
+    print(f"{len(chosen) - wrong} of {len(chosen)} mutants killed or marked equivalent "
+          f"({marked} marked equivalent)")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

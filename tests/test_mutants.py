@@ -26,6 +26,7 @@ def test_mutant_applies_once_and_names_existing_tests(mutant):
     text = (ROOT / mutant["file"]).read_text(encoding="utf-8")
     assert text.count(mutant["original"]) == 1
     assert mutant["mutant"] != mutant["original"]
+    assert set(mutant) - {"equivalent"} == {"name", "file", "original", "mutant", "tests"}
     assert mutant["tests"]
     for test_id in mutant["tests"]:
         path, name = test_id.split("::")

@@ -190,7 +190,8 @@ def test_jacobi_matches_the_per_triple_loop():
     outcomes = Counter()
     for omega, check_max in cases:
         want = _per_triple_jacobi(omega, check_max).to_dict()
-        assert pl.verify_jacobi(omega, check_max).to_dict() == want, (omega.meta, check_max)
+        assert pl.verify_jacobi(omega, check_max).to_dict() == want, \
+            (omega.phi.provenance, omega.n, check_max)
         outcomes[want["status"]] += 1
         outcomes["skipped"] += want["params"]["skipped"]
     # observed 16 passes, 21 failures and 33 skipped triples
@@ -288,7 +289,7 @@ def test_perturbed_below_the_diagonal_and_on_it():
     assert below.omega == omega.perturbed(2, 4, -X(1)).omega
     assert all(i < j for i, j in below.omega)
     assert below.bracket(4, 2) == omega.bracket(4, 2) + X(1)
-    assert below.meta["perturbed"] == "(4,2)"
+    assert below.phi is omega.phi
     jacobi, mult = pl.verify_jacobi(below), pl.verify_multiplicativity(below)
     assert not jacobi.passed and not mult.passed
     above = omega.perturbed(2, 4, -X(1))
@@ -337,7 +338,7 @@ def _minor_loop_extended(omega, m=2, check_max=None):
 
     K = omega.n if check_max is None else min(check_max, omega.n)
     M = m + 1
-    wide = pl.build_omega(omega.meta["phi"], K + M, 0)
+    wide = pl.build_omega(omega.phi, K + M, 0)
     x = jg.symbolic_jet(K + M + 1, "x", 0, nilpotency=M)
     y = jg.symbolic_jet(K + 1, "y", 0, nilpotency=M)
     z = jg.jet_compose(x, y)
@@ -412,23 +413,23 @@ def test_jacobian_checks_match_the_minor_loops():
     for _ in range(6):
         table = Combination.antisymmetric([((rng.randint(1, 3), 0), rng.choice((1, -2)))])
         table.add((rng.randint(0, 2), rng.randint(0, 2)), LaurentPoly.const(Fraction(1, 3)))
-        phi = pl.PhiFunction(0, table, 3, True, "lopsided")
+        phi = pl.PhiFunction(0, table, None, "lopsided")
         extended.append((pl.build_omega(phi, rng.randint(3, 4), 0), rng.choice((1, 2)), None))
     outcomes = Counter()
     for omega, check_max in mult:
         want = _minor_loop_origin_fixing(omega, check_max).to_dict()
         assert pl.verify_multiplicativity(omega, check_max=check_max).to_dict() == want, \
-            (omega.meta.get("perturbed"), omega.n, check_max)
+            (omega.phi.provenance, omega.n, check_max)
         outcomes["mult", want["status"]] += 1
     for omega, m, check_max in extended:
         want = _minor_loop_extended(omega, m, check_max).to_dict()
         got = pl.verify_multiplicativity(omega, nilpotency=m, check_max=check_max).to_dict()
-        assert got == want, (omega.meta["provenance"], omega.n, m, check_max)
+        assert got == want, (omega.phi.provenance, omega.n, m, check_max)
         outcomes["extended", want["status"]] += 1
     for omega in inversion:
         want = _minor_loop_inversion(omega).to_dict()
         assert pl.verify_inversion_antipoisson(omega).to_dict() == want, \
-            (omega.meta.get("perturbed"), omega.n)
+            (omega.phi.provenance, omega.n)
         outcomes["inversion", want["status"]] += 1
     # observed 25 / 9, 12 / 6 and 9 / 9 passes / failures
     floors = {("mult", "pass"): 23, ("mult", "fail"): 8, ("extended", "pass"): 11,
@@ -539,7 +540,7 @@ def _three_product_phi_equation(phi, bound):
 
 def _random_phi(rng):
     """A table built directly, from index 0 or 1, with rational or symbolic
-    entries, antisymmetric or not (diagonal entries included), and a bound."""
+    entries, antisymmetric or not (diagonal entries included), complete."""
     lo = rng.choice((0, 1))
     top = rng.randint(lo + 2, 5)
     a = LaurentPoly.var(param("a"))
@@ -551,7 +552,7 @@ def _random_phi(rng):
         table.add((m, n), c)
         if rng.random() < 0.5:
             table.add((n, m), -c)
-    return pl.PhiFunction(lo, table, top, True, "random"), rng.randint(lo + 2, 6)
+    return pl.PhiFunction(lo, table, None, "random"), rng.randint(lo + 2, 6)
 
 
 def test_phi_equation_series_matches_three_products():

@@ -277,7 +277,7 @@ def _edge_inputs(R, words):
     inputs = []
     for word in words:
         for padded in (word, word + (1,), (n,) + word, (n,) + word + (1,)):
-            inputs += [qt.nc_word(n, order, padded), qt.nc_word(n, order, padded, h_top)]
+            inputs += [qt.nc_word(n, order, padded), qt.nc_make(n, order, {padded: h_top})]
     return inputs
 
 
@@ -787,8 +787,7 @@ def test_quasiclassical_negative_control():
 def _with_tail(R, pair, terms):
     tails = dict(R.tails)
     tails[pair] = qt.nc_make(R.n_gens, R.h_order, terms)
-    return qt.make_relation_set(R.label + "-printed", R.d, R.n_gens, R.h_order,
-                                tails, R.params)
+    return qt.make_relation_set(R.label + "-printed", R.d, R.n_gens, R.h_order, tails)
 
 
 def test_printed_quadratic_variant_breaks_compatibility():

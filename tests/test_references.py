@@ -1,5 +1,6 @@
 """No function, class or method of the package, the benchmark or the tests
-is defined without a use.
+is defined without a use, and no parameter has a default that every call
+leaves in place.
 
 An AST scan of ``src/jetpoisson``, ``perfbench/*.py`` and ``tests/*.py``.  A
 top-level function or class counts as used when its name appears as a name
@@ -9,6 +10,17 @@ definition.  Code held in a string counts as code: a script that a test
 runs in a subprocess, or a name that is looked up by its text.  Exempt are
 the names that something other than this code calls: dunder methods,
 pytest's tests and fixtures, and the hooks of argparse.
+
+A parameter with a default, of a top-level function or a method of the
+package or the benchmark, or a defaulted field of one of their
+``@dataclass`` classes, counts as passed when some call of a callable of its
+name passes it, by position or by keyword; the tests' own helpers are not
+settings of the program, but their calls count.  A class call is a call of its
+``__init__`` (for a dataclass, of its fields in order), and
+``functools.partial(f, ...)`` is a call of ``f``; a call with ``*args`` or
+``**kwargs`` passes every parameter.  Calls are matched by name alone, so a
+call of one of two methods of the same name counts for both.  Dunder methods
+other than ``__init__`` are exempt.
 """
 
 import ast
@@ -22,6 +34,18 @@ FILES = [path for pattern in ("src/jetpoisson/*.py", "perfbench/*.py", "tests/*.
 HOOKS = {"error"}  # argparse.ArgumentParser.error, overridden by cli._Parser
 
 
+def _code(sub):
+    """The tree of the code a string constant holds, else None."""
+    if not (isinstance(sub, ast.Constant) and isinstance(sub.value, str)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return ast.parse(sub.value)
+    except (SyntaxError, ValueError):
+        return None
+
+
 def _uses(node) -> tuple[Counter, Counter]:
     """How often each name occurs as a name and as an attribute under node,
     in its code and in the strings of it that parse as code."""
@@ -31,13 +55,7 @@ def _uses(node) -> tuple[Counter, Counter]:
             names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             attrs[sub.attr] += 1
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    code = ast.parse(sub.value)
-            except (SyntaxError, ValueError):
-                continue
+        elif (code := _code(sub)) is not None:
             n, a = _uses(code)
             names += n
             attrs += a
@@ -81,6 +99,82 @@ def unused_definitions(sources: dict) -> list[str]:
     return unused
 
 
+def _callee(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _calls(node) -> dict:
+    """Callee name -> the calls of it under node, each as (number of
+    positional arguments, keyword names), None for a call with * or **."""
+    calls: dict = {}
+    for sub in ast.walk(node):
+        if (code := _code(sub)) is not None:
+            for name, found in _calls(code).items():
+                calls.setdefault(name, []).extend(found)
+        if not isinstance(sub, ast.Call):
+            continue
+        name, args = _callee(sub.func), sub.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        star = any(isinstance(a, ast.Starred) for a in args) or any(
+            k.arg is None for k in sub.keywords)
+        calls.setdefault(name, []).append(
+            None if star else (len(args), {k.arg for k in sub.keywords}))
+    return calls
+
+
+def _defaults(tree):
+    """(label, callee name, [(parameter, position)]) for each top-level
+    function, method and dataclass; the position counts the arguments a
+    call passes, so a method's self has none, and is None for keyword-only."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, _parameters(node, 0)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            yield node.name, node.name, [(f.target.id, pos) for pos, f in enumerate(fields)
+                                         if f.value is not None]
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                static = any("staticmethod" in ast.unparse(d) for d in item.decorator_list)
+                name = node.name if item.name == "__init__" else item.name
+                yield f"{node.name}.{item.name}", name, _parameters(item, 0 if static else 1)
+
+
+def _parameters(func, skip: int) -> list:
+    if func.name.startswith("__") and func.name.endswith("__") and func.name != "__init__":
+        return []
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    return [(arg.arg, pos - skip) for pos, arg in enumerate(positional) if pos >= first] + [
+        (arg.arg, None) for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+        if default is not None]
+
+
+def unpassed_parameters(sources: dict) -> list[str]:
+    """``file:function(parameter)`` for each parameter with a default that
+    no call passes, in sources, a {path: source text} map scanned as one
+    program; the definitions of files under tests/ are not scanned."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    calls: dict = {}
+    for tree in trees.values():
+        for name, found in _calls(tree).items():
+            calls.setdefault(name, []).extend(found)
+    unpassed = []
+    for path, tree in trees.items():
+        if Path(path).parent.name == "tests":
+            continue
+        for label, name, params in _defaults(tree):
+            for param, pos in params:
+                if not any(call is None or param in call[1] or pos is not None and pos < call[0]
+                           for call in calls.get(name, ())):
+                    unpassed.append(f"{Path(path).name}:{label}({param})")
+    return unpassed
+
+
 def test_every_definition_is_used():
     unused = unused_definitions({str(path): path.read_text(encoding="utf-8") for path in FILES})
     assert not unused, unused
@@ -111,3 +205,48 @@ called()
 '''
     assert unused_definitions({"tests/module.py": source}) == [
         "module.py:Table.unused", "module.py:unused_function"]
+
+
+def test_every_default_is_overridden_by_some_call():
+    unpassed = unpassed_parameters({str(path): path.read_text(encoding="utf-8")
+                                    for path in FILES})
+    assert not unpassed, unpassed
+
+
+def test_the_scan_finds_unpassed_parameters():
+    source = '''
+import functools
+from dataclasses import dataclass
+
+
+@dataclass
+class Row:
+    key: int
+    tag: str = ""
+    note: str = ""
+
+
+class Table:
+    def get(self, key, default=None, strict=False):
+        return default
+
+    def __call__(self, value=None):
+        return value
+
+
+def build(n, scale=1, *, name="t", label=""):
+    return Row(n, "x")
+
+
+def spread(a=0, b=0):
+    return a + b
+
+
+Table().get(1, 2)
+build(1, label="y")
+functools.partial(build, 2, 3)()
+spread(*[1, 2])
+'''
+    helper = "def helper(x=1):\n    return x\n"
+    assert unpassed_parameters({"src/module.py": source, "tests/test_module.py": helper}) == [
+        "module.py:Row(note)", "module.py:Table.get(strict)", "module.py:build(name)"]

@@ -209,6 +209,7 @@ def test_cli_config_errors(capsys):
     "verify poisson --phi exp",
     "verify all --phi exp",
     "verify quantum --set R2_ansatz --C 1 --C3 2",
+    "verify poisson --degree 5",
 ], ids=["n-zero", "bad-rational", "missing-table", "empty-table", "extended-d1",
         "degree-negative", "degree-zero", "phi-degree-1", "phi-degree-2", "all-degree-2",
         "lambda-zero-denominator", "C-zero-denominator", "table-zero-denominator",
@@ -216,7 +217,8 @@ def test_cli_config_errors(capsys):
         "table-diagonal-row", "table-antisymmetrises-to-zero", "density-unused-lambda",
         "phi-unused-phi", "group-unused-set", "linear-unused-d", "all-unread-lambda",
         "table-repeated-row", "table-mirror-not-negated", "table-mirror-then-repeat",
-        "poisson-unknown-family", "all-unknown-family", "ansatz-C3-given-twice"])
+        "poisson-unknown-family", "all-unknown-family", "ansatz-C3-given-twice",
+        "power-unused-degree"])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no rows\n", encoding="utf-8")
@@ -238,6 +240,12 @@ def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+    if argv in _UNUSED:
+        assert captured.err == f"error: unused options for poisson: {_UNUSED[argv]}\n"
+
+
+# the power and linear families read no --degree, and linear no --d
+_UNUSED = {"verify poisson --phi linear --d 3": "--d", "verify poisson --degree 5": "--degree"}
 
 
 def _exit_status(argv):
@@ -257,8 +265,10 @@ _NUMERIC_RUNS = (
                                                      "density", "all") for v in _BAD_NUMBERS]
     + [(f"verify {suite} --d {{}}", v) for suite in ("poisson", "all") for v in _BAD_NUMBERS]
     + [(f"verify {suite} --h-order {{}}", v) for suite in ("quantum", "all") for v in _BAD_NUMBERS]
-    + [(f"verify {suite} --degree {{}}", v) for suite in ("phi", "poisson", "all")
-       for v in _BAD_NUMBERS]
+    + [(f"verify {suite} --degree {{}}", v)
+       for suite in ("phi", "poisson --phi extended", "all") for v in _BAD_NUMBERS]
+    # an option the suite does not read is rejected whatever its value
+    + [("verify poisson --degree {}", v) for v in _BAD_NUMBERS]
     + [(f"verify {suite} {flag} {{}}", v)
        for flag, suite in [("--lambda", "poisson --phi extended"), ("--C", "quantum"),
                            ("--C1", "quantum --set R2_ansatz"), ("--C2", "quantum --set R2_ansatz"),

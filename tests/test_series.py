@@ -390,7 +390,7 @@ def test_compose_and_subst_match_the_parent_loops():
             start = phi.min_index
             x = jg.symbolic_jet(n, "x", start, nilpotency=2 if start == 0 else None)
             repl = {"u": ts.lift(x.to_series(), space, (n, n)),
-                    "v": ts.lift(x.to_series("v"), space, (n, n), names=("v",))}
+                    "v": ts.lift(x.to_series(), space, (n, n), names=("v",))}
             table = phi.as_series("u", "v", space, (n, n))
             same(ts.subst(table, repl), _coefficient_first_subst(table, repl))
             seen["phi"] += 1
