@@ -429,10 +429,7 @@ def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> PhiFunc
     for n in range(d + 2, n_max - d + 1):  # lam_{d+1,d+1} = 0
         row.add(n, recurse(n))
 
-    box = n_max - d
-    upper = (((m, n), lam1[m] * row[n] - lam1[n] * row[m])
-             for m in range(1, box + 1) for n in range(m + 1, box + 1))
-    return PhiFunction(1, Combination.antisymmetric(upper), box, f"branch d={d}")
+    return _determinants(lam1, row, 1, n_max - d, f"branch d={d}")
 
 
 def classify_g0_branch(free: Mapping[int, object], n_max: int) -> PhiFunction:
@@ -455,15 +452,16 @@ def classify_g0_branch(free: Mapping[int, object], n_max: int) -> PhiFunction:
             acc = acc + lam0[r - s + 1] * lam1[s] * (r - 2 * s + 1)
         lam1.add(r, acc / r)
 
-    def entry(m: int, n: int) -> LaurentPoly:
-        if m == 0:
-            return lam0[n]
-        if m == 1:
-            return lam1[n]
-        return lam0[m] * lam1[n] - lam1[m] * lam0[n]
+    return _determinants(lam0, lam1, 0, n_max, "g0-branch")
 
-    upper = (((m, n), entry(m, n)) for m in range(0, n_max + 1) for n in range(m + 1, n_max + 1))
-    return PhiFunction(0, Combination.antisymmetric(upper), n_max, "g0-branch")
+
+def _determinants(a: Combination, b: Combination, lo: int, box: int,
+                  provenance: str) -> PhiFunction:
+    """The table lam_{mn} = a_m b_n - a_n b_m for lo <= m < n <= box: the
+    two-by-two determinants of the rows a and b."""
+    upper = (((m, n), a[m] * b[n] - a[n] * b[m])
+             for m in range(lo, box + 1) for n in range(m + 1, box + 1))
+    return PhiFunction(lo, Combination.antisymmetric(upper), box, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Every identity in this package is checked over the rationals, so coefficients
 are `fractions.Fraction` values and polynomials are sparse term maps.  This
-module holds the one arithmetic kernel; of the layers above it only
-`quantum.nc_reduce` holds term maps, as raw accumulators of `_poly_mac`, and
-none unpacks a monomial key.
+module holds the one arithmetic kernel.  Above it, three functions of
+`quantum` work on term maps: `nc_reduce` and `tensor_reduce` hold raw
+accumulators of `_poly_mac` and finish them themselves, and `_quantised`
+unpacks the monomial keys of a bracket table (`_unpack`) to read each
+monomial as a word.  No other layer touches a term map or a key.
 
 A variable is a (kind, index) pair.  Group coordinates come in three kinds
 (x, y, z) so that identities mixing several group elements stay unambiguous;
@@ -21,7 +23,8 @@ Term maps, the raw layout behind `LaurentPoly.terms`:
   poly      = {monomial: rational}        no zero coefficients stored
 
 Every sum of products (a product itself, `LaurentPoly.sum_of_products`,
-`Combination.product` and `masked_product`, `substitute`) runs through one
+`Combination.product` and `masked_product`, `substitute`, and the rewriting
+sums of `quantum.nc_reduce` and `quantum.tensor_reduce`) runs through one
 multiply-accumulate loop, `_poly_mac`, into a raw accumulator of the same
 shape whose rationals are not reduced: den > 0 and no zero numerator is
 stored, so it is empty exactly when the sum is zero.  `_poly_finish`
@@ -445,16 +448,10 @@ class LaurentPoly:
 
     def coefficient(self, v: Variable, exp: int) -> "LaurentPoly":
         """Collect the coefficient of v**exp (the rest of each matching term)."""
-        slot = _SLOT.get(v.code)
-        if slot is None:
-            return self if exp == 0 else _ZERO
-        shift = _FIELD * slot
-        bias, want, part = _BIAS, exp + _HALF, exp << shift
-        return LaurentPoly({key - part: c for key, c in self.terms.items()
-                            if (key + bias) >> shift & _MASK == want})
+        return self.coefficients(v).get(exp, _ZERO)
 
     def coefficients(self, v: Variable) -> dict:
-        """{exp: self.coefficient(v, exp)} over the powers of v that occur."""
+        """{exp: coefficient of v**exp} over the powers of v that occur."""
         slot = _SLOT.get(v.code)
         if slot is None:
             return {0: self} if self.terms else {}
@@ -510,11 +507,7 @@ class LaurentPoly:
                 ck = (vc, ve)
                 powed = pow_cache.get(ck)
                 if powed is None:
-                    if ve < 0:
-                        powed = repl.monomial_inverse() ** (-ve)
-                    else:
-                        powed = repl ** ve
-                    powed = pow_cache[ck] = powed.terms
+                    powed = pow_cache[ck] = (repl ** ve).terms
                 powers.append(powed)
             if leftover or not powers:
                 powers.append({leftover: (1, 1)})

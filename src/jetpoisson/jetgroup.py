@@ -24,13 +24,16 @@ from .coeffpoly import Combination, LaurentPoly, NotInvertible, Variable, VarKin
 
 LETTER_KINDS = {"x": VarKind.GROUP_X, "y": VarKind.GROUP_Y, "z": VarKind.GROUP_Z}
 
+# The degree-0 group coordinates x0, y0, z0: the nilpotent generators of the extended model.
+ZERO_COORD_CODES = frozenset(Variable(kind, 0).code for kind in LETTER_KINDS.values())
+
 
 class ShapeMismatch(ValueError):
     pass
 
 
 def nilpotent_reduce(p: LaurentPoly, m: int) -> LaurentPoly:
-    return p.drop_high_degree(ts.ZERO_COORD_CODES, m)
+    return p.drop_high_degree(ZERO_COORD_CODES, m)
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,6 @@ class JetElement:
         return ts.make(
             ("u",), (bound,), {(i,): self.coord(i) for i in self.indices() if i <= bound}
         )
-
-    def __repr__(self):
-        inner = ", ".join(f"{i}: {self.coord(i).render()}" for i in self.indices())
-        return f"JetElement(start={self.start_index}, n={self.n}, [{inner}])"
 
 
 def make_jet(coords, start_index: int = 1, nilpotency: Optional[int] = None) -> JetElement:

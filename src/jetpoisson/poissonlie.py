@@ -54,9 +54,6 @@ class PhiFunction:
     def coeff(self, m: int, n: int) -> LaurentPoly:
         return self.table.get((m, n), LaurentPoly.zero())
 
-    def support(self):
-        return self.table.keys()
-
     def ensure_degree(self, needed: int, what: str):
         if self.degree is not None and self.degree < needed:
             raise DegreeBoundTooSmall(

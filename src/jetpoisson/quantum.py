@@ -88,9 +88,6 @@ class NCElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, word: tuple) -> LaurentPoly:
-        return self.terms[tuple(word)]
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -100,9 +97,6 @@ class NCElement:
             mono = " ".join(_word_factors(word)) or "1"
             parts.append(f"({c.render()}) {mono}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"NCElement({self.render()})"
 
 
 def _word_factors(word: tuple) -> list[str]:
@@ -347,7 +341,7 @@ def _one_step(R: RelationSet, word: tuple, p: int) -> NCElement:
 # Comultiplication, counit, gradings, quasiclassical limit
 
 
-def delta_generator(i: int, R: RelationSet) -> Combination:
+def delta_generator(i: int) -> Combination:
     """Delta(x_i) = sum_k x_k (x) sum over compositions of i into k parts,
     as a tensor table {(left word, right word): coefficient}."""
     return Combination(
@@ -408,17 +402,16 @@ def tensor_reduce(a: Combination, R: RelationSet,
     return _finish_all(raw)
 
 
-def delta_of_element(a: NCElement, R: RelationSet, deltas: Optional[dict] = None) -> Combination:
+def delta_of_element(a: NCElement, R: RelationSet) -> Combination:
     """Apply the comultiplication to every word (h and parameters are scalars).
 
     Delta of a word is Delta of its prefix without the last letter times
     Delta of that letter, and Delta of the empty word is 1 (x) 1; each
-    prefix's Delta is built once, in ``deltas``: this call's table, or one
-    that a verifier passes to all its calls.  No two words share a key of
-    their Deltas (the left word of a key splits its right word into the
-    compositions of the letters), so each key's coefficient is one product,
-    normalised once."""
-    deltas = {} if deltas is None else deltas
+    prefix's Delta is built once, in this call's table (`_delta_of_word`).
+    No two words share a key of their Deltas (the left word of a key splits
+    its right word into the compositions of the letters), so each key's
+    coefficient is one product, normalised once."""
+    deltas: dict = {}
     total = Combination()
     for word, c in a.terms.items():
         total.add_all(_delta_of_word(word, deltas, R), c)
@@ -434,7 +427,7 @@ def _delta_of_word(word: tuple, deltas: dict, R: RelationSet) -> Combination:
     d = deltas.get(word)
     if d is None:
         d = deltas[word] = (tensor_multiply(_delta_of_word(word[:-1], deltas, R),
-                                            delta_generator(word[-1], R), R)
+                                            delta_generator(word[-1]), R)
                             if word else Combination({((), ()): LaurentPoly.one()}))
     return d
 
@@ -445,7 +438,7 @@ def verify_delta_homomorphism(R: RelationSet) -> rep.VerificationReport:
     params = {"set": R.label, "h_order": R.h_order}
     normal_forms: dict = {}  # shared by the relations: each word is reduced once
     for (i, j) in sorted(R.tails):
-        di, dj = delta_generator(i, R), delta_generator(j, R)
+        di, dj = delta_generator(i), delta_generator(j)
         diff = tensor_multiply(di, dj, R).add_all(tensor_multiply(dj, di, R), -1)
         diff.add_all(delta_of_element(R.tail(i, j), R), -1)
         residual = tensor_reduce(diff, R, normal_forms)
@@ -475,7 +468,7 @@ def verify_counit_coassoc(R: RelationSet) -> rep.VerificationReport:
             return rep.failed("counit-coassoc", (i, j), residual.render(), **params)
     deltas: dict = {}  # shared by the generators: each prefix's Delta is built once
     for i in range(1, R.n_gens + 1):
-        di = delta_generator(i, R)
+        di = delta_generator(i)
         left = Combination()
         right = Combination()
         for (lw, rw), c in di.items():
@@ -492,13 +485,9 @@ def verify_counit_coassoc(R: RelationSet) -> rep.VerificationReport:
         lhs = Combination()
         rhs = Combination()
         for (lw, rw), c in di.items():
-            for (a2, b2), c2 in delta_of_element(
-                nc_word(R.n_gens, R.h_order, lw), R, deltas
-            ).items():
+            for (a2, b2), c2 in _delta_of_word(lw, deltas, R).items():
                 lhs.add((a2, b2, rw), c * c2)
-            for (a2, b2), c2 in delta_of_element(
-                nc_word(R.n_gens, R.h_order, rw), R, deltas
-            ).items():
+            for (a2, b2), c2 in _delta_of_word(rw, deltas, R).items():
                 rhs.add((lw, a2, b2), c * c2)
         if lhs != rhs:
             keys = sorted(set(lhs) | set(rhs))

@@ -15,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .coeffpoly import Combination, LaurentPoly, NotInvertible, Variable, VarKind, poly
+from .coeffpoly import Combination, LaurentPoly, NotInvertible, poly
 
 FORMAL_VARS = ("u", "v", "w")
-
-# The degree-0 group coordinates x0, y0, z0: the nilpotent generators of the extended model.
-ZERO_COORD_CODES = frozenset(
-    Variable(kind, 0).code for kind in (VarKind.GROUP_X, VarKind.GROUP_Y, VarKind.GROUP_Z)
-)
 
 
 class VarMismatch(ValueError):
@@ -33,7 +28,7 @@ class NonUnitConstantTerm(ValueError):
     pass
 
 
-class NonNilpotentConstantTerm(ValueError):
+class NonZeroConstantTerm(ValueError):
     pass
 
 
@@ -64,23 +59,6 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        def order(item):
-            exps, _ = item
-            return (sum(exps), exps)
-        parts = []
-        for exps, c in sorted(self.coeffs.items(), key=order):
-            mono = " ".join(
-                f"{v}^{e}" for v, e in zip(self.vars, exps) if e
-            )
-            parts.append(f"({c.render()})" + (f" * {mono}" if mono else ""))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TruncSeries[{','.join(self.vars)};{self.bounds}]({self.render()})"
 
 
 def make(vars: tuple[str, ...], bounds: tuple[int, ...], coeffs: Mapping) -> TruncSeries:
@@ -132,10 +110,6 @@ def zero(vars, bounds) -> TruncSeries:
 
 def const(value, vars, bounds) -> TruncSeries:
     return make(vars, bounds, {(0,) * len(vars): poly(value)})
-
-
-def formal_var(name: str, bound: int) -> TruncSeries:
-    return make((name,), (bound,), {(1,): LaurentPoly.one()})
 
 
 def lift(s: TruncSeries, vars: tuple[str, ...], bounds: tuple[int, ...],
@@ -226,26 +200,15 @@ def derivative(a: TruncSeries, var: str) -> TruncSeries:
     return TruncSeries(a.vars, bounds, coeffs)
 
 
-def _constant_is_nilpotent(c: LaurentPoly) -> bool:
-    if not c.constant_term() == 0:
-        return False  # a plain scalar part would force an infinite sum
-    return all(v.code in ZERO_COORD_CODES for v in c.variables())
-
-
 def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    """Substitute ``inner`` for the single formal variable of ``outer``.
-
-    The inner constant term must vanish, except when it is built purely from
-    degree-0 group coordinates (the nilpotent extended-group model), in which
-    case the finitely many retained outer coefficients make the sum finite.
-    """
+    """Substitute ``inner``, whose constant term must vanish, for the single
+    formal variable of ``outer``.  (The extended jet model composes through
+    its own Horner loop, `jetgroup.jet_compose`.)"""
     if len(outer.vars) != 1:
         raise VarMismatch("compose expects a univariate outer series")
     c0 = inner.constant_coeff()
-    if not c0.is_zero() and not _constant_is_nilpotent(c0):
-        raise NonNilpotentConstantTerm(
-            f"inner constant term {c0.render()} is neither zero nor nilpotent-modeled"
-        )
+    if not c0.is_zero():
+        raise NonZeroConstantTerm(f"inner constant term {c0.render()} is not zero")
     return subst(outer, {outer.vars[0]: inner})
 
 
@@ -282,12 +245,12 @@ def comp_inverse(x: TruncSeries, bound: int) -> TruncSeries:
 def binomial_power(base: TruncSeries, exponent) -> TruncSeries:
     """(1 + w)**lam as sum of generalized binomial coefficients times w**k.
 
-    ``exponent`` may be a parameter variable, a polynomial or a rational; the
-    binomial coefficients are polynomials in it.
+    ``exponent`` may be a polynomial or a rational; the binomial
+    coefficients are polynomials in it.
     """
     if base.constant_coeff() != LaurentPoly.one():
         raise NonUnitConstantTerm("binomial power needs constant term 1")
-    lam = poly(LaurentPoly.var(exponent) if isinstance(exponent, Variable) else exponent)
+    lam = poly(exponent)
     w = sub(base, const(1, base.vars, base.bounds))
     out = const(1, base.vars, base.bounds)
     wk = const(1, base.vars, base.bounds)

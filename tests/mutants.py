@@ -196,8 +196,8 @@ MUTANTS = [
     {
         "name": "coassoc-prefix-table-per-word",
         "file": "src/jetpoisson/quantum.py",
-        "original": "nc_word(R.n_gens, R.h_order, lw), R, deltas",
-        "mutant": "nc_word(R.n_gens, R.h_order, lw), R",
+        "original": "in _delta_of_word(lw, deltas, R).items():",
+        "mutant": "in _delta_of_word(lw, {}, R).items():",
         "tests": ["tests/test_quantum.py::test_coassociativity_builds_each_delta_prefix_once"],
     },
     {
@@ -303,11 +303,34 @@ MUTANTS = [
         "tests": ["tests/test_report_cli.py::test_cli_pass_and_exit_status"],
     },
     {
-        "name": "nilpotent-constant-any-coordinate",
+        "name": "compose-accepts-a-scalar-free-constant",
         "file": "src/jetpoisson/series.py",
-        "original": "return all(v.code in ZERO_COORD_CODES for v in c.variables())",
-        "mutant": "return True",
+        "original": "    if not c0.is_zero():\n",
+        "mutant": "    if c0.constant_term():\n",
         "tests": ["tests/test_series.py::test_compose_rejects_plain_constant_term"],
+    },
+    {
+        "name": "coefficient-reads-the-opposite-power",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "return self.coefficients(v).get(exp, _ZERO)",
+        "mutant": "return self.coefficients(v).get(abs(exp), _ZERO)",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "substitute-forgets-to-invert",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "powed = pow_cache[ck] = (repl ** ve).terms",
+        "mutant": "powed = pow_cache[ck] = (repl ** abs(ve)).terms",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference",
+                  "tests/test_coeffpoly.py::test_substitute_examples"],
+    },
+    {
+        "name": "classifier-determinant-sign-flipped",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "upper = (((m, n), a[m] * b[n] - a[n] * b[m])",
+        "mutant": "upper = (((m, n), a[n] * b[m] - a[m] * b[n])",
+        "tests": ["tests/test_bialgebra.py::test_classify_branch_forced_entries",
+                  "tests/test_bialgebra.py::test_classify_g0_branch_formulas"],
     },
     {
         "name": "catalog-parameters-checked-only-in-the-suite",

@@ -30,12 +30,14 @@ def x(i, e=1):
     return LaurentPoly.var(x_var(i), e)
 
 
-def random_poly(rng, nvars=3, nterms=4, allow_negative=False):
+def random_poly(rng, allow_negative=False):
+    """Four random terms in x1, x2, x3, each exponent in 0..2 (x1's from -2
+    when allow_negative)."""
     total = LaurentPoly.zero()
-    for _ in range(nterms):
+    for _ in range(4):
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         term = LaurentPoly.const(coeff)
-        for i in range(1, nvars + 1):
+        for i in range(1, 4):
             lo = -2 if (allow_negative and i == 1) else 0
             e = rng.randint(lo, 2)
             if e:

@@ -642,5 +642,5 @@ def test_power_family_antisymmetry():
     phi = pl.phi_power_family(3)
     assert phi.coeff(4, 1) == LaurentPoly.one()
     assert phi.coeff(1, 4) == -LaurentPoly.one()
-    for (m, n) in phi.support():
+    for (m, n) in phi.table:
         assert phi.coeff(m, n) == -phi.coeff(n, m)

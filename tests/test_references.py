@@ -12,10 +12,9 @@ the names that something other than this code calls: dunder methods,
 pytest's tests and fixtures, and the hooks of argparse.
 
 A parameter with a default, of a top-level function or a method of the
-package or the benchmark, or a defaulted field of one of their
+package, the benchmark or the tests, or a defaulted field of one of their
 ``@dataclass`` classes, counts as passed when some call of a callable of its
-name passes it, by position or by keyword; the tests' own helpers are not
-settings of the program, but their calls count.  A class call is a call of its
+name passes it, by position or by keyword.  A class call is a call of its
 ``__init__`` (for a dataclass, of its fields in order), and
 ``functools.partial(f, ...)`` is a call of ``f``; a call with ``*args`` or
 ``**kwargs`` passes every parameter.  Calls are matched by name alone, so a
@@ -157,7 +156,7 @@ def _parameters(func, skip: int) -> list:
 def unpassed_parameters(sources: dict) -> list[str]:
     """``file:function(parameter)`` for each parameter with a default that
     no call passes, in sources, a {path: source text} map scanned as one
-    program; the definitions of files under tests/ are not scanned."""
+    program."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     calls: dict = {}
     for tree in trees.values():
@@ -165,8 +164,6 @@ def unpassed_parameters(sources: dict) -> list[str]:
             calls.setdefault(name, []).extend(found)
     unpassed = []
     for path, tree in trees.items():
-        if Path(path).parent.name == "tests":
-            continue
         for label, name, params in _defaults(tree):
             for param, pos in params:
                 if not any(call is None or param in call[1] or pos is not None and pos < call[0]
@@ -249,4 +246,5 @@ spread(*[1, 2])
 '''
     helper = "def helper(x=1):\n    return x\n"
     assert unpassed_parameters({"src/module.py": source, "tests/test_module.py": helper}) == [
-        "module.py:Row(note)", "module.py:Table.get(strict)", "module.py:build(name)"]
+        "module.py:Row(note)", "module.py:Table.get(strict)", "module.py:build(name)",
+        "test_module.py:helper(x)"]
