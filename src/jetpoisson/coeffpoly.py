@@ -1,12 +1,13 @@
 """Exact coefficient arithmetic: rationals and sparse multivariate Laurent polynomials.
 
-Every identity in this package is checked over the rationals, so coefficients
-are `fractions.Fraction` values and polynomials are sparse term maps.  This
-module holds the one arithmetic kernel.  Above it, three functions of
-`quantum` work on term maps: `nc_reduce` and `tensor_reduce` hold raw
-accumulators of `_poly_mac` and finish them themselves, and `_quantised`
-unpacks the monomial keys of a bracket table (`_unpack`) to read each
-monomial as a word.  No other layer touches a term map or a key.
+Every identity in this package is checked over the rationals: a scalar is an
+int or a `fractions.Fraction`, and a polynomial is a sparse map of integer
+numerators over one common denominator.  This module holds the one
+arithmetic kernel.  Above it, three functions of `quantum` work on term
+maps: `nc_reduce` and `tensor_reduce` hold raw accumulators of `_poly_mac`
+and finish them themselves, and `_quantised` unpacks the monomial keys of a
+bracket table (`_unpack`) to read each monomial as a word.  No other layer
+touches a term map or a key.
 
 A variable is a (kind, index) pair.  Group coordinates come in three kinds
 (x, y, z) so that identities mixing several group elements stay unambiguous;
@@ -16,19 +17,26 @@ coefficient) are further kinds.  Negative exponents are allowed only on
 invertible variables: the leading coordinate of an invertible jet and the
 opaque units.
 
-Term maps, the raw layout behind `LaurentPoly.terms`:
+Term maps, the layout behind `LaurentPoly.terms` and `LaurentPoly.den`:
 
-  rational  = (num: int, den: int)        den > 0, gcd(num, den) == 1
   monomial  = sum(exp << (32 * slot))     one int; the constant monomial is 0
-  poly      = {monomial: rational}        no zero coefficients stored
+  terms     = {monomial: numerator}       int numerators, no zero stored
+  den       = int > 0                     one denominator for every term
 
-Every sum of products (a product itself, `LaurentPoly.sum_of_products`,
-`Combination.product` and `masked_product`, `substitute`, and the rewriting
-sums of `quantum.nc_reduce` and `quantum.tensor_reduce`) runs through one
-multiply-accumulate loop, `_poly_mac`, into a raw accumulator of the same
-shape whose rationals are not reduced: den > 0 and no zero numerator is
-stored, so it is empty exactly when the sum is zero.  `_poly_finish`
-normalises each surviving term once, when the sum is complete.
+A polynomial is canonical: gcd(den, every numerator) == 1, and zero is
+den == 1 with no terms, so equal polynomials have equal term maps and
+denominators.  Every sum of products (a product itself,
+`LaurentPoly.sum_of_products`, `Combination.product` and `masked_product`,
+`substitute`, and the rewriting sums of `quantum.nc_reduce` and
+`quantum.tensor_reduce`) runs through one multiply-accumulate loop,
+`_poly_mac`, into a raw accumulator: a `LaurentPoly` of the same layout
+whose numerators may share a factor with its denominator.  No zero
+numerator is stored, so it is empty exactly when the sum is zero.  The pair
+loop multiplies and adds plain ints; when a product's denominator differs
+from the accumulator's, both are brought to their lcm once per call, not per
+pair.  `_poly_finish` divides out gcd(den, *numerators) in one call when the
+sum is complete (the content step of SymPy's `clear_denoms`), and `render`
+reduces each term's num/den only as it prints it.
 
 A monomial key packs its exponent vector into one Python int (Monagan and
 Pearce's packed exponent vectors), one signed 32-bit field per variable slot,
@@ -55,29 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Iterable, Mapping
 
 
 # -- the kernel: arithmetic on raw term maps ---------------------------------
-
-
-def _rat_norm(num, den):
-    if num == 0:
-        return (0, 1)
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
-    return (num, den)
-
-
-def _rat_add(a, b):
-    if a[1] == 1 and b[1] == 1:
-        return (a[0] + b[0], 1)
-    return _rat_norm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
 
 
 class ExponentOverflow(OverflowError):
@@ -145,68 +135,95 @@ def _unpack(key: int) -> tuple:
     return tuple(out)
 
 
-def _poly_add(p, q):
-    out = dict(p)
-    for k, c in q.items():
+def _poly_add(p, q, sign):
+    """p + sign * q over the lcm of their denominators, canonical."""
+    den, m = p.den, sign
+    if den == q.den:
+        out = dict(p.terms)
+    else:
+        den = lcm(den, q.den)
+        mp, m = den // p.den, den // q.den * sign
+        out = {k: n * mp for k, n in p.terms.items()}
+    for k, n in q.terms.items():
         cur = out.get(k)
         if cur is None:
-            out[k] = c
+            out[k] = n * m
         else:
-            s = _rat_add(cur, c)
-            if s[0]:
-                out[k] = s
+            n = cur + n * m
+            if n:
+                out[k] = n
             else:
                 del out[k]
-    return out
+    return _poly_finish(LaurentPoly(out, den))
 
 
 def _poly_scale(p, num, den):
+    """p * num / den, for a scalar pair with den != 0."""
     if num == 0:
-        return {}
-    return {k: _rat_norm(cn * num, cd * den) for k, (cn, cd) in p.items()}
+        return _ZERO
+    if den < 0:
+        num, den = -num, -den
+    return _poly_finish(LaurentPoly({k: n * num for k, n in p.terms.items()}, p.den * den))
 
 
 def _poly_mac(acc, p, q, cap=None):
-    """acc += p*q on raw (num, den) pairs, mutating and returning acc.
+    """acc += p*q, mutating and returning acc, a raw `LaurentPoly`.
 
-    A term is deleted as soon as its numerator cancels, and a key is
-    range-checked as it enters acc, so a pair outside the range raises even
-    if a later pair cancels it.  ``cap``, a (shift, limit) pair, keeps out
-    every key whose biased field at that shift exceeds limit."""
-    if len(p) > len(q):
-        p, q = q, p
+    The numerators of p*q are over p.den * q.den; when that differs from
+    acc's denominator, both sides are brought to the lcm once, before the
+    pairs, so the pair loop adds plain ints.  A term is deleted as soon as
+    its numerator cancels, and a key is range-checked as it enters acc, so a
+    pair outside the range raises even if a later pair cancels it.  ``cap``,
+    a (shift, limit) pair, keeps out every key whose biased field at that
+    shift exceeds limit."""
+    pt, qt = p.terms, q.terms
+    if len(pt) > len(qt):
+        pt, qt = qt, pt
+    terms, d = acc.terms, p.den * q.den
+    if d != acc.den:
+        if not terms:
+            acc.den = d
+        else:
+            den = lcm(acc.den, d)
+            if den != acc.den:
+                m = den // acc.den
+                for k in terms:
+                    terms[k] *= m
+                acc.den = den
+            if den != d:
+                m = den // d
+                pt = {k: n * m for k, n in pt.items()}
     bias, top = _BIAS, _TOP
-    for ka, (na, da) in p.items():
-        for kb, (nb, db) in q.items():
+    for ka, na in pt.items():
+        for kb, nb in qt.items():
             k = ka + kb
-            n, d = na * nb, da * db
-            cur = acc.get(k)
+            cur = terms.get(k)
             if cur is None:
                 b = k + bias
                 if b < 0 or b & top:
                     raise _overflow()
                 if cap is None or b >> cap[0] & _MASK <= cap[1]:
-                    acc[k] = (n, d)
+                    terms[k] = na * nb
                 continue
-            cn, cd = cur
-            if d == cd:  # the integer path, when all three are 1
-                n += cn
-            elif cd % d == 0:
-                n, d = cn + n * (cd // d), cd
-            else:
-                n, d = cn * d + n * cd, cd * d
+            n = cur + na * nb
             if n:
-                acc[k] = (n, d)
+                terms[k] = n
             else:
-                del acc[k]
+                del terms[k]
     return acc
 
 
 def _poly_finish(acc):
-    """A raw accumulator made a term map, in place: each rational normalised once."""
-    for k, (n, d) in acc.items():
-        if d != 1:
-            acc[k] = _rat_norm(n, d)
+    """A raw `LaurentPoly` made canonical, in place: the content its
+    numerators share with the denominator is divided out once."""
+    den = acc.den
+    if den != 1:
+        terms = acc.terms
+        g = gcd(den, *terms.values())
+        if g > 1:
+            acc.den = den // g
+            for k, n in terms.items():
+                terms[k] = n // g
     return acc
 
 
@@ -239,6 +256,7 @@ _FIXED_PARAMS = len(_PARAM_NAMES)
 # Render rank of each parameter created past the fixed names: the codes they
 # occupy, handed out again in name order (see `param`).
 _RENDER_RANK: dict[int, int] = {}
+_RENDERED: dict[int, tuple] = {}  # monomial key -> (render order, text), see `_rendered`
 
 
 class NotInvertible(ValueError):
@@ -291,40 +309,58 @@ def param(name: str) -> Variable:
         first = Variable(VarKind.PARAM, _FIXED_PARAMS).code
         for rank, other in enumerate(sorted(_PARAM_NAMES[_FIXED_PARAMS:])):
             _RENDER_RANK[Variable(VarKind.PARAM, _PARAM_INDEX[other]).code] = first + rank
+        _RENDERED.clear()  # every cached order holds the old ranks
     return Variable(VarKind.PARAM, _PARAM_INDEX[name])
 
 
-def _render_rank(code: int) -> int:
-    return _RENDER_RANK.get(code, code)
+def _rendered(key: int) -> tuple:
+    """The render order of a monomial key and its text, such as ``*x1^2*h``,
+    cached until `param` re-ranks the parameters."""
+    out = _RENDERED.get(key)
+    if out is None:
+        factors = sorted(((_RENDER_RANK.get(code, code), e, decode(code).name)
+                          for code, e in _unpack(key)))
+        order = (sum(e for _, e, _ in factors), tuple((rank, e) for rank, e, _ in factors))
+        text = "".join(f"*{name}" if e == 1 else f"*{name}^{e}" for _, e, name in factors)
+        out = _RENDERED[key] = (order, text)
+    return out
 
 
 def aux_t(index: int = 0) -> Variable:
     return Variable(VarKind.AUX_T, index)
 
 
-def _as_pair(value) -> tuple[int, int]:
+def _scalar(value) -> tuple[int, int]:
+    """An exact scalar as a reduced (num, den) pair with den > 0: an int, a
+    Fraction or an (int, int) pair.  Anything else, a float too, raises
+    TypeError, since a float is not the rational it was meant to be."""
     if isinstance(value, int):
-        return (value, 1)
+        return (int(value), 1)
     if isinstance(value, Fraction):
         return (value.numerator, value.denominator)
-    if isinstance(value, tuple):
-        if len(value) != 2 or not all(isinstance(part, int) for part in value):
-            raise TypeError(f"not an exact scalar: {value!r}")
-        if value[1] == 0:
+    if isinstance(value, tuple) and len(value) == 2 and all(isinstance(part, int) for part in value):
+        num, den = value
+        if den == 0:
             raise ZeroDivisionError(f"zero denominator in {value!r}")
-        return value
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        return (num // g, den // g)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial over the rationals."""
+    """Immutable sparse Laurent polynomial over the rationals: integer
+    numerators over one positive common denominator."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict):
-        # terms is a normalized kernel dict; callers outside this module
-        # should use the constructors below.
+    def __init__(self, terms: dict, den: int):
+        # terms and den are kernel values in canonical form (see the module
+        # docstring), or a raw accumulator of `_poly_mac`; callers outside
+        # this module should use the constructors below.
         self.terms = terms
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -339,11 +375,9 @@ class LaurentPoly:
     @staticmethod
     def const(value) -> "LaurentPoly":
         if value.__class__ is int:
-            return LaurentPoly({0: (value, 1)}) if value else _ZERO
-        num, den = _as_pair(Fraction(value) if isinstance(value, int) else value)
-        if num == 0:
-            return _ZERO
-        return LaurentPoly({0: _rat_norm(num, den)})
+            return LaurentPoly({0: value}, 1) if value else _ZERO
+        num, den = _scalar(value)
+        return LaurentPoly({0: num}, den) if num else _ZERO
 
     @staticmethod
     def var(v: Variable, exp: int = 1) -> "LaurentPoly":
@@ -351,7 +385,7 @@ class LaurentPoly:
             return _ONE
         if exp < 0 and not v.invertible:
             raise ValueError(f"negative exponent on non-invertible variable {v.name}")
-        return LaurentPoly({_pack(((v.code, exp),)): (1, 1)})
+        return LaurentPoly({_pack(((v.code, exp),)): 1}, 1)
 
     @staticmethod
     def monomial(coeff, vars_exps: Iterable[tuple[Variable, int]]) -> "LaurentPoly":
@@ -363,44 +397,44 @@ class LaurentPoly:
     @staticmethod
     def sum_of_products(pairs) -> "LaurentPoly":
         """sum(a * b for a, b in pairs), accumulated raw and normalised once."""
-        acc: dict = {}
+        acc = LaurentPoly({}, 1)
         for a, b in pairs:
-            _poly_mac(acc, poly(a).terms, poly(b).terms)
-        return LaurentPoly(_poly_finish(acc))
+            _poly_mac(acc, poly(a), poly(b))
+        return _poly_finish(acc)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
         if other.__class__ is not LaurentPoly:
             other = poly(other)
-        return LaurentPoly(_poly_add(self.terms, other.terms))
+        return _poly_add(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
         if other.__class__ is not LaurentPoly:
             other = poly(other)
-        return LaurentPoly(_poly_add(self.terms, (-other).terms))
+        return _poly_add(self, other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return poly(other) - self
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: (-n, d) for k, (n, d) in self.terms.items()})
+        return LaurentPoly({k: -n for k, n in self.terms.items()}, self.den)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if other.__class__ is not LaurentPoly and isinstance(other, (int, Fraction)):
-            num, den = _as_pair(other)
-            return LaurentPoly(_poly_scale(self.terms, num, den))
-        return LaurentPoly(_poly_finish(_poly_mac({}, self.terms, other.terms)))
+        if other.__class__ is not LaurentPoly:
+            num, den = _scalar(other)
+            return _poly_scale(self, num, den)
+        return _poly_finish(_poly_mac(LaurentPoly({}, 1), self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "LaurentPoly":
-        num, den = _as_pair(other if isinstance(other, (Fraction, tuple)) else Fraction(other))
+        num, den = _scalar(other)
         if num == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return LaurentPoly(_poly_scale(self.terms, den, num))
+        return _poly_scale(self, den, num)
 
     def __pow__(self, exp: int) -> "LaurentPoly":
         if exp < 0:
@@ -418,13 +452,13 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         if self.terms.keys() <= {0}:
             # a constant hashes as the scalar it equals
             return hash(self.constant_term())
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -438,10 +472,13 @@ class LaurentPoly:
         """1 / self; raises NotInvertible unless self is a rational times units."""
         if len(self.terms) != 1:
             raise NotInvertible(f"not an invertible monomial: {self.render()}")
-        key, (num, den) = next(iter(self.terms.items()))
+        key, num = next(iter(self.terms.items()))
         if not all(_code_invertible(code) for code, _ in _unpack(key)):
             raise NotInvertible(f"not an invertible monomial: {self.render()}")
-        return LaurentPoly({_checked(-key): _rat_norm(den, num)})
+        den = self.den
+        if num < 0:
+            num, den = -num, -den
+        return LaurentPoly({_checked(-key): den}, num)
 
     def variables(self) -> set[Variable]:
         return {decode(code) for key in self.terms for code, _ in _unpack(key)}
@@ -460,11 +497,10 @@ class LaurentPoly:
         for key, c in self.terms.items():
             e = ((key + bias) >> shift & _MASK) - _HALF
             out.setdefault(e, {})[key - (e << shift)] = c
-        return {e: LaurentPoly(terms) for e, terms in out.items()}
+        return {e: _poly_finish(LaurentPoly(terms, self.den)) for e, terms in out.items()}
 
     def constant_term(self) -> Fraction:
-        c = self.terms.get(0, (0, 1))
-        return Fraction(c[0], c[1])
+        return Fraction(self.terms.get(0, 0), self.den)
 
     # -- calculus / substitution -------------------------------------------
 
@@ -476,13 +512,13 @@ class LaurentPoly:
         bias, unit = _BIAS, 1 << shift
         out = {}
         # key -> key - unit is one-to-one, so no two terms meet
-        for key, (num, den) in self.terms.items():
+        for key, num in self.terms.items():
             e = ((key + bias) >> shift & _MASK) - _HALF
             if e:
                 if e == -_HALF:
                     raise _overflow()
-                out[key - unit] = _rat_norm(num * e, den)
-        return LaurentPoly(out)
+                out[key - unit] = num * e
+        return _poly_finish(LaurentPoly(out, self.den))
 
     def substitute(self, bindings: Mapping[Variable, "LaurentPoly"]) -> "LaurentPoly":
         """Simultaneously replace variables by polynomials, exactly.
@@ -495,9 +531,9 @@ class LaurentPoly:
         key is range-checked where a product of normalised polynomials checks it.
         """
         by_code = {v.code: poly(p) for v, p in bindings.items()}
-        acc: dict = {}
-        pow_cache: dict[tuple[int, int], dict] = {}
-        for key, (num, den) in self.terms.items():
+        acc = LaurentPoly({}, 1)
+        pow_cache: dict[tuple[int, int], LaurentPoly] = {}
+        for key, num in self.terms.items():
             powers, leftover = [], key
             for vc, ve in _unpack(key):
                 repl = by_code.get(vc)
@@ -507,15 +543,15 @@ class LaurentPoly:
                 ck = (vc, ve)
                 powed = pow_cache.get(ck)
                 if powed is None:
-                    powed = pow_cache[ck] = (repl ** ve).terms
+                    powed = pow_cache[ck] = repl ** ve
                 powers.append(powed)
             if leftover or not powers:
-                powers.append({leftover: (1, 1)})
-            factor = {0: (num, den)}
+                powers.append(LaurentPoly({leftover: 1}, 1))
+            factor = LaurentPoly({0: num}, self.den)
             for powed in powers[:-1]:
-                factor = _poly_mac({}, factor, powed)
+                factor = _poly_mac(LaurentPoly({}, 1), factor, powed)
             _poly_mac(acc, factor, powers[-1])
-        return LaurentPoly(_poly_finish(acc))
+        return _poly_finish(acc)
 
     def degree(self, v: Variable, pick=max) -> float:
         """The highest exponent of v in any term (the lowest with ``pick=min``):
@@ -544,41 +580,33 @@ class LaurentPoly:
         else:
             out = {key: c for key, c in self.terms.items()
                    if sum((key + bias) >> shift & _MASK for shift in shifts) <= limit}
-        return LaurentPoly(out) if len(out) != len(self.terms) else self
+        if len(out) == len(self.terms):
+            return self
+        return _poly_finish(LaurentPoly(out, self.den))
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_terms(self):
-        """The terms in render order: graded-lexicographic on the variable
-        codes, with parameters past the fixed names ranked by name, and the
-        factors of each monomial in the same order."""
-        def order(item):
-            key, _ = item
-            return (sum(e for _, e in key), tuple((_render_rank(code), e) for code, e in key))
-
-        return sorted(((tuple(sorted(_unpack(key), key=lambda f: _render_rank(f[0]))), c)
-                       for key, c in self.terms.items()), key=order)
-
     def render(self) -> str:
-        """Canonical textual form, e.g. ``-1*x1^2 + 1*x1^4`` (used in reports)."""
+        """Canonical textual form, e.g. ``-1*x1^2 + 1*x1^4`` (used in reports):
+        terms in graded-lexicographic order of the variable codes, with
+        parameters past the fixed names ranked by name, the factors of each
+        monomial in the same order, and each coefficient reduced."""
         if not self.terms:
             return "0"
+        den = self.den
         parts = []
-        for key, (num, den) in self.sorted_terms():
-            coeff = str(num) if den == 1 else f"{num}/{den}"
-            factors = [coeff]
-            for code, e in key:
-                v = decode(code)
-                factors.append(v.name if e == 1 else f"{v.name}^{e}")
-            parts.append("*".join(factors))
+        for (_, text), num in sorted((_rendered(key), num) for key, num in self.terms.items()):
+            g = gcd(num, den)
+            coeff = str(num // g) if g == den else f"{num // g}/{den // g}"
+            parts.append(coeff + text)
         return " + ".join(parts)
 
     def __repr__(self):
         return f"LaurentPoly({self.render()})"
 
 
-_ZERO = LaurentPoly({})
-_ONE = LaurentPoly({0: (1, 1)})
+_ZERO = LaurentPoly({}, 1)
+_ONE = LaurentPoly({0: 1}, 1)
 
 
 def poly(value) -> LaurentPoly:
@@ -655,17 +683,16 @@ class Combination(dict):
         cap = None if h_order is None else _h_cap(h_order)
         raw: dict = {}
         for ka, ca in a.items():
-            pa = ca.terms
             for kb, cb in b.items():
                 key = join(ka, kb)
                 if key is None:
                     continue
                 acc = raw.get(key)
                 if acc is None:
-                    acc = _poly_mac({}, pa, cb.terms, cap)
-                    if acc:
+                    acc = _poly_mac(LaurentPoly({}, 1), ca, cb, cap)
+                    if acc.terms:
                         raw[key] = acc
-                elif not _poly_mac(acc, pa, cb.terms, cap):
+                elif not _poly_mac(acc, ca, cb, cap).terms:
                     del raw[key]
         return _finish_all(raw)
 
@@ -676,20 +703,19 @@ class Combination(dict):
         set.  The caller packs its keys so that a set bit marks a pair to
         drop (`series.mul`), so a pair costs one addition and one mask.  Sums
         accumulate, cancel and keep their slots as in ``product``."""
-        bs = [(kb, cb.terms) for kb, cb in b.items()]
+        bs = list(b.items())
         raw: dict = {}
         for ka, ca in a.items():
-            pa = ca.terms
-            for kb, pb in bs:
+            for kb, cb in bs:
                 key = ka + kb
                 if key & top:
                     continue
                 acc = raw.get(key)
                 if acc is None:
-                    acc = _poly_mac({}, pa, pb)
-                    if acc:
+                    acc = _poly_mac(LaurentPoly({}, 1), ca, cb)
+                    if acc.terms:
                         raw[key] = acc
-                elif not _poly_mac(acc, pa, pb):
+                elif not _poly_mac(acc, ca, cb).terms:
                     del raw[key]
         return _finish_all(raw)
 
@@ -716,7 +742,7 @@ def _finish_all(raw: dict) -> Combination:
     """The combination of raw accumulators that are all nonzero, in their order."""
     out = Combination()
     for key, acc in raw.items():
-        out[key] = LaurentPoly(_poly_finish(acc))
+        out[key] = _poly_finish(acc)
     return out
 
 

@@ -221,7 +221,7 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     width, guards, rules = R.packing
     top = R.n_gens + 1  # the edge marker, above every letter
     letter, pair_mask = (1 << width - 1) - 1, (1 << 2 * width) - 1
-    cap, one = _h_cap(order), {0: (1, 1)}
+    cap, one = _h_cap(order), LaurentPoly.one()
     done: dict = {}  # canonical word -> raw coefficient
     pending: dict = {}  # word -> [raw coefficient, bound on its h degree, level]
     heaps = [[] for _ in range(order + 1)]  # level -> heap of its pending words
@@ -229,24 +229,31 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
         w = _packed(word, width, top)
         low, g = guards[w.bit_length()]
         if (w + low - (w >> width)) & g:
-            pending[w] = [dict(c.terms), c.degree(H), min(c.degree(H, min), order)]
+            pending[w] = [LaurentPoly(dict(c.terms), c.den), c.degree(H), min(c.degree(H, min), order)]
             heapq.heappush(heaps[pending[w][2]], w)
         else:
-            done[w] = dict(c.terms)
+            done[w] = LaurentPoly(dict(c.terms), c.den)
     for level, heap in enumerate(heaps):
         while heap:
             word = heapq.heappop(heap)
-            if pending.get(word, (0, 0, -1))[2] != level:
-                continue  # cancelled, rewritten or queued lower since
-            coeff, bound, _ = pending.pop(word)
+            entry = pending.pop(word, None)
+            if entry is None:
+                continue  # cancelled or rewritten since
+            if entry[2] != level:
+                pending[word] = entry  # queued at another level since
+                continue
+            coeff, bound, _ = entry
             low, g = guards[word.bit_length()]
             ascents = (word + low - (word >> width)) & g
-            sites = []  # the shift of each ascent's right letter, leftmost first
-            while ascents:
-                shift = ascents.bit_length() - width
-                sites.append(shift)
-                ascents &= (1 << shift) - 1
-            shift = sites[0] if rng is None else rng.choice(sites)
+            # the shift of the leftmost ascent's right letter
+            shift = ascents.bit_length() - width
+            if rng is not None:
+                sites = []
+                while ascents:
+                    shift = ascents.bit_length() - width
+                    sites.append(shift)
+                    ascents &= (1 << shift) - 1
+                shift = rng.choice(sites)
             pair = word >> shift & pair_mask
             i, j = pair >> width, pair & letter
             tail = R.tail(i, j)  # once per step: perfbench counts rewrite steps here
@@ -257,7 +264,7 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
                 # itself unless a tail word is the swapped pair, then the tails
                 swap = one if (j, i) in tail.terms else None
                 rule = rules[pair] = [(j << width | i, 2 * width, swap, 0, 0)] + [
-                    (_packed(w2, width), len(w2) * width, c2.terms, c2.degree(H), c2.degree(H, min))
+                    (_packed(w2, width), len(w2) * width, c2, c2.degree(H), c2.degree(H, min))
                     for w2, c2 in tail.terms.items()]
             head, rest = word >> shift + 2 * width, word & (1 << shift) - 1
             for mid, bits, c2, d2, l2 in rule:
@@ -271,11 +278,11 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
                 if (new + low - (new >> width)) & g:
                     entry = pending.get(new)
                     if entry is None:
-                        c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
-                        if c:
+                        c = coeff if c2 is None else _poly_mac(LaurentPoly({}, 1), coeff, c2, capped)
+                        if c.terms:
                             pending[new] = [c, b, lev]
                             heapq.heappush(heaps[lev], new)
-                    elif not _poly_mac(entry[0], coeff, c2 or one, capped):
+                    elif not _poly_mac(entry[0], coeff, one if c2 is None else c2, capped).terms:
                         del pending[new]
                     else:
                         entry[1] = max(entry[1], b)
@@ -285,14 +292,14 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
                 else:
                     c = done.get(new)
                     if c is None:
-                        c = coeff if c2 is None else _poly_mac({}, coeff, c2, capped)
-                        if c:
+                        c = coeff if c2 is None else _poly_mac(LaurentPoly({}, 1), coeff, c2, capped)
+                        if c.terms:
                             done[new] = c
-                    elif not _poly_mac(c, coeff, c2 or one, capped):
+                    elif not _poly_mac(c, coeff, one if c2 is None else c2, capped).terms:
                         del done[new]
     out = Combination()
     for w in sorted(done):
-        out[_unpacked(w, width)] = LaurentPoly(_poly_finish(done[w]))
+        out[_unpacked(w, width)] = _poly_finish(done[w])
     return NCElement(a.n_gens, a.h_order, out)
 
 
@@ -361,7 +368,7 @@ def tensor_reduce(a: Combination, R: RelationSet,
                   normal_forms: Optional[dict] = None) -> Combination:
     """Componentwise normal form in both tensor slots.
 
-    Each word is reduced once: its normal form, as a list of (word, terms)
+    Each word is reduced once: its normal form, as a list of (word, coefficient)
     pairs, is kept in ``normal_forms``, a word -> normal form table of this
     relation set.  Without one the call keeps its own, so no result depends
     on an earlier call; a caller that reduces many elements of one set
@@ -383,21 +390,21 @@ def tensor_reduce(a: Combination, R: RelationSet,
         tagged = Combination((w, LaurentPoly.var(_TAG, k)) for k, w in enumerate(new))
         for word, c in nc_reduce(NCElement(R.n_gens, R.h_order, tagged), R).terms.items():
             for k, part in c.coefficients(_TAG).items():
-                normal_forms[new[k]].append((word, part.terms))
+                normal_forms[new[k]].append((word, part))
     cap = _h_cap(R.h_order)
     raw: dict = {}
     for (lw, rw), c in a.items():
         right = normal_forms[rw]
         for wl, u in normal_forms[lw]:
-            cu = _poly_mac({}, c.terms, u)
+            cu = _poly_mac(LaurentPoly({}, 1), c, u)
             for wr, v in right:
                 key = (wl, wr)
                 acc = raw.get(key)
                 if acc is None:
-                    acc = _poly_mac({}, cu, v, cap)
-                    if acc:
+                    acc = _poly_mac(LaurentPoly({}, 1), cu, v, cap)
+                    if acc.terms:
                         raw[key] = acc
-                elif not _poly_mac(acc, cu, v, cap):
+                elif not _poly_mac(acc, cu, v, cap).terms:
                     del raw[key]
     return _finish_all(raw)
 
@@ -567,9 +574,10 @@ def _quantised(d: int, n_gens: int, h_order: int, higher: Mapping) -> dict:
     tails = {}
     for i, j in itertools.combinations(range(1, n_gens + 1), 2):
         table = Combination()
-        for key, c in omega.bracket(i, j).terms.items():
+        bracket = omega.bracket(i, j)
+        for key, c in bracket.terms.items():
             word = tuple(letter[code] for code, e in reversed(_unpack(key)) for _ in range(e))
-            table.add(word, LaurentPoly({h_key: c}))
+            table.add(word, _poly_finish(LaurentPoly({h_key: c}, bracket.den)))
         for hexp, c, factors in higher.get((i, j), ()):
             word = tuple(g for g, k in factors for _ in range(k))
             table.add(word, poly(c) * LaurentPoly.var(H, hexp))

@@ -95,7 +95,7 @@ MUTANTS = [
     {
         "name": "tensor-cancelled-key-kept-empty",
         "file": "src/jetpoisson/quantum.py",
-        "original": "                elif not _poly_mac(acc, cu, v, cap):\n                    del raw[key]\n",
+        "original": "                elif not _poly_mac(acc, cu, v, cap).terms:\n                    del raw[key]\n",
         "mutant": "                else:\n                    _poly_mac(acc, cu, v, cap)\n",
         "tests": ["tests/test_quantum.py::test_tensor_reduce_matches_the_per_term_loop"],
     },
@@ -130,10 +130,10 @@ MUTANTS = [
     {
         "name": "reduce-emptied-done-entry-kept",
         "file": "src/jetpoisson/quantum.py",
-        "original": "                    elif not _poly_mac(c, coeff, c2 or one, capped):\n"
+        "original": "                    elif not _poly_mac(c, coeff, one if c2 is None else c2, capped).terms:\n"
                     "                        del done[new]\n",
         "mutant": "                    else:\n"
-                  "                        _poly_mac(c, coeff, c2 or one, capped)\n",
+                  "                        _poly_mac(c, coeff, one if c2 is None else c2, capped)\n",
         "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     {
@@ -245,8 +245,8 @@ MUTANTS = [
     {
         "name": "catalog-h-linear-sign-flipped",
         "file": "src/jetpoisson/quantum.py",
-        "original": "table.add(word, LaurentPoly({h_key: c}))",
-        "mutant": "table.add(word, -LaurentPoly({h_key: c}))",
+        "original": "table.add(word, _poly_finish(LaurentPoly({h_key: c}, bracket.den)))",
+        "mutant": "table.add(word, -_poly_finish(LaurentPoly({h_key: c}, bracket.den)))",
         "tests": ["tests/test_quantum.py::test_catalog_tails_match_the_record",
                   "tests/test_quantum.py::test_quasiclassical_limits_match_bracket_tables"],
     },
@@ -290,8 +290,8 @@ MUTANTS = [
     {
         "name": "sub-adds-without-negating",
         "file": "src/jetpoisson/coeffpoly.py",
-        "original": "return LaurentPoly(_poly_add(self.terms, (-other).terms))",
-        "mutant": "return LaurentPoly(_poly_add(self.terms, other.terms))",
+        "original": "return _poly_add(self, other, -1)",
+        "mutant": "return _poly_add(self, other, 1)",
         "tests": ["tests/test_coeffpoly.py::test_cancellation_and_laurent_product",
                   "tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
     },
@@ -319,8 +319,8 @@ MUTANTS = [
     {
         "name": "substitute-forgets-to-invert",
         "file": "src/jetpoisson/coeffpoly.py",
-        "original": "powed = pow_cache[ck] = (repl ** ve).terms",
-        "mutant": "powed = pow_cache[ck] = (repl ** abs(ve)).terms",
+        "original": "powed = pow_cache[ck] = repl ** ve",
+        "mutant": "powed = pow_cache[ck] = repl ** abs(ve)",
         "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference",
                   "tests/test_coeffpoly.py::test_substitute_examples"],
     },
@@ -342,9 +342,9 @@ MUTANTS = [
     {
         "name": "mac-keeps-cancelled-terms",
         "file": "src/jetpoisson/coeffpoly.py",
-        "original": "            if n:\n                acc[k] = (n, d)\n            else:\n"
-                    "                del acc[k]\n",
-        "mutant": "            acc[k] = (n, d)\n",
+        "original": "            if n:\n                terms[k] = n\n            else:\n"
+                    "                del terms[k]\n",
+        "mutant": "            terms[k] = n\n",
         "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
     },
     {
@@ -412,16 +412,16 @@ MUTANTS = [
     {
         "name": "product-keeps-cancelled-key",
         "file": "src/jetpoisson/coeffpoly.py",
-        "original": "                elif not _poly_mac(acc, pa, cb.terms, cap):\n"
+        "original": "                elif not _poly_mac(acc, ca, cb, cap).terms:\n"
                     "                    del raw[key]\n",
-        "mutant": "                else:\n                    _poly_mac(acc, pa, cb.terms, cap)\n",
+        "mutant": "                else:\n                    _poly_mac(acc, ca, cb, cap)\n",
         "tests": ["tests/test_coeffpoly.py::test_product_matches_the_per_pair_loop"],
     },
     {
         "name": "masked-product-keeps-cancelled-key",
         "file": "src/jetpoisson/coeffpoly.py",
-        "original": "                elif not _poly_mac(acc, pa, pb):\n                    del raw[key]\n",
-        "mutant": "                else:\n                    _poly_mac(acc, pa, pb)\n",
+        "original": "                elif not _poly_mac(acc, ca, cb).terms:\n                    del raw[key]\n",
+        "mutant": "                else:\n                    _poly_mac(acc, ca, cb)\n",
         "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
     },
     {
@@ -484,6 +484,49 @@ MUTANTS = [
         "original": "return _within(a.vars, _checked_bounds(a.vars, bounds), a.coeffs, a.bounds)",
         "mutant": "return _within(a.vars, tuple(bounds), a.coeffs, a.bounds)",
         "tests": ["tests/test_series.py::test_sums_truncations_and_derivatives_match_make"],
+    },
+    {
+        "name": "finish-without-content-gcd",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "        g = gcd(den, *terms.values())\n",
+        "mutant": "        g = 1\n",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "mac-merge-without-rescaling-the-accumulator",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "                for k in terms:\n                    terms[k] *= m\n",
+        "mutant": "",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "hash-ignores-the-denominator",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "return hash((frozenset(self.terms.items()), self.den))",
+        "mutant": "return hash(frozenset(self.terms.items()))",
+        "tests": ["tests/test_coeffpoly.py::test_hash_agrees_with_equality"],
+    },
+    {
+        "name": "render-order-cache-kept-on-re-rank",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "        _RENDERED.clear()  # every cached order holds the old ranks\n",
+        "mutant": "",
+        "tests": ["tests/test_coeffpoly.py::"
+                  "test_render_orders_parameters_by_name_whatever_their_creation_order"],
+    },
+    {
+        "name": "float-scalar-taken-as-its-binary-fraction",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "    raise TypeError(f\"not an exact scalar: {value!r}\")\n",
+        "mutant": "    return Fraction(value).as_integer_ratio()\n",
+        "tests": ["tests/test_coeffpoly.py::test_scalar_parts_are_checked"],
+    },
+    {
+        "name": "scheduler-drops-an-entry-queued-at-another-level",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "                pending[word] = entry  # queued at another level since\n",
+        "mutant": "",
+        "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     # Equivalent mutants: each changes no result, so the tests that run the
     # mutated code must still pass.

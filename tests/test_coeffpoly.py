@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from jetpoisson import coeffpoly
 from jetpoisson.coeffpoly import (
     Combination,
     ExponentOverflow,
@@ -89,15 +90,24 @@ def from_ref(ref):
     return total
 
 
+def assert_canonical(p):
+    """Int numerators, none zero, over a positive int denominator that
+    shares no factor with all of them; so zero has denominator 1."""
+    assert type(p.den) is int and p.den > 0, p.den
+    assert all(type(num) is int and num for num in p.terms.values()), p.terms
+    assert math.gcd(p.den, *p.terms.values()) == 1, (p.terms, p.den)
+
+
 def as_ref(p):
+    """The reference form of a canonical polynomial."""
+    assert_canonical(p)
     codes = [v.code for v in ORACLE_VARS]
     out = {}
-    for factors, (num, den) in p.sorted_terms():
+    for key, num in p.terms.items():
+        factors = coeffpoly._unpack(key)
         exps = dict(factors)
         assert len(exps) == len(factors) and set(exps) <= set(codes) and 0 not in exps.values()
-        exps = tuple(exps.get(code, 0) for code in codes)
-        assert exps not in out
-        out[exps] = Fraction(num, den)
+        out[tuple(exps.get(code, 0) for code in codes)] = Fraction(num, p.den)
     return out
 
 
@@ -172,7 +182,7 @@ def test_kernel_matches_naive_reference():
         scaled = ref_mul(rb, {(0, 0, 0): s} if s else {})
         assert as_ref(LaurentPoly.sum_of_products([(a, b), (b, s), (a, a)])) == \
             ref_add(ref_add(ref_mul(ra, rb), scaled), ref_mul(ra, ra))
-        assert LaurentPoly.sum_of_products([(a, b), (-a, b)]).terms == {}
+        assert as_ref(LaurentPoly.sum_of_products([(a, b), (-a, b)])) == {}
         assert as_ref(a + b) == ref_add(ra, rb)
         assert as_ref(a - b) == ref_add(ra, rb, -1)
         assert as_ref(-a) == ref_add({}, ra, -1)
@@ -213,6 +223,43 @@ def test_kernel_matches_naive_reference():
         assert LaurentPoly.sum_of_products(polys for polys, _ in group) == sum(
             (a * b for (a, b), _ in group), LaurentPoly.zero())
     assert substituted == {False: 270, True: 90}
+    # sums over denominators 2, 3 and 6 whose total is an integer, through
+    # every path that adds over a common denominator: the accumulator and
+    # the product are each brought to the lcm, and the sum comes out over 1
+    ra = {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 3)}
+    rb = {(1, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(2, 3)}
+    rc = {(1, 0, 0): Fraction(1, 6)}
+    a, b, c = from_ref(ra), from_ref(rb), from_ref(rc)
+    whole = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)}
+    assert ref_add(ref_add(ra, rb), rc) == whole
+    x2_third = from_ref({(0, 1, 0): Fraction(1, 3)})
+    ones = {k: LaurentPoly.one() for k in range(3)}
+    for total in (a + b + c, c + (b + a), a - (-b - c),
+                  LaurentPoly.sum_of_products([(a, 1), (b, 1), (c, 1)]),
+                  LaurentPoly.sum_of_products([(c, 1), (a, 1), (b, 1)]),
+                  Combination.product({0: a, 1: b, 2: c}, ones, lambda ka, kb: ka + kb)[2],
+                  Combination.masked_product({0: a, 1: b, 2: c}, ones, 8)[2],
+                  (x(1) + 3 * x(3)).substitute({x_var(3): x2_third}),
+                  (x(1) * Fraction(1, 2) + x(3)).substitute({x_var(3): x(1) * Fraction(1, 2) + x(2)})):
+        assert as_ref(total) == whole and total.den == 1
+    # products over 6, 6 and 3 summing to x1*x2, and a key that cancels
+    # over 6 beside one that does not
+    pairs = [(from_ref({(1, 0, 0): Fraction(1, 2)}), x2_third),
+             (from_ref({(1, 0, 0): Fraction(1, 3)}), from_ref({(0, 1, 0): Fraction(1, 2)})),
+             (from_ref({(1, 0, 0): Fraction(2, 3)}), x(2))]
+    assert as_ref(LaurentPoly.sum_of_products(pairs)) == {(1, 1, 0): Fraction(1)}
+    assert as_ref(LaurentPoly.sum_of_products(pairs + [(c, -6 * x(2)), (c, x(3))])) == \
+        {(1, 0, 1): Fraction(1, 6)}
+    # a content that cancels against den: 2*x1 + 4*x2 over 6 is x1 + 2*x2 over 3
+    sixth = Fraction(1, 6)
+    for third in ((2 * x(1) + 4 * x(2)) / 6,
+                  LaurentPoly.sum_of_products([(x(1), sixth), (x(1), sixth), (x(2), 4 * sixth)]),
+                  (x(1) * sixth + x(2) * (3 * sixth)) + (x(1) * sixth + x(2) * sixth),
+                  ((x(1, 2) + 4 * x(2) * x(1) + x(3)) * sixth).derivative(x_var(1)),
+                  ((2 * x(1) * x(3) + 4 * x(2) * x(3) + x(3, 2)) * sixth).coefficient(x_var(3), 1),
+                  ((2 * x(1) + 4 * x(2) + x(3, 3)) * sixth).drop_high_degree({x_var(3).code}, 2)):
+        assert as_ref(third) == {(1, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(2, 3)}
+        assert third.den == 3 and sorted(third.terms.values()) == [1, 2]
     # exponents past 2, with unbound variables left over in some terms
     ra = {(1, 3, 4): Fraction(2, 3), (-2, 0, 3): Fraction(5), (0, 4, 0): Fraction(-1, 2)}
     for bindings in ({1: {(1, 1, 0): Fraction(3, 4), (0, 0, 2): Fraction(1)}},
@@ -233,18 +280,16 @@ def test_kernel_matches_naive_reference():
 
 
 def test_degree_is_the_bound_drop_high_degree_keeps():
-    from jetpoisson import coeffpoly
-
     h = param("h")
     unused = z_var(78)
     # h is not invertible, so its negative exponents come from a raw key
-    h_negative = LaurentPoly({coeffpoly._pack(((h.code, -2), (x_var(1).code, 1))): (1, 1),
-                              coeffpoly._pack(((h.code, -1),)): (3, 1)})
+    h_negative = LaurentPoly({coeffpoly._pack(((h.code, -2), (x_var(1).code, 1))): 1,
+                              coeffpoly._pack(((h.code, -1),)): 3}, 1)
     rng = random.Random(29)
     refs = [{}, {(-2, 0, 0): Fraction(1), (-1, 1, 0): Fraction(3)}]
     refs += [random_ref(rng) for _ in range(40)]
     polys = [(from_ref(ra), ra) for ra in refs]
-    polys += [(LaurentPoly({}), {}), (h_negative, None), (LaurentPoly.var(h, 3) - 2, None)]
+    polys += [(LaurentPoly({}, 1), {}), (h_negative, None), (LaurentPoly.var(h, 3) - 2, None)]
     assert sum(not ra for _, ra in polys if ra is not None) >= 3  # zero polynomials
     for p, ra in polys:
         if ra is not None:
@@ -293,8 +338,6 @@ def test_exponents_outside_the_key_range_raise():
 
 
 def test_reads_of_an_unused_variable_see_exponent_zero():
-    from jetpoisson import coeffpoly
-
     unused = z_var(77)
     p = x(1, -1) * x(2) + 3
     assert p.coefficient(unused, 0) == p and p.coefficient(unused, 1) == 0
@@ -316,6 +359,26 @@ def test_scalar_parts_are_checked():
             LaurentPoly.const(bad)
     assert LaurentPoly.const((6, -4)) == Fraction(-3, 2)
     assert x(2) / (3, 2) == Fraction(2, 3) * x(2)
+    # every scalar operand of * and / takes the same check: a float is not
+    # the rational it was meant to be (0.1 is 3602879701896397/2^55), so it
+    # is refused like any other inexact or unknown scalar, and a (num, den)
+    # pair works with both
+    for bad in (0.1, 0.5, 2.0, "2", (1, 2.0), (1, 2, 3), [1, 2]):
+        with pytest.raises(TypeError):
+            x(1) * bad
+        with pytest.raises(TypeError):
+            bad * x(1)
+        with pytest.raises(TypeError):
+            x(1) / bad
+    half = LaurentPoly.const(Fraction(1, 2)) * x(1)
+    assert x(1) * (1, 2) == (1, 2) * x(1) == x(1) / 2 == x(1) / (2, 1) == half
+    assert x(1) * (6, -4) == x(1) / (-2, 3) == Fraction(-3, 2) * x(1)
+    assert (x(1) * (3, 6)).render() == "1/2*x1" and (x(1) / (4, 6)).render() == "3/2*x1"
+    assert (x(1) * (0, 5)).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        x(1) * (1, 0)
+    with pytest.raises(ZeroDivisionError):
+        x(1) / (0, 3)
 
 
 def test_hash_agrees_with_equality():
@@ -325,6 +388,12 @@ def test_hash_agrees_with_equality():
         assert {p: 1}.get(value) == 1 and {value: 1}.get(p) == 1
     assert {x(1) - x(1): "zero"}.get(0) == "zero"
     assert hash(x(1) + 1) == hash(1 + x(1))
+    # a constant that reaches an integer over a denominator is that integer
+    whole = LaurentPoly.const(Fraction(1, 2)) * 2
+    assert whole == 1 and hash(whole) == hash(1) == hash(LaurentPoly.one())
+    assert whole.terms == {0: 1} and whole.den == 1
+    # polynomials that differ only in the denominator hash apart
+    assert len({hash(x(1) / k) for k in range(1, 9)}) == 8
 
 
 def test_slot_order_never_reaches_output():
@@ -427,6 +496,11 @@ def test_render_orders_parameters_by_name_whatever_their_creation_order():
         "z, a = (LaurentPoly.var(param(name)) for name in ('zeta', 'alpha'))\n"
         "print((z + a).render())\n"
         "print((z * a * LaurentPoly.var(param('h'))).render())\n"
+        "# a parameter that sorts first re-ranks the others: no order cached\n"
+        "# before it may be compared with one made after it\n"
+        "aaa = LaurentPoly.var(param('aaa'))\n"
+        "print((z * a * LaurentPoly.var(param('h')) + aaa * z * LaurentPoly.var(param('h'))).render())\n"
+        "print((aaa + a + z).render())\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -434,9 +508,10 @@ def test_render_orders_parameters_by_name_whatever_their_creation_order():
     outputs = [
         subprocess.run([sys.executable, "-c", script, *order], capture_output=True,
                        env=env, check=True, timeout=120).stdout
-        for order in (("zeta", "alpha"), ("alpha", "zeta"))
+        for order in (("zeta", "alpha"), ("alpha", "zeta"), ("aaa", "zeta", "alpha"))
     ]
-    assert outputs[0] == outputs[1] == b"1*alpha + 1*zeta\n1*h*alpha*zeta\n"
+    assert outputs[0] == outputs[1] == outputs[2] == (
+        b"1*alpha + 1*zeta\n1*h*alpha*zeta\n1*h*aaa*zeta + 1*h*alpha*zeta\n1*aaa + 1*alpha + 1*zeta\n")
 
 
 def test_variable_identity_and_invertibility():
@@ -553,20 +628,20 @@ def test_power_and_division():
     assert x(1) ** -2 == x(1, -2)
 
 
-@pytest.mark.parametrize("value, terms", [
-    (5, {0: (5, 1)}), (-7, {0: (-7, 1)}), (2 ** 100, {0: (2 ** 100, 1)}), (0, {}),
-    (True, {0: (1, 1)}), (False, {}),
-    (Fraction(6, 4), {0: (3, 2)}), (Fraction(-3), {0: (-3, 1)}), (Fraction(0), {}),
-    ((6, -4), {0: (-3, 2)}), ((4, 2), {0: (2, 1)}), ((0, 5), {}),
+@pytest.mark.parametrize("value, terms, den", [
+    (5, {0: 5}, 1), (-7, {0: -7}, 1), (2 ** 100, {0: 2 ** 100}, 1), (0, {}, 1),
+    (True, {0: 1}, 1), (False, {}, 1),
+    (Fraction(6, 4), {0: 3}, 2), (Fraction(-3), {0: -3}, 1), (Fraction(0), {}, 1),
+    ((6, -4), {0: -3}, 2), ((4, 2), {0: 2}, 1), ((0, 5), {}, 1),
 ], ids=["int", "negative-int", "big-int", "zero", "true", "false", "fraction",
         "integral-fraction", "zero-fraction", "pair", "reducible-pair", "zero-pair"])
-def test_const_builds_reduced_int_terms(value, terms):
-    """An int is stored as (value, 1) without a Fraction; bool, Fraction and
-    (num, den) are reduced as before; zero in any form is the shared zero."""
+def test_const_builds_reduced_int_terms(value, terms, den):
+    """An int is stored as its own numerator over 1 without a Fraction;
+    bool, Fraction and (num, den) are reduced to a numerator over a positive
+    denominator; zero in any form is the shared zero."""
     p = LaurentPoly.const(value)
-    assert p.terms == terms
-    for num, den in p.terms.values():
-        assert type(num) is int and type(den) is int
+    assert p.terms == terms and p.den == den
+    assert all(type(num) is int for num in p.terms.values()) and type(p.den) is int
     if not terms:
         assert p is LaurentPoly.zero()
     assert p == Fraction(*value) if isinstance(value, tuple) else p == value

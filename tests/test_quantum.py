@@ -584,7 +584,7 @@ def test_batched_normal_forms_match_per_word_reduction(monkeypatch, name):
     assert sum(sizes) == len(normal_forms) > 100
     for word, nf in normal_forms.items():
         want = qt.nc_reduce(qt.nc_word(R.n_gens, R.h_order, word), R).terms
-        assert nf == [(w, v.terms) for w, v in want.items()], (name, word)
+        assert nf == list(want.items()), (name, word)
 
 
 @pytest.mark.parametrize("which, h_order", [("R2", None), ("R2", 2), ("R1", None)])
