@@ -81,6 +81,7 @@ _SLOT: dict[int, int] = {}     # variable code -> slot
 _SLOT_CODE: list[int] = []     # slot -> variable code
 _BIAS = 0                      # _HALF in every slot's field
 _TOP = 0                       # the top bit of every slot's field
+_new = object.__new__
 
 
 def _slot(code: int) -> int:
@@ -167,7 +168,9 @@ def _poly_scale(p, num, den):
 
 
 def _poly_mac(acc, p, q, cap=None):
-    """acc += p*q, mutating and returning acc, a raw `LaurentPoly`.
+    """acc += p*q, mutating and returning acc, a raw `LaurentPoly`; with acc
+    None, p*q as a fresh raw `LaurentPoly` over p.den * q.den, the one entry
+    for a product that starts a sum.
 
     The numerators of p*q are over p.den * q.den; when that differs from
     acc's denominator, both sides are brought to the lcm once, before the
@@ -179,20 +182,26 @@ def _poly_mac(acc, p, q, cap=None):
     pt, qt = p.terms, q.terms
     if len(pt) > len(qt):
         pt, qt = qt, pt
-    terms, d = acc.terms, p.den * q.den
-    if d != acc.den:
-        if not terms:
-            acc.den = d
-        else:
-            den = lcm(acc.den, d)
-            if den != acc.den:
-                m = den // acc.den
-                for k in terms:
-                    terms[k] *= m
-                acc.den = den
-            if den != d:
-                m = den // d
-                pt = {k: n * m for k, n in pt.items()}
+    d = p.den * q.den
+    if acc is None:
+        acc = _new(LaurentPoly)  # no __init__ frame: this is the hot fresh product
+        acc.terms = terms = {}
+        acc.den = d
+    else:
+        terms = acc.terms
+        if d != acc.den:
+            if not terms:
+                acc.den = d
+            else:
+                den = lcm(acc.den, d)
+                if den != acc.den:
+                    m = den // acc.den
+                    for k in terms:
+                        terms[k] *= m
+                    acc.den = den
+                if den != d:
+                    m = den // d
+                    pt = {k: n * m for k, n in pt.items()}
     bias, top = _BIAS, _TOP
     for ka, na in pt.items():
         for kb, nb in qt.items():
@@ -350,8 +359,14 @@ def _scalar(value) -> tuple[int, int]:
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial over the rationals: integer
-    numerators over one positive common denominator."""
+    """Sparse Laurent polynomial over the rationals: integer numerators over
+    one positive common denominator, immutable once canonical.
+
+    A raw accumulator of `_poly_mac` is an instance too, but one that is
+    mutated in place and may be non-canonical, so `==` and `hash` give wrong
+    answers for it: it is not compared, hashed or shared (each has one
+    owner, which hands it on whole) until `_poly_finish` has made it
+    canonical."""
 
     __slots__ = ("terms", "den")
 
@@ -426,7 +441,7 @@ class LaurentPoly:
         if other.__class__ is not LaurentPoly:
             num, den = _scalar(other)
             return _poly_scale(self, num, den)
-        return _poly_finish(_poly_mac(LaurentPoly({}, 1), self, other))
+        return _poly_finish(_poly_mac(None, self, other))
 
     __rmul__ = __mul__
 
@@ -549,7 +564,7 @@ class LaurentPoly:
                 powers.append(LaurentPoly({leftover: 1}, 1))
             factor = LaurentPoly({0: num}, self.den)
             for powed in powers[:-1]:
-                factor = _poly_mac(LaurentPoly({}, 1), factor, powed)
+                factor = _poly_mac(None, factor, powed)
             _poly_mac(acc, factor, powers[-1])
         return _poly_finish(acc)
 
@@ -689,7 +704,7 @@ class Combination(dict):
                     continue
                 acc = raw.get(key)
                 if acc is None:
-                    acc = _poly_mac(LaurentPoly({}, 1), ca, cb, cap)
+                    acc = _poly_mac(None, ca, cb, cap)
                     if acc.terms:
                         raw[key] = acc
                 elif not _poly_mac(acc, ca, cb, cap).terms:
@@ -712,7 +727,7 @@ class Combination(dict):
                     continue
                 acc = raw.get(key)
                 if acc is None:
-                    acc = _poly_mac(LaurentPoly({}, 1), ca, cb)
+                    acc = _poly_mac(None, ca, cb)
                     if acc.terms:
                         raw[key] = acc
                 elif not _poly_mac(acc, ca, cb).terms:

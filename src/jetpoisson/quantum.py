@@ -236,24 +236,17 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     for level, heap in enumerate(heaps):
         while heap:
             word = heapq.heappop(heap)
-            entry = pending.pop(word, None)
-            if entry is None:
-                continue  # cancelled or rewritten since
-            if entry[2] != level:
-                pending[word] = entry  # queued at another level since
-                continue
-            coeff, bound, _ = entry
+            if pending.get(word, (0, 0, -1))[2] != level:
+                continue  # cancelled, rewritten or queued lower since
+            coeff, bound, _ = pending.pop(word)
             low, g = guards[word.bit_length()]
             ascents = (word + low - (word >> width)) & g
-            # the shift of the leftmost ascent's right letter
-            shift = ascents.bit_length() - width
-            if rng is not None:
-                sites = []
-                while ascents:
-                    shift = ascents.bit_length() - width
-                    sites.append(shift)
-                    ascents &= (1 << shift) - 1
-                shift = rng.choice(sites)
+            sites = []  # the shift of each ascent's right letter, leftmost first
+            while ascents:
+                shift = ascents.bit_length() - width
+                sites.append(shift)
+                ascents &= (1 << shift) - 1
+            shift = sites[0] if rng is None else rng.choice(sites)
             pair = word >> shift & pair_mask
             i, j = pair >> width, pair & letter
             tail = R.tail(i, j)  # once per step: perfbench counts rewrite steps here
@@ -278,7 +271,7 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
                 if (new + low - (new >> width)) & g:
                     entry = pending.get(new)
                     if entry is None:
-                        c = coeff if c2 is None else _poly_mac(LaurentPoly({}, 1), coeff, c2, capped)
+                        c = coeff if c2 is None else _poly_mac(None, coeff, c2, capped)
                         if c.terms:
                             pending[new] = [c, b, lev]
                             heapq.heappush(heaps[lev], new)
@@ -292,7 +285,7 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
                 else:
                     c = done.get(new)
                     if c is None:
-                        c = coeff if c2 is None else _poly_mac(LaurentPoly({}, 1), coeff, c2, capped)
+                        c = coeff if c2 is None else _poly_mac(None, coeff, c2, capped)
                         if c.terms:
                             done[new] = c
                     elif not _poly_mac(c, coeff, one if c2 is None else c2, capped).terms:
@@ -396,12 +389,12 @@ def tensor_reduce(a: Combination, R: RelationSet,
     for (lw, rw), c in a.items():
         right = normal_forms[rw]
         for wl, u in normal_forms[lw]:
-            cu = _poly_mac(LaurentPoly({}, 1), c, u)
+            cu = _poly_mac(None, c, u)
             for wr, v in right:
                 key = (wl, wr)
                 acc = raw.get(key)
                 if acc is None:
-                    acc = _poly_mac(LaurentPoly({}, 1), cu, v, cap)
+                    acc = _poly_mac(None, cu, v, cap)
                     if acc.terms:
                         raw[key] = acc
                 elif not _poly_mac(acc, cu, v, cap).terms:

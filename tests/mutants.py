@@ -495,8 +495,15 @@ MUTANTS = [
     {
         "name": "mac-merge-without-rescaling-the-accumulator",
         "file": "src/jetpoisson/coeffpoly.py",
-        "original": "                for k in terms:\n                    terms[k] *= m\n",
+        "original": "                    for k in terms:\n                        terms[k] *= m\n",
         "mutant": "",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "fresh-product-over-denominator-one",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "        acc.terms = terms = {}\n        acc.den = d\n",
+        "mutant": "        acc.terms = terms = {}\n        acc.den = 1\n",
         "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
     },
     {
@@ -520,13 +527,6 @@ MUTANTS = [
         "original": "    raise TypeError(f\"not an exact scalar: {value!r}\")\n",
         "mutant": "    return Fraction(value).as_integer_ratio()\n",
         "tests": ["tests/test_coeffpoly.py::test_scalar_parts_are_checked"],
-    },
-    {
-        "name": "scheduler-drops-an-entry-queued-at-another-level",
-        "file": "src/jetpoisson/quantum.py",
-        "original": "                pending[word] = entry  # queued at another level since\n",
-        "mutant": "",
-        "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     # Equivalent mutants: each changes no result, so the tests that run the
     # mutated code must still pass.

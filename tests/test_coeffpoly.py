@@ -107,7 +107,9 @@ def as_ref(p):
         factors = coeffpoly._unpack(key)
         exps = dict(factors)
         assert len(exps) == len(factors) and set(exps) <= set(codes) and 0 not in exps.values()
-        out[tuple(exps.get(code, 0) for code in codes)] = Fraction(num, p.den)
+        exps = tuple(exps.get(code, 0) for code in codes)
+        assert exps not in out
+        out[exps] = Fraction(num, p.den)
     return out
 
 
