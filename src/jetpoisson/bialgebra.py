@@ -14,6 +14,7 @@ below exact instances of the corresponding infinite systems.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -131,14 +132,12 @@ def verify_cocycle(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
               for n, table in alpha.alpha.items()}
     lo = alpha.min_index
     top = min(N, alpha.upper)
-    params = {"N": N, "min_index": lo, "levels": top}
-    checked = 0
-    for n in range(lo, top + 1):
-        for m in range(lo, top + 1):
-            if n == m:
-                continue
-            if n + m > alpha.upper:
-                continue  # target level not stored; equation undecidable here
+    params = {"N": N, "min_index": lo, "levels": top, "checked": 0}
+
+    def cases():
+        for n, m in itertools.product(range(lo, top + 1), repeat=2):
+            if n == m or n + m > alpha.upper:
+                continue  # n == m gives no equation; level n + m past upper is not stored
             candidates = set(alpha.alpha.get(n + m, {}).keys())
             for (a, b) in alpha.alpha.get(m, {}):
                 candidates.add((a + n, b))
@@ -153,14 +152,11 @@ def verify_cocycle(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
                 weighted = ((top_m.get((i, j)), n - m),
                             (at_m.get((i - n, j)), i - 2 * n), (at_m.get((i, j - n)), j - 2 * n),
                             (at_n.get((i - m, j)), 2 * m - i), (at_n.get((i, j - m)), 2 * m - j))
-                residual = LaurentPoly.sum_of_products(
+                params["checked"] += 1
+                yield (n, m, i, j), LaurentPoly.sum_of_products(
                     (c, w) for c, w in weighted if c is not None)
-                checked += 1
-                if not residual.is_zero():
-                    params["checked"] = checked
-                    return rep.failed("cocycle", (n, m, i, j), residual.render(), **params)
-    params["checked"] = checked
-    return rep.passed("cocycle", **params)
+
+    return rep.first_failure("cocycle", cases(), params)
 
 
 def verify_cojacobi(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
@@ -246,14 +242,9 @@ def cybe_residual(r: RMatrix, n: int, j: int, l: int) -> LaurentPoly:
 
 
 def verify_cybe(r: RMatrix, N: int) -> rep.VerificationReport:
-    params = {"N": N, "min_index": r.min_index}
-    for n in range(r.min_index, N + 1):
-        for j in range(n + 1, N + 1):
-            for l in range(j + 1, N + 1):
-                residual = cybe_residual(r, n, j, l)
-                if not residual.is_zero():
-                    return rep.failed("cybe", (n, j, l), residual.render(), **params)
-    return rep.passed("cybe", **params)
+    cases = (((n, j, l), cybe_residual(r, n, j, l))
+             for n, j, l in itertools.combinations(range(r.min_index, N + 1), 3))
+    return rep.first_failure("cybe", cases, {"N": N, "min_index": r.min_index})
 
 
 def rr_tensor(r: RMatrix) -> Combination:

@@ -17,6 +17,7 @@ exponents overflow a series or monomial field.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from fractions import Fraction
@@ -98,46 +99,39 @@ def _phi_from_args(args) -> pl.PhiFunction:
     raise ConfigError(f"unknown phi family {args.phi!r}")
 
 
+def _differences(a: jg.JetElement, b: jg.JetElement, top: int):
+    """The cases ((i,), a_i - b_i) of coordinates 1..top."""
+    return (((i,), a.coord(i) - b.coord(i)) for i in range(1, top + 1))
+
+
 def suite_group(args) -> list[rep.VerificationReport]:
     n = args.n
     x, y, z = (jg.symbolic_jet(n, letter) for letter in "xyz")
-    lhs = jg.jet_compose(jg.jet_compose(x, y), z)
-    rhs = jg.jet_compose(x, jg.jet_compose(y, z))
-    records = []
-    bad = [i for i in range(1, n + 1) if lhs.coord(i) != rhs.coord(i)]
-    if bad:
-        records.append(rep.failed("group-associativity", (bad[0],),
-                                  (lhs.coord(bad[0]) - rhs.coord(bad[0])).render(), n=n))
-    else:
-        records.append(rep.passed("group-associativity", n=n))
-    e = jg.jet_identity(n)
-    ok = all(jg.jet_compose(x, e).coord(i) == x.coord(i) for i in range(1, n + 1))
-    ok = ok and all(jg.jet_compose(e, x).coord(i) == x.coord(i) for i in range(1, n + 1))
-    records.append(rep.passed("group-identity", n=n) if ok
-                   else rep.failed("group-identity", (0,), "identity law broken", n=n))
-    xb = jg.jet_inverse(x)
-    ok = all(jg.jet_compose(x, xb).coord(i) == e.coord(i) for i in range(1, n + 1))
-    records.append(rep.passed("group-inverse", n=n) if ok
-                   else rep.failed("group-inverse", (0,), "inverse law broken", n=n))
-    # left-invariant fields and their bracket
+    xy, e, xb = jg.jet_compose(x, y), jg.jet_identity(n), jg.jet_inverse(x)
+    laws = {
+        "group-associativity": _differences(
+            jg.jet_compose(xy, z), jg.jet_compose(x, jg.jet_compose(y, z)), n),
+        "group-identity": itertools.chain(_differences(jg.jet_compose(x, e), x, n),
+                                          _differences(jg.jet_compose(e, x), x, n)),
+        "group-inverse": itertools.chain(_differences(jg.jet_compose(x, xb), e, n),
+                                         _differences(jg.jet_compose(xb, x), e, n)),
+    }
+    records = [rep.first_failure(name, cases, {"n": n}) for name, cases in laws.items()]
+    # left-invariant fields and their bracket [X_a, X_b] = (a - b) X_{a+b-1}
     top = min(n, 6)
 
-    def bracket_ok(a, b):
-        got = jg.vf_commutator(jg.left_invariant_field(a, n), jg.left_invariant_field(b, n))
-        return got == jg.left_invariant_field(a + b - 1, n).map(lambda c: c * (a - b))
+    def bracket_cases():
+        for a in range(1, top + 1):
+            for b in range(1, top + 1):
+                diff = jg.vf_commutator(jg.left_invariant_field(a, n), jg.left_invariant_field(b, n))
+                diff.add_all(jg.left_invariant_field(a + b - 1, n), b - a)
+                yield (a, b), diff[min(diff)] if diff else LaurentPoly.zero()
 
-    pairs = ((a, b) for a in range(1, top + 1) for b in range(1, top + 1))
-    bad_pair = next((pair for pair in pairs if not bracket_ok(*pair)), None)
-    records.append(rep.passed("field-bracket", n=n) if bad_pair is None
-                   else rep.failed("field-bracket", bad_pair, "bracket table broken", n=n))
+    records.append(rep.first_failure("field-bracket", bracket_cases(), {"n": n}))
     m = max(1, n - 2)
-    proj_ok = all(
-        jg.jet_project(jg.jet_compose(x, y), m).coord(i)
-        == jg.jet_compose(jg.jet_project(x, m), jg.jet_project(y, m)).coord(i)
-        for i in range(1, m + 1)
-    )
-    records.append(rep.passed("projection-homomorphism", n=n, m=m) if proj_ok
-                   else rep.failed("projection-homomorphism", (m,), "projection broken", n=n, m=m))
+    records.append(rep.first_failure("projection-homomorphism", _differences(
+        jg.jet_project(xy, m), jg.jet_compose(jg.jet_project(x, m), jg.jet_project(y, m)), m),
+        {"n": n, "m": m}))
     return records
 
 
@@ -151,15 +145,10 @@ def suite_poisson(args) -> list[rep.VerificationReport]:
     if args.phi == "power":
         # one record per bracket pair: the two construction paths must agree
         closed = pl.omega_power_closed_form(args.d, args.n)
-        for i in range(1, args.n + 1):
-            for j in range(i + 1, args.n + 1):
-                if closed.bracket(i, j) == omega.bracket(i, j):
-                    records.append(rep.passed("bracket-match", i=i, j=j, d=args.d))
-                else:
-                    records.append(rep.failed(
-                        "bracket-match", (i, j),
-                        (closed.bracket(i, j) - omega.bracket(i, j)).render(),
-                        i=i, j=j, d=args.d))
+        for i, j in itertools.combinations(range(1, args.n + 1), 2):
+            records.append(rep.first_failure(
+                "bracket-match", [((i, j), closed.bracket(i, j) - omega.bracket(i, j))],
+                {"i": i, "j": j, "d": args.d}))
     records.extend([
         pl.verify_jacobi(omega, check_max=args.n),
         pl.verify_multiplicativity(omega, check_max=args.n),
@@ -178,10 +167,11 @@ def suite_phi(args) -> list[rep.VerificationReport]:
         phi = pl.phi_extended_family(d, lam, (args.degree or 12) + 1)
         records.append(pl.verify_phi_equation(phi, args.degree or 12))
     bad = pl.phi_from_table({(1, 2): 1, (1, 3): 1}, 1, 4, exact=True, provenance="invalid-table")
+    # passes when the check fails; an uncaught table is named by the degree checked
     r = pl.verify_phi_equation(bad, 6)
     records.append(rep.passed("phi-equation-negative-control", witness=str(tuple(r.witness["indices"])))
                    if r.status == "fail"
-                   else rep.failed("phi-equation-negative-control", (0, 0, 0), "control not caught"))
+                   else rep.failed("phi-equation-negative-control", (6,), LaurentPoly.zero().render()))
     return records
 
 
@@ -189,9 +179,8 @@ def suite_bialgebra(args) -> list[rep.VerificationReport]:
     records = []
     expected = [Fraction(1), Fraction(3), Fraction(5), Fraction(64, 9), Fraction(28, 3)]
     seq = ba.witt_a_sequence(7)
-    ok = seq[:5] == expected
-    records.append(rep.passed("witt-a-sequence", a7=str(seq[5])) if ok
-                   else rep.failed("witt-a-sequence", (2,), "a2..a6 broken"))
+    cases = (((k,), LaurentPoly.const(a - b)) for k, a, b in zip(range(2, 7), seq, expected))
+    records.append(rep.first_failure("witt-a-sequence", cases, {"a7": str(seq[5])}))
     for d in range(1, 6):
         r = ba.r_from_phi(pl.phi_power_family(d))
         cb = ba.coboundary(r, args.n + 10)
@@ -224,16 +213,15 @@ def suite_classify(args) -> list[rep.VerificationReport]:
     records = []
     mu = LaurentPoly.var(param("mu"))
     table = ba.classify_branch_d(2, {4: mu}, 9)
-    ok = table.coeff(1, 5) == mu * mu and table.coeff(2, 3) == -mu
-    records.append(rep.passed("branch-d-forced-entries", d=2) if ok
-                   else rep.failed("branch-d-forced-entries", (1, 5), table.coeff(1, 5).render(), d=2))
+    records.append(rep.first_failure("branch-d-forced-entries", [
+        ((1, 5), table.coeff(1, 5) - mu * mu), ((2, 3), table.coeff(2, 3) + mu)], {"d": 2}))
     lam = LaurentPoly.var(param("lam"))
     geo = {n: lam ** (n - 3) for n in [4] + list(range(6, 16))}
     tab = ba.classify_branch_d(2, geo, 15)
     phi = pl.phi_extended_family(2, lam, 13)
-    ok = all(tab.coeff(m, n) == phi.coeff(m, n) for m in range(1, 14) for n in range(1, 14))
-    records.append(rep.passed("branch-d-geometric-specialization", d=2) if ok
-                   else rep.failed("branch-d-geometric-specialization", (0, 0), "tables differ", d=2))
+    records.append(rep.first_failure("branch-d-geometric-specialization", (
+        ((m, n), tab.coeff(m, n) - phi.coeff(m, n)) for m in range(1, 14) for n in range(1, 14)),
+        {"d": 2}))
     free = {n: LaurentPoly.var(param(f"a{n}")) for n in range(2, 8)}
     g0 = ba.classify_g0_branch(free, 6)
     records.append(pl.verify_phi_equation(g0, 5))

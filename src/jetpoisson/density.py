@@ -178,11 +178,9 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
     rhs = ts.add(t1, ts.scale(ts.add(ts.add(t2, t3), ts.add(t4, t5)), t * t))
 
     residual = ts.sub(lhs, rhs)
-    params = {"n": n, "provenance": phi.provenance, "lam": lam.render()}
-    if residual.is_zero():
-        return rep.passed("density-action", **params)
-    exps = min(residual.coeffs, key=lambda e: (sum(e), e))
-    return rep.failed("density-action", exps, residual.coeffs[exps].render(), **params)
+    return rep.first_failure(
+        "density-action", sorted(residual.coeffs.items(), key=lambda item: (sum(item[0]), item[0])),
+        {"n": n, "provenance": phi.provenance, "lam": lam.render()})
 
 
 def verify_density_jacobi(phi: PhiFunction, lam, n: int,

@@ -269,9 +269,9 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
     finite block, so boundary triples are skipped and counted)."""
     top = omega.n if check_max is None else min(check_max, omega.n)
     lo = omega.start_index
-    checked = skipped = 0
     indices = range(lo, top + 1)
-    params = {"n": omega.n, "start": omega.start_index, "check_max": top}
+    params = {"n": omega.n, "start": omega.start_index, "check_max": top,
+              "checked": 0, "skipped": 0}
     gradients: dict = {}
 
     def gradient(b, c):
@@ -288,30 +288,28 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
                         grad.append((v.index, dv))
         return grad
 
-    for (j, k, l) in itertools.combinations(indices, 3):
-        ok = True
-        pairs = []
-        # {l, j} = -{j, l}, so its term {i, k} d{l, j}/dx_i is {k, i} d{j, l}/dx_i
-        for a, (b, c), flip in ((j, (k, l), False), (k, (j, l), True), (l, (j, k), False)):
-            for i, dv in gradient(b, c):
-                if i == a:
-                    continue
-                if max(i, a) > omega.n:
-                    ok = False
+    def cases():
+        for (j, k, l) in itertools.combinations(indices, 3):
+            ok = True
+            pairs = []
+            # {l, j} = -{j, l}, so its term {i, k} d{l, j}/dx_i is {k, i} d{j, l}/dx_i
+            for a, (b, c), flip in ((j, (k, l), False), (k, (j, l), True), (l, (j, k), False)):
+                for i, dv in gradient(b, c):
+                    if i == a:
+                        continue
+                    if max(i, a) > omega.n:
+                        ok = False
+                        break
+                    pairs.append((omega.bracket(a, i) if flip else omega.bracket(i, a), dv))
+                if not ok:
                     break
-                pairs.append((omega.bracket(a, i) if flip else omega.bracket(i, a), dv))
             if not ok:
-                break
-        if not ok:
-            skipped += 1
-            continue
-        checked += 1
-        residual = LaurentPoly.sum_of_products(pairs)
-        if not residual.is_zero():
-            params.update(checked=checked, skipped=skipped)
-            return rep.failed("jacobi", (j, k, l), residual.render(), **params)
-    params.update(checked=checked, skipped=skipped)
-    return rep.passed("jacobi", **params)
+                params["skipped"] += 1
+                continue
+            params["checked"] += 1
+            yield (j, k, l), LaurentPoly.sum_of_products(pairs)
+
+    return rep.first_failure("jacobi", cases(), params)
 
 
 def verify_multiplicativity(omega: PoissonStructure,
@@ -395,25 +393,25 @@ def _congruence_check(name, params, lo, hi, lhs, parts, sign=-1, reduce=None):
             W.setdefault(l, ([], []))[0].append((k, w))
             W.setdefault(k, ([], []))[1].append((l, w))
         columns.append((J, W))
-    for i in range(lo, hi):  # the last i pairs with no j
-        rows = []
-        for J, W in columns:
-            Ji, U = J[i], {}
-            for l, sides in W.items():
-                plus, minus = (LaurentPoly.sum_of_products((Ji[k], w) for k, w in side if k in Ji)
-                               for side in sides)
-                if plus != minus:
-                    U[l] = plus - minus if sign > 0 else minus - plus
-            rows.append((J, U))
-        for j in range(i + 1, hi + 1):
-            residual = LaurentPoly.sum_of_products(
-                [(lhs(i, j), LaurentPoly.one())]
-                + [(U[l], d) for J, U in rows for l, d in J[j].items() if l in U])
-            if reduce is not None:
-                residual = reduce(residual)
-            if not residual.is_zero():
-                return rep.failed(name, (i, j), residual.render(), **params)
-    return rep.passed(name, **params)
+
+    def cases():
+        for i in range(lo, hi):  # the last i pairs with no j
+            rows = []
+            for J, W in columns:
+                Ji, U = J[i], {}
+                for l, sides in W.items():
+                    plus, minus = (LaurentPoly.sum_of_products(
+                        (Ji[k], w) for k, w in side if k in Ji) for side in sides)
+                    if plus != minus:
+                        U[l] = plus - minus if sign > 0 else minus - plus
+                rows.append((J, U))
+            for j in range(i + 1, hi + 1):
+                residual = LaurentPoly.sum_of_products(
+                    [(lhs(i, j), LaurentPoly.one())]
+                    + [(U[l], d) for J, U in rows for l, d in J[j].items() if l in U])
+                yield (i, j), residual if reduce is None else reduce(residual)
+
+    return rep.first_failure(name, cases(), params)
 
 
 def phi_equation_series(phi: PhiFunction, bound: int) -> ts.TruncSeries:
@@ -455,10 +453,8 @@ def verify_phi_equation(phi: PhiFunction, dcheck: int) -> rep.VerificationReport
     phi.ensure_degree(dcheck + 1, "verify_phi_equation")
     residual = phi_equation_series(phi, dcheck)
     params = {"dcheck": dcheck, "provenance": phi.provenance}
-    if residual.is_zero():
-        return rep.passed("phi-equation", **params)
-    exps, c = min(residual.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
-    return rep.failed("phi-equation", exps, c.render(), **params)
+    return rep.first_failure("phi-equation", sorted(
+        residual.coeffs.items(), key=lambda item: (sum(item[0]), item[0])), params)
 
 
 def quadric_residual(phi: PhiFunction, k: int, n: int, r: int) -> LaurentPoly:

@@ -443,11 +443,15 @@ def verify_delta_homomorphism(R: RelationSet) -> rep.VerificationReport:
         diff.add_all(delta_of_element(R.tail(i, j), R), -1)
         residual = tensor_reduce(diff, R, normal_forms)
         if residual:
-            (lw, rw) = min(residual, key=lambda k: (len(k[0]) + len(k[1]), k))
-            txt = (f"({residual[(lw, rw)].render()}) "
-                   f"{' '.join(_word_factors(lw)) or '1'} (x) {' '.join(_word_factors(rw)) or '1'}")
-            return rep.failed("delta-homomorphism", (i, j), txt, **params)
+            key = min(residual, key=lambda k: (len(k[0]) + len(k[1]), k))
+            return rep.failed("delta-homomorphism", (i, j), _tensor_text(residual[key], key),
+                              **params)
     return rep.passed("delta-homomorphism", **params)
+
+
+def _tensor_text(c: LaurentPoly, words: tuple) -> str:
+    """``(c) x1 (x) x2^2``: a coefficient and the tensor factors of its key."""
+    return f"({c.render()}) " + " (x) ".join(" ".join(_word_factors(w)) or "1" for w in words)
 
 
 def counit(a: NCElement) -> LaurentPoly:
@@ -468,31 +472,23 @@ def verify_counit_coassoc(R: RelationSet) -> rep.VerificationReport:
             return rep.failed("counit-coassoc", (i, j), residual.render(), **params)
     deltas: dict = {}  # shared by the generators: each prefix's Delta is built once
     for i in range(1, R.n_gens + 1):
-        di = delta_generator(i)
-        left = Combination()
-        right = Combination()
-        for (lw, rw), c in di.items():
+        # (c (x) id) Delta, (id (x) c) Delta, and both sides of coassociativity
+        left, right, lhs, rhs = Combination(), Combination(), Combination(), Combination()
+        for (lw, rw), c in delta_generator(i).items():
             if all(g == 1 for g in lw):
-                left.add(rw, c)
+                left.add((rw,), c)
             if all(g == 1 for g in rw):
-                right.add(lw, c)
-        gen = {(i,): LaurentPoly.one()}
-        if left != gen:
-            return rep.failed("counit-coassoc", (i,), "(c (x) id) Delta != id", **params)
-        if right != gen:
-            return rep.failed("counit-coassoc", (i,), "(id (x) c) Delta != id", **params)
-        # coassociativity on the generator
-        lhs = Combination()
-        rhs = Combination()
-        for (lw, rw), c in di.items():
+                right.add((lw,), c)
             for (a2, b2), c2 in _delta_of_word(lw, deltas, R).items():
                 lhs.add((a2, b2, rw), c * c2)
             for (a2, b2), c2 in _delta_of_word(rw, deltas, R).items():
                 rhs.add((lw, a2, b2), c * c2)
-        if lhs != rhs:
-            keys = sorted(set(lhs) | set(rhs))
-            bad = next(k for k in keys if lhs.get(k) != rhs.get(k))
-            return rep.failed("counit-coassoc", (i,), f"coassociativity differs at {bad}", **params)
+        gen = Combination({((i,),): LaurentPoly.one()})
+        for a, b in ((left, gen), (right, gen), (lhs, rhs)):
+            if a != b:  # a - b at the first key, in sorted order, where they differ
+                key = next(k for k in sorted(set(a) | set(b)) if a[k] != b[k])
+                return rep.failed("counit-coassoc", (i,), _tensor_text(a[key] - b[key], key),
+                                  **params)
     return rep.passed("counit-coassoc", **params)
 
 

@@ -3,6 +3,10 @@
 Every verifier in the package returns one (or a list of) VerificationReport;
 the record is deterministic: parameters are emitted with sorted keys and the
 witness carries the first offending index tuple plus a rendered residual.
+``first_failure`` makes the record of every check whose witness is its first
+nonzero residual: cocycle, CYBE, Jacobi, multiplicativity, inversion, the
+phi equation, the density action, and the CLI's group, bracket-match,
+Witt-sequence and branch-d records.
 """
 
 from __future__ import annotations
@@ -54,6 +58,17 @@ def failed(check: str, indices, residual: str, **params) -> VerificationReport:
     return VerificationReport(
         check, params, "fail", {"indices": list(indices), "residual": residual}
     )
+
+
+def first_failure(check: str, cases, params: dict) -> VerificationReport:
+    """The failed record of the first nonzero residual of ``cases``, an
+    iterable of (indices, residual) pairs in the check's own order, rendered;
+    the passed record if there is none.  ``params`` is read only when the
+    record is made, so a check may count into it as it yields."""
+    for indices, residual in cases:
+        if not residual.is_zero():
+            return failed(check, indices, residual.render(), **params)
+    return passed(check, **params)
 
 
 def emit_report(records: list[VerificationReport], fmt: str = "json") -> str:

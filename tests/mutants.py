@@ -298,8 +298,8 @@ MUTANTS = [
     {
         "name": "field-bracket-sign-flipped",
         "file": "src/jetpoisson/cli.py",
-        "original": "lambda c: c * (a - b)",
-        "mutant": "lambda c: c * (b - a)",
+        "original": "diff.add_all(jg.left_invariant_field(a + b - 1, n), b - a)",
+        "mutant": "diff.add_all(jg.left_invariant_field(a + b - 1, n), a - b)",
         "tests": ["tests/test_report_cli.py::test_cli_pass_and_exit_status"],
     },
     {
@@ -433,6 +433,41 @@ MUTANTS = [
                   "tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
     },
     {
+        "name": "first-failure-reports-the-last-nonzero-case",
+        "file": "src/jetpoisson/report.py",
+        "original": "            return failed(check, indices, residual.render(), **params)\n"
+                    "    return passed(check, **params)\n",
+        "mutant": "            last = failed(check, indices, residual.render(), **params)\n"
+                  "    return locals().get(\"last\") or passed(check, **params)\n",
+        "tests": ["tests/test_report_cli.py::test_field_bracket_reports_the_first_broken_pair"],
+    },
+    {
+        "name": "group-inverse-drops-the-left-order",
+        "file": "src/jetpoisson/cli.py",
+        "original": "_differences(jg.jet_compose(x, xb), e, n),\n"
+                    "                                         _differences(jg.jet_compose(xb, x), e, n)),",
+        "mutant": "_differences(jg.jet_compose(x, xb), e, n)),",
+        "tests": ["tests/test_report_cli.py::test_group_inverse_checks_the_left_inverse"],
+    },
+    {
+        "name": "cocycle-counts-checked-after-the-yield",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "                params[\"checked\"] += 1\n"
+                    "                yield (n, m, i, j), LaurentPoly.sum_of_products(\n"
+                    "                    (c, w) for c, w in weighted if c is not None)\n",
+        "mutant": "                yield (n, m, i, j), LaurentPoly.sum_of_products(\n"
+                  "                    (c, w) for c, w in weighted if c is not None)\n"
+                  "                params[\"checked\"] += 1\n",
+        "tests": ["tests/test_report_cli.py::test_golden_negative_controls"],
+    },
+    {
+        "name": "counit-difference-taken-the-other-way",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "_tensor_text(a[key] - b[key], key)",
+        "mutant": "_tensor_text(b[key] - a[key], key)",
+        "tests": ["tests/test_report_cli.py::test_a_broken_check_names_its_first_residual"],
+    },
+    {
         "name": "jacobi-flip-ignored",
         "file": "src/jetpoisson/poissonlie.py",
         "original": "pairs.append((omega.bracket(a, i) if flip else omega.bracket(i, a), dv))",
@@ -443,8 +478,8 @@ MUTANTS = [
     {
         "name": "jacobi-skip-not-counted",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "            skipped += 1\n",
-        "mutant": "            pass\n",
+        "original": "                params[\"skipped\"] += 1\n",
+        "mutant": "                pass\n",
         "tests": ["tests/test_poissonlie.py::test_jacobi_matches_the_per_triple_loop"],
     },
     {
@@ -544,11 +579,12 @@ MUTANTS = [
     {
         "name": "jacobi-boundary-tested-before-the-diagonal",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "                if i == a:\n                    continue\n"
-                    "                if max(i, a) > omega.n:\n                    ok = False\n"
-                    "                    break\n",
-        "mutant": "                if max(i, a) > omega.n:\n                    ok = False\n"
-                  "                    break\n                if i == a:\n                    continue\n",
+        "original": "                    if i == a:\n                        continue\n"
+                    "                    if max(i, a) > omega.n:\n                        ok = False\n"
+                    "                        break\n",
+        "mutant": "                    if max(i, a) > omega.n:\n                        ok = False\n"
+                  "                        break\n                    if i == a:\n"
+                  "                        continue\n",
         "tests": ["tests/test_poissonlie.py::test_jacobi_matches_the_per_triple_loop"],
         "equivalent": "a is one of the triple's indices, all at most n, so when i == a "
                       "the boundary test max(i, a) > n is false in either order",

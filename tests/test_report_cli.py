@@ -1,6 +1,7 @@
 """Report schema, golden negative controls, and the command-line surface."""
 
 import argparse
+import ast
 import contextlib
 import functools
 import io
@@ -14,11 +15,14 @@ from pathlib import Path
 import pytest
 
 import golden_cases
+from jetpoisson import bialgebra as ba
 from jetpoisson import cli
 from jetpoisson import jetgroup as jg
+from jetpoisson import poissonlie as pl
+from jetpoisson import quantum as qt
 from jetpoisson import report as rep
 from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_bialgebra, suite_group
-from jetpoisson.coeffpoly import LaurentPoly
+from jetpoisson.coeffpoly import Combination, LaurentPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,9 +84,125 @@ def test_field_bracket_reports_the_first_broken_pair(monkeypatch):
     assert seen[-1] == (2, 3)  # no bracket is computed after the first failure
 
 
-def test_failing_sl2_record_carries_the_witness(monkeypatch):
-    from jetpoisson import bialgebra as ba
+def _last_coordinate_plus_one(jet):
+    return jg.make_jet(jet.coords[:-1] + (jet.coords[-1] + 1,))
 
+
+def _break_counit(extra):
+    """Delta(x_2) with the terms of ``extra`` added."""
+    delta = qt.delta_generator
+    return lambda i: delta(i).add_all(Combination(extra)) if i == 2 else delta(i)
+
+
+# (record, command, module, name, broken function of the original one,
+#  expected witness); the first seven are the records that failed with a
+#  fixed phrase before, the last three the coproduct laws of counit-coassoc
+BROKEN_CHECKS = [
+    ("group-identity", "verify group --n 4", jg, "jet_identity",
+     lambda identity: lambda n: jg.make_jet([1, 1] + [0] * (n - 2)),
+     ([2], "1*x1")),
+    ("group-inverse", "verify group --n 4", jg, "jet_inverse",
+     lambda inverse: lambda x: _last_coordinate_plus_one(inverse(x)),
+     ([4], "1*x1")),
+    ("field-bracket", "verify group --n 4", jg, "vf_commutator",
+     lambda commutator: lambda a, b: (commutator(a, b).map(lambda c: c * 2)
+                                      if (min(a), min(b)) == (2, 3) else commutator(a, b)),
+     ([2, 3], "-1*x1")),
+    ("projection-homomorphism", "verify group --n 5", jg, "jet_project",
+     lambda project: lambda x, m: _last_coordinate_plus_one(project(x, m)),
+     ([3], "1 + -1*x1 + -1*y1^3")),
+    ("phi-equation-negative-control", "verify phi --degree 3", pl, "verify_phi_equation",
+     lambda verify: lambda phi, d: (rep.passed("phi-equation") if phi.provenance == "invalid-table"
+                                    else verify(phi, d)),
+     ([6], "0")),
+    ("witt-a-sequence", "verify bialgebra --n 3", ba, "witt_a_sequence",
+     lambda witt: lambda N: [a + (k == 2) for k, a in enumerate(witt(N))],
+     ([4], "1")),
+    ("branch-d-geometric-specialization", "verify classify", pl, "phi_extended_family",
+     lambda family: lambda d, lam, degree: family(d, lam * 2, degree),
+     ([1, 4], "-1*lam")),
+    ("counit-coassoc", "verify quantum --set R3", qt, "delta_generator",
+     lambda delta: _break_counit({((), (2,)): 1}), ([2], "(1) x2")),
+    ("counit-coassoc", "verify quantum --set R3", qt, "delta_generator",
+     lambda delta: _break_counit({((2,), ()): -1}), ([2], "(-1) x2")),
+    ("counit-coassoc", "verify quantum --set R3", qt, "delta_generator",
+     lambda delta: _break_counit({((2,), (2,)): 1}), ([2], "(-1) x2 (x) x1 (x) x2")),
+]
+
+
+@pytest.mark.parametrize("check, command, module, name, broken, witness", BROKEN_CHECKS,
+                         ids=[f"{case[0]}-{k}" for k, case in enumerate(BROKEN_CHECKS)])
+def test_a_broken_check_names_its_first_residual(monkeypatch, check, command, module, name,
+                                                 broken, witness):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    args = build_parser().parse_args(command.split())
+    [record] = [r for r in SUITES[args.suite](args) if r.check == check]
+    indices, residual = witness
+    assert record.status == "fail"
+    assert record.witness == {"indices": indices, "residual": residual}
+
+
+def test_group_inverse_checks_the_left_inverse(monkeypatch):
+    inverse, compose, inverses = jg.jet_inverse, jg.jet_compose, []
+
+    def recorded_inverse(x):
+        inverses.append(inverse(x))
+        return inverses[-1]
+
+    def left_inverse_broken(a, b):  # only the composition with the inverse on the left
+        return _last_coordinate_plus_one(compose(a, b)) if any(a is xb for xb in inverses) \
+            else compose(a, b)
+
+    monkeypatch.setattr(jg, "jet_inverse", recorded_inverse)
+    monkeypatch.setattr(jg, "jet_compose", left_inverse_broken)
+    records = {r.check: r for r in suite_group(build_parser().parse_args(
+        ["verify", "group", "--n", "4"]))}
+    assert records.pop("group-inverse").witness == {"indices": [4], "residual": "1"}
+    assert all(r.passed for r in records.values())
+
+
+def test_group_suite_composes_each_jet_once(monkeypatch):
+    compose, calls = jg.jet_compose, []
+    monkeypatch.setattr(jg, "jet_compose", lambda a, b: calls.append((a, b)) or compose(a, b))
+    counts = []
+    for n in ("6", "7"):
+        calls.clear()
+        suite_group(build_parser().parse_args(["verify", "group", "--n", n]))
+        counts.append(len(calls))
+    # four for associativity, two each for identity and inverse, one for the projection
+    assert counts == [9, 9]
+
+
+def placeholder_witnesses(sources: dict) -> list[str]:
+    """``file:line`` of each ``failed`` call in sources, a {name: source text}
+    map, whose residual (the third argument) is a string constant: a fixed
+    phrase where the record promises the rendered residual."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and "failed" in (getattr(node.func, "attr", None),
+                                                           getattr(node.func, "id", None)):
+                residual = node.args[2:3] + [k.value for k in node.keywords if k.arg == "residual"]
+                if any(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in residual):
+                    found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_failed_record_has_a_fixed_phrase_for_a_residual():
+    src = Path(__file__).resolve().parent.parent / "src" / "jetpoisson"
+    assert placeholder_witnesses(
+        {path.name: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}) == []
+
+
+def test_the_scan_finds_placeholder_witnesses():
+    source = ('rep.failed("a", (0,), "law broken", n=1)\n'
+              'failed("b", (0,), residual="tables differ")\n'
+              'rep.failed("c", (0,), residual.render())\n'
+              'rep.failed("d", (0,), f"({c.render()}) {word}")\n')
+    assert placeholder_witnesses({"m.py": source}) == ["m.py:1", "m.py:2"]
+
+
+def test_failing_sl2_record_carries_the_witness(monkeypatch):
     args = build_parser().parse_args(["verify", "bialgebra", "--n", "3"])
     records = suite_bialgebra(args)
     for tag in ("sl2-first", "sl2-second"):
