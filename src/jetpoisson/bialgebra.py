@@ -182,7 +182,8 @@ def verify_cojacobi(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
     (support indices not in ``reach``) and skips the other S^3 - F^3 of the
     S^3 support triples; at a failing row, the triples visited before it
     are its rank among all support triples, and the ones checked before it
-    are its rank among the free ones.
+    are its rank among the free ones; they are set before the row is
+    yielded, and the totals when the scan ends.
     """
     lo = alpha.min_index
     top = min(N, alpha.upper)
@@ -190,32 +191,33 @@ def verify_cojacobi(alpha: WedgeCochain, N: int) -> rep.VerificationReport:
     where = {i: k for k, i in enumerate(support)}
     S = len(support)
     params = {"N": N, "min_index": lo, "levels": top}
-    checked = skipped = 0
-    for n in range(lo, top + 1):
-        table = alpha.alpha.get(n, {})
-        reach = {first for (first, j) in table if j > alpha.upper}
-        partners = [(first, c, alpha.alpha.get(j, {})) for (first, j), c in table.items()
-                    if j <= alpha.upper and alpha._in_range(j)]
-        rows: dict = {}  # (i, s, p) -> [(a^n_{first,j}, a^j_{xy}), ...]
-        for block in range(3):
-            for first, c, level in partners:
-                for (x, y), second in level.items():
-                    key = ((first, x, y), (x, y, first), (y, first, x))[block]
-                    rows.setdefault(key, []).append((c, second))
-        free = {i: k for k, i in enumerate(i for i in support if i not in reach)}
-        F = len(free)
-        for key in sorted(k for k in rows if k[0] in free and k[1] in free and k[2] in free):
-            residual = LaurentPoly.sum_of_products(rows[key])
-            if not residual.is_zero():
+
+    def cases():
+        checked = skipped = 0
+        for n in range(lo, top + 1):
+            table = alpha.alpha.get(n, {})
+            reach = {first for (first, j) in table if j > alpha.upper}
+            partners = [(first, c, alpha.alpha.get(j, {})) for (first, j), c in table.items()
+                        if j <= alpha.upper and alpha._in_range(j)]
+            rows: dict = {}  # (i, s, p) -> [(a^n_{first,j}, a^j_{xy}), ...]
+            for block in range(3):
+                for first, c, level in partners:
+                    for (x, y), second in level.items():
+                        key = ((first, x, y), (x, y, first), (y, first, x))[block]
+                        rows.setdefault(key, []).append((c, second))
+            free = {i: k for k, i in enumerate(i for i in support if i not in reach)}
+            F = len(free)
+            for key in sorted(k for k in rows if k[0] in free and k[1] in free and k[2] in free):
                 rank = (where[key[0]] * S + where[key[1]]) * S + where[key[2]]
                 free_rank = (free[key[0]] * F + free[key[1]]) * F + free[key[2]]
                 params.update(checked=checked + free_rank + 1,
                               skipped=skipped + rank - free_rank)
-                return rep.failed("cojacobi", (n,) + key, residual.render(), **params)
-        checked += F ** 3
-        skipped += S ** 3 - F ** 3
-    params.update(checked=checked, skipped=skipped)
-    return rep.passed("cojacobi", **params)
+                yield (n,) + key, LaurentPoly.sum_of_products(rows[key])
+            checked += F ** 3
+            skipped += S ** 3 - F ** 3
+        params.update(checked=checked, skipped=skipped)
+
+    return rep.first_failure("cojacobi", cases(), params)
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +289,20 @@ def verify_rr_invariance(r: RMatrix, N: int) -> rep.VerificationReport:
     params = {"N": N, "min_index": r.min_index, "max_m": 2,
               "rr_is_zero": not T}
     act0 = adjoint_action(T, 0, r.min_index)
-    keys = set(act0)
-    for n in range(r.min_index, N + 1):
-        for j in range(r.min_index, N + 1):
-            for l in range(r.min_index, N + 1):
-                keys.add((n, j, l))
-    for (n, j, l) in sorted(keys):
-        expect = cybe_residual(r, n, j, l) * (-(n + j + l))
-        got = act0[(n, j, l)]
-        if got != expect:
-            return rep.failed(
-                "rr-invariance", (0, n, j, l),
-                f"action {got.render()} vs -(n+j+l)*cybe {expect.render()}", **params)
-    for m in range(3):
-        act = adjoint_action(T, m, r.min_index) if m else act0
-        if act:
-            key = min(act)
-            return rep.failed("rr-invariance", (m,) + key, act[key].render(), **params)
-    return rep.passed("rr-invariance", **params)
+    keys = set(act0) | set(itertools.product(range(r.min_index, N + 1), repeat=3))
+
+    def cases():
+        for (n, j, l) in sorted(keys):
+            expect = cybe_residual(r, n, j, l) * (-(n + j + l))
+            got = act0[(n, j, l)]
+            yield (0, n, j, l), "" if got == expect else (
+                f"action {got.render()} vs -(n+j+l)*cybe {expect.render()}")
+        for m in range(3):
+            act = adjoint_action(T, m, r.min_index) if m else act0
+            key = min(act, default=())  # a missing key reads as zero
+            yield (m,) + key, act[key]
+
+    return rep.first_failure("rr-invariance", cases(), params)
 
 
 # ---------------------------------------------------------------------------
@@ -326,36 +324,34 @@ def beta_correspondence(omega: PoissonStructure, phi: PhiFunction) -> rep.Verifi
     du = ts.truncate(ts.derivative(phi_series, "u"), bounds)
     dv = ts.truncate(ts.derivative(phi_series, "v"), bounds)
     phi_t = ts.truncate(phi_series, bounds)
-    for n in range(1, n_t + 1):
-        # entrywise: d(omega_ij)/dx_n at the identity jet
-        xn = Variable(omega.coord_kind, n)
-        beta = Combination((ij, w.derivative(xn).substitute(at_e))
-                           for ij, w in omega.omega.items())
-        for i in range(1, n_t + 1):
-            for j in range(1, n_t + 1):
-                expect = (
-                    phi.coeff(i - n + 1, j) * (2 * n - i - 1)
-                    + phi.coeff(i, j - n + 1) * (2 * n - j - 1)
-                )
-                got = beta[(i, j)] if i <= j else -beta[(j, i)]
-                if got != expect:
-                    return rep.failed(
-                        "beta-correspondence", (n, i, j),
-                        f"d(omega)/dx entry {got.render()} vs table {expect.render()}",
-                        **params)
-        # generating series: n phi (u^{n-1} + v^{n-1}) - [u^n d_u phi + v^n d_v phi]
-        series = ts.make(space, bounds, Combination.antisymmetric(beta.items()))
-        mono = lambda eu, ev: ts.make(space, bounds, {(eu, ev): LaurentPoly.one()})
-        expect_series = ts.sub(
-            ts.scale(ts.mul(phi_t, ts.add(mono(n - 1, 0), mono(0, n - 1))), n),
-            ts.add(ts.mul(mono(n, 0), du), ts.mul(mono(0, n), dv)),
-        )
-        diff = ts.sub(series, expect_series)
-        if not diff.is_zero():
-            exps = min(diff.coeffs)
-            return rep.failed("beta-correspondence", (n,) + exps,
-                              diff.coeffs[exps].render(), **params)
-    return rep.passed("beta-correspondence", **params)
+    mono = lambda eu, ev: ts.make(space, bounds, {(eu, ev): LaurentPoly.one()})
+
+    def cases():
+        for n in range(1, n_t + 1):
+            # entrywise: d(omega_ij)/dx_n at the identity jet
+            xn = Variable(omega.coord_kind, n)
+            beta = Combination((ij, w.derivative(xn).substitute(at_e))
+                               for ij, w in omega.omega.items())
+            for i in range(1, n_t + 1):
+                for j in range(1, n_t + 1):
+                    expect = (
+                        phi.coeff(i - n + 1, j) * (2 * n - i - 1)
+                        + phi.coeff(i, j - n + 1) * (2 * n - j - 1)
+                    )
+                    got = beta[(i, j)] if i <= j else -beta[(j, i)]
+                    yield (n, i, j), "" if got == expect else (
+                        f"d(omega)/dx entry {got.render()} vs table {expect.render()}")
+            # generating series: n phi (u^{n-1} + v^{n-1}) - [u^n d_u phi + v^n d_v phi]
+            series = ts.make(space, bounds, Combination.antisymmetric(beta.items()))
+            expect_series = ts.sub(
+                ts.scale(ts.mul(phi_t, ts.add(mono(n - 1, 0), mono(0, n - 1))), n),
+                ts.add(ts.mul(mono(n, 0), du), ts.mul(mono(0, n), dv)),
+            )
+            diff = ts.sub(series, expect_series).coeffs
+            exps = min(diff, default=())  # a missing key reads as zero
+            yield (n,) + exps, diff[exps]
+
+    return rep.first_failure("beta-correspondence", cases(), params)
 
 
 # ---------------------------------------------------------------------------

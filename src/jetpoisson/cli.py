@@ -121,10 +121,11 @@ def suite_group(args) -> list[rep.VerificationReport]:
     top = min(n, 6)
 
     def bracket_cases():
+        X = {k: jg.left_invariant_field(k, n) for k in range(1, 2 * top)}
         for a in range(1, top + 1):
             for b in range(1, top + 1):
-                diff = jg.vf_commutator(jg.left_invariant_field(a, n), jg.left_invariant_field(b, n))
-                diff.add_all(jg.left_invariant_field(a + b - 1, n), b - a)
+                diff = jg.vf_commutator(X[a], X[b])
+                diff.add_all(X[a + b - 1], b - a)
                 yield (a, b), diff[min(diff)] if diff else LaurentPoly.zero()
 
     records.append(rep.first_failure("field-bracket", bracket_cases(), {"n": n}))

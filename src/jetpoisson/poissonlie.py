@@ -385,13 +385,14 @@ def _congruence_check(name, params, lo, hi, lhs, parts, sign=-1, reduce=None):
     ``reduce``) is not zero fails.  A part is a Jacobian J from `_jacobian`
     and a table {(k, l): w_kl} with antisymmetric completion W, read in place,
     so (J W J^T)_ij = sum of w_kl (J_ik J_jl - J_il J_jk).  The row J_i W is
-    formed once per i and held alone; a residual is one sum of products."""
+    formed once per i and held alone, with ``sign`` taken into W; a residual
+    is one sum of products."""
     columns = []
     for J, table in parts:
-        W: dict = {}  # column l of W: the (k, w_kl) and the (k, w_lk) in the table
+        W: dict = {}  # column l of W: the (k, sign * w_kl) and the (k, -sign * w_lk)
         for (k, l), w in table.items():
-            W.setdefault(l, ([], []))[0].append((k, w))
-            W.setdefault(k, ([], []))[1].append((l, w))
+            W.setdefault(l, []).append((k, w if sign > 0 else -w))
+            W.setdefault(k, []).append((l, -w if sign > 0 else w))
         columns.append((J, W))
 
     def cases():
@@ -399,11 +400,9 @@ def _congruence_check(name, params, lo, hi, lhs, parts, sign=-1, reduce=None):
             rows = []
             for J, W in columns:
                 Ji, U = J[i], {}
-                for l, sides in W.items():
-                    plus, minus = (LaurentPoly.sum_of_products(
-                        (Ji[k], w) for k, w in side if k in Ji) for side in sides)
-                    if plus != minus:
-                        U[l] = plus - minus if sign > 0 else minus - plus
+                for l, column in W.items():
+                    if u := LaurentPoly.sum_of_products((Ji[k], w) for k, w in column if k in Ji):
+                        U[l] = u
                 rows.append((J, U))
             for j in range(i + 1, hi + 1):
                 residual = LaurentPoly.sum_of_products(

@@ -3,10 +3,11 @@
 Every verifier in the package returns one (or a list of) VerificationReport;
 the record is deterministic: parameters are emitted with sorted keys and the
 witness carries the first offending index tuple plus a rendered residual.
-``first_failure`` makes the record of every check whose witness is its first
-nonzero residual: cocycle, CYBE, Jacobi, multiplicativity, inversion, the
-phi equation, the density action, and the CLI's group, bracket-match,
-Witt-sequence and branch-d records.
+``first_failure`` makes every record of the library's verifiers and of the
+CLI's own checks: the witness is the first failing case, whose residual is
+either a polynomial (rendered) or a witness text such as "normal forms
+differ; e.g. ...".  Only the CLI's two composite records, the negative
+control of the phi equation and the sl(2) records, are made by hand.
 """
 
 from __future__ import annotations
@@ -61,13 +62,16 @@ def failed(check: str, indices, residual: str, **params) -> VerificationReport:
 
 
 def first_failure(check: str, cases, params: dict) -> VerificationReport:
-    """The failed record of the first nonzero residual of ``cases``, an
-    iterable of (indices, residual) pairs in the check's own order, rendered;
-    the passed record if there is none.  ``params`` is read only when the
-    record is made, so a check may count into it as it yields."""
+    """The failed record of the first failing case of ``cases``, an iterable
+    of (indices, residual) pairs in the check's own order; the passed record
+    if there is none.  A residual is a LaurentPoly, which fails when nonzero
+    and is rendered, or a witness text, which fails when not empty and is
+    used as it is.  ``params`` is read only when the record is made, so a
+    check may count into it as it yields."""
     for indices, residual in cases:
-        if not residual.is_zero():
-            return failed(check, indices, residual.render(), **params)
+        if residual:
+            return failed(check, indices, residual if isinstance(residual, str)
+                          else residual.render(), **params)
     return passed(check, **params)
 
 

@@ -298,8 +298,8 @@ MUTANTS = [
     {
         "name": "field-bracket-sign-flipped",
         "file": "src/jetpoisson/cli.py",
-        "original": "diff.add_all(jg.left_invariant_field(a + b - 1, n), b - a)",
-        "mutant": "diff.add_all(jg.left_invariant_field(a + b - 1, n), a - b)",
+        "original": "diff.add_all(X[a + b - 1], b - a)",
+        "mutant": "diff.add_all(X[a + b - 1], a - b)",
         "tests": ["tests/test_report_cli.py::test_cli_pass_and_exit_status"],
     },
     {
@@ -357,7 +357,7 @@ MUTANTS = [
     {
         "name": "congruence-without-the-antisymmetric-half",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "            W.setdefault(k, ([], []))[1].append((l, w))\n",
+        "original": "            W.setdefault(k, []).append((l, -w if sign > 0 else w))\n",
         "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_multiplicativity_families_and_identity_substitution",
                   "tests/test_poissonlie.py::test_inversion_anti_poisson"],
@@ -435,11 +435,14 @@ MUTANTS = [
     {
         "name": "first-failure-reports-the-last-nonzero-case",
         "file": "src/jetpoisson/report.py",
-        "original": "            return failed(check, indices, residual.render(), **params)\n"
+        "original": "            return failed(check, indices, residual if isinstance(residual, str)\n"
+                    "                          else residual.render(), **params)\n"
                     "    return passed(check, **params)\n",
-        "mutant": "            last = failed(check, indices, residual.render(), **params)\n"
+        "mutant": "            last = failed(check, indices, residual if isinstance(residual, str)\n"
+                  "                          else residual.render(), **params)\n"
                   "    return locals().get(\"last\") or passed(check, **params)\n",
-        "tests": ["tests/test_report_cli.py::test_field_bracket_reports_the_first_broken_pair"],
+        "tests": ["tests/test_report_cli.py::test_field_bracket_reports_the_first_broken_pair",
+                  "tests/test_report_cli.py::test_first_failure_takes_a_text_residual_as_it_is"],
     },
     {
         "name": "group-inverse-drops-the-left-order",
@@ -598,6 +601,55 @@ MUTANTS = [
                   "tests/test_poissonlie.py::test_extended_multiplicativity_reads_the_given_table"],
         "equivalent": "z_i depends on y_k only for k <= i <= K, so an entry past K meets no "
                       "nonzero column of the y Jacobian",
+    },
+    {
+        "name": "first-failure-never-fails-a-text",
+        "file": "src/jetpoisson/report.py",
+        "original": "        if residual:\n",
+        "mutant": "        if residual and not isinstance(residual, str):\n",
+        "tests": ["tests/test_report_cli.py::test_first_failure_takes_a_text_residual_as_it_is"],
+    },
+    {
+        "name": "cojacobi-counts-set-after-the-yield",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "                params.update(checked=checked + free_rank + 1,\n"
+                    "                              skipped=skipped + rank - free_rank)\n"
+                    "                yield (n,) + key, LaurentPoly.sum_of_products(rows[key])\n",
+        "mutant": "                yield (n,) + key, LaurentPoly.sum_of_products(rows[key])\n"
+                  "                params.update(checked=checked + free_rank + 1,\n"
+                  "                              skipped=skipped + rank - free_rank)\n",
+        "tests": ["tests/test_bialgebra.py::test_cojacobi_counts_a_failure_at_a_later_level"],
+    },
+    {
+        "name": "quasiclassical-skips-the-h-free-case",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "            yield (i, j), \"\" if order0.is_zero() else f\"h-free part {order0.render()}\"\n",
+        "mutant": "",
+        "tests": ["tests/test_report_cli.py::test_a_failure_branch_keeps_its_record"
+                  "[verify_quasiclassical-commutator_normal_form]"],
+    },
+    {
+        "name": "rr-invariance-acts-only-at-m-0",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "for m in range(3):",
+        "mutant": "for m in range(1):",
+        "tests": ["tests/test_report_cli.py::test_a_failure_branch_keeps_its_record"
+                  "[verify_rr_invariance-adjoint_action]"],
+    },
+    {
+        "name": "beta-skips-the-series",
+        "file": "src/jetpoisson/bialgebra.py",
+        "original": "            yield (n,) + exps, diff[exps]\n",
+        "mutant": "",
+        "tests": ["tests/test_report_cli.py::test_a_failure_branch_keeps_its_record"
+                  "[beta_correspondence-derivative]"],
+    },
+    {
+        "name": "field-bracket-builds-a-field-per-pair",
+        "file": "src/jetpoisson/cli.py",
+        "original": "diff = jg.vf_commutator(X[a], X[b])",
+        "mutant": "diff = jg.vf_commutator(jg.left_invariant_field(a, n), X[b])",
+        "tests": ["tests/test_report_cli.py::test_group_suite_builds_each_left_invariant_field_once"],
     },
 ]
 

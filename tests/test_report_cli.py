@@ -21,8 +21,9 @@ from jetpoisson import jetgroup as jg
 from jetpoisson import poissonlie as pl
 from jetpoisson import quantum as qt
 from jetpoisson import report as rep
+from jetpoisson import series as ts
 from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_bialgebra, suite_group
-from jetpoisson.coeffpoly import Combination, LaurentPoly
+from jetpoisson.coeffpoly import Combination, LaurentPoly, x_var
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +47,24 @@ def test_text_format_one_line_per_record():
     assert len(lines) == 2
     assert lines[0].startswith("PASS alpha")
     assert "witness=(0,)" in lines[1]
+
+
+def test_first_failure_takes_a_text_residual_as_it_is():
+    assert rep.first_failure("t", [((1,), ""), ((2,), "")], {"n": 1}).to_dict() == {
+        "check": "t", "params": {"n": 1}, "status": "pass", "witness": None}
+    cases = [((1,), ""), ((2,), "tables differ at (2, 3)"), ((3,), "not reached")]
+    assert rep.first_failure("t", cases, {"n": 1}).to_dict() == {
+        "check": "t", "params": {"n": 1}, "status": "fail",
+        "witness": {"indices": [2], "residual": "tables differ at (2, 3)"}}
+
+
+def test_first_failure_keeps_the_order_of_mixed_cases():
+    x = LaurentPoly.var(x_var(1))
+    cases = [((1,), LaurentPoly.zero()), ((2,), ""), ((3,), x - x), ((4,), 2 * x),
+             ((5,), "later text")]
+    assert rep.first_failure("t", cases, {}).witness == {"indices": [4], "residual": "2*x1"}
+    cases[3:4] = []
+    assert rep.first_failure("t", cases, {}).witness == {"indices": [5], "residual": "later text"}
 
 
 @pytest.mark.parametrize("name", sorted(golden_cases.CASES))
@@ -173,10 +192,73 @@ def test_group_suite_composes_each_jet_once(monkeypatch):
     assert counts == [9, 9]
 
 
+def test_group_suite_builds_each_left_invariant_field_once(monkeypatch):
+    field, calls = jg.left_invariant_field, []
+    monkeypatch.setattr(jg, "left_invariant_field", lambda k, n: calls.append(k) or field(k, n))
+    for n in ("6", "7"):
+        calls.clear()
+        suite_group(build_parser().parse_args(["verify", "group", "--n", n]))
+        assert calls == list(range(1, 12))  # X_1 .. X_{2 top - 1}, top = 6
+
+
+def _record(check, params, indices, residual):
+    return {"check": check, "params": params, "status": "fail",
+            "witness": {"indices": indices, "residual": residual}}
+
+
+# (verifier, its inputs, built before the patch, module, name, broken function
+#  of the original one, the whole record): the failure branches that no golden
+#  file pins, each record as the verifiers printed it before they yielded cases
+BROKEN_BRANCHES = [
+    (qt.verify_quasiclassical,
+     lambda: (qt.relation_set_catalog("R3"), pl.build_omega(pl.phi_power_family(3), 5)),
+     qt, "commutator_normal_form",
+     lambda normal_form: lambda R, i, j: qt.nc_sub(normal_form(R, i, j),
+                                                   qt.nc_word(R.n_gens, R.h_order, (1, 1))),
+     _record("quasiclassical", {"n": 5, "set": "R3"}, [1, 2], "h-free part -1*x1^2")),
+    (ba.verify_rr_invariance, lambda: (ba.r_from_phi(pl.phi_power_family(1)), 4),
+     ba, "cybe_residual",
+     lambda cybe: lambda r, n, j, l: cybe(r, n, j, l) + ((n, j, l) == (1, 2, 3)),
+     _record("rr-invariance", {"N": 4, "max_m": 2, "min_index": 0, "rr_is_zero": True},
+             [0, 1, 2, 3], "action 0 vs -(n+j+l)*cybe -6")),
+    (ba.verify_rr_invariance, lambda: (ba.r_from_phi(pl.phi_power_family(1)), 4),
+     ba, "adjoint_action",
+     lambda action: lambda T, m, lo: (action(T, m, lo).add_all({(1, 2, 3): LaurentPoly.one()})
+                                      if m == 2 else action(T, m, lo)),
+     _record("rr-invariance", {"N": 4, "max_m": 2, "min_index": 0, "rr_is_zero": True},
+             [2, 1, 2, 3], "1")),
+    (ba.beta_correspondence,
+     lambda: (pl.build_omega(pl.phi_power_family(1), 3), pl.phi_power_family(1)),
+     ts, "derivative", lambda derivative: lambda s, v: ts.scale(derivative(s, v), 2),
+     _record("beta-correspondence", {"n": 3, "provenance": "power d=1"}, [1, 1, 2], "-3")),
+    (qt.verify_counit_coassoc, lambda: (qt.relation_set_catalog("R3"),),
+     qt, "delta_generator", lambda delta: _break_counit({((2,), (2,)): 1}),
+     _record("counit-coassoc", {"set": "R3"}, [2], "(-1) x2 (x) x1 (x) x2")),
+]
+
+
+@pytest.mark.parametrize("verify, inputs, module, name, broken, record", BROKEN_BRANCHES,
+                         ids=[f"{case[0].__name__}-{case[3]}" for case in BROKEN_BRANCHES])
+def test_a_failure_branch_keeps_its_record(monkeypatch, verify, inputs, module, name, broken,
+                                           record):
+    args = inputs()
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    assert verify(*args).to_dict() == record
+
+
+def _is_phrase(node) -> bool:
+    """A non-empty string constant, or a conditional with one as a branch."""
+    if isinstance(node, ast.IfExp):
+        return _is_phrase(node.body) or _is_phrase(node.orelse)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value != ""
+
+
 def placeholder_witnesses(sources: dict) -> list[str]:
     """``file:line`` of each ``failed`` call in sources, a {name: source text}
-    map, whose residual (the third argument) is a string constant: a fixed
-    phrase where the record promises the rendered residual."""
+    map, whose residual (the third argument) is a string constant, and of each
+    yielded or generated (indices, residual) pair whose residual is, or may
+    be, a non-empty string constant: a fixed phrase where the record promises the
+    rendered residual or the witness text of the failing case."""
     found = []
     for name, text in sources.items():
         for node in ast.walk(ast.parse(text)):
@@ -185,21 +267,63 @@ def placeholder_witnesses(sources: dict) -> list[str]:
                 residual = node.args[2:3] + [k.value for k in node.keywords if k.arg == "residual"]
                 if any(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in residual):
                     found.append(f"{name}:{node.lineno}")
+            case = (node.value if isinstance(node, ast.Yield)
+                    else node.elt if isinstance(node, (ast.GeneratorExp, ast.ListComp)) else None)
+            if isinstance(case, ast.Tuple) and len(case.elts) == 2 and _is_phrase(case.elts[1]):
+                found.append(f"{name}:{node.lineno}")
     return found
 
 
-def test_no_failed_record_has_a_fixed_phrase_for_a_residual():
+def _package_sources(names=None) -> dict:
     src = Path(__file__).resolve().parent.parent / "src" / "jetpoisson"
-    assert placeholder_witnesses(
-        {path.name: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}) == []
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))
+            if names is None or path.name in names}
+
+
+def test_no_failed_record_has_a_fixed_phrase_for_a_residual():
+    assert placeholder_witnesses(_package_sources()) == []
 
 
 def test_the_scan_finds_placeholder_witnesses():
     source = ('rep.failed("a", (0,), "law broken", n=1)\n'
               'failed("b", (0,), residual="tables differ")\n'
               'rep.failed("c", (0,), residual.render())\n'
-              'rep.failed("d", (0,), f"({c.render()}) {word}")\n')
-    assert placeholder_witnesses({"m.py": source}) == ["m.py:1", "m.py:2"]
+              'rep.failed("d", (0,), f"({c.render()}) {word}")\n'
+              'yield (i, j), "law broken"\n'
+              'cases = (((k,), "tables differ") for k in range(3))\n'
+              'cases = [((k,), "tables differ") for k in range(3)]\n'
+              'yield (i, j), ""\n'
+              'yield (i, j), "" if ok else f"term {c.render()}"\n'
+              'cases = (((k,), p - q) for k in range(3))\n'
+              'yield (i, j), "" if ok else "law broken"\n')
+    assert placeholder_witnesses({"m.py": source}) == ["m.py:1", "m.py:2", "m.py:5", "m.py:6",
+                                                       "m.py:7", "m.py:11"]
+
+
+# the library's modules: every record they return is made by report.first_failure
+LIBRARY = ("bialgebra.py", "quantum.py", "poissonlie.py", "density.py", "series.py",
+           "jetgroup.py", "coeffpoly.py")
+
+
+def record_calls(sources: dict) -> list[str]:
+    """``file:line`` of each call of ``failed`` or ``passed`` in sources, a
+    {name: source text} map: a record made by hand, beside first_failure."""
+    return [f"{name}:{node.lineno}" for name, text in sources.items()
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+            and {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+            & {"failed", "passed"}]
+
+
+def test_no_library_verifier_makes_its_own_record():
+    assert record_calls(_package_sources(LIBRARY)) == []
+
+
+def test_the_scan_finds_records_made_by_hand():
+    source = ('return rep.failed("a", (0,), residual.render(), n=1)\n'
+              'return passed("b")\n'
+              'return rep.first_failure("c", cases(), params)\n'
+              'ok = report.passed\n')
+    assert record_calls({"m.py": source}) == ["m.py:1", "m.py:2"]
 
 
 def test_failing_sl2_record_carries_the_witness(monkeypatch):
