@@ -11,7 +11,9 @@ line instead of a report.  Bad input is a malformed or out-of-range value,
 an unknown --phi family, a phi table row that repeats another or is not the
 negative of its mirror, an option the suite never reads, an --out path that
 cannot be written (checked before any suite runs), or an input whose
-exponents overflow a series or monomial field.
+exponents overflow a series or monomial field: a monomial exponent outside
+[-2^14, 2^14), which the symbolic jet inverse (x1^-(2n-1) at u^n) would
+reach only at --n above 8192.
 """
 
 from __future__ import annotations
@@ -315,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jetpoisson")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a verification suite", epilog=(
-        "exit status: 0 every record passed, 1 a record failed, 2 bad input, 3 out of memory"))
+        "exit status: 0 every record passed, 1 a record failed, 2 bad input (a monomial "
+        "exponent outside [-2^14, 2^14) too), 3 out of memory"))
     verify.set_defaults(given={})
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     verify.add_argument("--n", type=int, default=5, action=_Given)

@@ -19,7 +19,7 @@ opaque units.
 
 Term maps, the layout behind `LaurentPoly.terms` and `LaurentPoly.den`:
 
-  monomial  = sum(exp << (32 * slot))     one int; the constant monomial is 0
+  monomial  = sum(exp << (16 * slot))     one int; the constant monomial is 0
   terms     = {monomial: numerator}       int numerators, no zero stored
   den       = int > 0                     one denominator for every term
 
@@ -39,13 +39,17 @@ sum is complete (the content step of SymPy's `clear_denoms`), and `render`
 reduces each term's num/den only as it prints it.
 
 A monomial key packs its exponent vector into one Python int (Monagan and
-Pearce's packed exponent vectors), one signed 32-bit field per variable slot,
+Pearce's packed exponent vectors), one signed 16-bit field per variable slot,
 so that multiplying two monomials is adding two ints.  A variable gets its
 slot, in order of first use, when a monomial in it is first built (`var`);
 reading a variable that has no slot sees exponent 0.  Every stored exponent
-lies in [-2^30, 2^30), so the sum of two fields never carries into the next
+lies in [-2^14, 2^14), so the sum of two fields never carries into the next
 one; each key an operation produces is checked against that range once, and
 one outside it raises `ExponentOverflow` rather than alias another monomial.
+The range is that of a series bound (`series._LIMIT` is `_HALF`), and no
+workload builds an exponent above a few hundred; 16-bit fields keep the keys
+short, and CPython hashes them with few collisions (a key's hash is its value
+modulo 2^61 - 1, so the field offsets modulo 61 decide them).
 Single-variable reads (`coefficient`, `coefficients`, `derivative`,
 `degree`, `drop_high_degree`) are a shift and a mask.  Keys are decoded into
 ((varcode, exp), ...) only where names or order are needed: rendering,
@@ -71,10 +75,10 @@ from typing import Iterable, Mapping
 
 
 class ExponentOverflow(OverflowError):
-    """An exponent left [-2^30, 2^30), the range a monomial key field holds."""
+    """An exponent left [-2^14, 2^14), the range a monomial key field holds."""
 
 
-_FIELD = 32
+_FIELD = 16
 _MASK = (1 << _FIELD) - 1
 _HALF = 1 << (_FIELD - 2)      # exponents lie in [-_HALF, _HALF)
 _SLOT: dict[int, int] = {}     # variable code -> slot
@@ -103,7 +107,8 @@ def _overflow() -> ExponentOverflow:
 def _checked(key: int) -> int:
     """The key, once every field is known to lie in range.  Exact for any
     sum of two in-range keys: adding the bias lifts in-range fields to
-    [0, 2^31), and any other field sets its top bit or makes the sum negative."""
+    [0, 2^(_FIELD - 1)), and any other field sets its top bit or makes the sum
+    negative."""
     b = key + _BIAS
     if b < 0 or b & _TOP:
         raise _overflow()
@@ -410,9 +415,10 @@ class LaurentPoly:
         return p
 
     @staticmethod
-    def sum_of_products(pairs) -> "LaurentPoly":
-        """sum(a * b for a, b in pairs), accumulated raw and normalised once."""
-        acc = LaurentPoly({}, 1)
+    def sum_of_products(pairs, start=None) -> "LaurentPoly":
+        """start + sum(a * b for a, b in pairs), accumulated raw on a copy of
+        the polynomial start (none: zero) and normalised once."""
+        acc = LaurentPoly({}, 1) if start is None else LaurentPoly(dict(start.terms), start.den)
         for a, b in pairs:
             _poly_mac(acc, poly(a), poly(b))
         return _poly_finish(acc)
@@ -455,14 +461,14 @@ class LaurentPoly:
         if exp < 0:
             inv = self.monomial_inverse()
             return inv ** (-exp)
-        result = _ONE
+        result = None  # the first power taken is the result itself, not 1 times it
         base = self
         while exp:
             if exp & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if exp > 1 else base
             exp >>= 1
-        return result
+        return _ONE if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

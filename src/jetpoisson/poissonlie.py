@@ -386,7 +386,7 @@ def _congruence_check(name, params, lo, hi, lhs, parts, sign=-1, reduce=None):
     and a table {(k, l): w_kl} with antisymmetric completion W, read in place,
     so (J W J^T)_ij = sum of w_kl (J_ik J_jl - J_il J_jk).  The row J_i W is
     formed once per i and held alone, with ``sign`` taken into W; a residual
-    is one sum of products."""
+    is one sum of products, started from lhs(i, j)."""
     columns = []
     for J, table in parts:
         W: dict = {}  # column l of W: the (k, sign * w_kl) and the (k, -sign * w_lk)
@@ -406,8 +406,7 @@ def _congruence_check(name, params, lo, hi, lhs, parts, sign=-1, reduce=None):
                 rows.append((J, U))
             for j in range(i + 1, hi + 1):
                 residual = LaurentPoly.sum_of_products(
-                    [(lhs(i, j), LaurentPoly.one())]
-                    + [(U[l], d) for J, U in rows for l, d in J[j].items() if l in U])
+                    ((U[l], d) for J, U in rows for l, d in J[j].items() if l in U), lhs(i, j))
                 yield (i, j), residual if reduce is None else reduce(residual)
 
     return rep.first_failure(name, cases(), params)

@@ -48,7 +48,7 @@ from .coeffpoly import (
     LaurentPoly,
     Variable,
     VarKind,
-    _finish_all, _h_cap, _poly_finish, _poly_mac, _unpack,
+    _HALF, _finish_all, _h_cap, _poly_finish, _poly_mac, _unpack,
     compositions,
     homogeneous_graded_degree,
     param,
@@ -364,9 +364,11 @@ def tensor_reduce(a: Combination, R: RelationSet,
     pairs, is kept in ``normal_forms``, a word -> normal form table of this
     relation set.  Without one the call keeps its own, so no result depends
     on an earlier call; a caller that reduces many elements of one set
-    passes one table to all of them.  The words new to the table, w_k, are
-    reduced in one call, as sum_k tag^k w_k: reduction is linear (see
-    `pbw_overlap_check`), so the part at tag^k is the normal form of w_k.
+    passes one table to all of them.  The words new to the table are
+    reduced in batches of at most _HALF, the bound of a key's exponents, one
+    call per batch: the batch w_0, w_1, ... as sum_k tag^k w_k.  Reduction is
+    linear (see `pbw_overlap_check`), so the part at tag^k is the normal form
+    of w_k.
 
     The whole result is one raw sum: for each term (lw, rw) (x) c and each
     left normal-form term u, c * u is formed once and multiplied into the
@@ -377,12 +379,13 @@ def tensor_reduce(a: Combination, R: RelationSet,
     if normal_forms is None:
         normal_forms = {}
     new = [w for w in dict.fromkeys(w for key in a for w in key) if w not in normal_forms]
-    if new:
-        normal_forms.update((w, []) for w in new)
-        tagged = Combination((w, LaurentPoly.var(_TAG, k)) for k, w in enumerate(new))
+    normal_forms.update((w, []) for w in new)
+    for at in range(0, len(new), _HALF):
+        batch = new[at:at + _HALF]
+        tagged = Combination((w, LaurentPoly.var(_TAG, k)) for k, w in enumerate(batch))
         for word, c in nc_reduce(NCElement(R.n_gens, R.h_order, tagged), R).terms.items():
             for k, part in c.coefficients(_TAG).items():
-                normal_forms[new[k]].append((word, part))
+                normal_forms[batch[k]].append((word, part))
     cap = _h_cap(R.h_order)
     raw: dict = {}
     for (lw, rw), c in a.items():

@@ -4,10 +4,12 @@ A series carries its own per-variable truncation bounds; mixed-bound
 arithmetic truncates to the minimum, so precision loss is always explicit.
 All operations are exact on the retained coefficients.
 
-A product packs each exponent tuple into one int, a small field per formal
-variable, so that testing a pair of terms against the bounds is one
-addition and one mask (`mul`).  Every bound and exponent therefore lies
-below ``2**(_FIELD - 2)``; `make` rejects any other with `SeriesOverflow`.
+A product packs each exponent tuple into one int, a field per formal
+variable as wide as a monomial key's (`coeffpoly._FIELD`), so that testing a
+pair of terms against the bounds is one addition and one mask (`mul`).  Every
+bound and exponent therefore lies below ``2**(_FIELD - 2)``, the bound of a
+key's exponents too (`coeffpoly._HALF`); `make` rejects any other with
+`SeriesOverflow`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .coeffpoly import Combination, LaurentPoly, NotInvertible, poly
+from .coeffpoly import _FIELD, _HALF, Combination, LaurentPoly, NotInvertible, poly
 
 FORMAL_VARS = ("u", "v", "w")
 
@@ -36,10 +38,9 @@ class SeriesOverflow(OverflowError):
     """A bound or exponent past what a packed exponent field holds."""
 
 
-_FIELD = 16                     # bits per formal variable in a packed exponent
-_MASK = (1 << _FIELD) - 1
+_MASK = (1 << _FIELD) - 1       # _FIELD bits per formal variable in a packed exponent
 _TOP = 1 << (_FIELD - 1)        # the bit a field sets when a pair passes its bound
-_LIMIT = 1 << (_FIELD - 2)      # bounds and exponents lie below this
+_LIMIT = _HALF                  # bounds and exponents lie below this
 
 
 @dataclass(frozen=True)

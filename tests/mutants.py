@@ -180,8 +180,8 @@ MUTANTS = [
     {
         "name": "tensor-batch-reduces-an-empty-sum",
         "file": "src/jetpoisson/quantum.py",
-        "original": "    if new:\n",
-        "mutant": "    if True:\n",
+        "original": "for at in range(0, len(new), _HALF):",
+        "mutant": "for at in range(0, len(new) + 1, _HALF):",
         "tests": ["tests/test_quantum.py::test_batched_normal_forms_match_per_word_reduction"],
     },
     {
@@ -650,6 +650,85 @@ MUTANTS = [
         "original": "diff = jg.vf_commutator(X[a], X[b])",
         "mutant": "diff = jg.vf_commutator(jg.left_invariant_field(a, n), X[b])",
         "tests": ["tests/test_report_cli.py::test_group_suite_builds_each_left_invariant_field_once"],
+    },
+    {
+        "name": "key-field-without-carry-headroom",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "_HALF = 1 << (_FIELD - 2)",
+        "mutant": "_HALF = 1 << (_FIELD - 1)",
+        "tests": ["tests/test_coeffpoly.py::test_exponents_outside_the_key_range_raise"],
+    },
+    {
+        "name": "range-check-moved-to-finish",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "                if b < 0 or b & top:\n"
+                    "                    raise _overflow()\n"
+                    "                if cap is None or b >> cap[0] & _MASK <= cap[1]:\n"
+                    "                    terms[k] = na * nb\n"
+                    "                continue\n"
+                    "            n = cur + na * nb\n"
+                    "            if n:\n"
+                    "                terms[k] = n\n"
+                    "            else:\n"
+                    "                del terms[k]\n"
+                    "    return acc\n"
+                    "\n"
+                    "\n"
+                    "def _poly_finish(acc):\n"
+                    "    \"\"\"A raw `LaurentPoly` made canonical, in place: the content its\n"
+                    "    numerators share with the denominator is divided out once.\"\"\"\n",
+        "mutant": "                if cap is None or b >> cap[0] & _MASK <= cap[1]:\n"
+                  "                    terms[k] = na * nb\n"
+                  "                continue\n"
+                  "            n = cur + na * nb\n"
+                  "            if n:\n"
+                  "                terms[k] = n\n"
+                  "            else:\n"
+                  "                del terms[k]\n"
+                  "    return acc\n"
+                  "\n"
+                  "\n"
+                  "def _poly_finish(acc):\n"
+                  "    for k in acc.terms:\n"
+                  "        _checked(k)\n",
+        "tests": ["tests/test_coeffpoly.py::test_exponents_outside_the_key_range_raise"],
+    },
+    {
+        "name": "h-cap-tested-only-on-merge",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "                if cap is None or b >> cap[0] & _MASK <= cap[1]:\n"
+                    "                    terms[k] = na * nb\n"
+                    "                continue\n"
+                    "            n = cur + na * nb\n",
+        "mutant": "                terms[k] = na * nb\n"
+                  "                continue\n"
+                  "            if cap is not None and (k + bias) >> cap[0] & _MASK > cap[1]:\n"
+                  "                continue\n"
+                  "            n = cur + na * nb\n",
+        "tests": ["tests/test_coeffpoly.py::test_product_matches_the_per_pair_loop",
+                  "tests/test_quantum.py::test_tensor_reduce_matches_the_per_pair_loop"],
+    },
+    {
+        "name": "sum-of-products-start-not-copied",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "LaurentPoly(dict(start.terms), start.den)",
+        "mutant": "start",
+        "tests": ["tests/test_coeffpoly.py::test_sum_of_products_leaves_start_unchanged"],
+    },
+    {
+        "name": "congruence-residual-drops-the-lhs",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "for J, U in rows for l, d in J[j].items() if l in U), lhs(i, j))",
+        "mutant": "for J, U in rows for l, d in J[j].items() if l in U))",
+        "tests": ["tests/test_poissonlie.py::test_multiplicativity_families_and_identity_substitution",
+                  "tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops"],
+    },
+    {
+        "name": "tensor-batch-one-tag-too-many",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "batch = new[at:at + _HALF]",
+        "mutant": "batch = new[at:at + _HALF + 1]",
+        "tests": ["tests/test_quantum.py::test_tensor_reduce_batches_more_new_words_than_a_tag_power_holds"],
     },
 ]
 

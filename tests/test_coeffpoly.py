@@ -269,8 +269,9 @@ def test_kernel_matches_naive_reference():
         got = from_ref(ra).substitute({ORACLE_VARS[p]: from_ref(r) for p, r in bindings.items()})
         assert as_ref(got) == ref_substitute(ra, bindings)
     # every key of the product of the bound powers is range-checked, also one
-    # that a later factor or the leftover would bring back into range
-    half = 2**29
+    # that a later factor or the leftover would bring back into range; the
+    # exponents [-2^(F-2), 2^(F-2)) of an F-bit field are in range
+    half = 2 ** (coeffpoly._FIELD - 3)
     x1_to = {e: LaurentPoly.var(x_var(1), e) for e in (half, -5)}
     term = LaurentPoly.var(x_var(2)) * LaurentPoly.var(x_var(3)) * LaurentPoly.var(y_var(2))
     assert term.substitute({x_var(2): x1_to[half], x_var(3): x1_to[-5],
@@ -309,11 +310,13 @@ def test_degree_is_the_bound_drop_high_degree_keeps():
 
 
 def test_exponents_outside_the_key_range_raise():
-    top = 2**30
+    # the exponents of an F-bit field lie in [-2^(F-2), 2^(F-2)), from the
+    # width itself, so that a wrong bound (_HALF) fails here too
+    top = 2 ** (coeffpoly._FIELD - 2)
     square = x(1)
-    for _ in range(29):
+    for _ in range(coeffpoly._FIELD - 3):
         square = square * square
-    assert square == x(1, 2**29)
+    assert square == x(1, top // 2)
     overflowing = [
         lambda: x(1, top),
         lambda: x(1) ** top,
@@ -623,11 +626,32 @@ def test_product_matches_the_per_pair_loop():
 
 
 def test_power_and_division():
-    p = x(1) + 1
-    assert p ** 3 == p * p * p
-    assert p ** 0 == LaurentPoly.one()
+    # p ** 1 is p and p ** 0 is 1, zero included; every other power is the
+    # product of its factors, whichever bits of the exponent are set
+    for p in (x(1) + 1, (x(1, -1) - 2 * x(2)) / 3, LaurentPoly.const(Fraction(-2, 5)),
+              LaurentPoly.zero()):
+        assert p ** 1 == p and p ** 0 == 1 == LaurentPoly.one()
+        want = LaurentPoly.one()
+        for e in range(1, 10):
+            want = want * p
+            assert p ** e == want, (p, e)
     assert (x(1, 2) * 6) / 3 == 2 * x(1, 2)
-    assert x(1) ** -2 == x(1, -2)
+    assert x(1) ** -2 == x(1, -2) and (x(1) / 2) ** -3 == 8 * x(1, -3)
+
+
+def test_sum_of_products_leaves_start_unchanged():
+    """The sum starts from a copy of ``start``: bringing it to a new
+    denominator, cancelling its terms or adding new ones leaves the
+    polynomial passed in as it was."""
+    third = Fraction(1, 3)
+    for start in (x(1) / 2 + x(2), x(1) * 2, LaurentPoly.zero(), LaurentPoly.one()):
+        terms, den = dict(start.terms), start.den
+        for pairs in ([(x(1), third)], [(start, -1)],
+                      [(x(3), x(2)), (x(2), Fraction(-1, 2))], []):
+            got = LaurentPoly.sum_of_products(pairs, start)
+            assert got == start + sum((a * b for a, b in pairs), LaurentPoly.zero())
+            assert start.terms == terms and start.den == den, (start, pairs)
+    assert LaurentPoly.sum_of_products([(x(1), 1)], -x(1)) == 0
 
 
 @pytest.mark.parametrize("value, terms, den", [

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import tail_record
+from jetpoisson import coeffpoly
 from jetpoisson import poissonlie as pl
 from jetpoisson import quantum as qt
 from jetpoisson import report as rep
@@ -585,6 +586,41 @@ def test_batched_normal_forms_match_per_word_reduction(monkeypatch, name):
     for word, nf in normal_forms.items():
         want = qt.nc_reduce(qt.nc_word(R.n_gens, R.h_order, word), R).terms
         assert nf == list(want.items()), (name, word)
+
+
+def test_tensor_reduce_batches_more_new_words_than_a_tag_power_holds(monkeypatch):
+    """A tag power is a key exponent, below coeffpoly._HALF, so more new
+    words than that are reduced in batches of at most _HALF, one nc_reduce
+    call each; every word still gets its own normal form, and the result is
+    that of reducing the words one at a time.  Words that need rewriting sit
+    at the end of the first batch and in the second."""
+    R = qt.relation_set_catalog("R2", {"C": Fraction(2, 3)})
+    half = coeffpoly._HALF
+    canonical = [w for length in range(1, 17)
+                 for w in itertools.combinations_with_replacement(range(R.n_gens, 0, -1), length)]
+    words = canonical[:half - 3] + [(1, 2), (1, 3, 2), (2, 4), (1, 5), (3, 1, 4)]
+    words += canonical[half:half + 22]
+    h = LaurentPoly.var(qt.H)
+    table = Combination()
+    for k in range(0, len(words), 2):
+        table.add((words[k], words[k + 1]), 1 + h if k % 4 else poly(Fraction(-2, 3)))
+    sizes = []
+    reduce = qt.nc_reduce
+
+    def counting(a, R, rng=None):
+        sizes.append(len(a.terms))
+        return reduce(a, R, rng)
+
+    monkeypatch.setattr(qt, "nc_reduce", counting)
+    normal_forms = {}
+    got = qt.tensor_reduce(table, R, normal_forms)
+    monkeypatch.setattr(qt, "nc_reduce", reduce)
+    assert sizes == [half, len(words) - half] and len(normal_forms) == len(words)
+    for word in words:
+        want = qt.nc_reduce(qt.nc_word(R.n_gens, R.h_order, word), R).terms
+        assert normal_forms[word] == list(want.items()), word
+    assert sum(len(normal_forms[w]) > 1 for w in words) >= 4
+    assert list(got.items()) == list(_tensor_reduce_per_term(table, R).items())
 
 
 @pytest.mark.parametrize("which, h_order", [("R2", None), ("R2", 2), ("R1", None)])
