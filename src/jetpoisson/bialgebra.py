@@ -15,14 +15,13 @@ below exact instances of the corresponding infinite systems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
 
 from . import report as rep
 from . import series as ts
-from .coeffpoly import Combination, LaurentPoly, Variable, poly
+from .coeffpoly import Combination, Frozen, LaurentPoly, Variable, poly
 from .poissonlie import PhiFunction, PoissonStructure
 
 
@@ -35,12 +34,11 @@ def witt_structure_constant(i: int, j: int, k: int) -> Fraction:
 # Tables
 
 
-@dataclass(frozen=True)
-class WedgeCochain:
-    min_index: int
-    alpha: dict  # n -> {(i, j): LaurentPoly}, antisymmetric per level
-    upper: int   # levels n <= upper are stored exactly
-    max_index: Optional[int] = None  # restrict to a finite subalgebra (e.g. sl2)
+class WedgeCochain(Frozen):
+    # alpha: n -> {(i, j): LaurentPoly}, antisymmetric per level, exact for the levels n <= upper;
+    # max_index restricts the cochain to a finite subalgebra (e.g. sl2)
+    def __init__(self, min_index: int, alpha: dict, upper: int, max_index: Optional[int] = None):
+        self.__dict__.update(min_index=min_index, alpha=alpha, upper=upper, max_index=max_index)
 
     def entry(self, n: int, i: int, j: int) -> LaurentPoly:
         if not self._in_range(i) or not self._in_range(j):
@@ -70,10 +68,9 @@ def cochain_from_wedge_terms(terms: Mapping, min_index: int, upper: int,
     return WedgeCochain(min_index, alpha, upper, max_index)
 
 
-@dataclass(frozen=True)
-class RMatrix:
-    min_index: int
-    r: dict  # (i, j) -> LaurentPoly, antisymmetric
+class RMatrix(Frozen):
+    def __init__(self, min_index: int, r: dict):
+        self.__dict__.update(min_index=min_index, r=r)  # r: (i, j) -> LaurentPoly, antisymmetric
 
     @cached_property
     def stored(self) -> dict:

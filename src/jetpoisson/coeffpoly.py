@@ -64,7 +64,6 @@ the variables and parameters were created in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, inf, lcm
@@ -277,17 +276,49 @@ class NotInvertible(ValueError):
     """A value that is not a rational times invertible variables was inverted."""
 
 
-@dataclass(frozen=True)
-class Variable:
-    kind: VarKind
-    index: int
+class Frozen:
+    """Base of the read-only records: their fields are the parameters of their ``__init__``,
+    which stores them in ``__dict__``; records of one class with equal fields are equal and
+    hash equal.  Setting or deleting an attribute raises AttributeError."""
 
-    def __post_init__(self):
-        if self.index < _MIN_INDEX:
-            raise ValueError(f"variable index {self.index} below minimum {_MIN_INDEX}")
-        if self.index - _MIN_INDEX >= _STRIDE:
+    def __init_subclass__(cls):
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1:init.co_argcount]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, f) for f in self._fields]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Variable(Frozen):
+    def __init__(self, kind: VarKind, index: int):
+        if index < _MIN_INDEX:
+            raise ValueError(f"variable index {index} below minimum {_MIN_INDEX}")
+        if index - _MIN_INDEX >= _STRIDE:
             # the code would spill into the next kind (x_{2^20+5} read back as y5)
-            raise ValueError(f"variable index {self.index} above maximum {_STRIDE + _MIN_INDEX - 1}")
+            raise ValueError(f"variable index {index} above maximum {_STRIDE + _MIN_INDEX - 1}")
+        self.__dict__.update(kind=kind, index=index)
+
+    def __eq__(self, other):  # Frozen's, unrolled: variables are dict keys on hot paths
+        if other.__class__ is not Variable:
+            return NotImplemented
+        return self.kind == other.kind and self.index == other.index
+
+    def __hash__(self):
+        return hash((self.kind, self.index))
 
     @property
     def invertible(self) -> bool:

@@ -13,22 +13,19 @@ balances its t powers, so the checks close inside the Laurent ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
-from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, aux_t, poly
+from .coeffpoly import Combination, Frozen, LaurentPoly, Variable, VarKind, aux_t, poly
 from .poissonlie import (PhiFunction, PoissonStructure, build_omega, upper_triangle,
                          verify_jacobi, weight)
 
 
-@dataclass(frozen=True)
-class DensityElement:
-    coords: tuple  # x_0 ... x_n
-    lam: LaurentPoly
-    n: int
+class DensityElement(Frozen):
+    def __init__(self, coords: tuple, lam: LaurentPoly, n: int):
+        self.__dict__.update(coords=coords, lam=lam, n=n)  # coords: x_0 ... x_n
 
     def coord(self, i: int) -> LaurentPoly:
         if 0 <= i <= self.n:

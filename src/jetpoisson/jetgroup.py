@@ -16,11 +16,10 @@ Two models live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import series as ts
-from .coeffpoly import Combination, LaurentPoly, NotInvertible, Variable, VarKind, poly
+from .coeffpoly import Combination, Frozen, LaurentPoly, NotInvertible, Variable, VarKind, poly
 
 LETTER_KINDS = {"x": VarKind.GROUP_X, "y": VarKind.GROUP_Y, "z": VarKind.GROUP_Z}
 
@@ -36,12 +35,9 @@ def nilpotent_reduce(p: LaurentPoly, m: int) -> LaurentPoly:
     return p.drop_high_degree(ZERO_COORD_CODES, m)
 
 
-@dataclass(frozen=True)
-class JetElement:
-    start_index: int
-    coords: tuple
-    n: int
-    nilpotency: Optional[int] = None
+class JetElement(Frozen):
+    def __init__(self, start_index: int, coords: tuple, n: int, nilpotency: Optional[int]):
+        self.__dict__.update(start_index=start_index, coords=coords, n=n, nilpotency=nilpotency)
 
     def coord(self, i: int) -> LaurentPoly:
         if i < self.start_index or i > self.n:

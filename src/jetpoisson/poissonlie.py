@@ -15,14 +15,13 @@ functional equation on phi equivalent to Jacobi, and anti-Poisson inversion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
-from .coeffpoly import Combination, LaurentPoly, Variable, VarKind, compositions, param, poly
+from .coeffpoly import Combination, Frozen, LaurentPoly, Variable, VarKind, compositions, param, poly
 
 
 class DivisibilityViolation(ValueError):
@@ -37,19 +36,18 @@ class DegreeBoundTooSmall(ValueError):
 # The generating-function catalog
 
 
-@dataclass(frozen=True)
-class PhiFunction:
+class PhiFunction(Frozen):
     """Antisymmetric coefficient table lam_{mn}, m,n >= min_index.
 
+    ``table`` maps (m, n) -> LaurentPoly, both orientations stored.
     ``degree`` is a box bound: entries with max(m,n) <= degree are exact.
     ``degree is None`` marks a complete table, that of a polynomial
     generating function, which no bound limits.
     """
 
-    min_index: int
-    table: dict  # (m, n) -> LaurentPoly, both orientations stored
-    degree: Optional[int]
-    provenance: str = "custom"
+    def __init__(self, min_index: int, table: dict, degree: Optional[int], provenance: str):
+        self.__dict__.update(min_index=min_index, table=table, degree=degree,
+                             provenance=provenance)
 
     def coeff(self, m: int, n: int) -> LaurentPoly:
         return self.table.get((m, n), LaurentPoly.zero())
@@ -146,13 +144,13 @@ def phi_exponential(lam, degree: int) -> PhiFunction:
 # Building bracket tables
 
 
-@dataclass(frozen=True)
-class PoissonStructure:
-    n: int
-    start_index: int
-    omega: dict  # (i, j) with i < j -> LaurentPoly
-    coord_kind: VarKind = VarKind.GROUP_X
-    phi: Optional[PhiFunction] = None  # the generating function the table was built from
+class PoissonStructure(Frozen):
+    # omega: (i, j) with i < j -> LaurentPoly, the brackets of the coordinates of kind
+    # coord_kind; phi: the generating function the table was built from, if any
+    def __init__(self, n: int, start_index: int, omega: dict,
+                 coord_kind: VarKind = VarKind.GROUP_X, phi: Optional[PhiFunction] = None):
+        self.__dict__.update(n=n, start_index=start_index, omega=omega, coord_kind=coord_kind,
+                             phi=phi)
 
     def bracket(self, i: int, j: int) -> LaurentPoly:
         if i == j:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
@@ -45,6 +44,7 @@ from typing import Mapping, Optional
 from . import report as rep
 from .coeffpoly import (
     Combination,
+    Frozen,
     LaurentPoly,
     Variable,
     VarKind,
@@ -79,11 +79,10 @@ def word_is_canonical(word: tuple) -> bool:
     return all(word[p] >= word[p + 1] for p in range(len(word) - 1))
 
 
-@dataclass(frozen=True)
-class NCElement:
-    n_gens: int
-    h_order: int
-    terms: Combination  # word tuple -> LaurentPoly in h and parameters
+class NCElement(Frozen):
+    def __init__(self, n_gens: int, h_order: int, terms: Combination):
+        # terms: word tuple -> LaurentPoly in h and parameters
+        self.__dict__.update(n_gens=n_gens, h_order=h_order, terms=terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -131,13 +130,10 @@ def nc_sub(a: NCElement, b: NCElement) -> NCElement:
 # Relation sets and reduction
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    label: str
-    d: int
-    n_gens: int
-    h_order: int
-    tails: dict  # (i, j) with i < j -> NCElement: x_i x_j = x_j x_i + tail
+class RelationSet(Frozen):
+    # tails: (i, j) with i < j -> NCElement, the relation x_i x_j = x_j x_i + tail
+    def __init__(self, label: str, d: int, n_gens: int, h_order: int, tails: dict):
+        self.__dict__.update(label=label, d=d, n_gens=n_gens, h_order=h_order, tails=tails)
 
     def tail(self, i: int, j: int) -> NCElement:
         return self.tails[(i, j)]

@@ -13,16 +13,17 @@ control of the phi equation and the sl(2) records, are made by hand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    params: dict = field(default_factory=dict)
-    status: str = "pass"
-    witness: Optional[dict] = None  # {"indices": [...], "residual": str}
+    def __init__(self, check: str, params: dict, status: str, witness: dict | None):
+        # witness: {"indices": [...], "residual": str}, None when the check passed
+        self.check, self.params, self.status, self.witness = check, params, status, witness
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:

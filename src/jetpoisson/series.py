@@ -14,10 +14,9 @@ key's exponents too (`coeffpoly._HALF`); `make` rejects any other with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .coeffpoly import _FIELD, _HALF, Combination, LaurentPoly, NotInvertible, poly
+from .coeffpoly import _FIELD, _HALF, Combination, Frozen, LaurentPoly, NotInvertible, poly
 
 FORMAL_VARS = ("u", "v", "w")
 
@@ -43,11 +42,10 @@ _TOP = 1 << (_FIELD - 1)        # the bit a field sets when a pair passes its bo
 _LIMIT = _HALF                  # bounds and exponents lie below this
 
 
-@dataclass(frozen=True)
-class TruncSeries:
-    vars: tuple[str, ...]
-    bounds: tuple[int, ...]
-    coeffs: Combination  # exponent tuple -> coefficient
+class TruncSeries(Frozen):
+    def __init__(self, vars: tuple[str, ...], bounds: tuple[int, ...], coeffs: Combination):
+        # coeffs: exponent tuple -> coefficient
+        self.__dict__.update(vars=vars, bounds=bounds, coeffs=coeffs)
 
     def coeff(self, exps) -> LaurentPoly:
         exps = (exps,) if isinstance(exps, int) else tuple(exps)

@@ -730,6 +730,63 @@ MUTANTS = [
         "mutant": "batch = new[at:at + _HALF + 1]",
         "tests": ["tests/test_quantum.py::test_tensor_reduce_batches_more_new_words_than_a_tag_power_holds"],
     },
+    {
+        "name": "variable-lower-bound-unchecked",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "        if index < _MIN_INDEX:\n"
+                    "            raise ValueError(f\"variable index {index} below minimum {_MIN_INDEX}\")\n",
+        "mutant": "",
+        "tests": ["tests/test_coeffpoly.py::test_variable_index_beyond_its_kind_rejected"],
+    },
+    {
+        "name": "variable-upper-bound-off-by-one",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "if index - _MIN_INDEX >= _STRIDE:",
+        "mutant": "if index - _MIN_INDEX > _STRIDE:",
+        "tests": ["tests/test_coeffpoly.py::test_variable_index_beyond_its_kind_rejected"],
+    },
+    {
+        "name": "perturbed-sign-kept-below-the-diagonal",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "omega.add((min(i, j), max(i, j)), delta if i < j else -delta)",
+        "mutant": "omega.add((min(i, j), max(i, j)), delta)",
+        "tests": ["tests/test_poissonlie.py::test_perturbed_below_the_diagonal_and_on_it"],
+    },
+    {
+        "name": "multiplicativity-extended-without-y-part",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": ", table),\n"
+                    "         (_jacobian(z, VarKind.GROUP_Y, range(0, K + 1)),\n"
+                    "          {kl: w.substitute(to_y) for kl, w in table.items() if max(kl) <= K})],",
+        "mutant": ", table)],",
+        "tests": ["tests/test_poissonlie.py::test_extended_model_linear_structure",
+                  "tests/test_poissonlie.py::test_extended_multiplicativity_reads_the_given_table"],
+    },
+    {
+        "name": "congruence-row-not-refreshed",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "Ji, U = J[i], {}",
+        "mutant": "Ji, U = J[lo], {}",
+        "tests": ["tests/test_poissonlie.py::test_multiplicativity_families_and_identity_substitution",
+                  "tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops"],
+    },
+    {
+        "name": "frozen-record-assignable",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "    def __setattr__(self, name, value=None):\n"
+                    "        raise AttributeError(f\"{type(self).__name__} is read-only: cannot set or "
+                    "delete {name!r}\")\n\n"
+                    "    __delattr__ = __setattr__\n",
+        "mutant": "",
+        "tests": ["tests/test_coeffpoly.py::test_records_are_read_only_and_equal_by_fields"],
+    },
+    {
+        "name": "frozen-record-equal-by-first-field",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "getattr(other, f) for f in self._fields)",
+        "mutant": "getattr(other, f) for f in self._fields[:1])",
+        "tests": ["tests/test_coeffpoly.py::test_records_are_read_only_and_equal_by_fields"],
+    },
 ]
 
 

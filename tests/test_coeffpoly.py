@@ -7,14 +7,23 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+from jetpoisson import bialgebra as ba
 from jetpoisson import coeffpoly
+from jetpoisson import density as dn
+from jetpoisson import jetgroup as jg
+from jetpoisson import poissonlie as pl
+from jetpoisson import quantum as qt
+from jetpoisson import report as rep
+from jetpoisson import series as ts
 from jetpoisson.coeffpoly import (
     Combination,
     ExponentOverflow,
+    Frozen,
     LaurentPoly,
     NotInvertible,
     Variable,
@@ -530,9 +539,69 @@ def test_variable_identity_and_invertibility():
 def test_variable_index_beyond_its_kind_rejected():
     top = 2**20 - 2  # the largest index whose code stays inside its kind
     assert LaurentPoly.var(x_var(top)).render() == f"1*x{top}"
-    for index in (top + 1, 2**20 + 5):
+    assert LaurentPoly.var(x_var(-1)).render() == "1*x-1"
+    # below the lowest index the code would fall into the kind before
+    # (y_{-2} read back as x1048574)
+    for index in (-2, top + 1, 2**20 + 5):
         with pytest.raises(ValueError):
             x_var(index)
+        with pytest.raises(ValueError):
+            Variable(VarKind.GROUP_Y, index)
+
+
+# Each read-only record: arguments that build it afresh, a field and a value
+# to assign to it, and whether every field is hashable.
+RECORDS = {
+    Variable: (lambda: (VarKind.GROUP_X, 3), "index", 4, True),
+    ts.TruncSeries: (lambda: (("u",), (3,), Combination({(1,): x(1)})), "bounds", (4,), False),
+    jg.JetElement: (lambda: (1, (x(1), x(2)), 2, None), "n", 3, True),
+    pl.PhiFunction: (lambda: (1, {(1, 2): x(1), (2, 1): -x(1)}, 4, "custom"), "degree", 5, False),
+    pl.PoissonStructure: (lambda: (2, 1, {(1, 2): x(1)}), "start_index", 0, False),
+    dn.DensityElement: (lambda: ((x(0), x(1)), LaurentPoly.const(2), 1), "lam", 3, True),
+    ba.WedgeCochain: (lambda: (0, {1: {(0, 1): x(1), (1, 0): -x(1)}}, 2), "upper", 3, False),
+    ba.RMatrix: (lambda: (0, {(1, 2): x(1), (2, 1): -x(1)}), "min_index", 1, False),
+    qt.NCElement: (lambda: (2, 1, Combination({(2, 1): x(1)})), "h_order", 2, False),
+    qt.RelationSet: (lambda: ("R", 1, 2, 1, {}), "label", "S", False),
+}
+
+
+def test_the_record_table_names_every_record():
+    assert set(RECORDS) == set(Frozen.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_are_read_only_and_equal_by_fields(cls):
+    arguments, name, value, hashable = RECORDS[cls]
+    a, b = cls(*arguments()), cls(*arguments())
+    assert a is not b and a == b and not a != b
+    assert repr(a) == repr(b) and repr(a).startswith(f"{cls.__name__}(")
+    if hashable:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    # cached properties are filled in place and leave equality alone
+    cached = [n for n, attr in vars(cls).items() if isinstance(attr, cached_property)]
+    for n in cached:
+        assert getattr(a, n) is getattr(a, n) and a == b
+    fields = {n: getattr(a, n) for n in vars(a) if n not in cached}
+    other = cls(**{**fields, name: value})
+    assert a != other and not a == other
+    with pytest.raises(AttributeError):
+        setattr(a, name, value)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert getattr(a, name) == fields[name] and a == b
+
+
+def test_a_verification_report_is_mutable_and_equal_by_fields():
+    a, b = (rep.VerificationReport("c", {"n": 1}, "fail", {"indices": [1], "residual": "x1"})
+            for _ in range(2))
+    assert a == b
+    b.status = "pass"
+    assert a != b and b.passed and not a.passed
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_combination_accumulates_in_place():

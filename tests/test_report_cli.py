@@ -649,6 +649,19 @@ def test_cli_entry_point_runs():
     assert "phi-equation" in proc.stdout
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    """``dataclasses`` and the modules it loads (inspect, ast, dis, tokenize)
+    cost every run about 25 ms of set-up; nothing else in a run needs them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    script = (f"import sys\nsys.path.insert(0, {src!r})\nimport jetpoisson.cli\n"
+              f"print(sorted({heavy!r} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", script],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_the_batch_tag_never_reaches_a_report(monkeypatch, capsys):
     """quantum.tensor_reduce tags the words it reduces together with a
     variable that has no name, so rendering it raises.  Given a name here,
