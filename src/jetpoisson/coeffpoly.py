@@ -312,14 +312,6 @@ class Variable(Frozen):
             raise ValueError(f"variable index {index} above maximum {_STRIDE + _MIN_INDEX - 1}")
         self.__dict__.update(kind=kind, index=index)
 
-    def __eq__(self, other):  # Frozen's, unrolled: variables are dict keys on hot paths
-        if other.__class__ is not Variable:
-            return NotImplemented
-        return self.kind == other.kind and self.index == other.index
-
-    def __hash__(self):
-        return hash((self.kind, self.index))
-
     @property
     def invertible(self) -> bool:
         return _code_invertible(self.code)
@@ -533,7 +525,7 @@ class LaurentPoly:
         return LaurentPoly({_checked(-key): den}, num)
 
     def variables(self) -> set[Variable]:
-        return {decode(code) for key in self.terms for code, _ in _unpack(key)}
+        return {decode(code) for code in {code for key in self.terms for code, _ in _unpack(key)}}
 
     def coefficient(self, v: Variable, exp: int) -> "LaurentPoly":
         """Collect the coefficient of v**exp (the rest of each matching term)."""

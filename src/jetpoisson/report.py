@@ -25,6 +25,9 @@ class VerificationReport:
             return NotImplemented
         return vars(self) == vars(other)
 
+    def __repr__(self):
+        return f"VerificationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
     @property
     def passed(self) -> bool:
         return self.status == "pass"

@@ -598,6 +598,8 @@ def test_a_verification_report_is_mutable_and_equal_by_fields():
     a, b = (rep.VerificationReport("c", {"n": 1}, "fail", {"indices": [1], "residual": "x1"})
             for _ in range(2))
     assert a == b
+    assert repr(a) == ("VerificationReport(check='c', params={'n': 1}, status='fail', "
+                       "witness={'indices': [1], 'residual': 'x1'})")
     b.status = "pass"
     assert a != b and b.passed and not a.passed
     with pytest.raises(TypeError):
