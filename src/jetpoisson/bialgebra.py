@@ -19,10 +19,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
 
+from . import poissonlie as pl
 from . import report as rep
 from . import series as ts
 from .coeffpoly import Combination, Frozen, LaurentPoly, Variable, poly
-from .poissonlie import PhiFunction, PoissonStructure
 
 
 def witt_structure_constant(i: int, j: int, k: int) -> Fraction:
@@ -92,7 +92,7 @@ def rmatrix_from_entries(entries: Mapping, min_index: int) -> RMatrix:
     return RMatrix(min_index, Combination.antisymmetric(entries.items()))
 
 
-def r_from_phi(phi: PhiFunction) -> RMatrix:
+def r_from_phi(phi: pl.PhiFunction) -> RMatrix:
     """r_{ij} = lam_{i+1, j+1}: the tangent r-matrix of a generating function."""
     return RMatrix(phi.min_index - 1, {(m - 1, n - 1): c for (m, n), c in phi.table.items()})
 
@@ -306,7 +306,7 @@ def verify_rr_invariance(r: RMatrix, N: int) -> rep.VerificationReport:
 # Tangent correspondence between bracket tables and cochains
 
 
-def beta_correspondence(omega: PoissonStructure, phi: PhiFunction) -> rep.VerificationReport:
+def beta_correspondence(omega: pl.PoissonStructure, phi: pl.PhiFunction) -> rep.VerificationReport:
     """First-order jet of a bracket table at the identity against the cochain
     the generating function predicts, entry by entry and as generating series.
     """
@@ -373,11 +373,20 @@ def witt_a_sequence(N: int) -> list[Fraction]:
     return [a[k] for k in range(2, N + 1)]
 
 
+def verify_witt_a_sequence() -> rep.VerificationReport:
+    """a_2 .. a_6 against their printed values 1, 3, 5, 64/9, 28/3; a_7, whose
+    printed value the recursion does not give, is the record's parameter."""
+    printed = [Fraction(1), Fraction(3), Fraction(5), Fraction(64, 9), Fraction(28, 3)]
+    seq = witt_a_sequence(7)
+    cases = (((k,), LaurentPoly.const(a - b)) for k, a, b in zip(range(2, 7), seq, printed))
+    return rep.first_failure("witt-a-sequence", cases, {"a7": str(seq[5])})
+
+
 # ---------------------------------------------------------------------------
 # Classifiers: coefficient tables of all solutions, one branch at a time
 
 
-def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> PhiFunction:
+def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> pl.PhiFunction:
     """Fill a branch-d coefficient table from its free parameters.
 
     Normalization lam_{1,d+1} = 1.  Free data: lam_{1,n} for
@@ -416,7 +425,7 @@ def classify_branch_d(d: int, free: Mapping[int, object], n_max: int) -> PhiFunc
     return _determinants(lam1, row, 1, n_max - d, f"branch d={d}")
 
 
-def classify_g0_branch(free: Mapping[int, object], n_max: int) -> PhiFunction:
+def classify_g0_branch(free: Mapping[int, object], n_max: int) -> pl.PhiFunction:
     """Extended-group branch with lam_{0,1} = 1 and free lam_{0,n}, n >= 2.
 
     lam_{1,r} follows recursively, then every entry is the two-by-two
@@ -440,12 +449,32 @@ def classify_g0_branch(free: Mapping[int, object], n_max: int) -> PhiFunction:
 
 
 def _determinants(a: Combination, b: Combination, lo: int, box: int,
-                  provenance: str) -> PhiFunction:
+                  provenance: str) -> pl.PhiFunction:
     """The table lam_{mn} = a_m b_n - a_n b_m for lo <= m < n <= box: the
     two-by-two determinants of the rows a and b."""
     upper = (((m, n), a[m] * b[n] - a[n] * b[m])
              for m in range(lo, box + 1) for n in range(m + 1, box + 1))
-    return PhiFunction(lo, Combination.antisymmetric(upper), box, provenance)
+    return pl.PhiFunction(lo, Combination.antisymmetric(upper), box, provenance)
+
+
+def verify_classifiers() -> list[rep.VerificationReport]:
+    """Branch 2 with lam_14 = mu forces lam_15 = mu^2 and lam_23 = -mu; with
+    lam_1n = lam^(n-3) it is `poissonlie.phi_extended_family` at d = 2; and
+    the g0 branch with free a2 .. a7 satisfies the phi equation."""
+    mu = pl.weight("mu")
+    table = classify_branch_d(2, {4: mu}, 9)
+    records = [rep.first_failure("branch-d-forced-entries", [
+        ((1, 5), table.coeff(1, 5) - mu * mu), ((2, 3), table.coeff(2, 3) + mu)], {"d": 2})]
+    lam = pl.weight("lam")
+    geo = {n: lam ** (n - 3) for n in [4] + list(range(6, 16))}
+    tab = classify_branch_d(2, geo, 15)
+    phi = pl.phi_extended_family(2, lam, 13)
+    records.append(rep.first_failure("branch-d-geometric-specialization", (
+        ((m, n), tab.coeff(m, n) - phi.coeff(m, n)) for m in range(1, 14) for n in range(1, 14)),
+        {"d": 2}))
+    free = {n: pl.weight(f"a{n}") for n in range(2, 8)}
+    records.append(pl.verify_phi_equation(classify_g0_branch(free, 6), 5))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -368,21 +368,13 @@ def aux_t(index: int = 0) -> Variable:
 
 
 def _scalar(value) -> tuple[int, int]:
-    """An exact scalar as a reduced (num, den) pair with den > 0: an int, a
-    Fraction or an (int, int) pair.  Anything else, a float too, raises
-    TypeError, since a float is not the rational it was meant to be."""
+    """An exact scalar, an int or a Fraction, as a reduced (num, den) pair
+    with den > 0.  Anything else, a float too, raises TypeError, since a
+    float is not the rational it was meant to be."""
     if isinstance(value, int):
         return (int(value), 1)
     if isinstance(value, Fraction):
         return (value.numerator, value.denominator)
-    if isinstance(value, tuple) and len(value) == 2 and all(isinstance(part, int) for part in value):
-        num, den = value
-        if den == 0:
-            raise ZeroDivisionError(f"zero denominator in {value!r}")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
-        return (num // g, den // g)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 

@@ -12,12 +12,16 @@ Two models live here:
   coordinates are dropped), which makes the otherwise infinite coordinate
   sums finite.  Composition then yields exact coordinates only up to index
   x.n - m, and the result is truncated there.
+
+``verify_group_laws`` checks the group laws of the first model on symbolic jets.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
+from . import report as rep
 from . import series as ts
 from .coeffpoly import Combination, Frozen, LaurentPoly, NotInvertible, Variable, VarKind, poly
 
@@ -139,3 +143,41 @@ def vf_commutator(a: Combination, b: Combination) -> Combination:
                 term = fi * gj.derivative(xi)
                 comps.add(j, -term if negate else term)
     return comps
+
+
+def _differences(a: JetElement, b: JetElement, top: int):
+    """The cases ((i,), a_i - b_i) of coordinates 1..top."""
+    return (((i,), a.coord(i) - b.coord(i)) for i in range(1, top + 1))
+
+
+def verify_group_laws(n: int) -> list[rep.VerificationReport]:
+    """Associativity, identity and both inverses of symbolic jets at truncation
+    n, [X_a, X_b] = (a - b) X_{a+b-1} for a, b <= min(n, 6), and the projection
+    to m = max(1, n - 2) coordinates as a homomorphism."""
+    x, y, z = (symbolic_jet(n, letter) for letter in "xyz")
+    xy, e, xb = jet_compose(x, y), jet_identity(n), jet_inverse(x)
+    laws = {
+        "group-associativity": _differences(
+            jet_compose(xy, z), jet_compose(x, jet_compose(y, z)), n),
+        "group-identity": itertools.chain(_differences(jet_compose(x, e), x, n),
+                                          _differences(jet_compose(e, x), x, n)),
+        "group-inverse": itertools.chain(_differences(jet_compose(x, xb), e, n),
+                                         _differences(jet_compose(xb, x), e, n)),
+    }
+    records = [rep.first_failure(name, cases, {"n": n}) for name, cases in laws.items()]
+    top = min(n, 6)
+
+    def bracket_cases():
+        X = {k: left_invariant_field(k, n) for k in range(1, 2 * top)}
+        for a in range(1, top + 1):
+            for b in range(1, top + 1):
+                diff = vf_commutator(X[a], X[b])
+                diff.add_all(X[a + b - 1], b - a)
+                yield (a, b), diff[min(diff)] if diff else LaurentPoly.zero()
+
+    records.append(rep.first_failure("field-bracket", bracket_cases(), {"n": n}))
+    m = max(1, n - 2)
+    records.append(rep.first_failure("projection-homomorphism", _differences(
+        jet_project(xy, m), jet_compose(jet_project(x, m), jet_project(y, m)), m),
+        {"n": n, "m": m}))
+    return records

@@ -92,34 +92,23 @@ def phi_power_family(d: int) -> PhiFunction:
 
 
 def phi_extended_family(d: int, lam, degree: int) -> PhiFunction:
-    """One-parameter deformation of u v (v^d - u^d), expanded to the degree box.
-
-    The closed form is
+    """One-parameter deformation of u v (v^d - u^d), to the degree box:
       [ (d-1) u v (v^d - u^d) + lam d u^2 v^2 (u^{d-1} - v^{d-1}) ]
-        / [ (d-1) (1 - lam u)(1 - lam v) ]
-    so the expansion multiplies the bracketed polynomial by two geometric
-    series.  ``lam`` may be rational or a parameter polynomial.
+        / [ (d-1) (1 - lam u)(1 - lam v) ].
+    Its numerator's four terms give lam_{mn} = lam^(m+n-d-2) c(m, n) / (d-1),
+    c(m, n) = (d-1)([n>d] - [m>d]) + d([m>d][n>1] - [m>1][n>d]); for m < n,
+    c is d - 1 at m = 1 < d < n, -1 at 1 < m <= d < n and 0 elsewhere.
+    ``lam`` may be rational, a parameter polynomial or its name.
     """
     if d < 2:
         raise ValueError("extended family needs d >= 2")
     lam = weight(lam)
-    B = degree
-    space, bounds = ("u", "v"), (B, B)
-
-    def geom(var: str) -> ts.TruncSeries:
-        pos = space.index(var)
-        coeffs = {}
-        for k in range(B + 1):
-            exps = [0, 0]
-            exps[pos] = k
-            coeffs[tuple(exps)] = lam ** k
-        return ts.make(space, bounds, coeffs)
-
-    numerator = Combination.antisymmetric([((1, d + 1), d - 1), ((d + 1, 2), lam * d)])
-    series = ts.product(ts.make(space, bounds, numerator), geom("u"), geom("v"))
-    series = ts.scale(series, Fraction(1, d - 1))
-    upper = ((mn, c) for mn, c in series.coeffs.items() if mn[0] < mn[1])
-    return PhiFunction(1, Combination.antisymmetric(upper), B, f"extended d={d}")
+    powers = [LaurentPoly.one()]
+    for _ in range(degree - 2):
+        powers.append(powers[-1] * lam)
+    upper = (((m, n), powers[m + n - d - 2] * (1 if m == 1 else Fraction(-1, d - 1)))
+             for m in range(1, d + 1) for n in range(d + 1, degree + 1))
+    return PhiFunction(1, Combination.antisymmetric(upper), degree, f"extended d={d}")
 
 
 def phi_linear() -> PhiFunction:
@@ -257,6 +246,16 @@ def omega_power_closed_form(d: int, n: int) -> PoissonStructure:
 
 # ---------------------------------------------------------------------------
 # Verifiers
+
+
+def verify_bracket_match(omega: PoissonStructure, d: int) -> list[rep.VerificationReport]:
+    """One record per pair i < j of omega's coordinates: the table of the u v
+    (u^d - v^d) family built from its generating series against the
+    independent closed form `omega_power_closed_form`."""
+    closed = omega_power_closed_form(d, omega.n)
+    return [rep.first_failure("bracket-match", [((i, j), closed.bracket(i, j) - omega.bracket(i, j))],
+                              {"i": i, "j": j, "d": d})
+            for i, j in itertools.combinations(range(1, omega.n + 1), 2)]
 
 
 def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> rep.VerificationReport:

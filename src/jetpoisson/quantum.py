@@ -55,7 +55,7 @@ from .coeffpoly import (
     poly,
 )
 from .jetgroup import ShapeMismatch
-from .poissonlie import PoissonStructure, omega_power_closed_form
+from .poissonlie import PoissonStructure, omega_power_closed_form, weight
 
 H = param("h")
 _H_CODES = frozenset({H.code})
@@ -531,12 +531,6 @@ def verify_quasiclassical(R: RelationSet, omega: PoissonStructure) -> rep.Verifi
 # The shipped relation sets
 
 
-def _sym(value, name: str):
-    if value == "symbolic":
-        return LaurentPoly.var(param(name))
-    return poly(value)
-
-
 def _quantised(d: int, n_gens: int, h_order: int, higher: Mapping) -> dict:
     """Each tail as h {x_i, x_j} of the u v (u^d - v^d) bracket table, each
     monomial read as its non-increasing word, plus the terms of h^2 and above
@@ -659,7 +653,8 @@ def relation_set_catalog(which: str, params: Optional[Mapping] = None,
     reachable in any length-3 overlap reduction; the tests re-run at
     h_order+2 and compare).
     """
-    p = {name: _sym(value, name) for name, value in catalog_params(which, params).items()}
+    p = {name: weight(name if value == "symbolic" else value)
+         for name, value in catalog_params(which, params).items()}
     d, n_gens, default, _ = _CATALOG[which]
     if which == "R1":
         higher = _linear_higher(**p)

@@ -3,11 +3,12 @@
 Every verifier in the package returns one (or a list of) VerificationReport;
 the record is deterministic: parameters are emitted with sorted keys and the
 witness carries the first offending index tuple plus a rendered residual.
-``first_failure`` makes every record of the library's verifiers and of the
-CLI's own checks: the witness is the first failing case, whose residual is
+``first_failure`` makes the record of every check, and every check lives in
+the library: the witness is the first failing case, whose residual is
 either a polynomial (rendered) or a witness text such as "normal forms
-differ; e.g. ...".  Only the CLI's two composite records, the negative
-control of the phi equation and the sl(2) records, are made by hand.
+differ; e.g. ...".  The CLI only combines finished records: its two
+composite records, the negative control of the phi equation and the sl(2)
+records, are made by hand from the records of their parts.
 """
 
 from __future__ import annotations

@@ -297,7 +297,7 @@ MUTANTS = [
     },
     {
         "name": "field-bracket-sign-flipped",
-        "file": "src/jetpoisson/cli.py",
+        "file": "src/jetpoisson/jetgroup.py",
         "original": "diff.add_all(X[a + b - 1], b - a)",
         "mutant": "diff.add_all(X[a + b - 1], a - b)",
         "tests": ["tests/test_report_cli.py::test_cli_pass_and_exit_status"],
@@ -446,10 +446,10 @@ MUTANTS = [
     },
     {
         "name": "group-inverse-drops-the-left-order",
-        "file": "src/jetpoisson/cli.py",
-        "original": "_differences(jg.jet_compose(x, xb), e, n),\n"
-                    "                                         _differences(jg.jet_compose(xb, x), e, n)),",
-        "mutant": "_differences(jg.jet_compose(x, xb), e, n)),",
+        "file": "src/jetpoisson/jetgroup.py",
+        "original": "_differences(jet_compose(x, xb), e, n),\n"
+                    "                                         _differences(jet_compose(xb, x), e, n)),",
+        "mutant": "_differences(jet_compose(x, xb), e, n)),",
         "tests": ["tests/test_report_cli.py::test_group_inverse_checks_the_left_inverse"],
     },
     {
@@ -646,9 +646,9 @@ MUTANTS = [
     },
     {
         "name": "field-bracket-builds-a-field-per-pair",
-        "file": "src/jetpoisson/cli.py",
-        "original": "diff = jg.vf_commutator(X[a], X[b])",
-        "mutant": "diff = jg.vf_commutator(jg.left_invariant_field(a, n), X[b])",
+        "file": "src/jetpoisson/jetgroup.py",
+        "original": "diff = vf_commutator(X[a], X[b])",
+        "mutant": "diff = vf_commutator(left_invariant_field(a, n), X[b])",
         "tests": ["tests/test_report_cli.py::test_group_suite_builds_each_left_invariant_field_once"],
     },
     {
@@ -786,6 +786,43 @@ MUTANTS = [
         "original": "getattr(other, f) for f in self._fields)",
         "mutant": "getattr(other, f) for f in self._fields[:1])",
         "tests": ["tests/test_coeffpoly.py::test_records_are_read_only_and_equal_by_fields"],
+    },
+    {
+        "name": "jacobi-reads-jl-as-kl",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "(k, (j, l), True)",
+        "mutant": "(k, (k, l), True)",
+        "tests": ["tests/test_poissonlie.py::test_jacobi_matches_the_per_triple_loop"],
+    },
+    {
+        "name": "congruence-skips-the-last-row",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "for i in range(lo, hi):  # the last i pairs with no j",
+        "mutant": "for i in range(lo, hi - 1):",
+        "tests": ["tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops"],
+    },
+    {
+        "name": "within-filters-with-less-than",
+        "file": "src/jetpoisson/series.py",
+        "original": "if all(e <= b for e, b in zip(exps, bounds)):",
+        "mutant": "if all(e < b for e, b in zip(exps, bounds)):",
+        "tests": ["tests/test_series.py::test_sums_truncations_and_derivatives_match_make"],
+    },
+    {
+        "name": "extended-family-sign-flipped-below-the-first-row",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "(1 if m == 1 else Fraction(-1, d - 1))",
+        "mutant": "(1 if m == 1 else Fraction(1, d - 1))",
+        "tests": ["tests/test_poissonlie.py::test_extended_family_matches_its_series_expansion"],
+    },
+    {
+        # c(1, n) = d - 1 not divided by d - 1: equal to the table at d = 2,
+        # which is all that branch-d-geometric-specialization compares
+        "name": "extended-family-first-row-undivided",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "(1 if m == 1 else Fraction(-1, d - 1))",
+        "mutant": "(d - 1 if m == 1 else Fraction(-1, d - 1))",
+        "tests": ["tests/test_poissonlie.py::test_extended_family_matches_its_series_expansion"],
     },
 ]
 

@@ -623,6 +623,31 @@ def test_extended_family_coefficients():
     assert zero_lam.coeff(1, 4).is_zero()
 
 
+def _extended_family_by_series(d, lam, degree):
+    """The extended family as the product its closed form sums: the
+    numerator times the geometric series of 1/(1 - lam u) and 1/(1 - lam v),
+    over d - 1, cut at the degree box."""
+    lam = pl.weight(lam)
+    space, bounds = ("u", "v"), (degree, degree)
+    geom_u = ts.make(space, bounds, {(k, 0): lam ** k for k in range(degree + 1)})
+    geom_v = ts.make(space, bounds, {(0, k): lam ** k for k in range(degree + 1)})
+    numerator = Combination.antisymmetric([((1, d + 1), d - 1), ((d + 1, 2), lam * d)])
+    series = ts.scale(ts.product(ts.make(space, bounds, numerator), geom_u, geom_v),
+                      Fraction(1, d - 1))
+    upper = ((mn, c) for mn, c in series.coeffs.items() if mn[0] < mn[1])
+    return pl.PhiFunction(1, Combination.antisymmetric(upper), degree, f"extended d={d}")
+
+
+def test_extended_family_matches_its_series_expansion():
+    # the same table, with its entries in the same order, for every box
+    for lam in (LaurentPoly.var(param("lam")), Fraction(1, 2), Fraction(-3, 7), 0, "mu"):
+        for d in range(2, 6):
+            for degree in range(1, 18):
+                phi = pl.phi_extended_family(d, lam, degree)
+                expected = _extended_family_by_series(d, lam, degree)
+                assert phi == expected and list(phi.table) == list(expected.table), (lam, d, degree)
+
+
 def test_phi_linear_and_exponential_tables():
     lin = pl.phi_linear()
     assert lin.coeff(1, 0) == LaurentPoly.one()

@@ -22,7 +22,7 @@ from jetpoisson import poissonlie as pl
 from jetpoisson import quantum as qt
 from jetpoisson import report as rep
 from jetpoisson import series as ts
-from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_bialgebra, suite_group
+from jetpoisson.cli import SUITES, build_parser, main, run_suite, suite_bialgebra
 from jetpoisson.coeffpoly import Combination, LaurentPoly, x_var
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,7 +97,7 @@ def test_field_bracket_reports_the_first_broken_pair(monkeypatch):
         return got.map(lambda c: c * 2) if pair in ((2, 3), (3, 1)) else got
 
     monkeypatch.setattr(jg, "vf_commutator", broken_commutator)
-    records = suite_group(build_parser().parse_args(["verify", "group", "--n", "4"]))
+    records = jg.verify_group_laws(4)
     [record] = [r for r in records if r.check == "field-bracket"]
     assert record.witness["indices"] == [2, 3]
     assert seen[-1] == (2, 3)  # no bracket is computed after the first failure
@@ -174,8 +174,7 @@ def test_group_inverse_checks_the_left_inverse(monkeypatch):
 
     monkeypatch.setattr(jg, "jet_inverse", recorded_inverse)
     monkeypatch.setattr(jg, "jet_compose", left_inverse_broken)
-    records = {r.check: r for r in suite_group(build_parser().parse_args(
-        ["verify", "group", "--n", "4"]))}
+    records = {r.check: r for r in jg.verify_group_laws(4)}
     assert records.pop("group-inverse").witness == {"indices": [4], "residual": "1"}
     assert all(r.passed for r in records.values())
 
@@ -184,9 +183,9 @@ def test_group_suite_composes_each_jet_once(monkeypatch):
     compose, calls = jg.jet_compose, []
     monkeypatch.setattr(jg, "jet_compose", lambda a, b: calls.append((a, b)) or compose(a, b))
     counts = []
-    for n in ("6", "7"):
+    for n in (6, 7):
         calls.clear()
-        suite_group(build_parser().parse_args(["verify", "group", "--n", n]))
+        jg.verify_group_laws(n)
         counts.append(len(calls))
     # four for associativity, two each for identity and inverse, one for the projection
     assert counts == [9, 9]
@@ -195,9 +194,9 @@ def test_group_suite_composes_each_jet_once(monkeypatch):
 def test_group_suite_builds_each_left_invariant_field_once(monkeypatch):
     field, calls = jg.left_invariant_field, []
     monkeypatch.setattr(jg, "left_invariant_field", lambda k, n: calls.append(k) or field(k, n))
-    for n in ("6", "7"):
+    for n in (6, 7):
         calls.clear()
-        suite_group(build_parser().parse_args(["verify", "group", "--n", n]))
+        jg.verify_group_laws(n)
         assert calls == list(range(1, 12))  # X_1 .. X_{2 top - 1}, top = 6
 
 
@@ -324,6 +323,36 @@ def test_the_scan_finds_records_made_by_hand():
               'return rep.first_failure("c", cases(), params)\n'
               'ok = report.passed\n')
     assert record_calls({"m.py": source}) == ["m.py:1", "m.py:2"]
+
+
+def cli_computations(source: str) -> list[str]:
+    """``line: what`` for each call of ``first_failure`` and each import of
+    ``LaurentPoly`` in the source of a CLI module: a residual computed there
+    and not in the library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "first_failure" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            found.append((node.lineno, "first_failure"))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "LaurentPoly" for a in node.names):
+            found.append((node.lineno, "LaurentPoly"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_cli_computes_no_residual():
+    # every check lives in the library; the CLI runs checks and combines records
+    assert cli_computations(_package_sources(["cli.py"])["cli.py"]) == []
+
+
+def test_the_scan_finds_residuals_computed_in_the_cli():
+    source = ('from .coeffpoly import ExponentOverflow, LaurentPoly\n'
+              'records.append(rep.first_failure("a", cases(), {}))\n'
+              'from jetpoisson.coeffpoly import LaurentPoly as P\n'
+              'from .report import first_failure\n'
+              'record = first_failure("b", [], {})\n'
+              'record = rep.passed("c")\n')
+    assert cli_computations(source) == ["1: LaurentPoly", "2: first_failure", "3: LaurentPoly",
+                                        "5: first_failure"]
 
 
 def test_failing_sl2_record_carries_the_witness(monkeypatch):
