@@ -4,10 +4,11 @@ Every identity in this package is checked over the rationals: a scalar is an
 int or a `fractions.Fraction`, and a polynomial is a sparse map of integer
 numerators over one common denominator.  This module holds the one
 arithmetic kernel.  Above it, three functions of `quantum` work on term
-maps: `nc_reduce` and `tensor_reduce` hold raw accumulators of `_poly_mac`
-and finish them themselves, and `_quantised` unpacks the monomial keys of a
-bracket table (`_unpack`) to read each monomial as a word.  No other layer
-touches a term map or a key.
+maps: `nc_reduce` holds raw accumulators of `_poly_mac` beside its levels
+and finishes them itself, `tensor_reduce` sums into raw accumulators with
+`_mac_at` and `_finish_all`, and `_quantised` unpacks the monomial keys of
+a bracket table (`_unpack`) to read each monomial as a word.  No other
+layer touches a term map or a key.
 
 A variable is a (kind, index) pair.  Group coordinates come in three kinds
 (x, y, z) so that identities mixing several group elements stay unambiguous;
@@ -31,7 +32,8 @@ denominators.  Every sum of products (a product itself,
 `quantum.tensor_reduce`) runs through one multiply-accumulate loop,
 `_poly_mac`, into a raw accumulator: a `LaurentPoly` of the same layout
 whose numerators may share a factor with its denominator.  No zero
-numerator is stored, so it is empty exactly when the sum is zero.  The pair
+numerator is stored, so it is empty exactly when the sum is zero, and a
+keyed sum (`_mac_at`) deletes a key as soon as its sum is empty.  The pair
 loop multiplies and adds plain ints; when a product's denominator differs
 from the accumulator's, both are brought to their lcm once per call, not per
 pair.  `_poly_finish` divides out gcd(den, *numerators) in one call when the
@@ -67,7 +69,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, inf, lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 # -- the kernel: arithmetic on raw term maps ---------------------------------
@@ -238,6 +240,20 @@ def _poly_finish(acc):
             for k, n in terms.items():
                 terms[k] = n // g
     return acc
+
+
+def _mac_at(raw, key, p, q, cap):
+    """raw[key] += p*q under the cap, in a dict of raw accumulators: a new
+    key is kept only if its product is nonzero, and a key whose sum cancels
+    is deleted at once, so keys keep their slots by the rule of
+    `Combination.add`."""
+    acc = raw.get(key)
+    if acc is None:
+        acc = _poly_mac(None, p, q, cap)
+        if acc.terms:
+            raw[key] = acc
+    elif not _poly_mac(acc, p, q, cap).terms:
+        del raw[key]
 
 
 class VarKind(IntEnum):
@@ -421,13 +437,6 @@ class LaurentPoly:
         if exp < 0 and not v.invertible:
             raise ValueError(f"negative exponent on non-invertible variable {v.name}")
         return LaurentPoly({_pack(((v.code, exp),)): 1}, 1)
-
-    @staticmethod
-    def monomial(coeff, vars_exps: Iterable[tuple[Variable, int]]) -> "LaurentPoly":
-        p = LaurentPoly.const(coeff)
-        for v, e in vars_exps:
-            p = p * LaurentPoly.var(v, e)
-        return p
 
     @staticmethod
     def sum_of_products(pairs, start=None) -> "LaurentPoly":
@@ -721,15 +730,8 @@ class Combination(dict):
         for ka, ca in a.items():
             for kb, cb in b.items():
                 key = join(ka, kb)
-                if key is None:
-                    continue
-                acc = raw.get(key)
-                if acc is None:
-                    acc = _poly_mac(None, ca, cb, cap)
-                    if acc.terms:
-                        raw[key] = acc
-                elif not _poly_mac(acc, ca, cb, cap).terms:
-                    del raw[key]
+                if key is not None:
+                    _mac_at(raw, key, ca, cb, cap)
         return _finish_all(raw)
 
     @staticmethod
@@ -744,15 +746,8 @@ class Combination(dict):
         for ka, ca in a.items():
             for kb, cb in bs:
                 key = ka + kb
-                if key & top:
-                    continue
-                acc = raw.get(key)
-                if acc is None:
-                    acc = _poly_mac(None, ca, cb)
-                    if acc.terms:
-                        raw[key] = acc
-                elif not _poly_mac(acc, ca, cb).terms:
-                    del raw[key]
+                if not key & top:
+                    _mac_at(raw, key, ca, cb, None)
         return _finish_all(raw)
 
     @staticmethod
@@ -831,19 +826,7 @@ def homogeneous_graded_degree(p: LaurentPoly, d: int, word_weight: int = 0):
     return None
 
 
-# Convenience coordinate constructors used across the package.
+# The x coordinate constructor that the benchmark and the golden records read.
 
 def x_var(i: int) -> Variable:
     return Variable(VarKind.GROUP_X, i)
-
-
-def y_var(i: int) -> Variable:
-    return Variable(VarKind.GROUP_Y, i)
-
-
-def z_var(i: int) -> Variable:
-    return Variable(VarKind.GROUP_Z, i)
-
-
-def density_var(i: int) -> Variable:
-    return Variable(VarKind.DENSITY_X, i)

@@ -73,10 +73,8 @@ def symbolic_jet(n: int, letter: str = "x", start_index: int = 1,
     return make_jet(coords, start_index, nilpotency)
 
 
-def jet_identity(n: int, start_index: int = 1, nilpotency: Optional[int] = None) -> JetElement:
-    if start_index == 1:
-        return make_jet([1] + [0] * (n - 1), 1)
-    return make_jet([0, 1] + [0] * (n - 1), 0, nilpotency)
+def jet_identity(n: int) -> JetElement:
+    return make_jet([1] + [0] * (n - 1))
 
 
 def jet_compose(x: JetElement, y: JetElement) -> JetElement:

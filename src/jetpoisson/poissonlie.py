@@ -310,19 +310,18 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
 
 
 def verify_multiplicativity(omega: PoissonStructure,
-                            nilpotency: int = 2,
                             check_max: Optional[int] = None) -> rep.VerificationReport:
     """The bracket of a product against the two translated brackets, exactly.
 
     Origin-fixing model: an identity of polynomials in the 2n symbolic
     coordinates of the two factors.  Extended model: the same identity in the
-    nilpotent quotient; the composition is carried out at one order higher
-    than asserted so that differentiation by the degree-0 coordinates is
-    exact on every asserted monomial.
+    nilpotent quotient of order 2; the composition is carried out at one
+    order higher than asserted so that differentiation by the degree-0
+    coordinates is exact on every asserted monomial.
     """
     if omega.start_index == 1:
         return _verify_mult_origin_fixing(omega, check_max)
-    return _verify_mult_extended(omega, nilpotency, check_max)
+    return _verify_mult_extended(omega, check_max)
 
 
 def _verify_mult_origin_fixing(omega, check_max):
@@ -340,11 +339,12 @@ def _verify_mult_origin_fixing(omega, check_max):
           {kl: w.substitute(to_y) for kl, w in table.items()})])
 
 
-def _verify_mult_extended(omega, m, check_max):
+def _verify_mult_extended(omega, check_max):
     # Assert pairs (i, j) <= K.  Work at nilpotency order M = m+1 and require
-    # the residual to vanish on all monomials of degree-0 weight <= m: the
+    # the residual to vanish on all monomials of degree-0 weight <= m = 2: the
     # composition at order M is exact there even after one d/dx_0.
     K = (omega.n if check_max is None else min(check_max, omega.n))
+    m = 2
     phi = omega.phi
     if phi is None:
         raise ValueError("extended-model multiplicativity needs the generating function")

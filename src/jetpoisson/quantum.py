@@ -48,7 +48,7 @@ from .coeffpoly import (
     LaurentPoly,
     Variable,
     VarKind,
-    _HALF, _finish_all, _h_cap, _poly_finish, _poly_mac, _unpack,
+    _HALF, _finish_all, _h_cap, _mac_at, _poly_finish, _poly_mac, _unpack,
     compositions,
     homogeneous_graded_degree,
     param,
@@ -193,24 +193,26 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     """Normal form, its words in (length, word) order: rewrite ascending
     adjacent pairs until every word is canonical.
 
-    A pending word has a level, a lower bound on the h degree of its
-    coefficient: an input term's lowest h degree, at most h_order, or its
-    parent's level plus the lowest h degree of the rule coefficient (0 for
-    the swap, at least 1 for a tail), the smaller of two on a merge.  A step
-    rewrites the lowest level's smallest word in packed-int order (see the
-    module docstring), from one heap per level with lazy deletion: an entry
-    whose word has since cancelled, been rewritten or been queued lower is
-    skipped.  A swap child is a larger word on the same level and a tail
-    child sits higher, so the rewritten (level, word) never decreases; on a
-    graded set no word of a homogeneous input is rewritten twice.  A child
-    above level h_order is dropped unformed.  The site is the leftmost
-    ascent unless an rng is supplied, in which case ``rng.choice`` picks one
-    of the ascents, once per step; confluent sets agree either way.
+    One table holds each word met and not yet rewritten, word -> [raw
+    coefficient, level]; when the rewriting ends it holds only canonical
+    words.  A level is a lower bound on the h degree of the coefficient: an
+    input term's lowest h degree, at most h_order, or its parent's level plus
+    the lowest h degree of the rule coefficient (0 for the swap, at least 1
+    for a tail), the smaller of two on a merge.  A word with an ascent is
+    queued on its level's heap, and again when a merge lowers its level.  A
+    step rewrites the lowest level's smallest word in packed-int order (see
+    the module docstring) and takes it out of the table, from one heap per
+    level with lazy deletion: an entry whose word has since cancelled, been
+    rewritten or been queued lower is skipped.  A swap child is a larger word
+    on the same level and a tail child sits higher, so the rewritten (level,
+    word) never decreases; on a graded set no word of a homogeneous input is
+    rewritten twice.  A child above level h_order is dropped unformed.  The
+    site is the leftmost ascent unless an rng is supplied, in which case
+    ``rng.choice`` picks one of the ascents, once per step; confluent sets
+    agree either way.
 
-    Coefficients stay raw `_poly_mac` accumulators until the end, each with
-    an upper bound on its h degree, kept like the level from highest degrees
-    and the larger on a merge; a tail product is h-truncated, by the cap of
-    `Combination.product`, only when that bound passes the order."""
+    Coefficients stay raw `_poly_mac` accumulators, each product and merge
+    h-truncated by the cap, until the end."""
     if a.h_order != R.h_order or a.n_gens != R.n_gens:
         raise ShapeMismatch("element and relation set disagree on shape")
     order = a.h_order
@@ -218,23 +220,20 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
     top = R.n_gens + 1  # the edge marker, above every letter
     letter, pair_mask = (1 << width - 1) - 1, (1 << 2 * width) - 1
     cap, one = _h_cap(order), LaurentPoly.one()
-    done: dict = {}  # canonical word -> raw coefficient
-    pending: dict = {}  # word -> [raw coefficient, bound on its h degree, level]
-    heaps = [[] for _ in range(order + 1)]  # level -> heap of its pending words
+    table: dict = {}  # word -> [raw coefficient, level]
+    heaps = [[] for _ in range(order + 1)]  # level -> heap of its words with an ascent
     for word, c in a.terms.items():
         w = _packed(word, width, top)
         low, g = guards[w.bit_length()]
+        table[w] = [LaurentPoly(dict(c.terms), c.den), min(c.degree(H, min), order)]
         if (w + low - (w >> width)) & g:
-            pending[w] = [LaurentPoly(dict(c.terms), c.den), c.degree(H), min(c.degree(H, min), order)]
-            heapq.heappush(heaps[pending[w][2]], w)
-        else:
-            done[w] = LaurentPoly(dict(c.terms), c.den)
+            heapq.heappush(heaps[table[w][1]], w)
     for level, heap in enumerate(heaps):
         while heap:
             word = heapq.heappop(heap)
-            if pending.get(word, (0, 0, -1))[2] != level:
+            if table.get(word, (0, -1))[1] != level:
                 continue  # cancelled, rewritten or queued lower since
-            coeff, bound, _ = pending.pop(word)
+            coeff = table.pop(word)[0]
             low, g = guards[word.bit_length()]
             ascents = (word + low - (word >> width)) & g
             sites = []  # the shift of each ascent's right letter, leftmost first
@@ -248,47 +247,36 @@ def nc_reduce(a: NCElement, R: RelationSet, rng: Optional[random.Random] = None)
             tail = R.tail(i, j)  # once per step: perfbench counts rewrite steps here
             rule = rules.get(pair)
             if rule is None:
-                # (middle word, its bits, raw coefficient, highest and lowest
-                # h degree): the swap, passing the popped coefficient on
-                # itself unless a tail word is the swapped pair, then the tails
+                # (middle word, its bits, raw coefficient, lowest h degree):
+                # the swap, passing the popped coefficient on itself unless a
+                # tail word is the swapped pair, then the tails
                 swap = one if (j, i) in tail.terms else None
-                rule = rules[pair] = [(j << width | i, 2 * width, swap, 0, 0)] + [
-                    (_packed(w2, width), len(w2) * width, c2, c2.degree(H), c2.degree(H, min))
+                rule = rules[pair] = [(j << width | i, 2 * width, swap, 0)] + [
+                    (_packed(w2, width), len(w2) * width, c2, c2.degree(H, min))
                     for w2, c2 in tail.terms.items()]
             head, rest = word >> shift + 2 * width, word & (1 << shift) - 1
-            for mid, bits, c2, d2, l2 in rule:
+            for mid, bits, c2, l2 in rule:
                 lev = level + l2
                 if lev > order:
                     continue  # the cap would drop every term of the product
                 new = (head << bits | mid) << shift | rest
-                b = bound + d2
-                capped = cap if b > order else None
                 low, g = guards[new.bit_length()]
-                if (new + low - (new >> width)) & g:
-                    entry = pending.get(new)
-                    if entry is None:
-                        c = coeff if c2 is None else _poly_mac(None, coeff, c2, capped)
-                        if c.terms:
-                            pending[new] = [c, b, lev]
+                ascent = (new + low - (new >> width)) & g
+                entry = table.get(new)
+                if entry is None:
+                    c = coeff if c2 is None else _poly_mac(None, coeff, c2, cap)
+                    if c.terms:
+                        table[new] = [c, lev]
+                        if ascent:
                             heapq.heappush(heaps[lev], new)
-                    elif not _poly_mac(entry[0], coeff, one if c2 is None else c2, capped).terms:
-                        del pending[new]
-                    else:
-                        entry[1] = max(entry[1], b)
-                        if lev < entry[2]:
-                            entry[2] = lev
-                            heapq.heappush(heaps[lev], new)
-                else:
-                    c = done.get(new)
-                    if c is None:
-                        c = coeff if c2 is None else _poly_mac(None, coeff, c2, capped)
-                        if c.terms:
-                            done[new] = c
-                    elif not _poly_mac(c, coeff, one if c2 is None else c2, capped).terms:
-                        del done[new]
+                elif not _poly_mac(entry[0], coeff, one if c2 is None else c2, cap).terms:
+                    del table[new]
+                elif ascent and lev < entry[1]:
+                    entry[1] = lev
+                    heapq.heappush(heaps[lev], new)
     out = Combination()
-    for w in sorted(done):
-        out[_unpacked(w, width)] = _poly_finish(done[w])
+    for w in sorted(table):
+        out[_unpacked(w, width)] = _poly_finish(table[w][0])
     return NCElement(a.n_gens, a.h_order, out)
 
 
@@ -389,14 +377,7 @@ def tensor_reduce(a: Combination, R: RelationSet,
         for wl, u in normal_forms[lw]:
             cu = _poly_mac(None, c, u)
             for wr, v in right:
-                key = (wl, wr)
-                acc = raw.get(key)
-                if acc is None:
-                    acc = _poly_mac(None, cu, v, cap)
-                    if acc.terms:
-                        raw[key] = acc
-                elif not _poly_mac(acc, cu, v, cap).terms:
-                    del raw[key]
+                _mac_at(raw, (wl, wr), cu, v, cap)
     return _finish_all(raw)
 
 

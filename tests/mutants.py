@@ -93,13 +93,6 @@ MUTANTS = [
                   "tests/test_quantum.py::test_tensor_reduce_matches_the_per_term_loop"],
     },
     {
-        "name": "tensor-cancelled-key-kept-empty",
-        "file": "src/jetpoisson/quantum.py",
-        "original": "                elif not _poly_mac(acc, cu, v, cap).terms:\n                    del raw[key]\n",
-        "mutant": "                else:\n                    _poly_mac(acc, cu, v, cap)\n",
-        "tests": ["tests/test_quantum.py::test_tensor_reduce_matches_the_per_term_loop"],
-    },
-    {
         "name": "delta-prefix-table-keyed-by-suffix",
         "file": "src/jetpoisson/quantum.py",
         "original": "tensor_multiply(_delta_of_word(word[:-1], deltas, R),",
@@ -130,17 +123,23 @@ MUTANTS = [
     {
         "name": "reduce-emptied-done-entry-kept",
         "file": "src/jetpoisson/quantum.py",
-        "original": "                    elif not _poly_mac(c, coeff, one if c2 is None else c2, capped).terms:\n"
-                    "                        del done[new]\n",
-        "mutant": "                    else:\n"
-                  "                        _poly_mac(c, coeff, one if c2 is None else c2, capped)\n",
+        "original": "                    del table[new]\n",
+        "mutant": "                    pass\n",
         "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     {
-        "name": "reduce-h-bound-not-raised-on-merge",
+        "name": "reduce-canonical-child-queued",
         "file": "src/jetpoisson/quantum.py",
-        "original": "entry[1] = max(entry[1], b)",
-        "mutant": "pass",
+        "original": "                        if ascent:\n"
+                    "                            heapq.heappush(heaps[lev], new)\n",
+        "mutant": "                        heapq.heappush(heaps[lev], new)\n",
+        "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    {
+        "name": "reduce-popped-word-kept",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "coeff = table.pop(word)[0]",
+        "mutant": "coeff = table[word][0]",
         "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     # With no h cap the reduction still ends, because nc_reduce drops every
@@ -149,16 +148,16 @@ MUTANTS = [
     {
         "name": "reduce-no-h-cap",
         "file": "src/jetpoisson/quantum.py",
-        "original": "capped = cap if b > order else None",
-        "mutant": "capped = None",
+        "original": "cap, one = _h_cap(order), LaurentPoly.one()",
+        "mutant": "cap, one = None, LaurentPoly.one()",
         "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     {
         "name": "scheduler-lowered-level-not-pushed-again",
         "file": "src/jetpoisson/quantum.py",
-        "original": "                            entry[2] = lev\n"
-                    "                            heapq.heappush(heaps[lev], new)\n",
-        "mutant": "                            entry[2] = lev\n",
+        "original": "                    entry[1] = lev\n"
+                    "                    heapq.heappush(heaps[lev], new)\n",
+        "mutant": "                    entry[1] = lev\n",
         "tests": ["tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
     },
     {
@@ -410,19 +409,13 @@ MUTANTS = [
                   "[poisson --n 2]"],
     },
     {
-        "name": "product-keeps-cancelled-key",
+        "name": "mac-at-keeps-cancelled-key",
         "file": "src/jetpoisson/coeffpoly.py",
-        "original": "                elif not _poly_mac(acc, ca, cb, cap).terms:\n"
-                    "                    del raw[key]\n",
-        "mutant": "                else:\n                    _poly_mac(acc, ca, cb, cap)\n",
-        "tests": ["tests/test_coeffpoly.py::test_product_matches_the_per_pair_loop"],
-    },
-    {
-        "name": "masked-product-keeps-cancelled-key",
-        "file": "src/jetpoisson/coeffpoly.py",
-        "original": "                elif not _poly_mac(acc, ca, cb).terms:\n                    del raw[key]\n",
-        "mutant": "                else:\n                    _poly_mac(acc, ca, cb)\n",
-        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+        "original": "    elif not _poly_mac(acc, p, q, cap).terms:\n        del raw[key]\n",
+        "mutant": "    else:\n        _poly_mac(acc, p, q, cap)\n",
+        "tests": ["tests/test_coeffpoly.py::test_product_matches_the_per_pair_loop",
+                  "tests/test_series.py::test_mul_matches_the_all_pairs_product",
+                  "tests/test_quantum.py::test_tensor_reduce_matches_the_per_term_loop"],
     },
     {
         "name": "mac-without-range-check",
@@ -823,6 +816,92 @@ MUTANTS = [
         "original": "(1 if m == 1 else Fraction(-1, d - 1))",
         "mutant": "(d - 1 if m == 1 else Fraction(-1, d - 1))",
         "tests": ["tests/test_poissonlie.py::test_extended_family_matches_its_series_expansion"],
+    },
+    {
+        "name": "mac-cap-skipped",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "if cap is None or b >> cap[0] & _MASK <= cap[1]:",
+        "mutant": "if True:",
+        "tests": ["tests/test_coeffpoly.py::test_product_matches_the_per_pair_loop",
+                  "tests/test_quantum.py::test_tensor_reduce_matches_the_per_pair_loop",
+                  "tests/test_quantum.py::test_heap_scheduler_matches_min_scan"],
+    },
+    {
+        # the product is brought to the lcm only when the accumulator is too,
+        # so a product over a divisor of the accumulator's denominator is not
+        "name": "mac-divisible-denominator-sum-unscaled",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "                    acc.den = den\n"
+                    "                if den != d:\n"
+                    "                    m = den // d\n"
+                    "                    pt = {k: n * m for k, n in pt.items()}\n",
+        "mutant": "                    acc.den = den\n"
+                  "                    if den != d:\n"
+                  "                        m = den // d\n"
+                  "                        pt = {k: n * m for k, n in pt.items()}\n",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "series-mul-slack-off-by-one-the-other-way",
+        "file": "src/jetpoisson/series.py",
+        "original": "slack |= (_TOP - 1 - bd) << (_FIELD * i)",
+        "mutant": "slack |= (_TOP - 2 - bd) << (_FIELD * i)",
+        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+    },
+    {
+        "name": "series-mul-top-bit-dropped-for-variable-0",
+        "file": "src/jetpoisson/series.py",
+        "original": "top |= _TOP << (_FIELD * i)",
+        "mutant": "top |= 0 if i == 0 else _TOP << (_FIELD * i)",
+        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+    },
+    {
+        "name": "series-mul-top-bit-dropped-for-variable-1",
+        "file": "src/jetpoisson/series.py",
+        "original": "top |= _TOP << (_FIELD * i)",
+        "mutant": "top |= 0 if i == 1 else _TOP << (_FIELD * i)",
+        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+    },
+    {
+        "name": "series-mul-top-bit-dropped-for-variable-2",
+        "file": "src/jetpoisson/series.py",
+        "original": "top |= _TOP << (_FIELD * i)",
+        "mutant": "top |= 0 if i == 2 else _TOP << (_FIELD * i)",
+        "tests": ["tests/test_series.py::test_mul_matches_the_all_pairs_product"],
+    },
+    {
+        "name": "substitute-drops-the-leftover-monomial",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "            if leftover or not powers:\n",
+        "mutant": "            if not powers:\n",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "substitute-folds-the-leftover-into-the-first-factor",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "            if leftover or not powers:\n"
+                    "                powers.append(LaurentPoly({leftover: 1}, 1))\n"
+                    "            factor = LaurentPoly({0: num}, self.den)\n",
+        "mutant": "            if not powers:\n"
+                  "                powers.append(_ONE)\n"
+                  "            factor = LaurentPoly({leftover: num}, self.den)\n",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "substitute-intermediate-keys-unchecked",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "                factor = _poly_mac(None, factor, powed)\n",
+        "mutant": "                factor = LaurentPoly({k + kp: n * np for k, n in factor.terms.items()\n"
+                  "                                      for kp, np in powed.terms.items()},\n"
+                  "                                     factor.den * powed.den)\n",
+        "tests": ["tests/test_coeffpoly.py::test_kernel_matches_naive_reference"],
+    },
+    {
+        "name": "within-filters-against-the-first-operand-only",
+        "file": "src/jetpoisson/series.py",
+        "original": "for old in olds for b, o in zip(bounds, old)",
+        "mutant": "for old in olds[:1] for b, o in zip(bounds, old)",
+        "tests": ["tests/test_series.py::test_sums_truncations_and_derivatives_match_make"],
     },
 ]
 

@@ -9,7 +9,7 @@ from jetpoisson import density as dn
 from jetpoisson import jetgroup as jg
 from jetpoisson import poissonlie as pl
 from jetpoisson import series as ts
-from jetpoisson.coeffpoly import LaurentPoly, Variable, VarKind, aux_t, param, y_var
+from jetpoisson.coeffpoly import LaurentPoly, Variable, VarKind, aux_t, param
 
 
 def D(i):
@@ -58,7 +58,7 @@ def test_action_requires_invertible_jet():
     x = dn.symbolic_density(2, "lam")
     with pytest.raises(jg.NotInvertible):
         dn.density_act(jg.symbolic_jet(3, "y", 0, 2), x)
-    bad = jg.make_jet([LaurentPoly.var(y_var(2)), LaurentPoly.one()])
+    bad = jg.make_jet([LaurentPoly.var(Variable(VarKind.GROUP_Y, 2)), LaurentPoly.one()])
     with pytest.raises(jg.NotInvertible):
         dn.density_act(bad, x)
 

@@ -10,6 +10,7 @@ formula; the frozen values below are the internally consistent ones
 them out).  See the printed-variant tests at the bottom.
 """
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,7 @@ from jetpoisson import bialgebra as ba
 from jetpoisson import jetgroup as jg
 from jetpoisson import poissonlie as pl
 from jetpoisson import series as ts
-from jetpoisson.coeffpoly import Combination, LaurentPoly, param, x_var
+from jetpoisson.coeffpoly import Combination, LaurentPoly, Variable, VarKind, param, x_var
 
 
 def X(i, e=1):
@@ -216,8 +217,7 @@ def test_multiplicativity_negative_control():
 
 def test_multiplicativity_at_rational_scaling_jets():
     # instance check of the product identity at x(u) = c u, y(u) = u / c
-    from jetpoisson.coeffpoly import y_var
-
+    y_var = functools.partial(Variable, VarKind.GROUP_Y)
     omega = pl.build_omega(pl.phi_power_family(1), 4)
     n, c = 4, Fraction(3, 2)
     xs = jg.symbolic_jet(n, "x")
@@ -259,7 +259,7 @@ def test_extended_model_linear_structure():
     assert omega.bracket(0, 2) == X(2) - 2 * X(1) * X(2)
     assert omega.bracket(1, 2) == 3 * X(1) * X(3) - 4 * X(2, 2)
     assert pl.verify_jacobi(omega, check_max=3).passed
-    assert pl.verify_multiplicativity(omega, nilpotency=2).passed
+    assert pl.verify_multiplicativity(omega).passed
 
 
 def test_inversion_anti_poisson():
@@ -305,7 +305,6 @@ def test_perturbed_below_the_diagonal_and_on_it():
 
 def _minor_loop_origin_fixing(omega, check_max=None):
     from jetpoisson import report as rep
-    from jetpoisson.coeffpoly import Variable, VarKind
 
     n = omega.n if check_max is None else min(check_max, omega.n)
     z = jg.jet_compose(jg.symbolic_jet(n, "x"), jg.symbolic_jet(n, "y"))
@@ -332,12 +331,11 @@ def _minor_loop_origin_fixing(omega, check_max=None):
     return rep.passed("multiplicativity", **params)
 
 
-def _minor_loop_extended(omega, m=2, check_max=None):
+def _minor_loop_extended(omega, check_max=None):
     from jetpoisson import report as rep
-    from jetpoisson.coeffpoly import Variable, VarKind
 
     K = omega.n if check_max is None else min(check_max, omega.n)
-    M = m + 1
+    m, M = 2, 3
     wide = pl.build_omega(omega.phi, K + M, 0)
     x = jg.symbolic_jet(K + M + 1, "x", 0, nilpotency=M)
     y = jg.symbolic_jet(K + 1, "y", 0, nilpotency=M)
@@ -365,7 +363,6 @@ def _minor_loop_extended(omega, m=2, check_max=None):
 
 def _minor_loop_inversion(omega):
     from jetpoisson import report as rep
-    from jetpoisson.coeffpoly import Variable, VarKind
 
     n = omega.n
     xbar = jg.jet_inverse(jg.symbolic_jet(n, "x"))
@@ -407,24 +404,24 @@ def test_jacobian_checks_match_the_minor_loops():
                                   exact=True)
     for phi in (pl.phi_linear(), quadratic):
         for n in (3, 4, 5):
-            extended += [(pl.build_omega(phi, n, 0), 2, None), (pl.build_omega(phi, n, 0), 1, 2)]
+            extended += [(pl.build_omega(phi, n, 0), None), (pl.build_omega(phi, n, 0), 2)]
     # every antisymmetric generating function passes the extended check; a
     # table with one entry whose mirror image is missing does not
     for _ in range(6):
         table = Combination.antisymmetric([((rng.randint(1, 3), 0), rng.choice((1, -2)))])
         table.add((rng.randint(0, 2), rng.randint(0, 2)), LaurentPoly.const(Fraction(1, 3)))
         phi = pl.PhiFunction(0, table, None, "lopsided")
-        extended.append((pl.build_omega(phi, rng.randint(3, 4), 0), rng.choice((1, 2)), None))
+        extended.append((pl.build_omega(phi, rng.randint(3, 4), 0), None))
     outcomes = Counter()
     for omega, check_max in mult:
         want = _minor_loop_origin_fixing(omega, check_max).to_dict()
         assert pl.verify_multiplicativity(omega, check_max=check_max).to_dict() == want, \
             (omega.phi.provenance, omega.n, check_max)
         outcomes["mult", want["status"]] += 1
-    for omega, m, check_max in extended:
-        want = _minor_loop_extended(omega, m, check_max).to_dict()
-        got = pl.verify_multiplicativity(omega, nilpotency=m, check_max=check_max).to_dict()
-        assert got == want, (omega.phi.provenance, omega.n, m, check_max)
+    for omega, check_max in extended:
+        want = _minor_loop_extended(omega, check_max).to_dict()
+        got = pl.verify_multiplicativity(omega, check_max=check_max).to_dict()
+        assert got == want, (omega.phi.provenance, omega.n, check_max)
         outcomes["extended", want["status"]] += 1
     for omega in inversion:
         want = _minor_loop_inversion(omega).to_dict()

@@ -20,6 +20,11 @@ name passes it, by position or by keyword.  A class call is a call of its
 ``**kwargs`` passes every parameter.  Calls are matched by name alone, so a
 call of one of two methods of the same name counts for both.  Dunder methods
 other than ``__init__`` are exempt.
+
+A raw sum is accumulated and cancelled key by key in one place per layer:
+no function of the package but ``coeffpoly._mac_at`` and
+``quantum.nc_reduce`` deletes an entry in the branch of a test that reads
+``_poly_mac(...).terms``, and each of those two does it once.
 """
 
 import ast
@@ -248,3 +253,68 @@ spread(*[1, 2])
     assert unpassed_parameters({"src/module.py": source, "tests/test_module.py": helper}) == [
         "module.py:Row(note)", "module.py:Table.get(strict)", "module.py:build(name)",
         "test_module.py:helper(x)"]
+
+
+def _reads_mac_terms(test) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "terms"
+               and isinstance(sub.value, ast.Call) and _callee(sub.value.func) == "_poly_mac"
+               for sub in ast.walk(test))
+
+
+def cancelling_blocks(sources: dict) -> list[str]:
+    """``file:function`` or ``file:Class.method``, once per ``if`` in it whose
+    test reads ``_poly_mac(...).terms`` and whose branch deletes, in sources,
+    a {path: source text} map; nested functions count for the one they are in."""
+    found = []
+    for path, text in sources.items():
+        for top in ast.parse(text).body:
+            if isinstance(top, ast.FunctionDef):
+                functions = [(top.name, top)]
+            elif isinstance(top, ast.ClassDef):
+                functions = [(f"{top.name}.{item.name}", item) for item in top.body
+                             if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for label, func in functions:
+                for sub in ast.walk(func):
+                    if isinstance(sub, ast.If) and _reads_mac_terms(sub.test) and any(
+                            isinstance(d, ast.Delete) for stmt in sub.body for d in ast.walk(stmt)):
+                        found.append(f"{Path(path).name}:{label}")
+    return sorted(found)
+
+
+def test_raw_sums_cancel_only_in_mac_at_and_nc_reduce():
+    sources = {str(path): path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.glob("src/jetpoisson/*.py"))}
+    assert cancelling_blocks(sources) == ["coeffpoly.py:_mac_at", "quantum.py:nc_reduce"]
+
+
+def test_the_scan_finds_cancelling_blocks():
+    source = '''
+def total(raw, key, p, q):
+    acc = raw.get(key)
+    if acc is None:
+        raw[key] = _poly_mac(None, p, q)
+    elif not _poly_mac(acc, p, q).terms:
+        del raw[key]
+
+
+class Table:
+    def merge(self, key, p, q):
+        def step():
+            if not kernel._poly_mac(self.raw[key], p, q, None).terms:
+                del self.raw[key]
+        step()
+
+    def keep(self, key, p, q):
+        if _poly_mac(self.raw[key], p, q).terms:
+            return
+        self.raw.pop(key)
+
+
+def finish(raw, key):
+    if not raw[key].terms:
+        del raw[key]
+'''
+    assert cancelling_blocks({"src/module.py": source}) == ["module.py:Table.merge",
+                                                            "module.py:total"]

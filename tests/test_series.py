@@ -1,6 +1,7 @@
 """Truncated series: product, composition and substitution through cached
 powers of the inner series, reversion, binomial powers."""
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +12,7 @@ from jetpoisson import density as dn
 from jetpoisson import jetgroup as jg
 from jetpoisson import poissonlie as pl
 from jetpoisson import series as ts
-from jetpoisson.coeffpoly import Combination, LaurentPoly, param, x_var, y_var
+from jetpoisson.coeffpoly import Combination, LaurentPoly, Variable, VarKind, param, x_var
 
 
 def xs(n, letter_var=x_var):
@@ -43,10 +44,10 @@ def test_compose_identity_and_known_coefficients():
     x = xs(3)
     u = ts.make(("u",), (3,), {(1,): 1})
     assert ts.compose(x, u).coeffs == x.coeffs
-    y = ts.make(("u",), (3,), {(i,): LaurentPoly.var(y_var(i)) for i in range(1, 4)})
+    y1, y2, y3 = (LaurentPoly.var(Variable(VarKind.GROUP_Y, i)) for i in range(1, 4))
+    y = ts.make(("u",), (3,), {(1,): y1, (2,): y2, (3,): y3})
     z = ts.compose(x, y)
     x1, x2, x3 = (LaurentPoly.var(x_var(i)) for i in range(1, 4))
-    y1, y2, y3 = (LaurentPoly.var(y_var(i)) for i in range(1, 4))
     assert z.coeff((2,)) == x1 * y2 + x2 * y1 ** 2
     assert z.coeff((3,)) == x1 * y3 + 2 * x2 * y1 * y2 + x3 * y1 ** 3
 
@@ -57,7 +58,7 @@ def test_compose_rejects_plain_constant_term():
     with pytest.raises(ts.NonZeroConstantTerm):
         ts.compose(outer, inner)
     # the nilpotent degree-0 coordinates too: the extended model composes in jetgroup
-    x0, y0, x1 = (LaurentPoly.var(v) for v in (x_var(0), y_var(0), x_var(1)))
+    x0, y0, x1 = (LaurentPoly.var(v) for v in (x_var(0), Variable(VarKind.GROUP_Y, 0), x_var(1)))
     for c0 in (x1, x0 * x1, x0 * y0):
         with pytest.raises(ts.NonZeroConstantTerm):
             ts.compose(outer, ts.make(("u",), (3,), {(0,): c0, (1,): 1}))
@@ -65,9 +66,8 @@ def test_compose_rejects_plain_constant_term():
 
 def test_compose_associativity_symbolic():
     n = 6
-    from jetpoisson.coeffpoly import z_var
-
-    a, b, c = xs(n), xs(n, y_var), xs(n, z_var)
+    a, b, c = (xs(n, functools.partial(Variable, kind))
+               for kind in (VarKind.GROUP_X, VarKind.GROUP_Y, VarKind.GROUP_Z))
     left = ts.compose(ts.compose(a, b), c)
     right = ts.compose(a, ts.compose(b, c))
     assert left.coeffs == right.coeffs
@@ -75,7 +75,7 @@ def test_compose_associativity_symbolic():
 
 def test_chain_rule():
     n = 5
-    a, b = xs(n), xs(n, y_var)
+    a, b = xs(n), xs(n, functools.partial(Variable, VarKind.GROUP_Y))
     lhs = ts.derivative(ts.compose(a, b), "u")
     rhs = ts.mul(ts.truncate(ts.compose(ts.derivative(a, "u"), b), (n - 1,)),
                  ts.truncate(ts.derivative(b, "u"), (n - 1,)))
@@ -345,7 +345,8 @@ def _density_term_one(table, y_u, y_v, K):
 
 
 def test_compose_and_subst_match_the_parent_loops():
-    x0, y0, x1, x2 = (LaurentPoly.var(v) for v in (x_var(0), y_var(0), x_var(1), x_var(2)))
+    x0, x1, x2 = (LaurentPoly.var(x_var(i)) for i in range(3))
+    y0 = LaurentPoly.var(Variable(VarKind.GROUP_Y, 0))
     rational = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
     symbolic = [x1, -x2, x1 * x2 - Fraction(1, 3), LaurentPoly.var(param("lam")) + 1]
     nilpotent = [x0, -y0, x0 * y0, x0 + Fraction(2, 3) * y0, x0 * x0]
