@@ -10,6 +10,15 @@ jet coordinates.  This module builds such tables (two independent ways for
 the monomial families, cross-checked in the tests) and verifies the defining
 identities exactly: Jacobi, multiplicativity under jet composition, the
 functional equation on phi equivalent to Jacobi, and anti-Poisson inversion.
+
+Multiplicativity on the origin-fixing model is decided in the n coordinates
+of one jet by the criterion of Lu and Weinstein (J. Differential Geom. 31,
+1990; Drinfeld, 1983): pi(e) = 0 and L_X pi left-invariant for every
+left-invariant field X.  It is stated for a connected group, and x_1 is a
+unit, so the jet group has two components; but every identity here is
+polynomial in x_2..x_n and Laurent in x_1, and the component x_1 > 0 is
+Zariski-dense, so a pass there holds everywhere.  The witness of a table the
+criterion fails is the first failing pair (i, j) of the congruence J W J^T.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from typing import Mapping, Optional
 from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
-from .coeffpoly import Combination, Frozen, LaurentPoly, Variable, VarKind, compositions, param, poly
+from .coeffpoly import (Combination, Frozen, LaurentPoly, Variable, VarKind, compositions, param,
+                        poly, x_var)
 
 
 class DivisibilityViolation(ValueError):
@@ -313,19 +323,65 @@ def verify_multiplicativity(omega: PoissonStructure,
                             check_max: Optional[int] = None) -> rep.VerificationReport:
     """The bracket of a product against the two translated brackets, exactly.
 
-    Origin-fixing model: an identity of polynomials in the 2n symbolic
-    coordinates of the two factors.  Extended model: the same identity in the
-    nilpotent quotient of order 2; the composition is carried out at one
-    order higher than asserted so that differentiation by the degree-0
-    coordinates is exact on every asserted monomial.
+    Origin-fixing model: the table restricted to i, j <= n passes by the
+    criterion of Lu and Weinstein (1990; Drinfeld, 1983) in the n
+    coordinates of one jet (`_lu_weinstein`), which holds on the whole group
+    as its component x_1 > 0 is Zariski-dense.  A table it fails is checked
+    again as the congruence J W J^T in the 2n symbolic coordinates of two
+    factors, whose first failing pair (i, j) is the witness.  Extended
+    model: that congruence alone, in the nilpotent quotient of order 2; the
+    composition is carried out at one order higher than asserted so that
+    differentiation by the degree-0 coordinates is exact on every asserted
+    monomial.
     """
-    if omega.start_index == 1:
-        return _verify_mult_origin_fixing(omega, check_max)
-    return _verify_mult_extended(omega, check_max)
-
-
-def _verify_mult_origin_fixing(omega, check_max):
+    if omega.start_index != 1:
+        return _verify_mult_extended(omega, check_max)
     n = omega.n if check_max is None else min(check_max, omega.n)
+    if _lu_weinstein(omega, n):
+        return rep.first_failure("multiplicativity", (), {"n": n, "start": 1})
+    return _verify_mult_origin_fixing(omega, n)
+
+
+def _lu_weinstein(omega, n) -> bool:
+    """Whether the x-coordinate table pi with i, j <= n is multiplicative on
+    the n-jet group: pi(e) = 0 and L_X pi is left-invariant for each
+    left-invariant X.  The X with that property are a Lie subalgebra
+    (L_[X,Y] = [L_X, L_Y], and L_X keeps a left-invariant bivector
+    left-invariant), and X_1, X_2, X_3 generate the left-invariant fields
+    ([X_2, X_k] = (2-k) X_{k+1}), so k <= 3 suffices.  X_k^m is
+    (m-k+1) x_{m-k+1}, whose d_a is m-k+1 at a = m-k+1 alone, so
+
+      (L_k pi)^{ij} = sum_m X_k^m d_m pi^{ij} - (i-k+1) pi^{(i-k+1) j}
+                      - (j-k+1) pi^{i (j-k+1)},
+
+    and the left-invariant bivector whose value at e is b has the entries
+    sum_{p, q} b^{pq} X_p^i X_q^j: the congruence J b J^T, J_ip = X_p^i."""
+    X = {k: jg.left_invariant_field(k, n) for k in range(1, n + 1)}  # X[k][m] = X_k^m
+    J = {i: {p: Xp[i] for p, Xp in X.items() if i in Xp} for i in X}
+    pairs = list(itertools.combinations(X, 2))
+    others = {x_var(m).code for m in X if m > 1}
+
+    def at_e(w):
+        return w.drop_high_degree(others, 0).substitute({x_var(1): 1})
+
+    if any(at_e(omega.bracket(*ij)) for ij in pairs):
+        return False
+    grads = {ij: {m: d for m in X if (d := omega.bracket(*ij).derivative(x_var(m)))}
+             for ij in pairs}
+    for k in range(1, min(n, 3) + 1):
+        lie = {(i, j): LaurentPoly.sum_of_products(
+            [(X[k][m], d) for m, d in grads[i, j].items() if m in X[k]]
+            + [(omega.bracket(a, c), -s) for a, c, s in
+               ((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1)) if s > 0])
+            for i, j in pairs}
+        value = {ij: b for ij, w in lie.items() if (b := at_e(w))}
+        if not _congruence_check("lu-weinstein", {}, 1, n, lambda i, j: lie[i, j],
+                                 [(J, value)]).passed:
+            return False
+    return True
+
+
+def _verify_mult_origin_fixing(omega, n):
     y = jg.symbolic_jet(n, "y")
     z = jg.jet_compose(jg.symbolic_jet(n, "x"), y)
     to_y = {Variable(omega.coord_kind, i): y.coord(i) for i in range(1, n + 1)}
@@ -450,22 +506,6 @@ def verify_phi_equation(phi: PhiFunction, dcheck: int) -> rep.VerificationReport
     params = {"dcheck": dcheck, "provenance": phi.provenance}
     return rep.first_failure("phi-equation", sorted(
         residual.coeffs.items(), key=lambda item: (sum(item[0]), item[0])), params)
-
-
-def quadric_residual(phi: PhiFunction, k: int, n: int, r: int) -> LaurentPoly:
-    """Direct evaluation of one coefficient equation of the quadric system
-    equivalent to the functional equation; an independent cross-check of
-    phi_equation_series used by the tests."""
-    total = LaurentPoly.zero()
-    top = max(k, n, r) + 1
-    for s in range(min(0, phi.min_index), top + 1):
-        term = (
-            (phi.coeff(k - s + 1, n) + phi.coeff(k, n - s + 1)) * phi.coeff(r, s)
-            + (phi.coeff(n - s + 1, r) + phi.coeff(n, r - s + 1)) * phi.coeff(k, s)
-            + (phi.coeff(r - s + 1, k) + phi.coeff(r, k - s + 1)) * phi.coeff(n, s)
-        )
-        total = total + term * s
-    return total
 
 
 def verify_inversion_antipoisson(omega: PoissonStructure) -> rep.VerificationReport:

@@ -485,7 +485,8 @@ MUTANTS = [
                     "          {kl: w.substitute(to_y) for kl, w in table.items()})])",
         "mutant": "table)])",
         "tests": ["tests/test_poissonlie.py::test_multiplicativity_families_and_identity_substitution",
-                  "tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops"],
+                  "tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops",
+                  "tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
     },
     {
         "name": "multiplicativity-extended-without-nilpotent-reduction",
@@ -902,6 +903,44 @@ MUTANTS = [
         "original": "for old in olds for b, o in zip(bounds, old)",
         "mutant": "for old in olds[:1] for b, o in zip(bounds, old)",
         "tests": ["tests/test_series.py::test_sums_truncations_and_derivatives_match_make"],
+    },
+    {
+        "name": "lu-weinstein-without-the-test-at-e",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "    if any(at_e(omega.bracket(*ij)) for ij in pairs):\n        return False\n",
+        "mutant": "",
+        "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
+    },
+    {
+        "name": "lu-weinstein-without-the-first-pi-dX-term",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1))",
+        "mutant": "((i, j - k + 1, j - k + 1),)",
+        "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence",
+                  "tests/test_poissonlie.py::test_passing_tables_skip_the_congruence"],
+    },
+    {
+        "name": "lu-weinstein-without-the-second-pi-dX-term",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1))",
+        "mutant": "((i - k + 1, j, i - k + 1),)",
+        "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence",
+                  "tests/test_poissonlie.py::test_passing_tables_skip_the_congruence"],
+    },
+    {
+        "name": "lu-weinstein-without-the-X-pi-term",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "[(X[k][m], d) for m, d in grads[i, j].items() if m in X[k]]\n            + ",
+        "mutant": "",
+        "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence",
+                  "tests/test_poissonlie.py::test_passing_tables_skip_the_congruence"],
+    },
+    {
+        "name": "lu-weinstein-without-X3",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "for k in range(1, min(n, 3) + 1):",
+        "mutant": "for k in range(1, min(n, 2) + 1):",
+        "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
     },
 ]
 

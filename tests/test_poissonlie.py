@@ -11,6 +11,7 @@ them out).  See the printed-variant tests at the bottom.
 """
 
 import functools
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -456,6 +457,68 @@ def test_extended_multiplicativity_reads_the_given_table():
         assert want["status"] == "pass"
         assert pl.verify_multiplicativity(omega, check_max=check_max).to_dict() == want
 
+
+# the perturbations of the benchmark's negative controls: {x_i, x_j} += x_k on
+# the u v (u^d - v^d) table at n = 5
+BENCH_PERTURBATIONS = [(d, i, j, k) for d in (1, 2, 3)
+                       for (i, j) in itertools.combinations(range(1, 6), 2) for k in (1, 2)]
+
+
+def test_lu_weinstein_criterion_agrees_with_the_congruence():
+    lam = LaurentPoly.var(param("lam"))
+    cases = [pl.build_omega(pl.phi_power_family(d), n) for d in range(1, 6) for n in range(2, 11)]
+    cases += [pl.build_omega(pl.phi_extended_family(d, value, 9), 8)
+              for d in (2, 3) for value in (lam, Fraction(2, 3))]
+    cases += [pl.build_omega(pl.phi_power_family(d), 5).perturbed(i, j, X(k))
+              for d, i, j, k in BENCH_PERTURBATIONS]
+    six = pl.build_omega(pl.phi_power_family(1), 6)
+    cases += [six.perturbed(i, j, delta) for i, j, delta in (
+        (1, 2, X(1)), (3, 6, X(1)),       # nonzero at e
+        (2, 5, X(1) * X(6)),              # zero at e: only the Lie derivatives see it
+        (2, 4, lam), (1, 3, X(7)),        # a parameter, a coordinate above n
+        (2, 3, LaurentPoly.var(Variable(VarKind.GROUP_Y, 2))),
+        # x1^2 d5^d6 = X_5^X_6 is left-invariant, so only the test of pi(e) sees it
+        (5, 6, X(1, 2)),
+        # L_X1 and L_X2 kill both s = (x1 x3 - x2^2) / x1^4, which is zero at e, and
+        # the right-invariant x1^11 d5^d6, so only X_3 sees their product
+        (5, 6, (X(1) * X(3) - X(2, 2)) * X(1, 7)))]
+    outcomes = Counter()
+    for omega in cases:
+        congruence = pl._verify_mult_origin_fixing(omega, omega.n)
+        criterion = pl._lu_weinstein(omega, omega.n)
+        assert criterion == congruence.passed, (omega.phi.provenance, omega.n)
+        assert pl.verify_multiplicativity(omega).to_dict() == congruence.to_dict()
+        outcomes[criterion] += 1
+    assert outcomes == {True: 49, False: 68}, outcomes
+    # a truncation at or below 1 has no pair: the vacuous pass records stay
+    for check_max in (0, 1):
+        assert pl.verify_multiplicativity(six, check_max).to_dict() == {
+            "check": "multiplicativity", "params": {"n": check_max, "start": 1},
+            "status": "pass", "witness": None}
+
+
+def test_passing_tables_skip_the_congruence(monkeypatch):
+    # the criterion runs its n-coordinate congruences J b J^T; the 2n-coordinate
+    # congruence of multiplicativity runs only for a table the criterion fails
+    congruence = pl._congruence_check
+    criterion_runs = Counter()
+
+    def no_multiplicativity_congruence(name, *args, **kwargs):
+        if name == "multiplicativity":
+            raise AssertionError("reached the 2n-coordinate congruence")
+        criterion_runs[name] += 1
+        return congruence(name, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "_congruence_check", no_multiplicativity_congruence)
+    for d in (1, 2, 3):
+        for n in (8, 10):
+            assert pl.verify_multiplicativity(pl.build_omega(pl.phi_power_family(d), n)).passed
+    assert criterion_runs == {"lu-weinstein": 18}
+    bad = pl.build_omega(pl.phi_power_family(2), 5).perturbed(2, 4, X(2))
+    with pytest.raises(AssertionError, match="2n-coordinate"):
+        pl.verify_multiplicativity(bad)
+
+
 # -- the functional equation on generating functions -------------------------
 
 
@@ -502,6 +565,22 @@ def test_phi_equation_rejects_bounds_that_compare_nothing():
     assert pl.verify_phi_equation(bad0, 2).witness["indices"] == [0, 1, 2]
 
 
+def _quadric_residual(phi, k, n, r):
+    """Direct evaluation of one coefficient equation of the quadric system
+    equivalent to the functional equation; an independent cross-check of
+    phi_equation_series."""
+    total = LaurentPoly.zero()
+    top = max(k, n, r) + 1
+    for s in range(min(0, phi.min_index), top + 1):
+        term = (
+            (phi.coeff(k - s + 1, n) + phi.coeff(k, n - s + 1)) * phi.coeff(r, s)
+            + (phi.coeff(n - s + 1, r) + phi.coeff(n, r - s + 1)) * phi.coeff(k, s)
+            + (phi.coeff(r - s + 1, k) + phi.coeff(r, k - s + 1)) * phi.coeff(n, s)
+        )
+        total = total + term * s
+    return total
+
+
 def test_phi_equation_series_matches_quadric_evaluation():
     rng = random.Random(3)
     entries = {(m, n): Fraction(rng.randint(-2, 2)) for m in range(1, 5)
@@ -513,7 +592,7 @@ def test_phi_equation_series_matches_quadric_evaluation():
         for n in range(k + 1, 6):
             for r in range(n + 1, 7):
                 got = series.coeff((k, n, r))
-                assert got == pl.quadric_residual(phi, k, n, r), (k, n, r)
+                assert got == _quadric_residual(phi, k, n, r), (k, n, r)
 
 
 def _three_product_phi_equation(phi, bound):
