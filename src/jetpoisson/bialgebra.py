@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 from . import poissonlie as pl
 from . import report as rep
 from . import series as ts
-from .coeffpoly import Combination, Frozen, LaurentPoly, Variable, poly
+from .coeffpoly import Combination, Frozen, LaurentPoly, poly
 
 
 def witt_structure_constant(i: int, j: int, k: int) -> Fraction:
@@ -307,14 +307,12 @@ def verify_rr_invariance(r: RMatrix, N: int) -> rep.VerificationReport:
 
 
 def beta_correspondence(omega: pl.PoissonStructure, phi: pl.PhiFunction) -> rep.VerificationReport:
-    """First-order jet of a bracket table at the identity against the cochain
-    the generating function predicts, entry by entry and as generating series.
+    """First-order jet of a bracket table at the identity
+    (`poissonlie.linear_part`) against the cochain the generating function
+    predicts, entry by entry and as generating series.
     """
     n_t = omega.n
-    at_e = {}
-    for i in range(1, n_t + 2):
-        v = Variable(omega.coord_kind, i)
-        at_e[v] = LaurentPoly.one() if i == 1 else LaurentPoly.zero()
+    jet = pl.linear_part(omega, n_t)
     params = {"n": n_t, "provenance": phi.provenance}
     space, bounds = ("u", "v"), (n_t, n_t)
     phi_series = phi.as_series("u", "v", space, (n_t + 1, n_t + 1))
@@ -326,9 +324,7 @@ def beta_correspondence(omega: pl.PoissonStructure, phi: pl.PhiFunction) -> rep.
     def cases():
         for n in range(1, n_t + 1):
             # entrywise: d(omega_ij)/dx_n at the identity jet
-            xn = Variable(omega.coord_kind, n)
-            beta = Combination((ij, w.derivative(xn).substitute(at_e))
-                               for ij, w in omega.omega.items())
+            beta = Combination((ij, row[n]) for ij, row in jet.items() if n in row)
             for i in range(1, n_t + 1):
                 for j in range(1, n_t + 1):
                     expect = (

@@ -53,7 +53,8 @@ workload builds an exponent above a few hundred; 16-bit fields keep the keys
 short, and CPython hashes them with few collisions (a key's hash is its value
 modulo 2^61 - 1, so the field offsets modulo 61 decide them).
 Single-variable reads (`coefficient`, `coefficients`, `derivative`,
-`degree`, `drop_high_degree`) are a shift and a mask.  Keys are decoded into
+`degree`, `drop_high_degree`) are a shift and a mask, and `linear_part`
+reads the fields of several variables with one mask.  Keys are decoded into
 ((varcode, exp), ...) only where names or order are needed: rendering,
 `variables`, invertibility, `substitute` and the grading.  Slot numbers
 never reach any output.
@@ -525,8 +526,14 @@ class LaurentPoly:
             num, den = -num, -den
         return LaurentPoly({_checked(-key): den}, num)
 
-    def variables(self) -> set[Variable]:
-        return {decode(code) for code in {code for key in self.terms for code, _ in _unpack(key)}}
+    def variables(self, besides=()) -> set[Variable]:
+        """The variables of self, less those in ``besides``: each distinct
+        monomial left once their exponents are taken out is decoded once."""
+        slots = [_SLOT.get(v.code) for v in besides]
+        mask = sum(_MASK << (_FIELD * s) for s in slots if s is not None)
+        bias, low = _BIAS, _BIAS & mask
+        rests = {key - (((key + bias) & mask) - low) for key in self.terms}
+        return {decode(code) for code in {code for rest in rests for code, _ in _unpack(rest)}}
 
     def coefficient(self, v: Variable, exp: int) -> "LaurentPoly":
         """Collect the coefficient of v**exp (the rest of each matching term)."""
@@ -597,6 +604,41 @@ class LaurentPoly:
                 factor = _poly_mac(None, factor, powed)
             _poly_mac(acc, factor, powers[-1])
         return _poly_finish(acc)
+
+    def linear_part(self, unit: Variable, others) -> dict:
+        """{v: d self/dv at the point unit = 1, others = 0} for v = unit and
+        each v in others, nonzero values only; every other variable stays a
+        symbol.  Read from the terms of degree <= 1 in others: a term
+        unit^e * rest adds e * rest at unit, and unit^e * v * rest adds rest
+        at v."""
+        bias = _BIAS
+        ushift = _FIELD * _SLOT[unit.code] if unit.code in _SLOT else None
+        shifts = {_FIELD * _SLOT[v.code]: v for v in others if v.code in _SLOT}
+        single = {1 << shift: v for shift, v in shifts.items()}
+        mask = sum(_MASK << shift for shift in shifts)
+        low, e = bias & mask, 0
+        out: dict = {}
+        for key, num in self.terms.items():
+            b = key + bias
+            if ushift is not None:
+                e = (b >> ushift & _MASK) - _HALF
+                key -= e << ushift
+            t = (b & mask) - low  # the fields of others, exponents >= 0
+            if not t:
+                v, num = unit, num * e
+            else:
+                v = single.get(t)
+                if v is None:
+                    continue
+                key -= t
+            if num:
+                terms = out.setdefault(v, {})
+                num += terms.get(key, 0)
+                if num:
+                    terms[key] = num
+                else:
+                    del terms[key]
+        return {v: _poly_finish(LaurentPoly(terms, self.den)) for v, terms in out.items() if terms}
 
     def degree(self, v: Variable, pick=max) -> float:
         """The highest exponent of v in any term (the lowest with ``pick=min``):

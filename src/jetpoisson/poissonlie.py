@@ -14,16 +14,23 @@ functional equation on phi equivalent to Jacobi, and anti-Poisson inversion.
 Multiplicativity on the origin-fixing model is decided in the n coordinates
 of one jet by the criterion of Lu and Weinstein (J. Differential Geom. 31,
 1990; Drinfeld, 1983): pi(e) = 0 and L_X pi left-invariant for every
-left-invariant field X.  It is stated for a connected group, and x_1 is a
-unit, so the jet group has two components; but every identity here is
-polynomial in x_2..x_n and Laurent in x_1, and the component x_1 > 0 is
-Zariski-dense, so a pass there holds everywhere.  The witness of a table the
-criterion fails is the first failing pair (i, j) of the congruence J W J^T.
+left-invariant field X.  Jacobi on that model is then decided by Drinfeld's
+theorem (Soviet Math. Dokl. 27, 1983): a multiplicative bivector is Poisson
+exactly when its linear part at e, the constants c^{ij}_m = d_m pi^{ij}(e),
+satisfies co-Jacobi, because [pi, pi] is multiplicative again and a
+multiplicative multivector vanishes iff its derivative at e does.  Both
+theorems are stated for a connected group, and x_1 is a unit, so the jet
+group has two components; but every identity here is polynomial in
+x_2..x_n and Laurent in x_1, and the component x_1 > 0 is Zariski-dense, so
+a pass there holds everywhere.  The witness of a table a criterion fails
+comes from the direct check: the first failing pair (i, j) of the
+congruence J W J^T, or the first failing triple of the Jacobi scan.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -269,16 +276,34 @@ def verify_bracket_match(omega: PoissonStructure, d: int) -> list[rep.Verificati
 
 
 def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> rep.VerificationReport:
-    """Jacobi identity, triple by triple, as exact polynomial cancellation.
+    """Jacobi identity of the table within check_max, exactly.
 
-    A triple is checked only when every bracket it needs lies inside the
-    stored table (extended-model tables reference one coordinate beyond any
-    finite block, so boundary triples are skipped and counted)."""
+    Origin-fixing model: the table restricted to i, j <= check_max passes
+    by Drinfeld's theorem (Soviet Math. Dokl. 27, 1983; Lu and Weinstein,
+    J. Differential Geom. 31, 1990) when it is multiplicative and its linear
+    part at e satisfies co-Jacobi (`_drinfeld`), with the record the scan
+    would give: every triple checked, none skipped.  The theorem is stated
+    for a connected group; the Jacobiator is Laurent in x_1 and polynomial
+    in x_2..x_n, and the component x_1 > 0 is Zariski-dense, so a pass
+    there holds on both components.  A table either criterion fails, and
+    every extended-model or density table, goes to the triple scan
+    `_jacobi_scan`, which names the witness."""
     top = omega.n if check_max is None else min(check_max, omega.n)
-    lo = omega.start_index
-    indices = range(lo, top + 1)
     params = {"n": omega.n, "start": omega.start_index, "check_max": top,
               "checked": 0, "skipped": 0}
+    if omega.start_index == 1 and _drinfeld(omega, top):
+        params["checked"] = math.comb(max(top, 0), 3)
+        return rep.first_failure("jacobi", (), params)
+    return _jacobi_scan(omega, top, params)
+
+
+def _jacobi_scan(omega, top, params) -> rep.VerificationReport:
+    """The Jacobi residual of each triple within start_index..top, counted
+    into ``params``.  A triple is checked only when every bracket it needs
+    lies inside the stored table (extended-model tables reference one
+    coordinate beyond any finite block, so boundary triples are skipped and
+    counted)."""
+    indices = range(omega.start_index, top + 1)
     gradients: dict = {}
 
     def gradient(b, c):
@@ -317,6 +342,51 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
             yield (j, k, l), LaurentPoly.sum_of_products(pairs)
 
     return rep.first_failure("jacobi", cases(), params)
+
+
+def linear_part(omega: PoissonStructure, n: int) -> dict:
+    """{(i, j): {m: c^{ij}_m}} over the stored pairs i < j <= n: the first-order
+    jet c^{ij}_m = d_m pi^{ij}(e) of the table at the identity jet e
+    (x_1 = 1, x_2 = .. = x_n = 0), nonzero entries only.  Any other variable,
+    a parameter such as lam, stays a symbol, so the c's are exact."""
+    unit = Variable(omega.coord_kind, 1)
+    others = [Variable(omega.coord_kind, m) for m in range(2, n + 1)]
+    return {ij: {v.index: c for v, c in w.linear_part(unit, others).items()}
+            for ij, w in omega.omega.items() if max(ij) <= n}
+
+
+def _drinfeld(omega, n) -> bool:
+    """Whether the x-coordinate table pi with i, j <= n is Poisson on the
+    n-jet group, by Drinfeld's theorem: pi is multiplicative
+    (`_lu_weinstein`) and its linear part c at e satisfies co-Jacobi,
+
+      sum over the cyclic (i, j, k) of sum_m c^{ij}_m c^{mk}_l = 0
+
+    for every i < j < k and every l.  [pi, pi] is multiplicative, so it
+    vanishes iff its derivative at e, that co-Jacobiator, does.  A table
+    in another coordinate kind, or whose brackets involve a coordinate
+    outside x_1..x_n, is not a bivector on that group: the criterion would
+    read the stray variable as a constant, so the table is left to the scan."""
+    coords = [x_var(m) for m in range(1, n + 1)]
+    if omega.coord_kind is not VarKind.GROUP_X or any(
+            v.kind is VarKind.GROUP_X for ij, w in omega.omega.items() if max(ij) <= n
+            for v in w.variables(coords)):
+        return False
+    if not _lu_weinstein(omega, n):
+        return False
+    c: dict = {}
+    for (i, j), row in linear_part(omega, n).items():
+        c[i, j] = row
+        c[j, i] = {m: -v for m, v in row.items()}
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        sums: dict = {}  # l -> the products c^{ab}_m c^{mz}_l
+        for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in c.get((a, b), {}).items():
+                for l, cl in c.get((m, z), {}).items():
+                    sums.setdefault(l, []).append((cm, cl))
+        if any(LaurentPoly.sum_of_products(pairs) for pairs in sums.values()):
+            return False
+    return True
 
 
 def verify_multiplicativity(omega: PoissonStructure,

@@ -942,6 +942,59 @@ MUTANTS = [
         "mutant": "for k in range(1, min(n, 2) + 1):",
         "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
     },
+    {
+        "name": "drinfeld-without-cojacobi",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "        if any(LaurentPoly.sum_of_products(pairs) for pairs in sums.values()):\n"
+                    "            return False\n",
+        "mutant": "",
+        "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
+    },
+    {
+        "name": "drinfeld-without-lu-weinstein",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "    if not _lu_weinstein(omega, n):\n        return False\n",
+        "mutant": "",
+        "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
+    },
+    {
+        "name": "cojacobi-at-e-drops-a-cyclic-term",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):",
+        "mutant": "for a, b, z in ((i, j, k), (j, k, i)):",
+        "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan",
+                  "tests/test_poissonlie.py::test_passing_tables_skip_the_jacobi_scan"],
+    },
+    {
+        "name": "linear-part-without-the-x1-column",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "{v.index: c for v, c in w.linear_part(unit, others).items()}",
+        "mutant": "{v.index: c for v, c in w.linear_part(unit, others).items() if v.index > 1}",
+        "tests": ["tests/test_poissonlie.py::test_linear_part_is_the_derivative_at_e",
+                  "tests/test_poissonlie.py::test_passing_tables_skip_the_jacobi_scan"],
+    },
+    {
+        "name": "drinfeld-checked-off-by-one",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "params[\"checked\"] = math.comb(max(top, 0), 3)",
+        "mutant": "params[\"checked\"] = math.comb(max(top, 0), 3) + 1",
+        "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan",
+                  "tests/test_poissonlie.py::test_passing_tables_skip_the_jacobi_scan"],
+    },
+    {
+        "name": "drinfeld-takes-stray-coordinates-for-constants",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "v.kind is VarKind.GROUP_X for ij, w in omega.omega.items() if max(ij) <= n",
+        "mutant": "v.kind is VarKind.TAG for ij, w in omega.omega.items() if max(ij) <= n",
+        "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
+    },
+    {
+        "name": "drinfeld-reads-any-coordinate-kind",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "    if omega.coord_kind is not VarKind.GROUP_X or any(\n",
+        "mutant": "    if any(\n",
+        "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
+    },
 ]
 
 

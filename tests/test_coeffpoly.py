@@ -293,6 +293,35 @@ def test_kernel_matches_naive_reference():
         (term * x(1, -5)).substitute({x_var(2): x1_to[half], x_var(3): x1_to[half]})
 
 
+def test_variables_and_linear_part_match_the_reference():
+    """`variables` less some variables, and `linear_part` at x1 = 1, x2 = x3 = 0,
+    against the exponent tuples, with negative x1 exponents and a parameter
+    factor that neither reads as a coordinate."""
+    lam = param("lam")
+    rng = random.Random(31)
+    for _ in range(60):
+        ref = random_ref(rng)
+        scale = rng.choice((LaurentPoly.one(), LaurentPoly.var(lam), LaurentPoly.var(lam) + 2))
+        p = from_ref(ref) * scale
+        seen = {v for e in ref for v, k in zip(ORACLE_VARS, e) if k}
+        seen |= scale.variables() if ref else set()
+        for besides in ((), ORACLE_VARS[:1], ORACLE_VARS[1:], ORACLE_VARS + (lam,)):
+            assert p.variables(besides) == seen - set(besides), (ref, besides)
+        # a term x1^a x2^b x3^c adds a at x1 if b = c = 0, and 1 at x2 or x3 if it is linear there
+        jet = dict.fromkeys(ORACLE_VARS, Fraction(0))
+        for (a, b, c), coeff in ref.items():
+            v, factor = {(0, 0): (ORACLE_VARS[0], a), (1, 0): (ORACLE_VARS[1], 1),
+                         (0, 1): (ORACLE_VARS[2], 1)}.get((b, c), (None, 0))
+            if v is not None:
+                jet[v] += coeff * factor
+        assert p.linear_part(ORACLE_VARS[0], ORACLE_VARS[1:]) == \
+            {v: scale * c for v, c in jet.items() if c}, ref
+    # a unit that no monomial was ever built in has exponent 0 in every term
+    unused = Variable(VarKind.GROUP_Z, 77)
+    assert (x(2) * 3 + 5).linear_part(unused, [x_var(2)]) == {x_var(2): LaurentPoly.const(3)}
+    assert unused.code not in coeffpoly._SLOT
+
+
 def test_degree_is_the_bound_drop_high_degree_keeps():
     h = param("h")
     unused = Variable(VarKind.GROUP_Z, 78)

@@ -12,6 +12,7 @@ them out).  See the printed-variant tests at the bottom.
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -517,6 +518,99 @@ def test_passing_tables_skip_the_congruence(monkeypatch):
     bad = pl.build_omega(pl.phi_power_family(2), 5).perturbed(2, 4, X(2))
     with pytest.raises(AssertionError, match="2n-coordinate"):
         pl.verify_multiplicativity(bad)
+
+
+def _plus(*tables):
+    """The entrywise sum of origin-fixing tables of one size."""
+    omega = Combination()
+    for table in tables:
+        for ij, w in table.omega.items():
+            omega.add(ij, w)
+    return pl.PoissonStructure(tables[0].n, 1, omega)
+
+
+def _scaled(table, factor, kind=VarKind.GROUP_X):
+    return pl.PoissonStructure(table.n, 1, {ij: w * factor for ij, w in table.omega.items()},
+                               kind)
+
+
+def test_drinfeld_criterion_agrees_with_the_triple_scan():
+    lam = LaurentPoly.var(param("lam"))
+    cases = [(pl.build_omega(pl.phi_power_family(d), n), None)
+             for d in range(1, 6) for n in range(3, 11)]
+    cases += [(pl.build_omega(pl.phi_extended_family(d, value, 9), 8), None)
+              for d in (2, 3) for value in (lam, Fraction(2, 3))]
+    # multiplicative but not Poisson: only the co-Jacobi step rejects these
+    cojacobi_only = [_plus(*(pl.build_omega(pl.phi_power_family(d), 6) for d in pair))
+                     for pair in ((1, 2), (1, 3), (2, 3))]
+    invalid = pl.phi_from_table({(1, 2): 1, (1, 3): 1}, 1, 4, exact=True)
+    cojacobi_only.append(pl.build_omega(invalid, 6))
+    cases += [(omega, None) for omega in cojacobi_only]
+    # zero linear part at e, so co-Jacobi holds: only Lu-Weinstein rejects these
+    six = pl.build_omega(pl.phi_power_family(1), 6)
+    cases += [(six.perturbed(2, 5, X(2) * X(3)), None), (six.perturbed(1, 4, X(2, 2)), None)]
+    cases += [(pl.build_omega(pl.phi_power_family(d), 6).perturbed(i, j, X(k)), None)
+              for d, i, j, k in BENCH_PERTURBATIONS]
+    seven = pl.build_omega(pl.phi_power_family(2), 7)
+    cases += [(seven, check_max) for check_max in (0, 1, 2, 3, 5)]
+    cases += [(seven.perturbed(2, 4, X(2)), check_max) for check_max in (3, 5)]
+    outcomes = Counter()
+    for omega, check_max in cases:
+        top = omega.n if check_max is None else check_max
+        want = _per_triple_jacobi(omega, check_max).to_dict()
+        assert pl.verify_jacobi(omega, check_max).to_dict() == want, (omega.n, check_max)
+        criterion = pl._drinfeld(omega, top)
+        assert criterion == (want["status"] == "pass"), (omega.n, check_max)
+        outcomes[criterion, pl._lu_weinstein(omega, top)] += 1
+    assert outcomes == {(True, True): 50, (False, True): 4, (False, False): 63}, outcomes
+    # tables in a coordinate outside x_1..x_n, or written in another kind, are
+    # not bivectors of the n-jet group: Lu-Weinstein passes them with the
+    # stray variable as a constant, and only the scan's record is right; y2 y3
+    # has no linear part in the y coordinates, so co-Jacobi would pass it too
+    y2, y3 = (LaurentPoly.var(Variable(VarKind.GROUP_Y, k)) for k in (2, 3))
+    for omega, check_max in ((_scaled(six, X(7)), None), (_scaled(six, X(6)), 5),
+                             (_scaled(six, X(0)), None),
+                             (_scaled(six, y2 * y3, VarKind.GROUP_Y), None)):
+        top = omega.n if check_max is None else check_max
+        assert pl._lu_weinstein(omega, top) and not pl._drinfeld(omega, top)
+        assert pl.verify_jacobi(omega, check_max).to_dict() == \
+            _per_triple_jacobi(omega, check_max).to_dict()
+
+
+def test_passing_tables_skip_the_jacobi_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("reached the triple scan")
+
+    monkeypatch.setattr(pl, "_jacobi_scan", no_scan)
+    for d in (1, 2, 3):
+        for n in (8, 10):
+            report = pl.verify_jacobi(pl.build_omega(pl.phi_power_family(d), n))
+            assert report.passed and report.params["checked"] == math.comb(n, 3), (d, n)
+            assert report.params["skipped"] == 0
+    bad = pl.build_omega(pl.phi_power_family(2), 6).perturbed(2, 4, X(2))
+    with pytest.raises(AssertionError, match="triple scan"):
+        pl.verify_jacobi(bad)
+
+
+def test_linear_part_is_the_derivative_at_e():
+    lam = LaurentPoly.var(param("lam"))
+    six = pl.build_omega(pl.phi_power_family(1), 6)
+    cases = [pl.build_omega(pl.phi_power_family(d), n) for d in (1, 2, 3) for n in (2, 5, 8)]
+    cases += [pl.build_omega(pl.phi_extended_family(3, lam, 8), 7),
+              six.perturbed(1, 2, X(1) - lam * X(1, 3) * X(2) + X(1, -2) * X(4)),
+              six.perturbed(2, 5, X(2) * X(3) + X(7) * X(3)),
+              six.perturbed(3, 4, X(1) * X(6) - X(6))]
+    for omega in cases:
+        for n in (omega.n, omega.n - 1):
+            at_e = {x_var(m): LaurentPoly.one() if m == 1 else LaurentPoly.zero()
+                    for m in range(1, n + 1)}
+            want = {ij: {m: c for m in range(1, n + 1)
+                         if (c := w.derivative(x_var(m)).substitute(at_e))}
+                    for ij, w in omega.omega.items() if max(ij) <= n}
+            assert pl.linear_part(omega, n) == want, (omega.n, n)
+    # lam stays a symbol: {x1, x5} of the extended family d=3 is
+    # lam (x1^2 - x1^6) + (2 x1 - 4 x1^4) x2, so d_1 is -4 lam at e and d_2 is -2
+    assert pl.linear_part(cases[9], 7)[1, 5] == {1: -4 * lam, 2: LaurentPoly.const(-2)}
 
 
 # -- the functional equation on generating functions -------------------------
