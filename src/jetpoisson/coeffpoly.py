@@ -3,12 +3,12 @@
 Every identity in this package is checked over the rationals: a scalar is an
 int or a `fractions.Fraction`, and a polynomial is a sparse map of integer
 numerators over one common denominator.  This module holds the one
-arithmetic kernel.  Above it, three functions of `quantum` work on term
+arithmetic kernel.  Above it, four functions of `quantum` work on term
 maps: `nc_reduce` holds raw accumulators of `_poly_mac` beside its levels
-and finishes them itself, `tensor_reduce` sums into raw accumulators with
-`_mac_at` and `_finish_all`, and `_quantised` unpacks the monomial keys of
-a bracket table (`_unpack`) to read each monomial as a word.  No other
-layer touches a term map or a key.
+and finishes them itself, `tensor_multiply` and `tensor_reduce` sum into
+raw accumulators with `_mac_at` and `_finish_all`, and `_quantised` unpacks
+the monomial keys of a bracket table (`_unpack`) to read each monomial as a
+word.  No other layer touches a term map or a key.
 
 A variable is a (kind, index) pair.  Group coordinates come in three kinds
 (x, y, z) so that identities mixing several group elements stay unambiguous;
@@ -27,16 +27,15 @@ Term maps, the layout behind `LaurentPoly.terms` and `LaurentPoly.den`:
 A polynomial is canonical: gcd(den, every numerator) == 1, and zero is
 den == 1 with no terms, so equal polynomials have equal term maps and
 denominators.  Every sum of products (a product itself,
-`LaurentPoly.sum_of_products`, `Combination.product` and `masked_product`,
-`substitute`, and the rewriting sums of `quantum.nc_reduce` and
-`quantum.tensor_reduce`) runs through one multiply-accumulate loop,
-`_poly_mac`, into a raw accumulator: a `LaurentPoly` of the same layout
-whose numerators may share a factor with its denominator.  No zero
-numerator is stored, so it is empty exactly when the sum is zero, and a
-keyed sum (`_mac_at`) deletes a key as soon as its sum is empty.  The pair
-loop multiplies and adds plain ints; when a product's denominator differs
-from the accumulator's, both are brought to their lcm once per call, not per
-pair.  `_poly_finish` divides out gcd(den, *numerators) in one call when the
+`LaurentPoly.sum_of_products`, `Combination.masked_product`, `substitute`,
+and the tensor products and rewriting sums of `quantum`) runs through one
+multiply-accumulate loop, `_poly_mac`, into a raw accumulator: a
+`LaurentPoly` of the same layout whose numerators may share a factor with
+its denominator.  No zero numerator is stored, so it is empty exactly when
+the sum is zero, and a keyed sum (`_mac_at`) deletes a key as soon as its
+sum is empty.  The pair loop multiplies and adds plain ints; when a
+product's denominator differs from the accumulator's, both are brought to
+their lcm once per call, not per pair.  `_poly_finish` divides out gcd(den, *numerators) in one call when the
 sum is complete (the content step of SymPy's `clear_denoms`), and `render`
 reduces each term's num/den only as it prints it.
 
@@ -526,14 +525,9 @@ class LaurentPoly:
             num, den = -num, -den
         return LaurentPoly({_checked(-key): den}, num)
 
-    def variables(self, besides=()) -> set[Variable]:
-        """The variables of self, less those in ``besides``: each distinct
-        monomial left once their exponents are taken out is decoded once."""
-        slots = [_SLOT.get(v.code) for v in besides]
-        mask = sum(_MASK << (_FIELD * s) for s in slots if s is not None)
-        bias, low = _BIAS, _BIAS & mask
-        rests = {key - (((key + bias) & mask) - low) for key in self.terms}
-        return {decode(code) for code in {code for rest in rests for code, _ in _unpack(rest)}}
+    def variables(self) -> set[Variable]:
+        """The variables of self, each distinct code decoded once."""
+        return {decode(code) for code in {code for key in self.terms for code, _ in _unpack(key)}}
 
     def coefficient(self, v: Variable, exp: int) -> "LaurentPoly":
         """Collect the coefficient of v**exp (the rest of each matching term)."""
@@ -761,28 +755,14 @@ class Combination(dict):
         return out
 
     @staticmethod
-    def product(a: Mapping, b: Mapping, join, h_order=None) -> "Combination":
-        """The bilinear product: sum of ca * cb at join(ka, kb) over all pairs,
-        skipping pairs whose joined key is None, with every term of degree in
-        h above ``h_order`` dropped when one is given.  Each key's sum is
-        accumulated raw and normalised once; a key whose sum cancels is
-        deleted at once, so slots follow the rule of ``add``."""
-        cap = None if h_order is None else _h_cap(h_order)
-        raw: dict = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                key = join(ka, kb)
-                if key is not None:
-                    _mac_at(raw, key, ca, cb, cap)
-        return _finish_all(raw)
-
-    @staticmethod
     def masked_product(a: Mapping, b: Mapping, top: int) -> "Combination":
         """The bilinear product of two combinations keyed by ints: the sum of
         ca * cb at ka + kb over the pairs whose key sum has no bit of ``top``
         set.  The caller packs its keys so that a set bit marks a pair to
-        drop (`series.mul`), so a pair costs one addition and one mask.  Sums
-        accumulate, cancel and keep their slots as in ``product``."""
+        drop (`series.mul`), so a pair costs one addition and one mask.  Each
+        key's sum is accumulated raw (`_mac_at`) and normalised once; a key
+        whose sum cancels is deleted at once, so slots follow the rule of
+        ``add``."""
         bs = list(b.items())
         raw: dict = {}
         for ka, ca in a.items():

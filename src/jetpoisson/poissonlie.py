@@ -18,17 +18,21 @@ left-invariant field X.  Jacobi on that model is then decided by Drinfeld's
 theorem (Soviet Math. Dokl. 27, 1983): a multiplicative bivector is Poisson
 exactly when its linear part at e, the constants c^{ij}_m = d_m pi^{ij}(e),
 satisfies co-Jacobi, because [pi, pi] is multiplicative again and a
-multiplicative multivector vanishes iff its derivative at e does.  Both
-theorems are stated for a connected group, and x_1 is a unit, so the jet
-group has two components; but every identity here is polynomial in
-x_2..x_n and Laurent in x_1, and the component x_1 > 0 is Zariski-dense, so
-a pass there holds everywhere.  The witness of a table a criterion fails
-comes from the direct check: the first failing pair (i, j) of the
-congruence J W J^T, or the first failing triple of the Jacobi scan.
+multiplicative multivector vanishes iff its derivative at e does.  One
+entry, `_lu_weinstein`, serves both: it returns the linear part it
+certified, and co-Jacobi reads that.  Both theorems are stated for a
+connected group, and x_1 is a unit, so the jet group has two components;
+but every identity here is polynomial in x_2..x_n and Laurent in x_1, and
+the component x_1 > 0 is Zariski-dense, so a pass there holds everywhere.
+A table outside the coordinates x_1..x_n of that group, and a table a
+criterion fails, go to the direct check, which names the witness: the
+first failing pair (i, j) of the congruence J W J^T, or the first failing
+triple of the Jacobi scan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -281,17 +285,19 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
     Origin-fixing model: the table restricted to i, j <= check_max passes
     by Drinfeld's theorem (Soviet Math. Dokl. 27, 1983; Lu and Weinstein,
     J. Differential Geom. 31, 1990) when it is multiplicative and its linear
-    part at e satisfies co-Jacobi (`_drinfeld`), with the record the scan
-    would give: every triple checked, none skipped.  The theorem is stated
-    for a connected group; the Jacobiator is Laurent in x_1 and polynomial
-    in x_2..x_n, and the component x_1 > 0 is Zariski-dense, so a pass
-    there holds on both components.  A table either criterion fails, and
-    every extended-model or density table, goes to the triple scan
-    `_jacobi_scan`, which names the witness."""
+    part at e, which `_lu_weinstein` returns, satisfies co-Jacobi
+    (`_drinfeld`), with the record the scan would give: every triple
+    checked, none skipped.  The theorem is stated for a connected group; the
+    Jacobiator is Laurent in x_1 and polynomial in x_2..x_n, and the
+    component x_1 > 0 is Zariski-dense, so a pass there holds on both
+    components.  Any other table (one either criterion fails or
+    `_lu_weinstein` does not decide, and every extended-model or density
+    table) goes to the triple scan `_jacobi_scan`, which names the witness."""
     top = omega.n if check_max is None else min(check_max, omega.n)
     params = {"n": omega.n, "start": omega.start_index, "check_max": top,
               "checked": 0, "skipped": 0}
-    if omega.start_index == 1 and _drinfeld(omega, top):
+    lin = _lu_weinstein(omega, top) if omega.start_index == 1 else None
+    if lin is not None and _drinfeld(lin, top):
         params["checked"] = math.comb(max(top, 0), 3)
         return rep.first_failure("jacobi", (), params)
     return _jacobi_scan(omega, top, params)
@@ -304,21 +310,7 @@ def _jacobi_scan(omega, top, params) -> rep.VerificationReport:
     coordinate beyond any finite block, so boundary triples are skipped and
     counted)."""
     indices = range(omega.start_index, top + 1)
-    gradients: dict = {}
-
-    def gradient(b, c):
-        """The (i, d{b, c}/dx_i) whose derivative is nonzero, for b < c, once
-        per bracket."""
-        grad = gradients.get((b, c))
-        if grad is None:
-            target = omega.bracket(b, c)
-            grad = gradients[(b, c)] = []
-            for v in target.variables():
-                if v.kind == omega.coord_kind:
-                    dv = target.derivative(v)
-                    if not dv.is_zero():
-                        grad.append((v.index, dv))
-        return grad
+    gradient = functools.cache(functools.partial(_gradient, omega))  # once per bracket
 
     def cases():
         for (j, k, l) in itertools.combinations(indices, 3):
@@ -344,6 +336,14 @@ def _jacobi_scan(omega, top, params) -> rep.VerificationReport:
     return rep.first_failure("jacobi", cases(), params)
 
 
+def _gradient(omega, b, c) -> list:
+    """The (i, d{b, c}/dv_i) over the coordinates v_i of the table's kind
+    that occur in {b, c}: its nonzero partials."""
+    w = omega.bracket(b, c)
+    return [(v.index, dv) for v in w.variables()
+            if v.kind == omega.coord_kind and (dv := w.derivative(v))]
+
+
 def linear_part(omega: PoissonStructure, n: int) -> dict:
     """{(i, j): {m: c^{ij}_m}} over the stored pairs i < j <= n: the first-order
     jet c^{ij}_m = d_m pi^{ij}(e) of the table at the identity jet e
@@ -355,27 +355,17 @@ def linear_part(omega: PoissonStructure, n: int) -> dict:
             for ij, w in omega.omega.items() if max(ij) <= n}
 
 
-def _drinfeld(omega, n) -> bool:
-    """Whether the x-coordinate table pi with i, j <= n is Poisson on the
-    n-jet group, by Drinfeld's theorem: pi is multiplicative
-    (`_lu_weinstein`) and its linear part c at e satisfies co-Jacobi,
+def _drinfeld(lin, n) -> bool:
+    """Whether a multiplicative table pi with i, j <= n is Poisson on the
+    n-jet group, by Drinfeld's theorem, read from its linear part c at e
+    (`_lu_weinstein`'s return): c satisfies co-Jacobi,
 
       sum over the cyclic (i, j, k) of sum_m c^{ij}_m c^{mk}_l = 0
 
-    for every i < j < k and every l.  [pi, pi] is multiplicative, so it
-    vanishes iff its derivative at e, that co-Jacobiator, does.  A table
-    in another coordinate kind, or whose brackets involve a coordinate
-    outside x_1..x_n, is not a bivector on that group: the criterion would
-    read the stray variable as a constant, so the table is left to the scan."""
-    coords = [x_var(m) for m in range(1, n + 1)]
-    if omega.coord_kind is not VarKind.GROUP_X or any(
-            v.kind is VarKind.GROUP_X for ij, w in omega.omega.items() if max(ij) <= n
-            for v in w.variables(coords)):
-        return False
-    if not _lu_weinstein(omega, n):
-        return False
+    for every i < j < k <= n and every l.  [pi, pi] is multiplicative, so it
+    vanishes iff its derivative at e, that co-Jacobiator, does."""
     c: dict = {}
-    for (i, j), row in linear_part(omega, n).items():
+    for (i, j), row in lin.items():
         c[i, j] = row
         c[j, i] = {m: -v for m, v in row.items()}
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
@@ -396,26 +386,32 @@ def verify_multiplicativity(omega: PoissonStructure,
     Origin-fixing model: the table restricted to i, j <= n passes by the
     criterion of Lu and Weinstein (1990; Drinfeld, 1983) in the n
     coordinates of one jet (`_lu_weinstein`), which holds on the whole group
-    as its component x_1 > 0 is Zariski-dense.  A table it fails is checked
-    again as the congruence J W J^T in the 2n symbolic coordinates of two
-    factors, whose first failing pair (i, j) is the witness.  Extended
-    model: that congruence alone, in the nilpotent quotient of order 2; the
-    composition is carried out at one order higher than asserted so that
-    differentiation by the degree-0 coordinates is exact on every asserted
-    monomial.
+    as its component x_1 > 0 is Zariski-dense.  A table it fails or does not
+    decide is checked as the congruence J W J^T in the 2n symbolic
+    coordinates of two factors, whose first failing pair (i, j) is the
+    witness; its x part reads a table of another kind renamed x (`_in_x`).
+    Extended model: that congruence alone, in the nilpotent quotient of
+    order 2; the composition is carried out at one order higher than
+    asserted so that differentiation by the degree-0 coordinates is exact on
+    every asserted monomial.
     """
     if omega.start_index != 1:
         return _verify_mult_extended(omega, check_max)
     n = omega.n if check_max is None else min(check_max, omega.n)
-    if _lu_weinstein(omega, n):
+    if _lu_weinstein(omega, n) is not None:
         return rep.first_failure("multiplicativity", (), {"n": n, "start": 1})
     return _verify_mult_origin_fixing(omega, n)
 
 
-def _lu_weinstein(omega, n) -> bool:
-    """Whether the x-coordinate table pi with i, j <= n is multiplicative on
-    the n-jet group: pi(e) = 0 and L_X pi is left-invariant for each
-    left-invariant X.  The X with that property are a Lie subalgebra
+def _lu_weinstein(omega, n) -> Optional[dict]:
+    """The linear part at e (`linear_part`) of the table pi with i, j <= n
+    if pi is a multiplicative bivector on the n-jet group, else None.  Only
+    an x table whose brackets have partials by x_1..x_n alone (`_gradient`)
+    is decided; any other (in y coordinates, or involving x_0 or x_{n+1})
+    gets None, since its stray variables would be read as constants.
+
+    pi is multiplicative iff pi(e) = 0 and L_X pi is left-invariant for
+    each left-invariant X.  The X with that property are a Lie subalgebra
     (L_[X,Y] = [L_X, L_Y], and L_X keeps a left-invariant bivector
     left-invariant), and X_1, X_2, X_3 generate the left-invariant fields
     ([X_2, X_k] = (2-k) X_{k+1}), so k <= 3 suffices.  X_k^m is
@@ -425,30 +421,34 @@ def _lu_weinstein(omega, n) -> bool:
                       - (j-k+1) pi^{i (j-k+1)},
 
     and the left-invariant bivector whose value at e is b has the entries
-    sum_{p, q} b^{pq} X_p^i X_q^j: the congruence J b J^T, J_ip = X_p^i."""
+    sum_{p, q} b^{pq} X_p^i X_q^j: the congruence J b J^T, J_ip = X_p^i.
+    Once pi(e) = 0, (L_k pi)(e) = d_k pi(e), column k of the linear part:
+    X_k^m(e) = delta_km, and both pi d X terms vanish at e."""
+    if omega.coord_kind is not VarKind.GROUP_X:
+        return None
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    others = {x_var(m).code for m in range(2, n + 1)}
+    # the k = 1 congruence implies pi(e) = 0 too (J(e) = 1), but this test is cheaper
+    if any(omega.bracket(*ij).drop_high_degree(others, 0).substitute({x_var(1): 1})
+           for ij in pairs):
+        return None
+    grads = {ij: _gradient(omega, *ij) for ij in pairs}
+    if any(not 1 <= m <= n for grad in grads.values() for m, _ in grad):
+        return None
     X = {k: jg.left_invariant_field(k, n) for k in range(1, n + 1)}  # X[k][m] = X_k^m
     J = {i: {p: Xp[i] for p, Xp in X.items() if i in Xp} for i in X}
-    pairs = list(itertools.combinations(X, 2))
-    others = {x_var(m).code for m in X if m > 1}
-
-    def at_e(w):
-        return w.drop_high_degree(others, 0).substitute({x_var(1): 1})
-
-    if any(at_e(omega.bracket(*ij)) for ij in pairs):
-        return False
-    grads = {ij: {m: d for m in X if (d := omega.bracket(*ij).derivative(x_var(m)))}
-             for ij in pairs}
+    lin = linear_part(omega, n)
     for k in range(1, min(n, 3) + 1):
         lie = {(i, j): LaurentPoly.sum_of_products(
-            [(X[k][m], d) for m, d in grads[i, j].items() if m in X[k]]
+            [(X[k][m], d) for m, d in grads[i, j] if m in X[k]]
             + [(omega.bracket(a, c), -s) for a, c, s in
                ((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1)) if s > 0])
             for i, j in pairs}
-        value = {ij: b for ij, w in lie.items() if (b := at_e(w))}
+        value = {ij: row[k] for ij, row in lin.items() if k in row}
         if not _congruence_check("lu-weinstein", {}, 1, n, lambda i, j: lie[i, j],
                                  [(J, value)]).passed:
-            return False
-    return True
+            return None
+    return lin
 
 
 def _verify_mult_origin_fixing(omega, n):
@@ -460,7 +460,8 @@ def _verify_mult_origin_fixing(omega, n):
     return _congruence_check(
         "multiplicativity", {"n": n, "start": 1}, 1, n,
         lambda i, j: omega.bracket(i, j).substitute(to_z),
-        [(_jacobian(z, VarKind.GROUP_X, range(1, n + 1)), table),
+        [(_jacobian(z, VarKind.GROUP_X, range(1, n + 1)),
+          _in_x(table, omega.coord_kind, range(1, n + 1))),
          (_jacobian(z, VarKind.GROUP_Y, range(1, n + 1)),
           {kl: w.substitute(to_y) for kl, w in table.items()})])
 
@@ -478,7 +479,7 @@ def _verify_mult_extended(omega, check_max):
     # The translated sums reach coordinate pairs up to K + M (the composition
     # depends on x_k for k <= i + M), so entries past the given table come
     # from phi at that width; z is exact through K + 1.
-    table = dict(omega.omega)
+    table = dict(_in_x(omega.omega, omega.coord_kind, range(0, omega.n + 2)))
     table.update((kl, w) for kl, w in build_omega(phi, K + M, 0).omega.items()
                  if max(kl) > omega.n)
     y = jg.symbolic_jet(K + 1, "y", 0, nilpotency=M)
@@ -491,8 +492,17 @@ def _verify_mult_extended(omega, check_max):
         lambda i, j: omega.bracket(i, j).substitute(to_z),
         [(_jacobian(z, VarKind.GROUP_X, range(0, K + M + 1)), table),
          (_jacobian(z, VarKind.GROUP_Y, range(0, K + 1)),
-          {kl: w.substitute(to_y) for kl, w in table.items() if max(kl) <= K})],
+          {kl: w.substitute(to_y) for kl, w in omega.omega.items() if max(kl) <= K})],
         reduce=lambda p: jg.nilpotent_reduce(p, m))
+
+
+def _in_x(table, kind, indices) -> dict:
+    """The table with its coordinates of the given kind and indices renamed
+    x, for the x part of a congruence; an x table itself."""
+    if kind is VarKind.GROUP_X:
+        return table
+    to_x = {Variable(kind, i): LaurentPoly.var(x_var(i)) for i in indices}
+    return {kl: w.substitute(to_x) for kl, w in table.items()}
 
 
 def _jacobian(jet, kind, columns) -> dict:
@@ -588,4 +598,5 @@ def verify_inversion_antipoisson(omega: PoissonStructure) -> rep.VerificationRep
     return _congruence_check(
         "inversion-anti-poisson", {"n": n, "start": 1}, 1, n,
         lambda a, b: omega.bracket(a, b).substitute(to_inv),
-        [(_jacobian(xbar, VarKind.GROUP_X, range(1, n + 1)), omega.omega)], sign=1)
+        [(_jacobian(xbar, VarKind.GROUP_X, range(1, n + 1)),
+          _in_x(omega.omega, omega.coord_kind, range(1, n + 1)))], sign=1)

@@ -332,12 +332,16 @@ def delta_generator(i: int) -> Combination:
     )
 
 
-def _tensor_join(a: tuple, b: tuple) -> tuple:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def tensor_multiply(a: Combination, b: Combination, R: RelationSet) -> Combination:
-    return Combination.product(a, b, _tensor_join, R.h_order)
+    """The product of two tensor tables, each slot's words concatenated, with
+    every term of degree in h above R's order dropped: one raw sum, a key's
+    accumulator deleted at once when it cancels, each normalised once."""
+    cap = _h_cap(R.h_order)
+    raw: dict = {}
+    for (la, ra), ca in a.items():
+        for (lb, rb), cb in b.items():
+            _mac_at(raw, (la + lb, ra + rb), ca, cb, cap)
+    return _finish_all(raw)
 
 
 def tensor_reduce(a: Combination, R: RelationSet,

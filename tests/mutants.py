@@ -87,8 +87,8 @@ MUTANTS = [
     {
         "name": "tensor-sum-without-h-cap",
         "file": "src/jetpoisson/quantum.py",
-        "original": "cap = _h_cap(R.h_order)",
-        "mutant": "cap = None",
+        "original": "    cap = _h_cap(R.h_order)\n    raw: dict = {}\n    for (lw, rw), c in a.items():",
+        "mutant": "    cap = None\n    raw: dict = {}\n    for (lw, rw), c in a.items():",
         "tests": ["tests/test_quantum.py::test_tensor_reduce_matches_the_per_pair_loop",
                   "tests/test_quantum.py::test_tensor_reduce_matches_the_per_term_loop"],
     },
@@ -364,8 +364,8 @@ MUTANTS = [
     {
         "name": "inversion-with-the-multiplicativity-sign",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "omega.omega)], sign=1)",
-        "mutant": "omega.omega)], sign=-1)",
+        "original": "range(1, n + 1)))], sign=1)",
+        "mutant": "range(1, n + 1)))], sign=-1)",
         "tests": ["tests/test_poissonlie.py::test_inversion_anti_poisson"],
     },
     {
@@ -481,9 +481,9 @@ MUTANTS = [
     {
         "name": "multiplicativity-origin-fixing-without-y-part",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "table),\n         (_jacobian(z, VarKind.GROUP_Y, range(1, n + 1)),\n"
+        "original": "range(1, n + 1))),\n         (_jacobian(z, VarKind.GROUP_Y, range(1, n + 1)),\n"
                     "          {kl: w.substitute(to_y) for kl, w in table.items()})])",
-        "mutant": "table)])",
+        "mutant": "range(1, n + 1)))])",
         "tests": ["tests/test_poissonlie.py::test_multiplicativity_families_and_identity_substitution",
                   "tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops",
                   "tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
@@ -589,8 +589,8 @@ MUTANTS = [
     {
         "name": "multiplicativity-extended-y-table-to-K-plus-1",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "for kl, w in table.items() if max(kl) <= K})],",
-        "mutant": "for kl, w in table.items() if max(kl) <= K + 1})],",
+        "original": "for kl, w in omega.omega.items() if max(kl) <= K})],",
+        "mutant": "for kl, w in omega.omega.items() if max(kl) <= K + 1})],",
         "tests": ["tests/test_poissonlie.py::test_jacobian_checks_match_the_minor_loops",
                   "tests/test_poissonlie.py::test_extended_multiplicativity_reads_the_given_table"],
         "equivalent": "z_i depends on y_k only for k <= i <= K, so an entry past K meets no "
@@ -751,7 +751,8 @@ MUTANTS = [
         "file": "src/jetpoisson/poissonlie.py",
         "original": ", table),\n"
                     "         (_jacobian(z, VarKind.GROUP_Y, range(0, K + 1)),\n"
-                    "          {kl: w.substitute(to_y) for kl, w in table.items() if max(kl) <= K})],",
+                    "          {kl: w.substitute(to_y) for kl, w in omega.omega.items()"
+                    " if max(kl) <= K})],",
         "mutant": ", table)],",
         "tests": ["tests/test_poissonlie.py::test_extended_model_linear_structure",
                   "tests/test_poissonlie.py::test_extended_multiplicativity_reads_the_given_table"],
@@ -907,9 +908,13 @@ MUTANTS = [
     {
         "name": "lu-weinstein-without-the-test-at-e",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "    if any(at_e(omega.bracket(*ij)) for ij in pairs):\n        return False\n",
+        "original": "    if any(omega.bracket(*ij).drop_high_degree(others, 0).substitute({x_var(1): 1})\n"
+                    "           for ij in pairs):\n        return None\n",
         "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
+        "equivalent": "J(e) is the identity, so at e the k = 1 congruence reads "
+                      "d_1 pi^{ij}(e) - (i + j) pi^{ij}(e) against its value d_1 pi^{ij}(e) "
+                      "and fails every table with pi(e) != 0; the test only exits early",
     },
     {
         "name": "lu-weinstein-without-the-first-pi-dX-term",
@@ -930,7 +935,7 @@ MUTANTS = [
     {
         "name": "lu-weinstein-without-the-X-pi-term",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "[(X[k][m], d) for m, d in grads[i, j].items() if m in X[k]]\n            + ",
+        "original": "[(X[k][m], d) for m, d in grads[i, j] if m in X[k]]\n            + ",
         "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence",
                   "tests/test_poissonlie.py::test_passing_tables_skip_the_congruence"],
@@ -953,8 +958,8 @@ MUTANTS = [
     {
         "name": "drinfeld-without-lu-weinstein",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "    if not _lu_weinstein(omega, n):\n        return False\n",
-        "mutant": "",
+        "original": "lin = _lu_weinstein(omega, top) if",
+        "mutant": "lin = linear_part(omega, top) if",
         "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
     },
     {
@@ -984,16 +989,50 @@ MUTANTS = [
     {
         "name": "drinfeld-takes-stray-coordinates-for-constants",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "v.kind is VarKind.GROUP_X for ij, w in omega.omega.items() if max(ij) <= n",
-        "mutant": "v.kind is VarKind.TAG for ij, w in omega.omega.items() if max(ij) <= n",
+        "original": "    if any(not 1 <= m <= n for grad in grads.values() for m, _ in grad):\n"
+                    "        return None\n",
+        "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
     },
     {
         "name": "drinfeld-reads-any-coordinate-kind",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "    if omega.coord_kind is not VarKind.GROUP_X or any(\n",
-        "mutant": "    if any(\n",
+        "original": "    if omega.coord_kind is not VarKind.GROUP_X:\n        return None\n",
+        "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
+        "equivalent": "read with the x fields, the k = 1 Lie derivative of a table of another "
+                      "kind is sum_m m x_m d_{v_m} pi^{ij} - (i + j) pi^{ij}, and its top degree "
+                      "in the v's must vanish against a v-free value, so only a table that is "
+                      "zero on i, j <= n passes, and its records are those of the direct checks",
+    },
+    {
+        "name": "lu-weinstein-reads-column-k-plus-1",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "value = {ij: row[k] for ij, row in lin.items() if k in row}",
+        "mutant": "value = {ij: row[k + 1] for ij, row in lin.items() if k + 1 in row}",
+        "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence",
+                  "tests/test_poissonlie.py::test_passing_tables_skip_the_congruence"],
+    },
+    {
+        "name": "lu-weinstein-guard-takes-x0-and-x-n-plus-1",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "if any(not 1 <= m <= n for grad",
+        "mutant": "if any(not 0 <= m <= n + 1 for grad",
+        "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
+    },
+    {
+        "name": "multiplicativity-y-table-not-renamed",
+        "file": "src/jetpoisson/poissonlie.py",
+        "original": "    if kind is VarKind.GROUP_X:\n        return table\n",
+        "mutant": "    return table\n",
+        "tests": ["tests/test_poissonlie.py::test_tables_in_y_coordinates_are_the_x_tables_renamed"],
+    },
+    {
+        "name": "tensor-multiply-without-h-cap",
+        "file": "src/jetpoisson/quantum.py",
+        "original": "            _mac_at(raw, (la + lb, ra + rb), ca, cb, cap)",
+        "mutant": "            _mac_at(raw, (la + lb, ra + rb), ca, cb, None)",
+        "tests": ["tests/test_quantum.py::test_h_truncation_kills_deep_terms"],
     },
 ]
 

@@ -459,6 +459,36 @@ def test_extended_multiplicativity_reads_the_given_table():
         assert pl.verify_multiplicativity(omega, check_max=check_max).to_dict() == want
 
 
+def test_tables_in_y_coordinates_are_the_x_tables_renamed():
+    """A table built in y coordinates is the x table with its coordinates
+    renamed: its multiplicativity record is the x table's, and on the
+    origin-fixing model so is its inversion record, passing or failing."""
+    def Y(i):
+        return LaurentPoly.var(Variable(VarKind.GROUP_Y, i))
+
+    statuses = Counter()
+    for d in (1, 2):
+        for n in (3, 5):
+            x_table, y_table = (pl.build_omega(pl.phi_power_family(d), n, coord_letter=letter)
+                                for letter in "xy")
+            assert pl.verify_jacobi(y_table).to_dict() == pl.verify_jacobi(x_table).to_dict()
+            for x_table, y_table in ((x_table, y_table),
+                                     (x_table.perturbed(2, 3, X(2)), y_table.perturbed(2, 3, Y(2)))):
+                for verify in (pl.verify_multiplicativity, pl.verify_inversion_antipoisson):
+                    want = verify(x_table).to_dict()
+                    assert verify(y_table).to_dict() == want, (d, n, verify.__name__)
+                    statuses[want["status"]] += 1
+    for check_max in (3, 4):
+        x_table, y_table = (pl.build_omega(pl.phi_linear(), check_max + 1, 0, coord_letter=letter)
+                            for letter in "xy")
+        for x_table, y_table in ((x_table, y_table),
+                                 (x_table.perturbed(1, 3, X(2)), y_table.perturbed(1, 3, Y(2)))):
+            want = pl.verify_multiplicativity(x_table, check_max).to_dict()
+            assert pl.verify_multiplicativity(y_table, check_max).to_dict() == want, check_max
+            statuses[want["status"]] += 1
+    assert statuses == {"pass": 10, "fail": 10}, statuses
+
+
 # the perturbations of the benchmark's negative controls: {x_i, x_j} += x_k on
 # the u v (u^d - v^d) table at n = 5
 BENCH_PERTURBATIONS = [(d, i, j, k) for d in (1, 2, 3)
@@ -486,8 +516,11 @@ def test_lu_weinstein_criterion_agrees_with_the_congruence():
     outcomes = Counter()
     for omega in cases:
         congruence = pl._verify_mult_origin_fixing(omega, omega.n)
-        criterion = pl._lu_weinstein(omega, omega.n)
+        lin = pl._lu_weinstein(omega, omega.n)
+        criterion = lin is not None
         assert criterion == congruence.passed, (omega.phi.provenance, omega.n)
+        # what the criterion certified is the table's linear part at e
+        assert lin is None or lin == pl.linear_part(omega, omega.n)
         assert pl.verify_multiplicativity(omega).to_dict() == congruence.to_dict()
         outcomes[criterion] += 1
     assert outcomes == {True: 49, False: 68}, outcomes
@@ -554,27 +587,32 @@ def test_drinfeld_criterion_agrees_with_the_triple_scan():
     seven = pl.build_omega(pl.phi_power_family(2), 7)
     cases += [(seven, check_max) for check_max in (0, 1, 2, 3, 5)]
     cases += [(seven.perturbed(2, 4, X(2)), check_max) for check_max in (3, 5)]
-    outcomes = Counter()
-    for omega, check_max in cases:
+
+    def verdicts(omega, check_max):
+        """Drinfeld's, Lu-Weinstein's and the scan's verdicts, once the
+        records of Jacobi and multiplicativity equal their direct checks'."""
         top = omega.n if check_max is None else check_max
         want = _per_triple_jacobi(omega, check_max).to_dict()
         assert pl.verify_jacobi(omega, check_max).to_dict() == want, (omega.n, check_max)
-        criterion = pl._drinfeld(omega, top)
-        assert criterion == (want["status"] == "pass"), (omega.n, check_max)
-        outcomes[criterion, pl._lu_weinstein(omega, top)] += 1
+        assert pl.verify_multiplicativity(omega, check_max).to_dict() == \
+            pl._verify_mult_origin_fixing(omega, top).to_dict(), (omega.n, check_max)
+        lin = pl._lu_weinstein(omega, top)
+        return lin is not None and pl._drinfeld(lin, top), lin is not None, want["status"] == "pass"
+
+    outcomes = Counter()
+    for omega, check_max in cases:
+        criterion, multiplicative, poisson = verdicts(omega, check_max)
+        assert criterion == poisson, (omega.n, check_max)
+        outcomes[criterion, multiplicative] += 1
     assert outcomes == {(True, True): 50, (False, True): 4, (False, False): 63}, outcomes
     # tables in a coordinate outside x_1..x_n, or written in another kind, are
-    # not bivectors of the n-jet group: Lu-Weinstein passes them with the
-    # stray variable as a constant, and only the scan's record is right; y2 y3
-    # has no linear part in the y coordinates, so co-Jacobi would pass it too
+    # not bivectors of the n-jet group: read by Lu-Weinstein, the stray
+    # variable would count as a constant, so it leaves them to the direct checks
     y2, y3 = (LaurentPoly.var(Variable(VarKind.GROUP_Y, k)) for k in (2, 3))
     for omega, check_max in ((_scaled(six, X(7)), None), (_scaled(six, X(6)), 5),
                              (_scaled(six, X(0)), None),
                              (_scaled(six, y2 * y3, VarKind.GROUP_Y), None)):
-        top = omega.n if check_max is None else check_max
-        assert pl._lu_weinstein(omega, top) and not pl._drinfeld(omega, top)
-        assert pl.verify_jacobi(omega, check_max).to_dict() == \
-            _per_triple_jacobi(omega, check_max).to_dict()
+        assert verdicts(omega, check_max)[:2] == (False, False), (omega.n, check_max)
 
 
 def test_passing_tables_skip_the_jacobi_scan(monkeypatch):

@@ -683,9 +683,11 @@ def _tensor_reduce_per_term(a, R):
 
     out = Combination()
     for (lw, rw), c in a.items():
-        left = {wl: c * v for wl, v in normal_form(lw).items()}
-        out.add_all(Combination.product(left, normal_form(rw), lambda wl, wr: (wl, wr),
-                                        R.h_order))
+        product = Combination()
+        for wl, u in normal_form(lw).items():
+            for wr, v in normal_form(rw).items():
+                product.add((wl, wr), qt.h_truncate_poly(c * u * v, R.h_order))
+        out.add_all(product)
     return out
 
 
