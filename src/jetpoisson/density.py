@@ -19,8 +19,7 @@ from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
 from .coeffpoly import Combination, Frozen, LaurentPoly, Variable, VarKind, aux_t, poly
-from .poissonlie import (PhiFunction, PoissonStructure, build_omega, upper_triangle,
-                         verify_jacobi, weight)
+from .poissonlie import PhiFunction, PoissonStructure, build_omega, contract, verify_jacobi, weight
 
 
 class DensityElement(Frozen):
@@ -32,10 +31,8 @@ class DensityElement(Frozen):
             return self.coords[i]
         return LaurentPoly.zero()
 
-    def to_series(self, bound: Optional[int] = None) -> ts.TruncSeries:
-        bound = self.n if bound is None else bound
-        return ts.make(("u",), (bound,),
-                       {(i,): self.coord(i) for i in range(min(self.n, bound) + 1)})
+    def to_series(self, bound: int) -> ts.TruncSeries:
+        return ts.make(("u",), (bound,), {(i,): self.coord(i) for i in range(bound + 1)})
 
 
 def make_density(coords, lam) -> DensityElement:
@@ -90,34 +87,19 @@ def density_act(y: jg.JetElement, x: DensityElement,
 
 def build_omega_density(phi: PhiFunction, lam, n: int) -> PoissonStructure:
     """Bracket table on densities from a generating function divisible by uv:
-
-      Omega = phi x'(u) x'(v) + lam d_u phi x(u) x'(v)
-            + lam d_v phi x'(u) x(v) + lam^2 d_u d_v phi x(u) x(v),
-
-    indices from 0; entries reference density coordinates up to max(i,j)+1.
+    Omega = phi x'(u) x'(v) + lam d_u phi x(u) x'(v) + lam d_v phi x'(u) x(v)
+    + lam^2 d_u d_v phi x(u) x(v) = sum lam_mn xi_m (x) xi_n, the contraction
+    with the fields xi_m^i = (i - m + 1 + lam m) x_{i-m+1} of u^m d/du on
+    weight-lam densities.  Indices from 0; entries reference coordinates up
+    to max(i,j)+1.
     """
     phi.ensure_degree(n + 2, "build_omega_density")
     lam = weight(lam)
-    space, bounds = ("u", "v"), (n, n)
-    x = symbolic_density(n + 1, 0).to_series()
-    x_low = ts.truncate(x, (n,))
-    xp = ts.derivative(x, "u")
-    xu = ts.lift(x_low, space, bounds)
-    xv = ts.lift(x_low, space, bounds, names=("v",))
-    xpu = ts.lift(xp, space, bounds)
-    xpv = ts.lift(xp, space, bounds, names=("v",))
-    phi_series = phi.as_series("u", "v", space, (n + 1, n + 1))
-    phi_t = ts.truncate(phi_series, bounds)
-    phi_u = ts.derivative(phi_series, "u")
-    du = ts.truncate(phi_u, bounds)
-    dv = ts.truncate(ts.derivative(phi_series, "v"), bounds)
-    duv = ts.truncate(ts.derivative(phi_u, "v"), bounds)
-    omega_series = ts.add(
-        ts.add(ts.product(phi_t, xpu, xpv), ts.scale(ts.product(du, xu, xpv), lam)),
-        ts.add(ts.scale(ts.product(dv, xpu, xv), lam),
-               ts.scale(ts.product(duv, xu, xv), lam * lam)),
-    )
-    return PoissonStructure(n, 0, upper_triangle(omega_series, 0, n), VarKind.DENSITY_X, phi)
+    x = symbolic_density(n + 1, 0).coords
+    xi = {m: Combination((i, x[i - m + 1] * (lam * m + (i - m + 1)))
+                         for i in range(max(m - 1, 0), n + 1))
+          for m in range(n + 2)}
+    return PoissonStructure(n, 0, contract(phi, 0, n, (xi, 1)), VarKind.DENSITY_X, phi)
 
 
 def verify_density_action(phi: PhiFunction, lam, n: int,

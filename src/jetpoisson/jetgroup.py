@@ -123,12 +123,22 @@ def jet_project(x: JetElement, m: int) -> JetElement:
 # -- left-invariant vector fields, as combinations {i: component of d/dx_i} --
 
 
-def left_invariant_field(k: int, n: int) -> Combination:
-    """X_k = sum_{i=1}^{n-k+1} i * x_i * d/dx_{i+k-1} at truncation n."""
-    return Combination(
-        (i + k - 1, LaurentPoly.var(Variable(VarKind.GROUP_X, i)) * i)
-        for i in range(1, n - k + 2)
-    )
+def left_invariant_field(k: int, n: int, kind: VarKind = VarKind.GROUP_X) -> Combination:
+    """X_k = sum_{i=1}^{n-k+1} i * x_i * d/dx_{i+k-1} at truncation n, in coordinates of a kind."""
+    return Combination((i + k - 1, LaurentPoly.var(Variable(kind, i)) * i)
+                       for i in range(1, n - k + 2))
+
+
+def right_invariant_fields(top: int, n: int, kind: VarKind, start_index: int) -> dict:
+    """{m: R_m} for m <= top, R_m^i = [u^i] x(u)^m (i <= n): the right-invariant
+    field of u^m d/du.  On the origin-fixing model x(u)^m starts at u^m, so m stops at n."""
+    x = {i: LaurentPoly.var(Variable(kind, i)) for i in range(start_index, n + 1)}
+    fields = {0: Combination({0: 1})}
+    for m in range(1, (min(top, n) if start_index else top) + 1):
+        last = fields[m - 1]
+        fields[m] = Combination((i, LaurentPoly.sum_of_products(
+            (last[i - k], xk) for k, xk in x.items() if i - k in last)) for i in range(n + 1))
+    return fields
 
 
 def vf_commutator(a: Combination, b: Combination) -> Combination:

@@ -6,10 +6,10 @@ packages a whole bracket table: the generating series of the brackets is
     Omega(u,v;x) = phi(u,v) x'(u) x'(v) - phi(x(u), x(v)),
 
 and the coefficient of u^i v^j is the bracket omega_ij of the i-th and j-th
-jet coordinates.  This module builds such tables (two independent ways for
-the monomial families, cross-checked in the tests) and verifies the defining
-identities exactly: Jacobi, multiplicativity under jet composition, the
-functional equation on phi equivalent to Jacobi, and anti-Poisson inversion.
+jet coordinates.  This module builds such tables by one contraction of
+invariant frames (`build_omega`) and verifies the defining identities
+exactly: Jacobi, multiplicativity under jet composition, the functional
+equation on phi equivalent to Jacobi, and anti-Poisson inversion.
 
 Multiplicativity on the origin-fixing model is decided in the n coordinates
 of one jet by the criterion of Lu and Weinstein (J. Differential Geom. 31,
@@ -69,6 +69,8 @@ class PhiFunction(Frozen):
     def __init__(self, min_index: int, table: dict, degree: Optional[int], provenance: str):
         self.__dict__.update(min_index=min_index, table=table, degree=degree,
                              provenance=provenance)
+        if (top := max(map(max, table), default=0)) >= ts._LIMIT:
+            raise ts.SeriesOverflow(f"phi index {top} not below {ts._LIMIT}")
 
     def coeff(self, m: int, n: int) -> LaurentPoly:
         return self.table.get((m, n), LaurentPoly.zero())
@@ -179,52 +181,56 @@ class PoissonStructure(Frozen):
         omega.add((min(i, j), max(i, j)), delta if i < j else -delta)
         return PoissonStructure(self.n, self.start_index, omega, self.coord_kind, self.phi)
 
+    def lu_weinstein(self, n: int) -> Optional[dict]:
+        """`_lu_weinstein(self, n)`, once per n: Jacobi and multiplicativity read it."""
+        if n not in self._certified:
+            self._certified[n] = _lu_weinstein(self, n)
+        return self._certified[n]
+
+    @functools.cached_property
+    def _certified(self) -> dict:
+        return {}
+
 
 def build_omega(phi: PhiFunction, n: int, start_index: int = 1,
                 coord_letter: str = "x") -> PoissonStructure:
-    """Bracket table from the generating series, exact at truncation n.
-
-    For the origin-fixing model the table entries only involve coordinates up
-    to max(i, j); for the extended model they reach one index higher, so the
-    internal symbolic jet carries one extra coordinate.
-    """
+    """Bracket table of Omega, exact at truncation n: by Drinfeld's dictionary
+    (Soviet Math. Dokl. 27, 1983) the Sklyanin bracket sum lam_mn (X_m (x) X_n
+    - R_m (x) R_n) of the left-invariant X_m = u^m x'(u) and right-invariant
+    R_m = x(u)^m.  On the extended model X_0 reaches x_{n+1}, and x_0 enters
+    every R_m, so the whole finite table does."""
     phi.ensure_degree(n + 1, "build_omega")
     if start_index == 1 and not phi.divisible_by_uv():
         raise DivisibilityViolation(
-            "origin-fixing jets need a generating function divisible by u and v"
-        )
+            "origin-fixing jets need a generating function divisible by u and v")
     if start_index == 0 and phi.degree is not None:
         # with a constant coordinate, phi(x(u), x(v)) sums over the whole
         # table row by row; only finitely supported tables extract exactly
         raise DegreeBoundTooSmall(
-            "extended-model tables need a finitely supported generating function"
-        )
+            "extended-model tables need a finitely supported generating function")
     kind = jg.LETTER_KINDS[coord_letter]
-    bounds = (n, n)
-    space = ("u", "v")
-    hi = n if start_index == 1 else n + 1
-    coords = {
-        i: LaurentPoly.var(Variable(kind, i)) for i in range(start_index, hi + 1)
-    }
-    x_u = ts.make(("u",), (hi,), {(i,): c for i, c in coords.items()})
-    x_v = ts.make(("v",), (hi,), {(i,): c for i, c in coords.items()})
-    xp_u = ts.lift(ts.derivative(x_u, "u"), space, bounds)
-    xp_v = ts.lift(ts.derivative(x_v, "v"), space, bounds)
-    phi_series = phi.as_series("u", "v", space, bounds)
-    first = ts.product(phi_series, xp_u, xp_v)
-    second = ts.subst(
-        phi.as_series("u", "v", ("u", "v"), (n, n)),
-        {"u": ts.lift(ts.truncate(x_u, (n,)), space, bounds),
-         "v": ts.lift(ts.truncate(x_v, (n,)), space, bounds)},
-    )
-    return PoissonStructure(
-        n, start_index, upper_triangle(ts.sub(first, second), start_index, n), kind, phi)
+    left = {m: jg.left_invariant_field(m, n, kind) for m in {m for m, _ in phi.table}}
+    right = jg.right_invariant_fields(max(map(max, phi.table), default=0), n, kind, start_index)
+    omega = contract(phi, start_index, n, (left, 1), (right, -1))
+    return PoissonStructure(n, start_index, omega, kind, phi)
 
 
-def upper_triangle(omega_series: ts.TruncSeries, lo: int, n: int) -> Combination:
-    """The bracket table {(i, j): [u^i v^j] Omega} for lo <= i < j <= n."""
-    return Combination(((i, j), omega_series.coeff((i, j)))
-                       for i in range(lo, n + 1) for j in range(i + 1, n + 1))
+def contract(phi: PhiFunction, lo: int, n: int, *frames) -> Combination:
+    """{(i, j): sum over the frames (F, sign) of sign * sum lam_mk F_m^i F_k^j}
+    for lo <= i < j <= n, in (i, j) order, where a frame maps m to the field
+    {i: F_m^i}: one sum of the F_m^i H_m^j, H_m = sign * sum_k lam_mk F_k."""
+    pairs: dict = {}
+    for F, sign in frames:
+        H: dict = {}
+        for (m, k), c in phi.table.items():
+            if m in F and k in F:
+                H.setdefault(m, Combination()).add_all(F[k], c * sign)
+        for m, Hm in H.items():
+            for i, a in F[m].items():
+                for j, b in Hm.items():
+                    if lo <= i < j <= n:
+                        pairs.setdefault((i, j), []).append((a, b))
+    return Combination((ij, LaurentPoly.sum_of_products(pairs[ij])) for ij in sorted(pairs))
 
 
 def omega_power_closed_form(d: int, n: int) -> PoissonStructure:
@@ -271,7 +277,7 @@ def omega_power_closed_form(d: int, n: int) -> PoissonStructure:
 
 def verify_bracket_match(omega: PoissonStructure, d: int) -> list[rep.VerificationReport]:
     """One record per pair i < j of omega's coordinates: the table of the u v
-    (u^d - v^d) family built from its generating series against the
+    (u^d - v^d) family built from its generating function against the
     independent closed form `omega_power_closed_form`."""
     closed = omega_power_closed_form(d, omega.n)
     return [rep.first_failure("bracket-match", [((i, j), closed.bracket(i, j) - omega.bracket(i, j))],
@@ -296,7 +302,7 @@ def verify_jacobi(omega: PoissonStructure, check_max: Optional[int] = None) -> r
     top = omega.n if check_max is None else min(check_max, omega.n)
     params = {"n": omega.n, "start": omega.start_index, "check_max": top,
               "checked": 0, "skipped": 0}
-    lin = _lu_weinstein(omega, top) if omega.start_index == 1 else None
+    lin = omega.lu_weinstein(top) if omega.start_index == 1 else None
     if lin is not None and _drinfeld(lin, top):
         params["checked"] = math.comb(max(top, 0), 3)
         return rep.first_failure("jacobi", (), params)
@@ -398,7 +404,7 @@ def verify_multiplicativity(omega: PoissonStructure,
     if omega.start_index != 1:
         return _verify_mult_extended(omega, check_max)
     n = omega.n if check_max is None else min(check_max, omega.n)
-    if _lu_weinstein(omega, n) is not None:
+    if omega.lu_weinstein(n) is not None:
         return rep.first_failure("multiplicativity", (), {"n": n, "start": 1})
     return _verify_mult_origin_fixing(omega, n)
 
@@ -476,9 +482,9 @@ def _verify_mult_extended(omega, check_max):
     if phi is None:
         raise ValueError("extended-model multiplicativity needs the generating function")
     M = m + 1
-    # The translated sums reach coordinate pairs up to K + M (the composition
-    # depends on x_k for k <= i + M), so entries past the given table come
-    # from phi at that width; z is exact through K + 1.
+    # The translated sums reach pairs up to K + M (z_i reads x_k for k <= i + M),
+    # so entries past the given table come from phi at that width; z is exact
+    # through K + 1 and never lowers the degree-0 weight, so the lhs is cut first.
     table = dict(_in_x(omega.omega, omega.coord_kind, range(0, omega.n + 2)))
     table.update((kl, w) for kl, w in build_omega(phi, K + M, 0).omega.items()
                  if max(kl) > omega.n)
@@ -489,7 +495,7 @@ def _verify_mult_extended(omega, check_max):
     # z_i depends on y_k only for k <= i, so the y part needs no wider table
     return _congruence_check(
         "multiplicativity", {"n": K, "start": 0, "nilpotency": m}, 0, K,
-        lambda i, j: omega.bracket(i, j).substitute(to_z),
+        lambda i, j: jg.nilpotent_reduce(omega.bracket(i, j), m).substitute(to_z),
         [(_jacobian(z, VarKind.GROUP_X, range(0, K + M + 1)), table),
          (_jacobian(z, VarKind.GROUP_Y, range(0, K + 1)),
           {kl: w.substitute(to_y) for kl, w in omega.omega.items() if max(kl) <= K})],

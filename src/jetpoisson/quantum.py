@@ -498,8 +498,9 @@ def verify_quasiclassical(R: RelationSet, omega: PoissonStructure) -> rep.Verifi
     commutator must equal the bracket table entry, read commutatively.
 
     The catalog reads its h-linear parts off `omega_power_closed_form`;
-    given the table `build_omega` sums from the generating series, as the
-    suite does, this compares two independent constructions."""
+    given the table `build_omega` contracts from the generating function's
+    coefficients, as the suite does, this compares two independent
+    constructions."""
     def cases():
         for (i, j) in sorted(R.tails):
             tail = commutator_normal_form(R, i, j)

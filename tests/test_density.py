@@ -1,6 +1,7 @@
 """Weight-lambda densities: the action, its bracket tables, and the exact
 compatibility identity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,49 @@ def test_bracket_table_weight_zero_is_pullback_form():
     )
     for (i, j), w in omega.omega.items():
         assert w == direct.coeff((i, j))
+
+
+def _series_omega_density(phi, lam, n):
+    """The density table read off the four series products of its generating
+    function, the construction `build_omega_density` replaced."""
+    lam = pl.weight(lam)
+    space, bounds = ("u", "v"), (n, n)
+    x = dn.symbolic_density(n + 1, 0).to_series(n + 1)
+    x_low, xp = ts.truncate(x, (n,)), ts.derivative(x, "u")
+    xu, xv = ts.lift(x_low, space, bounds), ts.lift(x_low, space, bounds, names=("v",))
+    xpu, xpv = ts.lift(xp, space, bounds), ts.lift(xp, space, bounds, names=("v",))
+    phi_series = phi.as_series("u", "v", space, (n + 1, n + 1))
+    phi_u = ts.derivative(phi_series, "u")
+    phi_t, du = ts.truncate(phi_series, bounds), ts.truncate(phi_u, bounds)
+    dv = ts.truncate(ts.derivative(phi_series, "v"), bounds)
+    duv = ts.truncate(ts.derivative(phi_u, "v"), bounds)
+    omega = ts.add(
+        ts.add(ts.product(phi_t, xpu, xpv), ts.scale(ts.product(du, xu, xpv), lam)),
+        ts.add(ts.scale(ts.product(dv, xpu, xv), lam),
+               ts.scale(ts.product(duv, xu, xv), lam * lam)))
+    return [((i, j), c) for i in range(n + 1) for j in range(i + 1, n + 1)
+            if (c := omega.coeff((i, j)))]
+
+
+def test_contraction_equals_the_series_route():
+    # keys, key order and values of sum lam_mn xi_m xi_n against the series
+    # products, on the catalog and random finite tables, at three weights
+    phis = [pl.phi_power_family(d) for d in (1, 2, 3)]
+    phis += [pl.phi_extended_family(2, "lam", 12), pl.phi_extended_family(3, "mu", 12),
+             pl.phi_from_table({(1, 2): 1, (1, 3): 1}, 1, 4, exact=True)]
+    rng = random.Random(9)
+    for _ in range(12):
+        entries = {tuple(rng.sample(range(1, 12), 2)): Fraction(rng.randint(-3, 3),
+                                                                rng.randint(1, 2))
+                   for _ in range(rng.randint(1, 3))}
+        phis.append(pl.phi_from_table(entries, 1, 11, exact=True))
+    for phi in phis:
+        for n in (3, 6, 9):
+            for lam in ("lam", 0, Fraction(1, 2)):
+                got = dn.build_omega_density(phi, lam, n)
+                assert list(got.omega.items()) == _series_omega_density(phi, lam, n), \
+                    (phi.provenance, n, lam)
+                assert (got.start_index, got.coord_kind) == (0, VarKind.DENSITY_X)
 
 
 def test_bracket_table_of_constant_density_is_zero_at_weight_zero():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jetpoisson import jetgroup as jg
+from jetpoisson import series as ts
 from jetpoisson.coeffpoly import LaurentPoly, Variable, VarKind, x_var
 
 
@@ -94,6 +95,33 @@ def test_witt_bracket_after_index_shift():
                                    jg.left_invariant_field(b + 1, n))
             expect = jg.left_invariant_field(a + b + 1, n).map(lambda c: c * (a - b))
             assert got == expect
+
+
+def test_right_invariant_fields_are_the_powers_of_the_jet():
+    # R_m^i = [u^i] x(u)^m, against repeated series products, on both models
+    # and in y coordinates; on the origin-fixing model R_m is zero past m = n
+    for start, letter, n in ((1, "x", 6), (1, "y", 4), (0, "x", 4)):
+        x = jg.symbolic_jet(n, letter, start, nilpotency=None if start else n)
+        fields = jg.right_invariant_fields(n + 3, n, jg.LETTER_KINDS[letter], start)
+        power = ts.const(1, ("u",), (n,))
+        for m in range(n + 4):
+            want = {i: c for (i,), c in power.coeffs.items()}
+            assert fields.get(m, {}) == want, (start, letter, m)
+            power = ts.mul(power, x.to_series())
+    assert sorted(jg.right_invariant_fields(9, 4, VarKind.GROUP_X, 1)) == [0, 1, 2, 3, 4]
+
+
+def test_right_invariant_fields_commute_with_the_left_invariant_ones():
+    # [X_a, R_b] = 0, and [R_a, R_b] = (b - a) R_{a+b-1}: the right-invariant
+    # fields of the same algebra, with the opposite sign of the bracket
+    n = 7
+    R = jg.right_invariant_fields(n, n, VarKind.GROUP_X, 1)
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            assert not jg.vf_commutator(jg.left_invariant_field(a, n), R[b]), (a, b)
+            expect = R.get(a + b - 1, {})
+            assert jg.vf_commutator(R[a], R[b]) == {
+                i: c * (b - a) for i, c in expect.items() if a != b}, (a, b)
 
 
 def test_left_translation_tangent_matrix():

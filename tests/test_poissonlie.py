@@ -2,8 +2,8 @@
 
 The three finite bracket tables asserted here (quadratic family at n=5,
 linear family at n=4, cubic family at n=5) are frozen from two independent
-constructions that agree monomial for monomial: coefficient extraction from
-the generating series and the closed component formula.  Three entries of the
+constructions that agree monomial for monomial: the contraction of invariant
+frames (`build_omega`) and the closed component formula.  Three entries of the
 published versions of these tables disagree with their own defining
 formula; the frozen values below are the internally consistent ones
 (the multiplicativity, Jacobi and quantum-compatibility checks all single
@@ -73,11 +73,108 @@ TABLE_D3_N5 = {
 @pytest.mark.parametrize("d,n,table", [(2, 5, TABLE_D2_N5), (1, 4, TABLE_D1_N4),
                                        (3, 5, TABLE_D3_N5)])
 def test_bracket_tables_both_paths(d, n, table):
-    series_path = pl.build_omega(pl.phi_power_family(d), n)
+    contracted = pl.build_omega(pl.phi_power_family(d), n)
     closed_path = pl.omega_power_closed_form(d, n)
     for (i, j), expect in table.items():
-        assert series_path.bracket(i, j) == expect, (i, j)
+        assert contracted.bracket(i, j) == expect, (i, j)
         assert closed_path.bracket(i, j) == expect, (i, j)
+
+
+def _series_omega(phi, n, start_index, coord_letter):
+    """The table of Omega = phi(u,v) x'(u) x'(v) - phi(x(u), x(v)) read off the
+    series product and substitution, the construction `build_omega` replaced:
+    the second term substitutes x(u) into phi's whole finite table, which
+    x_0 reaches at every power."""
+    kind = jg.LETTER_KINDS[coord_letter]
+    space, bounds = ("u", "v"), (n, n)
+    hi = n if start_index == 1 else n + 1
+    coords = {(i,): LaurentPoly.var(Variable(kind, i)) for i in range(start_index, hi + 1)}
+    x_u, x_v = ts.make(("u",), (hi,), coords), ts.make(("v",), (hi,), coords)
+    first = ts.product(phi.as_series("u", "v", space, bounds),
+                       ts.lift(ts.derivative(x_u, "u"), space, bounds),
+                       ts.lift(ts.derivative(x_v, "v"), space, bounds))
+    top = max(map(max, phi.table), default=0)
+    second = ts.subst(phi.as_series("u", "v", space, (top, top)),
+                      {"u": ts.lift(ts.truncate(x_u, (n,)), space, bounds),
+                       "v": ts.lift(ts.truncate(x_v, (n,)), space, bounds)})
+    omega = ts.sub(first, second)
+    return Combination(((i, j), omega.coeff((i, j)))
+                       for i in range(start_index, n + 1) for j in range(i + 1, n + 1))
+
+
+def _random_table(rng, start, top):
+    """A finitely supported phi from indices start..top, one to four rows."""
+    entries = {}
+    for _ in range(rng.randint(1, 4)):
+        m, k = rng.sample(range(start, top + 1), 2)
+        entries[m, k] = Fraction(rng.randint(1, 3) * rng.choice((-1, 1)), rng.randint(1, 2))
+    return pl.phi_from_table(entries, start, top, exact=True)
+
+
+def test_contraction_equals_the_series_route():
+    # keys, key order and values, over the catalog and random finite tables on
+    # both models, in x and y, with indices above n
+    lam = LaurentPoly.var(param("lam"))
+    cases = [(pl.phi_power_family(d), n, 1, "x") for d in (1, 2, 3, 5) for n in (6, 10, 14)]
+    cases += [(pl.phi_power_family(d), n, 1, "x") for d in (1, 2) for n in (16, 20)]
+    cases += [(pl.phi_extended_family(d, value, 11), 10, 1, letter) for d in (2, 3)
+              for value in (lam, Fraction(1, 3)) for letter in "xy"]
+    cases += [(pl.phi_linear(), n, 0, "x") for n in (4, 6, 8)]
+    cases += [(pl.phi_from_table({(1, 2): 1, (1, 3): 1}, 1, 4, exact=True), n, 1, "x")
+              for n in (3, 6)]
+    rng = random.Random(31)
+    cases += [(_random_table(rng, start, 8), rng.randint(2, 7), start, rng.choice("xy"))
+              for start in (0, 1) for _ in range(30)]
+    for phi, n, start, letter in cases:
+        got = pl.build_omega(phi, n, start, letter)
+        want = _series_omega(phi, n, start, letter)
+        assert list(got.omega.items()) == list(want.items()), (phi.provenance, n, start, letter)
+        assert got.coord_kind is jg.LETTER_KINDS[letter]
+
+
+def test_extended_tables_do_not_depend_on_the_truncation():
+    # {x_0, x_1} of phi = (u - v) + (u^5 - v^5) is x1 - x1^2 + 5 x0^4 x1 at
+    # every n: x(u)^5 has the constant x0^5, so the u^5 row reaches (0, 1)
+    phi = pl.phi_from_table({(1, 0): 1, (5, 0): 1}, 0, 5, exact=True)
+    X0 = LaurentPoly.var(Variable(VarKind.GROUP_X, 0))
+    for n in (2, 4, 6):
+        assert pl.build_omega(phi, n, 0).bracket(0, 1) == X(1) - X(1, 2) + 5 * X0 ** 4 * X(1)
+    rng = random.Random(7)
+    for _ in range(20):
+        phi = _random_table(rng, 0, 8)
+        big = pl.build_omega(phi, 7, 0)
+        for n in (2, 4):
+            small = pl.build_omega(phi, n, 0)
+            assert small.omega == {ij: w for ij, w in big.omega.items() if max(ij) <= n}
+
+
+def test_sklyanin_tables_are_multiplicative():
+    # Omega is sum lam_mn (X_m X_n - R_m R_n), the Sklyanin bracket of the
+    # r-matrix lam, multiplicative whatever lam is: Lu-Weinstein and the
+    # congruence pass it on the origin-fixing model, the nilpotent quotient's
+    # congruence on the extended one
+    rng = random.Random(64)
+    for _ in range(24):
+        n = rng.randint(2, 7)
+        omega = pl.build_omega(_random_table(rng, 1, 9), n)
+        assert pl._lu_weinstein(omega, n) is not None, omega.phi.table
+        assert pl._verify_mult_origin_fixing(omega, n).passed, omega.phi.table
+    tables = [_random_table(rng, 0, 7) for _ in range(12)]
+    # x0^59 enters every entry: the check cuts each entry to x_0-degree 2 before
+    # it substitutes the product jet, whose x_0 coordinate has several terms
+    tables.append(pl.phi_from_table({(1, 0): 1, (60, 0): 1}, 0, 60, exact=True))
+    for phi in tables:
+        n = rng.randint(2, 3)
+        omega = pl.build_omega(phi, n + 1, 0)
+        assert pl.verify_multiplicativity(omega, n).passed, omega.phi.table
+
+
+def test_phi_indices_past_the_series_limit_are_rejected():
+    with pytest.raises(ts.SeriesOverflow):
+        pl.phi_power_family(ts._LIMIT - 1)
+    with pytest.raises(ts.SeriesOverflow):
+        pl.phi_from_table({(ts._LIMIT, 1): 1}, 1, ts._LIMIT, exact=True)
+    assert (ts._LIMIT - 1, 1) in pl.phi_power_family(ts._LIMIT - 2).table
 
 
 def test_brackets_vanish_at_identity():

@@ -646,6 +646,19 @@ def test_cli_phi_table_file(tmp_path):
     assert any(r.check == "jacobi" and r.passed for r in records)
 
 
+def test_cli_extended_table_past_n_fails_jacobi_not_multiplicativity(tmp_path, capsys):
+    # phi = (u - v) + (u^5 - v^5): the u^5 row reaches {x_0, x_1} through x0^5
+    # at every n, so the n = 4 table is multiplicative and not Poisson
+    table = tmp_path / "phi.txt"
+    table.write_text("1 0 1\n5 0 1\n", encoding="utf-8")
+    status = main(["verify", "poisson", "--phi", f"table:{table}", "--n", "3", "--format", "text"])
+    assert status == 1
+    assert capsys.readouterr().out == (
+        "FAIL jacobi [check_max=3 checked=1 n=4 skipped=0 start=0] witness=(0, 1, 2) "
+        "residual=-30*x0^2*x1^3 + 50*x0^6*x1^3\n"
+        "PASS multiplicativity [n=3 nilpotency=2 start=0]\n")
+
+
 def test_cli_phi_table_mirror_row_sets_the_entry_once(tmp_path):
     def table(rows):
         path = tmp_path / "phi.txt"
