@@ -15,7 +15,9 @@ negative of its mirror, an option the suite never reads, an --out path that
 cannot be written (checked before any suite runs), or an input whose
 exponents overflow a series or monomial field: a monomial exponent outside
 [-2^14, 2^14), which the symbolic jet inverse (x1^-(2n-1) at u^n) would
-reach only at --n above 8192.
+reach only at --n above 8192, or that the extended model's brackets reach,
+their degree in x_0 growing with a phi table's indices (the one row
+``m 0 1`` from m = 8194 on); that error names the row of largest m + n.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import bialgebra as ba
 from . import density as dn
@@ -52,7 +55,9 @@ def _value(text: str, name: str):
         raise ConfigError(f"bad value for {name}: {text!r}") from exc
 
 
-def _phi_from_args(args) -> pl.PhiFunction:
+def _phi_from_args(args, rows: Optional[dict] = None) -> pl.PhiFunction:
+    """The generating function --phi names; a table also fills ``rows``, if
+    given, with {(m, n): the text of its row}."""
     if args.phi == "power":
         return pl.phi_power_family(args.d)
     if args.phi == "extended":
@@ -71,7 +76,7 @@ def _phi_from_args(args) -> pl.PhiFunction:
             raise ConfigError(f"cannot read phi table: {exc}") from exc
         # a row sets lam_mn and lam_nm = -lam_mn; a row for (n, m) as well
         # must be that negation, and is then not added a second time
-        entries, rows = {}, {}
+        entries, rows = {}, {} if rows is None else rows
         for line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -107,16 +112,24 @@ def suite_group(args) -> list[rep.VerificationReport]:
 
 
 def suite_poisson(args) -> list[rep.VerificationReport]:
-    phi = _phi_from_args(args)
+    rows: dict = {}
+    phi = _phi_from_args(args, rows)
     start = 0 if phi.min_index == 0 else 1
-    # extended-model tables reference one coordinate past any finite block,
-    # so build one index wider and restrict the checks
-    omega = pl.build_omega(phi, args.n + (1 if start == 0 else 0), start)
-    records = pl.verify_bracket_match(omega, args.d) if args.phi == "power" else []
-    records.extend([
-        pl.verify_jacobi(omega, check_max=args.n),
-        pl.verify_multiplicativity(omega, check_max=args.n),
-    ])
+    try:
+        # extended-model tables reference one coordinate past any finite block,
+        # so build one index wider and restrict the checks
+        omega = pl.build_omega(phi, args.n + (1 if start == 0 else 0), start)
+        records = pl.verify_bracket_match(omega, args.d) if args.phi == "power" else []
+        records.extend([
+            pl.verify_jacobi(omega, check_max=args.n),
+            pl.verify_multiplicativity(omega, check_max=args.n),
+        ])
+    except ExponentOverflow as exc:
+        if not rows:
+            raise
+        # on the extended model a bracket's degree in x_0 grows with m + n
+        line = rows[max(rows, key=sum)]
+        raise ConfigError(f"phi table row {line!r} overflows an exponent: {exc}") from exc
     if omega.start_index == 1 and args.n <= 4:
         records.append(pl.verify_inversion_antipoisson(omega))
     return records

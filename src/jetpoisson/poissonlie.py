@@ -412,24 +412,20 @@ def verify_multiplicativity(omega: PoissonStructure,
 def _lu_weinstein(omega, n) -> Optional[dict]:
     """The linear part at e (`linear_part`) of the table pi with i, j <= n
     if pi is a multiplicative bivector on the n-jet group, else None.  Only
-    an x table whose brackets have partials by x_1..x_n alone (`_gradient`)
-    is decided; any other (in y coordinates, or involving x_0 or x_{n+1})
-    gets None, since its stray variables would be read as constants.
+    an x table whose brackets have partials by x_1..x_n alone is decided;
+    any other (in y coordinates, or involving x_0 or x_{n+1}) gets None,
+    since its stray variables would be read as constants.
 
     pi is multiplicative iff pi(e) = 0 and L_X pi is left-invariant for
     each left-invariant X.  The X with that property are a Lie subalgebra
     (L_[X,Y] = [L_X, L_Y], and L_X keeps a left-invariant bivector
     left-invariant), and X_1, X_2, X_3 generate the left-invariant fields
-    ([X_2, X_k] = (2-k) X_{k+1}), so k <= 3 suffices.  X_k^m is
-    (m-k+1) x_{m-k+1}, whose d_a is m-k+1 at a = m-k+1 alone, so
-
-      (L_k pi)^{ij} = sum_m X_k^m d_m pi^{ij} - (i-k+1) pi^{(i-k+1) j}
-                      - (j-k+1) pi^{i (j-k+1)},
-
-    and the left-invariant bivector whose value at e is b has the entries
-    sum_{p, q} b^{pq} X_p^i X_q^j: the congruence J b J^T, J_ip = X_p^i.
-    Once pi(e) = 0, (L_k pi)(e) = d_k pi(e), column k of the linear part:
-    X_k^m(e) = delta_km, and both pi d X terms vanish at e."""
+    ([X_2, X_k] = (2-k) X_{k+1}), so k <= 3 suffices.  The left-invariant
+    bivector whose value at e is b has the entries sum_{p, q} b^{pq} X_p^i
+    X_q^j, and once pi(e) = 0, (L_k pi)(e) = d_k pi(e), column k of the
+    linear part: X_k^m(e) = delta_km, and both pi d X terms vanish at e.
+    So the test is `infinitesimal_criterion` with the frame X, X_k^m =
+    (m-k+1) x_{m-k+1}."""
     if omega.coord_kind is not VarKind.GROUP_X:
         return None
     pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -438,23 +434,41 @@ def _lu_weinstein(omega, n) -> Optional[dict]:
     if any(omega.bracket(*ij).drop_high_degree(others, 0).substitute({x_var(1): 1})
            for ij in pairs):
         return None
-    grads = {ij: _gradient(omega, *ij) for ij in pairs}
-    if any(not 1 <= m <= n for grad in grads.values() for m, _ in grad):
-        return None
     X = {k: jg.left_invariant_field(k, n) for k in range(1, n + 1)}  # X[k][m] = X_k^m
-    J = {i: {p: Xp[i] for p, Xp in X.items() if i in Xp} for i in X}
     lin = linear_part(omega, n)
-    for k in range(1, min(n, 3) + 1):
+    return lin if infinitesimal_criterion(omega, 1, n, X, lin, 0) else None
+
+
+def infinitesimal_criterion(omega, lo, hi, X, lin, lam) -> bool:
+    """Whether L_{X_k} pi = sum_{p<q} c^{pq}_k X_p ^ X_q on the pairs
+    lo <= i < j <= hi for k = 1, 2, 3 (at most the frame's last index), for a
+    frame X[k][m] = X_k^m = (m-k+1+lam k) v_{m-k+1} over the coordinates
+    v_lo..v_hi of the table pi and constants c^{pq}_k = lin[p, q][k].  A
+    table whose brackets have a partial (`_gradient`) by a coordinate past
+    that range is not decided: False.  d_a X_k^m is m-k+1+lam k at
+    a = m-k+1 alone, so
+
+      (L_k pi)^{ij} = sum_m X_k^m d_m pi^{ij} - (i-k+1+lam k) pi^{(i-k+1) j}
+                      - (j-k+1+lam k) pi^{i (j-k+1)},
+
+    a pi d X term kept when its index is at least lo, and the right side is
+    the congruence J c_k J^T, J_ip = X_p^i."""
+    pairs = list(itertools.combinations(range(lo, hi + 1), 2))
+    grads = {ij: _gradient(omega, *ij) for ij in pairs}
+    if any(not lo <= m <= hi for grad in grads.values() for m, _ in grad):
+        return False
+    J = {i: {p: Xp[i] for p, Xp in X.items() if i in Xp} for i in range(lo, hi + 1)}
+    for k in range(1, min(max(X, default=0), 3) + 1):
         lie = {(i, j): LaurentPoly.sum_of_products(
             [(X[k][m], d) for m, d in grads[i, j] if m in X[k]]
-            + [(omega.bracket(a, c), -s) for a, c, s in
-               ((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1)) if s > 0])
+            + [(omega.bracket(a, c), -(lam * k + s)) for a, c, s in
+               ((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1)) if s >= lo])
             for i, j in pairs}
         value = {ij: row[k] for ij, row in lin.items() if k in row}
-        if not _congruence_check("lu-weinstein", {}, 1, n, lambda i, j: lie[i, j],
+        if not _congruence_check("lu-weinstein", {}, lo, hi, lambda i, j: lie[i, j],
                                  [(J, value)]).passed:
-            return None
-    return lin
+            return False
+    return True
 
 
 def _verify_mult_origin_fixing(omega, n):

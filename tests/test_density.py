@@ -179,3 +179,64 @@ def test_density_jacobi_negative_control():
     report = dn.verify_density_jacobi(phi, "lam", 3, omega_dens=bad)
     assert not report.passed
     assert len(report.witness["indices"]) == 3
+
+
+def _direct(phi, lam, n, omega_dens=None):
+    """The record of the direct check alone, `_action_identity`."""
+    lam = pl.weight(lam)
+    if omega_dens is None:
+        omega_dens = dn.build_omega_density(phi, lam, n + 1)
+    params = {"n": n, "provenance": phi.provenance, "lam": lam.render()}
+    return dn._action_identity(phi, lam, n, omega_dens, params).to_dict()
+
+
+def test_action_criterion_agrees_with_the_direct_check():
+    # the catalog passes; every perturbed table fails with the direct check's
+    # witness, among them tables that vanish at the origin, the lam = -3/2
+    # constant that only the quadratic guard keeps from the criterion (the
+    # residual is 1 - y1^3 t^2), and three quadratic tables that pass the
+    # criterion's k <= 2 and fail its k = 3
+    cases = [(pl.phi_power_family(d), lam, n, None) for d in (1, 2, 3, 4, 5)
+             for lam in ("lam", Fraction(1, 2), Fraction(-3, 2), 0) for n in (2, 3, 4, 5)]
+    cases += [(pl.phi_extended_family(d, lam, 12), weight, n, None) for d in (2, 3)
+              for lam, weight in (("lam", "lam"), (Fraction(1, 3), "mu"), (Fraction(1, 3), 0))
+              for n in (2, 4)]
+    phi = pl.phi_power_family(1)
+    perturbed = [("lam", 3, 0, 1, D(0)), ("lam", 3, 1, 2, D(1) * D(2)), ("lam", 4, 1, 3, D(1)),
+                 (Fraction(1, 2), 3, 0, 2, D(1) * D(1)), (Fraction(1, 2), 2, 1, 2, D(2)),
+                 (0, 3, 1, 2, D(0)), (0, 3, 2, 3, D(2) * D(3)), (Fraction(-3, 2), 3, 1, 2, D(2)),
+                 (Fraction(-3, 2), 2, 1, 2, LaurentPoly.one()), ("lam", 2, 0, 2, D(3)),
+                 (-1, 3, 1, 2, D(0) * D(3)), (-1, 4, 2, 4, D(3) * D(3)),
+                 (Fraction(-1, 2), 3, 1, 3, D(2) * D(2))]
+    cases += [(phi, lam, n, dn.build_omega_density(phi, lam, n + 1).perturbed(i, j, delta))
+              for lam, n, i, j, delta in perturbed]
+    for phi, lam, n, omega_dens in cases:
+        got = dn.verify_density_action(phi, lam, n, omega_dens=omega_dens).to_dict()
+        assert got == _direct(phi, lam, n, omega_dens), (phi.provenance, lam, n)
+        assert (got["status"] == "pass") == (omega_dens is None), (phi.provenance, lam, n)
+
+
+def test_passing_tables_skip_the_direct_check(monkeypatch):
+    def no_direct(*args):
+        raise AssertionError("reached the direct check")
+
+    monkeypatch.setattr(dn, "_action_identity", no_direct)
+    for d in (1, 2, 3):
+        for lam in ("lam", Fraction(-3, 2)):
+            for n in range(3, 9):
+                report = dn.verify_density_action(pl.phi_power_family(d), lam, n)
+                assert report.passed and report.params["n"] == n, (d, lam, n)
+    bad = dn.build_omega_density(pl.phi_power_family(2), "lam", 4).perturbed(1, 3, D(1) * D(2))
+    with pytest.raises(AssertionError, match="direct check"):
+        dn.verify_density_action(pl.phi_power_family(2), "lam", 3, omega_dens=bad)
+
+
+def test_density_action_errors_come_first():
+    # the errors of the direct check, raised before the criterion runs
+    with pytest.raises(pl.DegreeBoundTooSmall, match="build_omega_density"):
+        dn.verify_density_action(pl.phi_from_table({(1, 2): 1}, 1, 4), "lam", 3)
+    omega_dens = dn.build_omega_density(pl.phi_power_family(1), "lam", 4)
+    with pytest.raises(pl.DegreeBoundTooSmall, match="build_omega needs"):
+        dn.verify_density_action(pl.phi_from_table({(1, 2): 1}, 1, 4), "lam", 3, omega_dens)
+    with pytest.raises(pl.DivisibilityViolation):
+        dn.verify_density_action(pl.phi_linear(), "lam", 3, omega_dens)

@@ -720,3 +720,15 @@ def test_the_batch_tag_never_reaches_a_report(monkeypatch, capsys):
     assert "delta-homomorphism" in out and "TAGGED" not in out
     for name in sorted(golden_cases.CASES):
         assert "TAGGED" not in golden_cases.render(name), name
+
+
+def test_cli_extended_table_overflow_names_the_row(tmp_path, capsys):
+    # the brackets of the row 16383 0 carry powers of x0 near 16383, and a
+    # Jacobi term multiplies two of them past the exponent field
+    table = tmp_path / "phi.txt"
+    table.write_text("1 0 1\n  16383 0 1 \n2 0 1\n", encoding="utf-8")
+    assert main(["verify", "poisson", "--phi", f"table:{table}", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: phi table row '16383 0 1' overflows an exponent: "
+                            "exponent outside [-2^14, 2^14)\n")
