@@ -52,11 +52,12 @@ workload builds an exponent above a few hundred; 16-bit fields keep the keys
 short, and CPython hashes them with few collisions (a key's hash is its value
 modulo 2^61 - 1, so the field offsets modulo 61 decide them).
 Single-variable reads (`coefficient`, `coefficients`, `derivative`,
-`degree`, `drop_high_degree`) are a shift and a mask, and `linear_part`
-reads the fields of several variables with one mask.  Keys are decoded into
-((varcode, exp), ...) only where names or order are needed: rendering,
-`variables`, invertibility, `substitute` and the grading.  Slot numbers
-never reach any output.
+`degree`, `drop_high_degree`) are a shift and a mask, `linear_part` reads
+the fields of several variables with one mask, and `derivative_along` moves
+each term by one key shift per factor in a `LinearField`'s sources.  Keys
+are decoded into ((varcode, exp), ...) only where names or order are needed:
+rendering, `variables`, invertibility, `substitute` and the grading.  Slot
+numbers never reach any output.
 
 Term order is graded-lexicographic on the (kind, index) codes, except that
 parameters past the fixed names are ranked by name; it is the order used by
@@ -69,7 +70,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, inf, lcm
-from typing import Mapping
+from typing import Mapping, Optional
 
 
 # -- the kernel: arithmetic on raw term maps ---------------------------------
@@ -84,6 +85,7 @@ _MASK = (1 << _FIELD) - 1
 _HALF = 1 << (_FIELD - 2)      # exponents lie in [-_HALF, _HALF)
 _SLOT: dict[int, int] = {}     # variable code -> slot
 _SLOT_CODE: list[int] = []     # slot -> variable code
+_KIND_FIELDS: dict[int, int] = {}  # kind -> the fields of its variables' slots
 _BIAS = 0                      # _HALF in every slot's field
 _TOP = 0                       # the top bit of every slot's field
 _new = object.__new__
@@ -98,6 +100,7 @@ def _slot(code: int) -> int:
         _SLOT_CODE.append(code)
         _BIAS |= _HALF << (_FIELD * s)
         _TOP |= 1 << (_FIELD * s + _FIELD - 1)
+        _KIND_FIELDS[code // _STRIDE] = _KIND_FIELDS.get(code // _STRIDE, 0) | _MASK << _FIELD * s
     return s
 
 
@@ -599,19 +602,19 @@ class LaurentPoly:
             _poly_mac(acc, factor, powers[-1])
         return _poly_finish(acc)
 
-    def linear_part(self, unit: Variable, others) -> dict:
-        """{v: d self/dv at the point unit = 1, others = 0} for v = unit and
-        each v in others, nonzero values only; every other variable stays a
-        symbol.  Read from the terms of degree <= 1 in others: a term
-        unit^e * rest adds e * rest at unit, and unit^e * v * rest adds rest
-        at v."""
+    def linear_part(self, unit: Variable, others) -> tuple:
+        """(value, {v: d self/dv}) at the point unit = 1, others = 0, for v =
+        unit and each v in others, nonzero partials only; every other
+        variable stays a symbol.  Read from the terms of degree <= 1 in
+        others: unit^e * rest adds rest to the value and e * rest at unit,
+        and unit^e * v * rest adds rest at v."""
         bias = _BIAS
         ushift = _FIELD * _SLOT[unit.code] if unit.code in _SLOT else None
         shifts = {_FIELD * _SLOT[v.code]: v for v in others if v.code in _SLOT}
         single = {1 << shift: v for shift, v in shifts.items()}
         mask = sum(_MASK << shift for shift in shifts)
         low, e = bias & mask, 0
-        out: dict = {}
+        out: dict = {None: {}}  # v -> its terms; None -> the value's
         for key, num in self.terms.items():
             b = key + bias
             if ushift is not None:
@@ -619,20 +622,42 @@ class LaurentPoly:
                 key -= e << ushift
             t = (b & mask) - low  # the fields of others, exponents >= 0
             if not t:
-                v, num = unit, num * e
+                reads = ((None, key, num), (unit, key, num * e))
+            elif (v := single.get(t)) is not None:
+                reads = ((v, key - t, num),)
             else:
-                v = single.get(t)
-                if v is None:
-                    continue
-                key -= t
-            if num:
+                continue
+            for v, k, n in reads:
                 terms = out.setdefault(v, {})
-                num += terms.get(key, 0)
-                if num:
-                    terms[key] = num
-                else:
-                    del terms[key]
-        return {v: _poly_finish(LaurentPoly(terms, self.den)) for v, terms in out.items() if terms}
+                terms[k] = terms.get(k, 0) + n
+        out = {v: _poly_finish(LaurentPoly({k: n for k, n in terms.items() if n}, self.den))
+               for v, terms in out.items()}
+        return out.pop(None), {v: p for v, p in out.items() if p}
+
+    def derivative_along(self, field: "LinearField", pairs=()) -> Optional["LaurentPoly"]:
+        """The derivative of self along a `LinearField` plus sum(a * b for a,
+        b in pairs), in one raw accumulator normalised once; None if a term
+        holds a variable of the field's kind outside its domain.  A term
+        (key, num) with exponent e at a move (at, shift, na) adds num * e *
+        na at key + shift, range-checked as it enters the sum."""
+        bias, terms = _BIAS, {}
+        stray = _KIND_FIELDS.get(field.kind, 0) & ~field.inside
+        low = bias & stray
+        for key, num in self.terms.items():
+            b = key + bias
+            if b & stray != low:
+                return None
+            for at, shift, na in field.moves:
+                if e := (b >> at & _MASK) - _HALF:
+                    k, n = key + shift, num * e * na
+                    if (cur := terms.get(k)) is None:
+                        terms[_checked(k)] = n
+                    else:
+                        terms[k] = cur + n
+        acc = LaurentPoly({k: n for k, n in terms.items() if n}, self.den * field.den)
+        for a, b in pairs:
+            _poly_mac(acc, poly(a), poly(b))
+        return _poly_finish(acc)
 
     def degree(self, v: Variable, pick=max) -> float:
         """The highest exponent of v in any term (the lowest with ``pick=min``):
@@ -697,6 +722,25 @@ def poly(value) -> LaurentPoly:
     if isinstance(value, (int, Fraction)):
         return LaurentPoly.const(value)
     raise TypeError(f"cannot coerce {value!r} to LaurentPoly")
+
+
+class LinearField:
+    """The vector field sum_m a_m v_s(m) d/dv_m on the coordinates of one
+    kind with indices in ``domain``, from its components (m, s(m), a_m), each
+    a_m free of that kind, as the moves of `LaurentPoly.derivative_along`:
+    per term na * ka of a_m, the bit offset of v_m's exponent, the key shift
+    that takes off the unit of v_m and adds the units of v_s(m) and of ka,
+    and na over one common denominator.  The domain and targets get their
+    slots here, so a variable of the kind outside the domain has its own."""
+
+    def __init__(self, kind: VarKind, domain, components):
+        unit = lambda index: 1 << _FIELD * _slot(Variable(kind, index).code)
+        components = [(m, s, poly(a)) for m, s, a in components]
+        self.kind, self.inside = kind, sum(unit(m) * _MASK for m in domain)
+        self.den = lcm(*(a.den for _, _, a in components))
+        self.moves = [(_FIELD * _slot(Variable(kind, m).code), _checked(ka + unit(s) - unit(m)),
+                       na * (self.den // a.den))
+                      for m, s, a in components for ka, na in a.terms.items()]
 
 
 class Combination(dict):

@@ -99,7 +99,7 @@ def build_omega_density(phi: PhiFunction, lam, n: int) -> PoissonStructure:
     """
     phi.ensure_degree(n + 2, "build_omega_density")
     lam = weight(lam)
-    return PoissonStructure(n, 0, contract(phi, 0, n, (density_fields(lam, n), 1)),
+    return PoissonStructure(n, 0, contract(phi.table, 0, n, (density_fields(lam, n), 1)),
                             VarKind.DENSITY_X, phi)
 
 
@@ -147,7 +147,7 @@ def verify_density_action(phi: PhiFunction, lam, n: int,
         w.drop_high_degree(codes, 2) is w and not w.drop_high_degree(codes, 1)
         for ij, w in omega_dens.omega.items() if ij[1] <= n)
     if (delta is not None and exact and omega_dens.coord_kind is VarKind.DENSITY_X
-            and infinitesimal_criterion(omega_dens, 0, n, density_fields(lam, n), delta, lam)):
+            and infinitesimal_criterion(omega_dens, 0, n, delta, lam)):
         return rep.first_failure("density-action", (), params)
     return _action_identity(phi, lam, n, omega_dens, params)
 

@@ -20,14 +20,14 @@ exactly when its linear part at e, the constants c^{ij}_m = d_m pi^{ij}(e),
 satisfies co-Jacobi, because [pi, pi] is multiplicative again and a
 multiplicative multivector vanishes iff its derivative at e does.  One
 entry, `_lu_weinstein`, serves both: it returns the linear part it
-certified, and co-Jacobi reads that.  Both theorems are stated for a
-connected group, and x_1 is a unit, so the jet group has two components;
-but every identity here is polynomial in x_2..x_n and Laurent in x_1, and
-the component x_1 > 0 is Zariski-dense, so a pass there holds everywhere.
-A table outside the coordinates x_1..x_n of that group, and a table a
-criterion fails, go to the direct check, which names the witness: the
-first failing pair (i, j) of the congruence J W J^T, or the first failing
-triple of the Jacobi scan.
+certified, read with pi(e) in one pass over each bracket, and co-Jacobi
+reads that.  Both theorems are stated for a connected group, and x_1 is a
+unit, so the jet group has two components; but every identity here is
+polynomial in x_2..x_n and Laurent in x_1, and the component x_1 > 0 is
+Zariski-dense, so a pass there holds everywhere.  A table outside the
+coordinates x_1..x_n of that group, and a table a criterion fails, go to the
+direct check, which names the witness: the first failing pair (i, j) of the
+congruence J W J^T, or the first failing triple of the Jacobi scan.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from typing import Mapping, Optional
 from . import jetgroup as jg
 from . import report as rep
 from . import series as ts
-from .coeffpoly import (Combination, Frozen, LaurentPoly, Variable, VarKind, compositions, param,
-                        poly, x_var)
+from .coeffpoly import (Combination, Frozen, LaurentPoly, LinearField, Variable, VarKind,
+                        compositions, param, poly, x_var)
 
 
 class DivisibilityViolation(ValueError):
@@ -211,18 +211,19 @@ def build_omega(phi: PhiFunction, n: int, start_index: int = 1,
     kind = jg.LETTER_KINDS[coord_letter]
     left = {m: jg.left_invariant_field(m, n, kind) for m in {m for m, _ in phi.table}}
     right = jg.right_invariant_fields(max(map(max, phi.table), default=0), n, kind, start_index)
-    omega = contract(phi, start_index, n, (left, 1), (right, -1))
+    omega = contract(phi.table, start_index, n, (left, 1), (right, -1))
     return PoissonStructure(n, start_index, omega, kind, phi)
 
 
-def contract(phi: PhiFunction, lo: int, n: int, *frames) -> Combination:
+def contract(table: Mapping, lo: int, n: int, *frames) -> Combination:
     """{(i, j): sum over the frames (F, sign) of sign * sum lam_mk F_m^i F_k^j}
-    for lo <= i < j <= n, in (i, j) order, where a frame maps m to the field
-    {i: F_m^i}: one sum of the F_m^i H_m^j, H_m = sign * sum_k lam_mk F_k."""
+    for lo <= i < j <= n, in (i, j) order, for an antisymmetric table
+    {(m, k): lam_mk}, where a frame maps m to the field {i: F_m^i}: one sum
+    of the F_m^i H_m^j, H_m = sign * sum_k lam_mk F_k."""
     pairs: dict = {}
     for F, sign in frames:
         H: dict = {}
-        for (m, k), c in phi.table.items():
+        for (m, k), c in table.items():
             if m in F and k in F:
                 H.setdefault(m, Combination()).add_all(F[k], c * sign)
         for m, Hm in H.items():
@@ -316,7 +317,12 @@ def _jacobi_scan(omega, top, params) -> rep.VerificationReport:
     coordinate beyond any finite block, so boundary triples are skipped and
     counted)."""
     indices = range(omega.start_index, top + 1)
-    gradient = functools.cache(functools.partial(_gradient, omega))  # once per bracket
+
+    @functools.cache  # once per bracket: the (i, d{b, c}/dv_i), v_i of the table's kind
+    def gradient(b, c) -> list:
+        w = omega.bracket(b, c)
+        return [(v.index, dv) for v in w.variables()
+                if v.kind == omega.coord_kind and (dv := w.derivative(v))]
 
     def cases():
         for (j, k, l) in itertools.combinations(indices, 3):
@@ -342,23 +348,22 @@ def _jacobi_scan(omega, top, params) -> rep.VerificationReport:
     return rep.first_failure("jacobi", cases(), params)
 
 
-def _gradient(omega, b, c) -> list:
-    """The (i, d{b, c}/dv_i) over the coordinates v_i of the table's kind
-    that occur in {b, c}: its nonzero partials."""
-    w = omega.bracket(b, c)
-    return [(v.index, dv) for v in w.variables()
-            if v.kind == omega.coord_kind and (dv := w.derivative(v))]
+def _one_jet(omega, n) -> dict:
+    """{(i, j): (pi^{ij}(e), {m: c^{ij}_m})} over the stored pairs i < j <= n:
+    the value and the linear part c^{ij}_m = d_m pi^{ij}(e) of the table at
+    the identity jet e (x_1 = 1, x_2 = .. = x_n = 0), nonzero c's only, in
+    one read of each bracket (`LaurentPoly.linear_part`).  Any other
+    variable, a parameter such as lam, stays a symbol, so both are exact."""
+    unit = Variable(omega.coord_kind, 1)
+    others = [Variable(omega.coord_kind, m) for m in range(2, n + 1)]
+    return {ij: (value, {v.index: c for v, c in part.items()})
+            for ij, w in omega.omega.items() if max(ij) <= n
+            for value, part in [w.linear_part(unit, others)]}
 
 
 def linear_part(omega: PoissonStructure, n: int) -> dict:
-    """{(i, j): {m: c^{ij}_m}} over the stored pairs i < j <= n: the first-order
-    jet c^{ij}_m = d_m pi^{ij}(e) of the table at the identity jet e
-    (x_1 = 1, x_2 = .. = x_n = 0), nonzero entries only.  Any other variable,
-    a parameter such as lam, stays a symbol, so the c's are exact."""
-    unit = Variable(omega.coord_kind, 1)
-    others = [Variable(omega.coord_kind, m) for m in range(2, n + 1)]
-    return {ij: {v.index: c for v, c in w.linear_part(unit, others).items()}
-            for ij, w in omega.omega.items() if max(ij) <= n}
+    """{(i, j): {m: c^{ij}_m}}, the linear part at e of `_one_jet`."""
+    return {ij: part for ij, (_, part) in _one_jet(omega, n).items()}
 
 
 def _drinfeld(lin, n) -> bool:
@@ -412,7 +417,7 @@ def verify_multiplicativity(omega: PoissonStructure,
 def _lu_weinstein(omega, n) -> Optional[dict]:
     """The linear part at e (`linear_part`) of the table pi with i, j <= n
     if pi is a multiplicative bivector on the n-jet group, else None.  Only
-    an x table whose brackets have partials by x_1..x_n alone is decided;
+    an x table whose brackets hold no coordinate but x_1..x_n is decided;
     any other (in y coordinates, or involving x_0 or x_{n+1}) gets None,
     since its stray variables would be read as constants.
 
@@ -424,50 +429,49 @@ def _lu_weinstein(omega, n) -> Optional[dict]:
     bivector whose value at e is b has the entries sum_{p, q} b^{pq} X_p^i
     X_q^j, and once pi(e) = 0, (L_k pi)(e) = d_k pi(e), column k of the
     linear part: X_k^m(e) = delta_km, and both pi d X terms vanish at e.
-    So the test is `infinitesimal_criterion` with the frame X, X_k^m =
-    (m-k+1) x_{m-k+1}."""
+    So the test is `infinitesimal_criterion` at lam = 0, whose frame is X,
+    X_k^m = (m-k+1) x_{m-k+1}."""
     if omega.coord_kind is not VarKind.GROUP_X:
         return None
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    others = {x_var(m).code for m in range(2, n + 1)}
-    # the k = 1 congruence implies pi(e) = 0 too (J(e) = 1), but this test is cheaper
-    if any(omega.bracket(*ij).drop_high_degree(others, 0).substitute({x_var(1): 1})
-           for ij in pairs):
+    jet = _one_jet(omega, n)
+    # the k = 1 identity fails a table with pi(e) != 0 too (J(e) = 1), but this test is cheaper
+    if any(value for value, _ in jet.values()):
         return None
-    X = {k: jg.left_invariant_field(k, n) for k in range(1, n + 1)}  # X[k][m] = X_k^m
-    lin = linear_part(omega, n)
-    return lin if infinitesimal_criterion(omega, 1, n, X, lin, 0) else None
+    lin = {ij: part for ij, (_, part) in jet.items()}
+    return lin if infinitesimal_criterion(omega, 1, n, lin, 0) else None
 
 
-def infinitesimal_criterion(omega, lo, hi, X, lin, lam) -> bool:
+def infinitesimal_criterion(omega, lo, hi, lin, lam) -> bool:
     """Whether L_{X_k} pi = sum_{p<q} c^{pq}_k X_p ^ X_q on the pairs
-    lo <= i < j <= hi for k = 1, 2, 3 (at most the frame's last index), for a
-    frame X[k][m] = X_k^m = (m-k+1+lam k) v_{m-k+1} over the coordinates
-    v_lo..v_hi of the table pi and constants c^{pq}_k = lin[p, q][k].  A
-    table whose brackets have a partial (`_gradient`) by a coordinate past
-    that range is not decided: False.  d_a X_k^m is m-k+1+lam k at
-    a = m-k+1 alone, so
+    lo <= i < j <= hi for k = 1, 2, 3, for the frame X_k^m = (m-k+1+lam k)
+    v_{m-k+1} over the coordinates v_lo..v_hi of the table pi (the group's
+    left-invariant fields at lam = 0, lo = 1; `density.density_fields` at
+    lo = 0) and constants c^{pq}_k = lin[p, q][k].  d_a X_k^m is
+    m-k+1+lam k at a = m-k+1 alone, so
 
       (L_k pi)^{ij} = sum_m X_k^m d_m pi^{ij} - (i-k+1+lam k) pi^{(i-k+1) j}
                       - (j-k+1+lam k) pi^{i (j-k+1)},
 
-    a pi d X term kept when its index is at least lo, and the right side is
-    the congruence J c_k J^T, J_ip = X_p^i."""
-    pairs = list(itertools.combinations(range(lo, hi + 1), 2))
-    grads = {ij: _gradient(omega, *ij) for ij in pairs}
-    if any(not lo <= m <= hi for grad in grads.values() for m, _ in grad):
-        return False
-    J = {i: {p: Xp[i] for p, Xp in X.items() if i in Xp} for i in range(lo, hi + 1)}
-    for k in range(1, min(max(X, default=0), 3) + 1):
-        lie = {(i, j): LaurentPoly.sum_of_products(
-            [(X[k][m], d) for m, d in grads[i, j] if m in X[k]]
-            + [(omega.bracket(a, c), -(lam * k + s)) for a, c, s in
-               ((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1)) if s >= lo])
-            for i, j in pairs}
-        value = {ij: row[k] for ij, row in lin.items() if k in row}
-        if not _congruence_check("lu-weinstein", {}, lo, hi, lambda i, j: lie[i, j],
-                                 [(J, value)]).passed:
-            return False
+    a pi d X term kept when its index is at least lo.  Each pair's residual
+    is one read of pi^{ij} along X_k (`LaurentPoly.derivative_along`) that
+    sums the pi d X terms and the right side, the contraction of c_k with
+    the frame, into its accumulator; the read's None, for a table with a
+    coordinate of its kind outside v_lo..v_hi, is False."""
+    kind, domain = omega.coord_kind, range(lo, hi + 1)
+    x = {m: LaurentPoly.var(Variable(kind, m)) for m in domain}
+    X = {p: Combination((i, x[i - p + 1] * (lam * p + (i - p + 1)))
+                        for i in domain if i - p + 1 >= lo) for p in {p for pq in lin for p in pq}}
+    for k in (1, 2, 3):
+        field = LinearField(kind, domain, [(m, m - k + 1, lam * k + (m - k + 1))
+                                           for m in range(lo + k - 1, hi + 1)])
+        ck = Combination.antisymmetric((pq, row[k]) for pq, row in lin.items() if k in row)
+        rhs = contract(ck, lo, hi, (X, -1))
+        for i, j in itertools.combinations(domain, 2):
+            pairs = [(omega.bracket(a, c), -(lam * k + s)) for a, c, s in
+                     ((i - k + 1, j, i - k + 1), (i, j - k + 1, j - k + 1)) if s >= lo]
+            residual = omega.bracket(i, j).derivative_along(field, pairs + [(rhs[i, j], 1)])
+            if residual is None or residual:
+                return False
     return True
 
 

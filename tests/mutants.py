@@ -912,8 +912,7 @@ MUTANTS = [
     {
         "name": "lu-weinstein-without-the-test-at-e",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "    if any(omega.bracket(*ij).drop_high_degree(others, 0).substitute({x_var(1): 1})\n"
-                    "           for ij in pairs):\n        return None\n",
+        "original": "    if any(value for value, _ in jet.values()):\n        return None\n",
         "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
         "equivalent": "J(e) is the identity, so at e the k = 1 congruence reads "
@@ -939,16 +938,16 @@ MUTANTS = [
     {
         "name": "lu-weinstein-without-the-X-pi-term",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "[(X[k][m], d) for m, d in grads[i, j] if m in X[k]]\n            + ",
-        "mutant": "",
+        "original": "derivative_along(field, pairs",
+        "mutant": "derivative_along(LinearField(kind, domain, ()), pairs",
         "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence",
                   "tests/test_poissonlie.py::test_passing_tables_skip_the_congruence"],
     },
     {
         "name": "lu-weinstein-without-X3",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "for k in range(1, min(max(X, default=0), 3) + 1):",
-        "mutant": "for k in range(1, min(max(X, default=0), 2) + 1):",
+        "original": "for k in (1, 2, 3):",
+        "mutant": "for k in (1, 2):",
         "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
     },
     {
@@ -977,8 +976,8 @@ MUTANTS = [
     {
         "name": "linear-part-without-the-x1-column",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "{v.index: c for v, c in w.linear_part(unit, others).items()}",
-        "mutant": "{v.index: c for v, c in w.linear_part(unit, others).items() if v.index > 1}",
+        "original": "{v.index: c for v, c in part.items()}",
+        "mutant": "{v.index: c for v, c in part.items() if v.index > 1}",
         "tests": ["tests/test_poissonlie.py::test_linear_part_is_the_derivative_at_e",
                   "tests/test_poissonlie.py::test_passing_tables_skip_the_jacobi_scan"],
     },
@@ -992,9 +991,8 @@ MUTANTS = [
     },
     {
         "name": "drinfeld-takes-stray-coordinates-for-constants",
-        "file": "src/jetpoisson/poissonlie.py",
-        "original": "    if any(not lo <= m <= hi for grad in grads.values() for m, _ in grad):\n"
-                    "        return False\n",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "            if b & stray != low:\n                return None\n",
         "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
     },
@@ -1004,24 +1002,25 @@ MUTANTS = [
         "original": "    if omega.coord_kind is not VarKind.GROUP_X:\n        return None\n",
         "mutant": "",
         "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
-        "equivalent": "read with the x fields, the k = 1 Lie derivative of a table of another "
-                      "kind is sum_m m x_m d_{v_m} pi^{ij} - (i + j) pi^{ij}, and its top degree "
-                      "in the v's must vanish against a v-free value, so only a table that is "
-                      "zero on i, j <= n passes, and its records are those of the direct checks",
+        "equivalent": "the 1-jet, the frame and the guard all read the table's own kind, so a "
+                      "table in y alone is decided as its renaming to x, the table the direct "
+                      "checks read (_in_x), and its records are theirs; the test's one table of "
+                      "x brackets times y2 y3 has k = 1 residual (5 - i - j) pi^{ij} against a "
+                      "zero linear part, and fails both ways",
     },
     {
         "name": "lu-weinstein-reads-column-k-plus-1",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "value = {ij: row[k] for ij, row in lin.items() if k in row}",
-        "mutant": "value = {ij: row[k + 1] for ij, row in lin.items() if k + 1 in row}",
+        "original": "(pq, row[k]) for pq, row in lin.items() if k in row",
+        "mutant": "(pq, row[k + 1]) for pq, row in lin.items() if k + 1 in row",
         "tests": ["tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence",
                   "tests/test_poissonlie.py::test_passing_tables_skip_the_congruence"],
     },
     {
         "name": "lu-weinstein-guard-takes-x0-and-x-n-plus-1",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "if any(not lo <= m <= hi for grad",
-        "mutant": "if any(not lo - 1 <= m <= hi + 1 for grad",
+        "original": "kind, domain = omega.coord_kind, range(lo, hi + 1)",
+        "mutant": "kind, domain = omega.coord_kind, range(lo - 1, hi + 2)",
         "tests": ["tests/test_poissonlie.py::test_drinfeld_criterion_agrees_with_the_triple_scan"],
     },
     {
@@ -1064,15 +1063,15 @@ MUTANTS = [
     {
         "name": "density-action-without-rho-delta",
         "file": "src/jetpoisson/density.py",
-        "original": "density_fields(lam, n), delta, lam)",
-        "mutant": "density_fields(lam, n), {}, lam)",
+        "original": "(omega_dens, 0, n, delta, lam)",
+        "mutant": "(omega_dens, 0, n, {}, lam)",
         "tests": ["tests/test_density.py::test_passing_tables_skip_the_direct_check"],
     },
     {
         "name": "density-action-with-the-left-action-sign",
         "file": "src/jetpoisson/density.py",
-        "original": "density_fields(lam, n), delta, lam)",
-        "mutant": "density_fields(lam, n),\n"
+        "original": "(omega_dens, 0, n, delta, lam)",
+        "mutant": "(omega_dens, 0, n,\n"
                   "            {ij: {m: -c for m, c in row.items()} for ij, row in delta.items()}, lam)",
         "tests": ["tests/test_density.py::test_passing_tables_skip_the_direct_check"],
     },
@@ -1093,9 +1092,38 @@ MUTANTS = [
     {
         "name": "density-action-with-k-at-most-2",
         "file": "src/jetpoisson/poissonlie.py",
-        "original": "for k in range(1, min(max(X, default=0), 3) + 1):",
-        "mutant": "for k in range(1, min(max(X, default=0), 2) + 1):",
+        "original": "for k in (1, 2, 3):",
+        "mutant": "for k in (1, 2):",
         "tests": ["tests/test_density.py::test_action_criterion_agrees_with_the_direct_check"],
+    },
+    {
+        "name": "derivative-along-without-the-exponent-factor",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "k, n = key + shift, num * e * na",
+        "mutant": "k, n = key + shift, num * na",
+        "tests": ["tests/test_coeffpoly.py::test_derivative_along_matches_the_partials"],
+    },
+    {
+        "name": "derivative-along-shifts-one-past-the-target",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "_checked(ka + unit(s) - unit(m))",
+        "mutant": "_checked(ka + unit(s + 1) - unit(m))",
+        "tests": ["tests/test_coeffpoly.py::test_derivative_along_matches_the_partials"],
+    },
+    {
+        "name": "derivative-along-without-the-range-check",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "terms[_checked(k)] = n",
+        "mutant": "terms[k] = n",
+        "tests": ["tests/test_coeffpoly.py::test_derivative_along_matches_the_partials"],
+    },
+    {
+        "name": "linear-part-value-takes-the-x1-partial",
+        "file": "src/jetpoisson/coeffpoly.py",
+        "original": "((None, key, num), (unit, key, num * e))",
+        "mutant": "((None, key, num * e), (unit, key, num * e))",
+        "tests": ["tests/test_coeffpoly.py::test_variables_and_linear_part_match_the_reference",
+                  "tests/test_poissonlie.py::test_lu_weinstein_criterion_agrees_with_the_congruence"],
     },
 ]
 

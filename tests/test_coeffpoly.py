@@ -328,12 +328,69 @@ def test_variables_and_linear_part_match_the_reference():
                          (0, 1): (ORACLE_VARS[2], 1)}.get((b, c), (None, 0))
             if v is not None:
                 jet[v] += coeff * factor
-        assert p.linear_part(ORACLE_VARS[0], ORACLE_VARS[1:]) == \
-            {v: scale * c for v, c in jet.items() if c}, ref
+        value, part = p.linear_part(ORACLE_VARS[0], ORACLE_VARS[1:])
+        assert part == {v: scale * c for v, c in jet.items() if c}, ref
+        # and the value at the point is the read of the terms of degree 0 in x2, x3 at x1 = 1
+        others = {v.code for v in ORACLE_VARS[1:]}
+        assert value == p.drop_high_degree(others, 0).substitute({ORACLE_VARS[0]: 1}), ref
+        assert_canonical(value)
     # a unit that no monomial was ever built in has exponent 0 in every term
     unused = Variable(VarKind.GROUP_Z, 77)
-    assert (x(2) * 3 + 5).linear_part(unused, [x_var(2)]) == {x_var(2): LaurentPoly.const(3)}
+    assert (x(2) * 3 + 5).linear_part(unused, [x_var(2)]) == \
+        (LaurentPoly.const(5), {x_var(2): LaurentPoly.const(3)})
     assert unused.code not in coeffpoly._SLOT
+
+
+def test_derivative_along_matches_the_partials():
+    """`derivative_along` a linear field sum_m a_m v_s(m) d/dv_m against sum_m
+    a_m v_s(m) * derivative(v_m) on the oracle polynomials: negative x1
+    exponents, rational and lam coefficients in the field and the
+    polynomial, a target with no slot yet, and a term outside the domain."""
+    lam = LaurentPoly.var(param("lam"))
+    fresh = Variable(VarKind.GROUP_X, 4099)  # no monomial is built in it before its field
+    assert fresh.code not in coeffpoly._SLOT
+    into_fresh = coeffpoly.LinearField(VarKind.GROUP_X, [1, 2, fresh.index], [(2, fresh.index, 3)])
+    assert (x(1) * x(2, 2)).derivative_along(into_fresh) == 6 * x(1) * x(2) * LaurentPoly.var(fresh)
+    rng = random.Random(37)
+    indices = [1, 2, 3]
+    for trial in range(60):
+        ref = random_ref(rng)
+        p = from_ref(ref) * rng.choice((LaurentPoly.one(), lam, lam + Fraction(1, 2)))
+        components = []
+        for m in indices:
+            if rng.random() < 0.8:
+                s = rng.choice(indices + [fresh.index])
+                a = rng.choice((Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                lam * rng.randint(1, 3) + Fraction(1, rng.randint(1, 3))))
+                components.append((m, s, a))
+        pairs = [(from_ref(random_ref(rng)), lam)] * (trial % 2)
+        field = coeffpoly.LinearField(VarKind.GROUP_X, indices + [fresh.index], components)
+        got = p.derivative_along(field, pairs)
+        want = LaurentPoly.sum_of_products(
+            [(a * LaurentPoly.var(Variable(VarKind.GROUP_X, s)), p.derivative(x_var(m)))
+             for m, s, a in components] + pairs)
+        assert got == want, (ref, components)
+        assert_canonical(got)
+    # a coordinate of the field's kind outside its domain is not read: None;
+    # one of another kind, or a parameter, is a constant
+    field = coeffpoly.LinearField(VarKind.GROUP_X, [1, 2], [(1, 1, 1), (2, 1, 2)])
+    assert (x(2) * x(3)).derivative_along(field) is None
+    assert (x(1) * x(0, 1)).derivative_along(field) is None
+    y3 = LaurentPoly.var(Variable(VarKind.GROUP_Y, 3))
+    assert (x(1) * x(2) * y3 * lam).derivative_along(field) == (x(1) * x(2) + 2 * x(1, 2)) * y3 * lam
+    assert LaurentPoly.zero().derivative_along(field) == 0
+    # every new key is range-checked: a shift out of [-2^14, 2^14) raises,
+    # also when a later pair would cancel it, and never lands on another key
+    top = 2 ** (coeffpoly._FIELD - 2)
+    into_x2 = coeffpoly.LinearField(VarKind.GROUP_X, [1, 2, 3], [(1, 2, 1), (3, 3, 1)])
+    for p, pairs in ((x(1) * x(2, top - 1), ()),
+                     (x(1, -top) * x(3), ()),
+                     (x(1) * x(2, top - 1), [(x(2, top // 2), -x(2, top // 2))])):
+        with pytest.raises(ExponentOverflow):
+            p.derivative_along(into_x2, pairs)
+    # a field that keeps each v_m in place reads the ends of the range exactly
+    euler = coeffpoly.LinearField(VarKind.GROUP_X, [1, 2, 3], [(1, 1, 1), (3, 3, 1)])
+    assert (x(1, -top) * x(3, top - 1)).derivative_along(euler) == -x(1, -top) * x(3, top - 1)
 
 
 def test_degree_is_the_bound_drop_high_degree_keeps():

@@ -2,6 +2,7 @@
 compatibility identity."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from jetpoisson import jetgroup as jg
 from jetpoisson import poissonlie as pl
 from jetpoisson import series as ts
 from jetpoisson.coeffpoly import LaurentPoly, Variable, VarKind, aux_t, param
+
+import criterion_reference as reference
 
 
 def D(i):
@@ -214,6 +217,26 @@ def test_action_criterion_agrees_with_the_direct_check():
         got = dn.verify_density_action(phi, lam, n, omega_dens=omega_dens).to_dict()
         assert got == _direct(phi, lam, n, omega_dens), (phi.provenance, lam, n)
         assert (got["status"] == "pass") == (omega_dens is None), (phi.provenance, lam, n)
+
+
+def test_action_criterion_matches_the_reference_route():
+    # the one read of each bracket along the frame xi_k against the Lie
+    # derivatives from the partials, with the frame `density_fields`, and the
+    # congruence J c_k J^T; clean tables pass, tables perturbed by x_0 fail
+    outcomes = Counter()
+    for d in (1, 2):
+        phi = pl.phi_power_family(d)
+        for lam in ("lam", Fraction(1, 2), Fraction(-3, 2), 0):
+            weight = pl.weight(lam)
+            for n in (2, 3, 4):
+                delta = pl.build_omega(phi, n + 1).lu_weinstein(n + 1)
+                clean = dn.build_omega_density(phi, lam, n + 1)
+                for omega_dens in (clean, clean.perturbed(0, 1, D(0))):
+                    got = pl.infinitesimal_criterion(omega_dens, 0, n, delta, weight)
+                    assert got == reference.criterion(
+                        omega_dens, 0, n, dn.density_fields(weight, n), delta, weight), (d, lam, n)
+                    outcomes[omega_dens is clean, got] += 1
+    assert outcomes == {(True, True): 24, (False, False): 24}, outcomes
 
 
 def test_passing_tables_skip_the_direct_check(monkeypatch):

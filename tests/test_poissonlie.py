@@ -25,6 +25,8 @@ from jetpoisson import poissonlie as pl
 from jetpoisson import series as ts
 from jetpoisson.coeffpoly import Combination, LaurentPoly, Variable, VarKind, param, x_var
 
+import criterion_reference as reference
+
 
 def X(i, e=1):
     return LaurentPoly.var(x_var(i), e)
@@ -592,7 +594,9 @@ BENCH_PERTURBATIONS = [(d, i, j, k) for d in (1, 2, 3)
                        for (i, j) in itertools.combinations(range(1, 6), 2) for k in (1, 2)]
 
 
-def test_lu_weinstein_criterion_agrees_with_the_congruence():
+def _criterion_cases():
+    """The power and extended tables the Lu-Weinstein criterion must pass,
+    and perturbed tables it must fail."""
     lam = LaurentPoly.var(param("lam"))
     cases = [pl.build_omega(pl.phi_power_family(d), n) for d in range(1, 6) for n in range(2, 11)]
     cases += [pl.build_omega(pl.phi_extended_family(d, value, 9), 8)
@@ -610,8 +614,12 @@ def test_lu_weinstein_criterion_agrees_with_the_congruence():
         # L_X1 and L_X2 kill both s = (x1 x3 - x2^2) / x1^4, which is zero at e, and
         # the right-invariant x1^11 d5^d6, so only X_3 sees their product
         (5, 6, (X(1) * X(3) - X(2, 2)) * X(1, 7)))]
+    return cases
+
+
+def test_lu_weinstein_criterion_agrees_with_the_congruence():
     outcomes = Counter()
-    for omega in cases:
+    for omega in _criterion_cases():
         congruence = pl._verify_mult_origin_fixing(omega, omega.n)
         lin = pl._lu_weinstein(omega, omega.n)
         criterion = lin is not None
@@ -622,29 +630,52 @@ def test_lu_weinstein_criterion_agrees_with_the_congruence():
         outcomes[criterion] += 1
     assert outcomes == {True: 49, False: 68}, outcomes
     # a truncation at or below 1 has no pair: the vacuous pass records stay
+    six = pl.build_omega(pl.phi_power_family(1), 6)
     for check_max in (0, 1):
         assert pl.verify_multiplicativity(six, check_max).to_dict() == {
             "check": "multiplicativity", "params": {"n": check_max, "start": 1},
             "status": "pass", "witness": None}
 
 
+def test_lu_weinstein_matches_the_reference_route():
+    # the one read of each bracket along the frame against pi(e) by substitute,
+    # Lie derivatives from the partials and the congruence J c_k J^T
+    cases = _criterion_cases()
+    cases += [pl.build_omega(pl.phi_power_family(d), n) for d in (1, 2, 3) for n in (12, 16)]
+    outcomes = Counter()
+    for omega in cases:
+        lin = pl._lu_weinstein(omega, omega.n)
+        assert lin == reference.lu_weinstein(omega, omega.n), (omega.phi.provenance, omega.n)
+        outcomes[lin is not None] += 1
+    assert outcomes == {True: 55, False: 68}, outcomes
+
+
 def test_passing_tables_skip_the_congruence(monkeypatch):
-    # the criterion runs its n-coordinate congruences J b J^T; the 2n-coordinate
-    # congruence of multiplicativity runs only for a table the criterion fails
-    congruence = pl._congruence_check
-    criterion_runs = Counter()
+    # the criterion decides each table once, on one frame per k = 1, 2, 3 and
+    # one read of each bracket along it; the 2n-coordinate congruence of
+    # multiplicativity runs only for a table the criterion fails
+    frames, reads = Counter(), []
+    field, read = pl.LinearField, LaurentPoly.derivative_along
 
-    def no_multiplicativity_congruence(name, *args, **kwargs):
-        if name == "multiplicativity":
-            raise AssertionError("reached the 2n-coordinate congruence")
-        criterion_runs[name] += 1
-        return congruence(name, *args, **kwargs)
+    def counted_field(kind, domain, components):
+        frames[len(domain)] += 1
+        return field(kind, domain, components)
 
-    monkeypatch.setattr(pl, "_congruence_check", no_multiplicativity_congruence)
+    def counted_read(w, *args):
+        reads.append(w)
+        return read(w, *args)
+
+    def no_congruence(*args, **kwargs):
+        raise AssertionError("reached the 2n-coordinate congruence")
+
+    monkeypatch.setattr(pl, "LinearField", counted_field)
+    monkeypatch.setattr(LaurentPoly, "derivative_along", counted_read)
+    monkeypatch.setattr(pl, "_congruence_check", no_congruence)
     for d in (1, 2, 3):
         for n in (8, 10):
             assert pl.verify_multiplicativity(pl.build_omega(pl.phi_power_family(d), n)).passed
-    assert criterion_runs == {"lu-weinstein": 18}
+    assert frames == {8: 9, 10: 9}, frames  # 18 decisions
+    assert len(reads) == 3 * 3 * (math.comb(8, 2) + math.comb(10, 2))
     bad = pl.build_omega(pl.phi_power_family(2), 5).perturbed(2, 4, X(2))
     with pytest.raises(AssertionError, match="2n-coordinate"):
         pl.verify_multiplicativity(bad)
